@@ -13,6 +13,8 @@ divisor for SECP112R1 against the fallback rule.
 Run: python demos/divisor_search.py
 """
 
+from math import isqrt
+
 from dhpbound.bounds import (
     load_database,
     oracle_calls_exact,
@@ -24,7 +26,6 @@ from dhpbound.modmath import (
     factorize,
     icbrt,
     is_prime,
-    isqrt,
     log2_approx,
 )
 

@@ -14,7 +14,7 @@ Run: python demos/reduction_walkthrough.py
 
 import random
 
-from dhpbound.groups import make_ec_group, make_mult_subgroup, make_zp_additive
+from dhpbound.groups import find_mult_subgroup, make_ec_group, make_zp_additive
 from dhpbound.modmath import divisors_in_range, factorize
 from dhpbound.oracle import OracleHandle
 from dhpbound.reduction import cost_report, reduce_dlog
@@ -23,9 +23,8 @@ P = 101
 SECRET = 77
 DIVISOR = 20
 
-# frozen curve and subgroup parameters for order-101 backends
+# frozen curve parameters for the order-101 ec backend
 EC_PARAMS = (83, 2, 28, 0, 32)  # q, A, B, Gx, Gy
-MULT_PARAMS = (607, 2)  # q, h
 
 
 def banner(title):
@@ -37,10 +36,9 @@ def banner(title):
 
 def backends():
     q, a, b, gx, gy = EC_PARAMS
-    mq, mh = MULT_PARAMS
     return {
         "zp": make_zp_additive(P),
-        "mult": make_mult_subgroup(mq, P, mh),
+        "mult": find_mult_subgroup(P),
         "ec": make_ec_group(q, a, b, gx, gy, P),
     }
 

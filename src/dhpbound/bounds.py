@@ -20,16 +20,16 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
+from math import isqrt
 
 from .modmath import (
     Factorization,
     IncompleteFactorizationError,
     divisors_in_range,
     icbrt,
-    isqrt,
     log2_approx,
 )
-from .reduction import InvalidDivisorError
+from .reduction import InvalidDivisorError, oracle_calls_exact
 
 # row verdict tiers, in increasing severity
 VERDICT_OK = "ok"
@@ -40,6 +40,10 @@ VERDICT_NO_DATA = "not available"
 
 MATCH_TOL = 0.02
 DISCREPANCY_TOL = 0.10
+
+
+class DatabaseError(ValueError):
+    """A curve database record is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,6 @@ class BoundRow:
     verdict: str
     flags: tuple[str, ...]
     annotations: tuple[str, ...] = ()
-
-
-def oracle_calls_exact(d: int) -> int:
-    """DH-oracle calls consumed computing x^d: floor(log2 d) + popcount(d)."""
-    if d < 1:
-        raise ValueError(f"divisor must be >= 1, got {d}")
-    if d == 1:
-        return 0
-    return (d.bit_length() - 1) + d.bit_count()
 
 
 def reduction_ops_bound(p: int, d: int) -> int:
@@ -233,7 +228,11 @@ def suggest_divisor(p: int, factors: Factorization, policy: str = "paper") -> in
 
 
 def load_database(path: str | None = None) -> list[CurveRecord]:
-    """Parse the curve database: explicit path, else $DHP_DB, else the packaged file."""
+    """Parse the curve database: explicit path, else $DHP_DB, else the packaged file.
+
+    Every record is validated here: p an integer >= 3, d None or a divisor of
+    p-1, every field present. The first bad record raises DatabaseError.
+    """
     if path is None:
         path = os.environ.get("DHP_DB") or None
     if path is None:
@@ -241,20 +240,28 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
     else:
         with open(path) as fh:
             blob = fh.read()
-    doc = json.loads(blob)
     records = []
-    for raw in doc["records"]:
-        records.append(
-            CurveRecord(
-                name=raw["name"],
-                field_kind=raw["field_kind"],
-                p=int(raw["p"]),
-                d=int(raw["d"]) if raw["d"] is not None else None,
-                expected_log2_sqrt_p=raw["expected_log2_sqrt_p"],
-                expected_log2_M=raw["expected_log2_M"],
-                expected_log2_n=raw["expected_log2_n"],
-                expected_log2_TDH=raw["expected_log2_TDH"],
-                annotations=tuple(raw.get("annotations", ())),
+    for i, raw in enumerate(json.loads(blob)["records"]):
+        try:
+            p = int(raw["p"])
+            d = int(raw["d"]) if raw["d"] is not None else None
+            if p < 3:
+                raise ValueError(f"p={p} is below 3")
+            if d is not None and (d < 1 or (p - 1) % d != 0):
+                raise InvalidDivisorError(f"d={d} does not divide p-1={p - 1}")
+            records.append(
+                CurveRecord(
+                    name=raw["name"],
+                    field_kind=raw["field_kind"],
+                    p=p,
+                    d=d,
+                    expected_log2_sqrt_p=raw["expected_log2_sqrt_p"],
+                    expected_log2_M=raw["expected_log2_M"],
+                    expected_log2_n=raw["expected_log2_n"],
+                    expected_log2_TDH=raw["expected_log2_TDH"],
+                    annotations=tuple(raw.get("annotations", ())),
+                )
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatabaseError(f"record {i}: {type(exc).__name__}: {exc}") from None
     return records

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 import time
@@ -17,12 +18,13 @@ from dataclasses import asdict
 
 from . import bounds
 from .groups import (
+    ORDER_GUARD,
     CyclicGroup,
     GroupConstructionError,
     find_ec_group_params,
+    find_mult_subgroup,
     load_toy_curve,
     make_ec_group,
-    make_mult_subgroup,
     make_zp_additive,
 )
 from .implicit import (
@@ -35,7 +37,7 @@ from .implicit import (
     implicit_scalar,
     implicit_sub,
 )
-from .modmath import factorize, icbrt, is_prime, isqrt, log2_approx
+from .modmath import factorize, icbrt, is_prime, log2_approx
 from .oracle import OracleHandle
 from .reduction import (
     InvalidDivisorError,
@@ -45,7 +47,6 @@ from .reduction import (
     reduce_dlog,
 )
 
-REDUCE_ORDER_GUARD = 2**32
 EC_SEARCH_GUARD = 2**14  # curve search enumerates points; beyond this use zp or mult
 
 
@@ -61,6 +62,14 @@ class CliError(Exception):
     """Named operational failure; message printed, exit 1."""
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for counts: a usage error (exit 64) below zero."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 # --------------------------------------------------------------- tables
 
 
@@ -72,6 +81,10 @@ def _fmt_delta(v) -> str:
     return "-" if v is None else f"{v:+.2f}"
 
 
+def _log2_cells(r: bounds.BoundRow) -> list[str]:
+    return [r.name] + [_fmt2(v) for v in (r.log2_sqrt_p, r.log2_M, r.log2_n, r.log2_TDH)]
+
+
 def _markdown_table(rows: list[bounds.BoundRow], diff: bool) -> list[str]:
     head = ["curve", "log2 sqrt(p)", "log2 M", "log2 n", "log2 T_DH", "flags"]
     if diff:
@@ -81,14 +94,7 @@ def _markdown_table(rows: list[bounds.BoundRow], diff: bool) -> list[str]:
         "|" + "|".join("---" for _ in head) + "|",
     ]
     for r in rows:
-        cells = [
-            r.name,
-            _fmt2(r.log2_sqrt_p),
-            _fmt2(r.log2_M),
-            _fmt2(r.log2_n),
-            _fmt2(r.log2_TDH),
-            " ".join(r.flags) or "-",
-        ]
+        cells = _log2_cells(r) + [" ".join(r.flags) or "-"]
         if diff:
             cells.append(
                 "/".join(_fmt_delta(d) for d in r.deltas) if r.deltas else "-"
@@ -100,7 +106,7 @@ def _markdown_table(rows: list[bounds.BoundRow], diff: bool) -> list[str]:
 def cmd_tables(args) -> int:
     try:
         db = bounds.load_database(args.db)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, bounds.DatabaseError) as exc:
         print(f"error: cannot load curve database: {exc}", file=sys.stderr)
         return 1
     rows = bounds.table_rows(db)
@@ -114,14 +120,7 @@ def cmd_tables(args) -> int:
             cols += ",delta_sqrt,delta_M,delta_n,delta_TDH"
         print(cols)
         for r in rows:
-            cells = [
-                r.name,
-                _fmt2(r.log2_sqrt_p),
-                _fmt2(r.log2_M),
-                _fmt2(r.log2_n),
-                _fmt2(r.log2_TDH),
-                ";".join(r.flags),
-            ]
+            cells = _log2_cells(r) + [";".join(r.flags)]
             if args.diff:
                 cells += [_fmt_delta(d) for d in (r.deltas or (None,) * 4)]
             print(",".join(cells))
@@ -148,15 +147,7 @@ def _build_group(backend: str, p: int) -> CyclicGroup:
     if backend == "zp":
         return make_zp_additive(p)
     if backend == "mult":
-        for k in range(1, 10000):
-            q = 2 * k * p + 1
-            if is_prime(q):
-                for h in range(2, 1000):
-                    try:
-                        return make_mult_subgroup(q, p, h)
-                    except GroupConstructionError:
-                        continue
-        raise CliError(f"no F_q multiplicative subgroup of order {p} found")
+        return find_mult_subgroup(p)
     if backend == "ec":
         if p == 16381:
             return load_toy_curve()
@@ -173,9 +164,11 @@ def _build_group(backend: str, p: int) -> CyclicGroup:
 def cmd_reduce(args) -> int:
     p, d = args.p, args.d
     try:
+        if p < 3:
+            raise CliError(f"p must be a prime >= 3, got {p}")
         if not is_prime(p):
             raise CliError(f"p={p} is not prime")
-        if p > REDUCE_ORDER_GUARD:
+        if p > ORDER_GUARD:
             raise CliError(f"desk-scale guard: p must be <= 2^32, got {p}")
         if d < 1 or (p - 1) % d != 0:
             raise CliError(f"invalid divisor: d={d} does not divide p-1={p - 1}")
@@ -264,6 +257,9 @@ def _factor_string(f) -> str:
 
 def cmd_divisors(args) -> int:
     p = args.p
+    if p < 3:
+        print(f"error: p must be a prime >= 3, got {p}", file=sys.stderr)
+        return 1
     if not is_prime(p):
         print(f"error: p={p} is not prime", file=sys.stderr)
         return 1
@@ -276,7 +272,7 @@ def cmd_divisors(args) -> int:
     lo = icbrt(p)
     if lo**3 < p:
         lo += 1
-    hi = isqrt(p)
+    hi = math.isqrt(p)
     if f.complete:
         band = bounds.divisors_in_range(f, lo, hi) if lo <= hi else []
         shown = ", ".join(str(d) for d in band[:32]) or "(none)"
@@ -297,7 +293,7 @@ def cmd_divisors(args) -> int:
         print(f"policy suggestion ({args.policy}): unavailable (incomplete factorization)")
     try:
         db = bounds.load_database(args.db)
-    except (OSError, json.JSONDecodeError, KeyError):
+    except (OSError, json.JSONDecodeError, KeyError, bounds.DatabaseError):
         db = []
     for rec in db:
         if rec.p == p and rec.d is not None:
@@ -543,7 +539,7 @@ def build_parser() -> _Parser:
     p_div = sub.add_parser("divisors", help="factor p-1 and suggest a divisor")
     p_div.add_argument("--p", type=int, required=True, help="prime")
     p_div.add_argument("--policy", choices=("paper", "min-n"), default="paper")
-    p_div.add_argument("--budget", type=int, default=10**8, help="factoring effort budget")
+    p_div.add_argument("--budget", type=non_negative_int, default=10**8, help="factoring effort budget")
     p_div.add_argument("--db", default=None, help="database path for cross-reference")
     p_div.set_defaults(func=cmd_divisors)
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from math import isqrt
 
-from .modmath import is_prime, isqrt
+from .modmath import is_prime
 
-DLOG_GUARD = 2**32  # refuse brute-force discrete logs above this group order
+ORDER_GUARD = 2**32  # largest group order for brute-force dlog, the oracle and reductions
 
 
 class GroupConstructionError(ValueError):
@@ -306,6 +307,19 @@ def make_mult_subgroup(q: int, p: int, h: int) -> MultSubgroup:
     return MultSubgroup(q, p, g)
 
 
+def find_mult_subgroup(p: int) -> MultSubgroup:
+    """Order-p subgroup of F_q^x: first prime q = 2kp + 1, first h >= 2 with h^((q-1)/p) != 1."""
+    if not is_prime(p):
+        raise InvalidOrderError(f"subgroup order {p} is not prime")
+    q = 2 * p + 1
+    while not is_prime(q):
+        q += 2 * p
+    h = 2
+    while pow(h, (q - 1) // p, q) == 1:
+        h += 1
+    return make_mult_subgroup(q, p, h)
+
+
 def make_ec_group(q: int, a: int, b: int, gx: int, gy: int, p: int) -> EcGroup:
     """Order-p subgroup of the curve y^2 = x^3 + ax + b over F_q, generated by (gx, gy)."""
     if not is_prime(q) or q <= 3:
@@ -337,8 +351,8 @@ def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:
     own cached solver.
     """
     g._member(Q)
-    if g.order > DLOG_GUARD:
-        raise GuardRailError(f"order {g.order} exceeds the brute-force guard {DLOG_GUARD}")
+    if g.order > ORDER_GUARD:
+        raise GuardRailError(f"order {g.order} exceeds the brute-force guard {ORDER_GUARD}")
     if g.eq(Q, g.identity):
         return 0
     m = isqrt(g.order - 1) + 1
@@ -355,6 +369,35 @@ def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:
             return (i * m + r) % g.order
         probe = g.add(probe, giant)
     raise RuntimeError(f"BSGS failed on order {g.order}: generator does not generate Q")
+
+
+def bsgs_table(key, step, point, stride, size: int) -> dict:
+    """Baby steps: key(point after v steps) -> v for v in range(size), smallest v kept.
+
+    step(point, stride) runs size - 1 times: a charged walk pays only for what it stores.
+    """
+    table = {}
+    for v in range(size):
+        if v:
+            point = step(point, stride)
+        table.setdefault(key(point), v)
+    return table
+
+
+def bsgs_probe(table, key, step, point, stride, us: range, accept):
+    """Giant steps: the first (u, v) with table[key(point at u)] = v and accept(u, v), or None.
+
+    point is the walk at u = us[0]; each later u is one step(point, stride) on,
+    taken only after the previous u found no accepted match.
+    """
+    last = us[-1]
+    for u in us:
+        v = table.get(key(point))
+        if v is not None and accept(u, v):
+            return u, v
+        if u != last:
+            point = step(point, stride)
+    return None
 
 
 def find_ec_group_params(

@@ -47,13 +47,6 @@ class Factorization:
         return tuple(prime for prime, _ in self.factors)
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus for non-negative exponent; modulus must be >= 2."""
-    if modulus < 2:
-        raise ValueError(f"invalid modulus {modulus}: must be at least 2")
-    return pow(base, exponent, modulus)
-
-
 def is_prime(n: int, rounds: int = 64) -> bool:
     """Miller-Rabin primality verdict.
 
@@ -187,11 +180,6 @@ def factorize(n: int, effort_budget: int = 10**8) -> Factorization:
     if n < 2:
         raise ValueError(f"cannot factor {n}: must be at least 2")
     return _factorize_cached(n, effort_budget)
-
-
-def isqrt(n: int) -> int:
-    """Exact floor square root: the r with r*r <= n < (r+1)*(r+1)."""
-    return math.isqrt(n)
 
 
 def icbrt(n: int) -> int:

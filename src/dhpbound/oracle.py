@@ -11,11 +11,9 @@ exactly one oracle call per invocation and nothing else.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import isqrt
 
-from .groups import CyclicGroup, GroupPoint, GuardRailError, scalar_mul_cost
-from .modmath import isqrt
-
-SIMULATION_GUARD = 2**32  # largest group order the simulated oracle will serve
+from .groups import ORDER_GUARD, CyclicGroup, GroupPoint, GuardRailError, bsgs_probe, bsgs_table
 
 
 @dataclass
@@ -41,19 +39,14 @@ class CostLedger:
 
 
 class OracleHandle:
-    """DH oracle bound to one group; reusable across runs via attach_ledger.
+    """DH oracle bound to one group; reusable across runs via attach_ledger."""
 
-    solver_budget caps the private group operations spent answering a single
-    call (the guard on the group order keeps legitimate calls far below it).
-    """
-
-    def __init__(self, group: CyclicGroup, solver_budget: int = 2**18):
-        if group.order > SIMULATION_GUARD:
+    def __init__(self, group: CyclicGroup):
+        if group.order > ORDER_GUARD:
             raise GuardRailError(
-                f"order {group.order} exceeds the oracle simulation guard {SIMULATION_GUARD}"
+                f"order {group.order} exceeds the oracle simulation guard {ORDER_GUARD}"
             )
         self.group = group
-        self.solver_budget = solver_budget
         self.call_count = 0
         self.ledger: CostLedger | None = None
         self._baby_table: dict[bytes, int] | None = None
@@ -64,38 +57,20 @@ class OracleHandle:
         """Direct subsequent call charges to this ledger (None detaches)."""
         self.ledger = ledger
 
-    def _ensure_solver(self) -> None:
-        # one baby table per handle, shared by every call this handle answers
-        if self._baby_table is not None:
-            return
-        g, m = self.group, self._table_span
-        table = {}
-        step = g.identity
-        for r in range(m):
-            table.setdefault(g.encode(step), r)
-            step = g.add(step, g.generator)
-        self._baby_table = table
-        self._giant_step = g.negate(g.scalar_mul(m, g.generator))
-
     def _private_dlog(self, A: GroupPoint) -> int:
         """Exponent of A, solved with cached baby steps; work stays off the caller's ledger."""
-        self._ensure_solver()
         g, m = self.group, self._table_span
-        spent = 0
-        probe = A
-        for i in range(m + 1):
-            r = self._baby_table.get(g.encode(probe))
-            if r is not None:
-                return (i * m + r) % g.order
-            probe = g.add(probe, self._giant_step)
-            spent += 1
-            if spent > self.solver_budget:
-                raise GuardRailError(
-                    f"oracle solver budget {self.solver_budget} exhausted at order {g.order}"
-                )
-        raise RuntimeError(
-            f"oracle dlog failed on order {g.order}: point not generated by the group generator"
+        if self._baby_table is None:  # one baby table per handle, shared by every call
+            self._baby_table = bsgs_table(g.encode, g.add, g.identity, g.generator, m)
+            self._giant_step = g.negate(g.scalar_mul(m, g.generator))
+        hit = bsgs_probe(  # every match u*m + r is the dlog
+            self._baby_table, g.encode, g.add, A, self._giant_step, range(m + 1), lambda u, r: True
         )
+        if hit is None:
+            raise RuntimeError(
+                f"oracle dlog failed on order {g.order}: point not generated by the group generator"
+            )
+        return (hit[0] * m + hit[1]) % g.order
 
     def dh(self, A: GroupPoint, B: GroupPoint) -> GroupPoint:
         """Return (ab)P for A = aP, B = bP; charges exactly one oracle call."""

@@ -28,9 +28,9 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
-from .groups import CyclicGroup, GroupPoint
+from .groups import CyclicGroup, GroupPoint, bsgs_probe, bsgs_table
 from .implicit import ImplicitFieldElement, embed, implicit_pow, implicit_scalar
-from .modmath import Factorization, IncompleteFactorizationError, factorize, isqrt, mod_pow
+from .modmath import Factorization, IncompleteFactorizationError, factorize
 from .oracle import CostLedger, OracleHandle
 
 
@@ -80,20 +80,7 @@ class ReductionTranscript:
     params: ReductionParams
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "backend": self.backend,
-            "j": self.j,
-            "u1": self.u1,
-            "v1": self.v1,
-            "t": self.t,
-            "u2": self.u2,
-            "v2": self.v2,
-            "i0": self.i0,
-            "x": self.x,
-            "ledger": self.ledger.as_dict(),
-            "params": asdict(self.params),
-        }
+        return asdict(self)  # ledger and params become nested dicts
 
 
 def generator_try_budget(p: int) -> int:
@@ -134,6 +121,11 @@ def find_generator(
     )
 
 
+def _walk(group: CyclicGroup, ledger: CostLedger | None):
+    """Key and step of a BSGS walk on implicit elements; every step is charged to ledger."""
+    return (lambda e: group.encode(e.image)), (lambda e, c: implicit_scalar(c, e, ledger))
+
+
 def phase1_find_j(
     group: CyclicGroup,
     oracle: OracleHandle,
@@ -151,26 +143,21 @@ def phase1_find_j(
     p = group.order
     m = (p - 1) // params.d
     d1 = params.d1
-    table: dict[bytes, int] = {}
-    baby = q_pow_d
-    for v1 in range(d1 + 1):
-        table.setdefault(group.encode(baby.image), v1)
-        if v1 < d1:
-            baby = implicit_scalar(params.zeta, baby, ledger)
+    key, step = _walk(group, ledger)
+    table = bsgs_table(key, step, q_pow_d, params.zeta, d1 + 1)
     if ledger is not None:
         ledger.charge_table_entries(d1 + 1)
-    giant_const = mod_pow(params.zeta, d1, p)
-    giant = embed(group, 1)
-    for u1 in range(1, -(-m // d1) + 2):
-        giant = implicit_scalar(giant_const, giant, ledger)
-        v1 = table.get(group.encode(giant.image))
-        if v1 is not None:
-            j = u1 * d1 - v1
-            if 1 <= j <= m:
-                return j, u1, v1
-    raise InternalInconsistencyError(
-        f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
+    giant_const = pow(params.zeta, d1, p)
+    hit = bsgs_probe(
+        table, key, step, step(embed(group, 1), giant_const), giant_const,
+        range(1, -(-m // d1) + 2), lambda u1, v1: 1 <= u1 * d1 - v1 <= m,
     )
+    if hit is None:
+        raise InternalInconsistencyError(
+            f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
+        )
+    u1, v1 = hit
+    return u1 * d1 - v1, u1, v1
 
 
 def phase2_find_t(
@@ -191,28 +178,21 @@ def phase2_find_t(
     d = params.d
     m = (p - 1) // d
     s2 = params.s2
-    zm = mod_pow(params.zeta0, m, p)
-    table: dict[bytes, int] = {}
-    baby = ImplicitFieldElement(Q)
-    for v2 in range(s2 + 1):
-        table.setdefault(group.encode(baby.image), v2)
-        if v2 < s2:
-            baby = implicit_scalar(zm, baby, ledger)
+    zm = pow(params.zeta0, m, p)
+    key, step = _walk(group, ledger)
+    table = bsgs_table(key, step, ImplicitFieldElement(Q), zm, s2 + 1)
     if ledger is not None:
         ledger.charge_table_entries(s2 + 1)
-    giant = implicit_scalar(mod_pow(params.zeta0, j, p), embed(group, 1), ledger)
-    giant_const = mod_pow(zm, s2, p)
-    for u2 in range(0, -(-d // s2) + 2):
-        if u2 > 0:
-            giant = implicit_scalar(giant_const, giant, ledger)
-        v2 = table.get(group.encode(giant.image))
-        if v2 is not None:
-            t = u2 * s2 - v2
-            if 0 <= t < d:
-                return t, u2, v2
-    raise InternalInconsistencyError(
-        f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"
+    hit = bsgs_probe(
+        table, key, step, step(embed(group, 1), pow(params.zeta0, j, p)), pow(zm, s2, p),
+        range(0, -(-d // s2) + 2), lambda u2, v2: 0 <= u2 * s2 - v2 < d,
     )
+    if hit is None:
+        raise InternalInconsistencyError(
+            f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"
+        )
+    u2, v2 = hit
+    return u2 * s2 - v2, u2, v2
 
 
 def reduce_dlog(
@@ -235,21 +215,19 @@ def reduce_dlog(
     zeta0 = find_generator(p, factorize(p - 1), seed)
     params = ReductionParams(
         d=d,
-        d1=isqrt((p - 1) // d),
-        s2=isqrt(d),
+        d1=math.isqrt((p - 1) // d),
+        s2=math.isqrt(d),
         zeta0=zeta0,
-        zeta=mod_pow(zeta0, d, p),
+        zeta=pow(zeta0, d, p),
         seed=seed,
     )
     Q_implicit = ImplicitFieldElement(Q)
-    if d == 1:
-        x_pow_d = Q_implicit  # x^1 is already in hand: no oracle calls
-    else:
-        x_pow_d = implicit_pow(oracle, Q_implicit, d)
+    # for d = 1, x^d is already in hand: no oracle calls
+    x_pow_d = Q_implicit if d == 1 else implicit_pow(oracle, Q_implicit, d)
     j, u1, v1 = phase1_find_j(group, oracle, x_pow_d, params)
     t, u2, v2 = phase2_find_t(group, oracle, Q, j, params)
     i0 = ((p - 1) // d) * t + j
-    x = mod_pow(zeta0, i0, p)
+    x = pow(zeta0, i0, p)
     # self-check, off the books: the algorithm's answer must reproduce Q
     if not group.eq(group.scalar_mul(x, group.generator), Q):
         raise InternalInconsistencyError(f"recovered x={x} fails x*P = Q at p={p}, d={d}")
@@ -258,6 +236,15 @@ def reduce_dlog(
         j=j, u1=u1, v1=v1, t=t, u2=u2, v2=v2,
         i0=i0, x=x, ledger=ledger, params=params,
     )
+
+
+def oracle_calls_exact(d: int) -> int:
+    """DH-oracle calls consumed computing x^d: floor(log2 d) + popcount(d), none for d = 1."""
+    if d < 1:
+        raise ValueError(f"divisor must be >= 1, got {d}")
+    if d == 1:
+        return 0
+    return (d.bit_length() - 1) + d.bit_count()
 
 
 def ceil_log2(n: int) -> int:
@@ -281,7 +268,7 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     """
     d1, s2 = tr.params.d1, tr.params.s2
     m = (p - 1) // d
-    calls_formula = 0 if d == 1 else (d.bit_length() - 1) + d.bit_count()
+    calls_formula = oracle_calls_exact(d)
     lemma_call_bound = 0 if d == 1 else 2 * (d.bit_length() - 1)
     cl2 = ceil_log2(p)
     lemma_group_ceiling = 2 * cl2 * (d1 + s2)

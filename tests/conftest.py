@@ -3,12 +3,13 @@
 Group construction involves a curve search for the EC backend, so instances
 are session-scoped. Derived curve parameters are frozen here after being found
 once by groups.find_ec_group_params; a guard test in test_groups.py re-derives
-them so drift in the search would be caught.
+them so drift in the search would be caught. Multiplicative subgroups come
+from groups.find_mult_subgroup, whose output test_groups.py pins the same way.
 """
 
 import pytest
 
-from dhpbound.groups import load_toy_curve, make_ec_group, make_mult_subgroup, make_zp_additive
+from dhpbound.groups import find_mult_subgroup, load_toy_curve, make_ec_group, make_zp_additive
 
 # q, A, B, Gx, Gy frozen from find_ec_group_params(p) for the sweep orders
 TOY_CURVES = {
@@ -17,22 +18,13 @@ TOY_CURVES = {
     1009: (953, 5, 19, 1, 5),
 }
 
-# q and h for order-p multiplicative subgroups of F_q^x (q = 2kp + 1 prime)
-MULT_PARAMS = {
-    29: (59, 2),
-    101: (607, 2),
-    1009: (10091, 2),
-    16381: (163811, 2),
-}
-
 
 def make_backend(kind: str, p: int):
     """Fresh group of prime order p on the requested backend."""
     if kind == "zp":
         return make_zp_additive(p)
     if kind == "mult":
-        q, h = MULT_PARAMS[p]
-        return make_mult_subgroup(q, p, h)
+        return find_mult_subgroup(p)
     if kind == "ec":
         if p == 16381:
             return load_toy_curve()

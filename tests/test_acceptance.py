@@ -4,6 +4,7 @@ The reduction sweep (criterion 4) is the expensive part and also supplies the
 per-run evidence for criteria 3 and 5, so it runs once as a module fixture.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -29,6 +30,11 @@ from dhpbound.implicit import (
 from dhpbound.modmath import divisors_in_range, factorize, is_prime, log2_approx
 from dhpbound.oracle import OracleHandle
 from dhpbound.reduction import cost_report, find_generator, reduce_dlog
+
+
+# sha256 over the sweep's per-run (j, u1, v1, t, u2, v2, i0, x, ledger) tuples;
+# any change to a match position, a recovered value or a ledger count moves it
+SWEEP_TRANSCRIPT_DIGEST = "81dc4aff6e58f4f708c945db7e1431452c36adc6ff04ca86d5d2cb25bbb447ae"
 
 
 def record(criterion: str, ok: bool, detail: str) -> None:
@@ -109,6 +115,7 @@ def test_criterion_2_binary_table_reproduction(graded_rows):
 def sweep():
     rng = random.Random(0x5EED4)
     runs = []
+    digest = hashlib.sha256()  # every run's matches and ledger, in fixture order
     t0 = time.monotonic()
     for p in (29, 101, 1009):
         divisors = divisors_in_range(factorize(p - 1), 1, p - 1)
@@ -126,6 +133,11 @@ def sweep():
                         warnings.simplefilter("always", PowCallBoundWarning)
                         tr = reduce_dlog(group, oracle, Q, d, seed=(31 * x + d) & 0xFFFF)
                     rep = cost_report(tr, p, d)
+                    led = tr.ledger
+                    digest.update(repr((
+                        tr.j, tr.u1, tr.v1, tr.t, tr.u2, tr.v2, tr.i0, tr.x,
+                        led.group_ops, led.oracle_calls, led.bsgs_table_entries,
+                    )).encode())
                     runs.append(
                         {
                             "p": p,
@@ -142,7 +154,9 @@ def sweep():
                             "ceiling": rep["sweep_group_op_ceiling"],
                         }
                     )
-    return SimpleNamespace(runs=runs, elapsed=time.monotonic() - t0)
+    return SimpleNamespace(
+        runs=runs, digest=digest.hexdigest(), elapsed=time.monotonic() - t0
+    )
 
 
 def test_criterion_3_exact_call_calibration(sweep):
@@ -172,13 +186,15 @@ def test_criterion_4_end_to_end_recovery(sweep):
         want = (p - 1) if (kind == "zp" or p - 1 <= 200) else 200
         ok = ok and count >= want
     ok = ok and sweep.elapsed <= 300.0
+    ok = ok and sweep.digest == SWEEP_TRANSCRIPT_DIGEST
     zp_runs = sum(1 for r in sweep.runs if r["backend"] == "zp")
     record(
         "criterion 4",
         ok,
         f"{len(sweep.runs)} runs over p in (29, 101, 1009), every divisor of p-1: "
         f"zp exhaustive in x ({zp_runs} runs), mult/ec >= 200 x per (p, d); "
-        f"0 recovery failures; swept in {sweep.elapsed:.1f}s (limit 300s)",
+        f"0 recovery failures; transcript digest {sweep.digest[:12]} "
+        f"(pinned {SWEEP_TRANSCRIPT_DIGEST[:12]}); swept in {sweep.elapsed:.1f}s (limit 300s)",
     )
     assert ok
 

@@ -1,6 +1,7 @@
 """Lower-bound calculator against the embedded curve database."""
 
 import json
+from math import isqrt
 
 import pytest
 
@@ -11,6 +12,7 @@ from dhpbound.bounds import (
     VERDICT_OK,
     BoundRow,
     CurveRecord,
+    DatabaseError,
     load_database,
     oracle_calls_exact,
     reduction_ops_bound,
@@ -24,7 +26,6 @@ from dhpbound.modmath import (
     IncompleteFactorizationError,
     factorize,
     is_prime,
-    isqrt,
     log2_approx,
 )
 from dhpbound.reduction import InvalidDivisorError
@@ -295,6 +296,21 @@ def test_load_database_env_override(tmp_path, monkeypatch):
     db = load_database()
     assert len(db) == 1 and db[0].name == "TINY" and db[0].p == 101
     assert db[0].annotations == ()
+
+
+def test_load_database_rejects_invalid_record(tmp_path):
+    good = {
+        "name": "TINY", "field_kind": "prime", "p": "101", "d": "4",
+        "expected_log2_sqrt_p": 3.32, "expected_log2_M": 4.32,
+        "expected_log2_n": 1.58, "expected_log2_TDH": 1.74,
+    }
+    missing = {k: v for k, v in good.items() if k != "expected_log2_M"}
+    alt = tmp_path / "alt.json"
+    for bad in ({**good, "d": "3"}, {**good, "p": "abc"}, {**good, "p": None},
+                {**good, "p": "0", "d": None}, missing):
+        alt.write_text(json.dumps({"version": 1, "records": [good, bad]}))
+        with pytest.raises(DatabaseError, match="^record 1: "):
+            load_database(str(alt))
 
 
 def test_load_database_explicit_path_beats_env(tmp_path, monkeypatch):

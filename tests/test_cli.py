@@ -98,6 +98,32 @@ def test_tables_unreadable_db(capsys):
     assert "cannot load curve database" in err
 
 
+def _one_record_db(tmp_path, **fields):
+    record = {
+        "name": "BAD", "field_kind": "prime", "p": "101", "d": "4",
+        "expected_log2_sqrt_p": 3.33, "expected_log2_M": 4.32,
+        "expected_log2_n": 1.58, "expected_log2_TDH": 1.75,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "records": [{**record, **fields}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"p": "abc"}, "invalid literal"),
+        ({"d": "3"}, "d=3 does not divide p-1=100"),
+        ({"p": "1", "d": None}, "p=1 is below 3"),
+    ],
+)
+def test_tables_invalid_db_record(tmp_path, capsys, fields, message):
+    code, _, err = run(capsys, "tables", "--db", _one_record_db(tmp_path, **fields))
+    assert code == 1
+    assert err.startswith("error: cannot load curve database: record 0:")
+    assert message in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- reduce
 
 
@@ -176,11 +202,12 @@ def test_reduce_rejections(capsys):
         ("--p", "101", "--d", "4", "--x", "0"),  # zero dlog
         ("--p", "101", "--d", "4", "--x", "101"),  # x out of range
         ("--p", "4294967311", "--d", "2", "--x", "3"),  # above 2^32 guard
+        ("--p", "2", "--d", "1", "--x", "1"),  # p - 1 = 1 has nothing to factor
     ]
     for argv in cases:
         code, _, err = run(capsys, "reduce", *argv)
         assert code == 1, argv
-        assert err.startswith("error:"), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 def test_reduce_ec_search_guard(capsys):
@@ -241,6 +268,18 @@ def test_divisors_rejects_composite(capsys):
     assert "not prime" in err
 
 
+def test_divisors_rejects_p_below_3(capsys):
+    code, _, err = run(capsys, "divisors", "--p", "2")
+    assert code == 1
+    assert err == "error: p must be a prime >= 3, got 2\n"
+
+
+def test_divisors_skips_invalid_db(tmp_path, capsys):
+    code, out, _ = run(capsys, "divisors", "--p", "101", "--db", _one_record_db(tmp_path, d="3"))
+    assert code == 0
+    assert "database" not in out
+
+
 # -------------------------------------------------------------- selftest
 
 
@@ -264,6 +303,7 @@ def test_selftest_quick_passes(capsys):
         ["reduce", "--p", "101", "--d", "4"],  # missing --x / --random
         ["reduce", "--p", "101", "--d", "4", "--x", "3", "--random"],  # both
         ["divisors"],  # missing --p
+        ["divisors", "--p", "101", "--budget", "-5"],
         ["selftest", "--depth", "weekly"],
         [],
     ],

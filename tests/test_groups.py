@@ -17,6 +17,7 @@ from dhpbound.groups import (
     WrongOrderError,
     brute_force_dlog,
     find_ec_group_params,
+    find_mult_subgroup,
     load_toy_curve,
     make_ec_group,
     make_mult_subgroup,
@@ -181,6 +182,16 @@ def test_find_ec_group_params_matches_frozen():
     for p, frozen in TOY_CURVES.items():
         q, a, b, gx, gy, pp = find_ec_group_params(p)
         assert (q, a, b, gx, gy) == frozen and pp == p
+
+
+def test_find_mult_subgroup_matches_frozen():
+    # drift guard: the fixture groups keep these field sizes and generators
+    frozen = {29: (59, 4), 101: (607, 64), 1009: (10091, 1024), 16381: (163811, 1024)}
+    for p, (q, g) in frozen.items():
+        group = find_mult_subgroup(p)
+        assert (group.order, group.q, group.generator.data) == (p, q, g)
+    with pytest.raises(InvalidOrderError):
+        find_mult_subgroup(100)
 
 
 def test_load_toy_curve_fixture():

@@ -12,40 +12,11 @@ from dhpbound.modmath import (
     factorize,
     icbrt,
     is_prime,
-    isqrt,
     log2_approx,
-    mod_pow,
 )
 
 # order of the subgroup behind the smallest prime-field record in the database
 P112 = 4451685225093714776491891542548933
-
-
-def test_mod_pow_basics():
-    assert mod_pow(2, 10, 1000) == 24
-    assert mod_pow(0, 0, 7) == 1
-    for x in (0, 1, 5, 123456789):
-        assert mod_pow(x, 0, 97) == 1
-    assert mod_pow(3, P112 - 1, P112) == 1  # Fermat at a prime modulus
-
-
-def test_mod_pow_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-
-
-def test_mod_pow_matches_naive_repeated_multiplication():
-    rng = random.Random(1001)
-    for _ in range(300):
-        m = rng.randrange(2, 2**16)
-        b = rng.randrange(0, m)
-        e = rng.randrange(0, 2**10)
-        acc = 1 % m
-        for _ in range(e):
-            acc = acc * b % m
-        assert mod_pow(b, e, m) == acc
 
 
 def test_is_prime_known_values():
@@ -120,21 +91,10 @@ def test_factorize_partial_under_tiny_budget_is_labeled():
             assert is_prime(prime)
 
 
-def test_isqrt_bracketing():
-    assert isqrt(0) == 0
-    assert isqrt(24) == 4
-    assert isqrt(25) == 5
-    rng = random.Random(7)
-    for _ in range(2000):
-        n = rng.randrange(0, 2**120)
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
-
-
 def test_isqrt_of_reduction_range_for_p112():
     # floor-sqrt of (p-1)/d drives the dominant term of the operation bound:
     # 2*sqrt((p-1)/d) must land within rounding of the published 48.34 bits
-    r = isqrt((P112 - 1) // 140876)
+    r = math.isqrt((P112 - 1) // 140876)
     assert r.bit_length() == 48
     assert abs(log2_approx(2 * r) - 48.34) < 0.02
 
@@ -201,6 +161,6 @@ def test_divisors_in_range_against_brute_force_40bit():
     n = p - 1
     f = factorize(n)
     assert f.complete
-    lo, hi = icbrt(p), isqrt(p)
+    lo, hi = icbrt(p), math.isqrt(p)
     brute = [k for k in range(lo, hi + 1) if n % k == 0]
     assert divisors_in_range(f, lo, hi) == brute

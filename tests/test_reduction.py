@@ -8,6 +8,7 @@ every exponent x, so they cover all boundary alignments of both BSGS phases
 import json
 import random
 import warnings
+from math import isqrt
 
 import pytest
 
@@ -19,8 +20,6 @@ from dhpbound.modmath import (
     IncompleteFactorizationError,
     divisors_in_range,
     factorize,
-    isqrt,
-    mod_pow,
 )
 from dhpbound.oracle import OracleHandle
 from dhpbound.reduction import (
@@ -56,7 +55,7 @@ def run_and_check(group, oracle, x: int, d: int, seed: int = 0):
     assert tr.j == tr.u1 * tr.params.d1 - tr.v1
     assert tr.t == tr.u2 * tr.params.s2 - tr.v2
     assert tr.i0 == m * tr.t + tr.j
-    assert mod_pow(tr.params.zeta0, tr.i0, p) == x
+    assert pow(tr.params.zeta0, tr.i0, p) == x
     assert tr.ledger.oracle_calls == oracle_calls_expected(d)
     rep = cost_report(tr, p, d)
     assert rep["oracle_calls_match_formula"]
