@@ -43,7 +43,7 @@ DISCREPANCY_TOL = 0.10
 
 
 class DatabaseError(ValueError):
-    """A curve database record is malformed or inconsistent."""
+    """The curve database, or one of its records, is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,8 @@ def suggest_divisor(p: int, factors: Factorization, policy: str = "paper") -> in
 def load_database(path: str | None = None) -> list[CurveRecord]:
     """Parse the curve database: explicit path, else $DHP_DB, else the packaged file.
 
-    Every record is validated here: p an integer >= 3, d None or a divisor of
-    p-1, every field present. The first bad record raises DatabaseError.
+    Every record is validated here (p an integer >= 3, d None or a divisor of
+    p-1, every field present); a bad shape or record raises DatabaseError.
     """
     if path is None:
         path = os.environ.get("DHP_DB") or None
@@ -240,8 +240,12 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
     else:
         with open(path) as fh:
             blob = fh.read()
+    doc = json.loads(blob)
+    raws = doc.get("records") if isinstance(doc, dict) else None
+    if not isinstance(raws, list):
+        raise DatabaseError("the top level must be an object holding a 'records' list")
     records = []
-    for i, raw in enumerate(json.loads(blob)["records"]):
+    for i, raw in enumerate(raws):
         try:
             p = int(raw["p"])
             d = int(raw["d"]) if raw["d"] is not None else None

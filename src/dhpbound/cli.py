@@ -106,7 +106,7 @@ def _markdown_table(rows: list[bounds.BoundRow], diff: bool) -> list[str]:
 def cmd_tables(args) -> int:
     try:
         db = bounds.load_database(args.db)
-    except (OSError, json.JSONDecodeError, KeyError, bounds.DatabaseError) as exc:
+    except (OSError, json.JSONDecodeError, bounds.DatabaseError) as exc:
         print(f"error: cannot load curve database: {exc}", file=sys.stderr)
         return 1
     rows = bounds.table_rows(db)
@@ -293,7 +293,7 @@ def cmd_divisors(args) -> int:
         print(f"policy suggestion ({args.policy}): unavailable (incomplete factorization)")
     try:
         db = bounds.load_database(args.db)
-    except (OSError, json.JSONDecodeError, KeyError, bounds.DatabaseError):
+    except (OSError, json.JSONDecodeError, bounds.DatabaseError):
         db = []
     for rec in db:
         if rec.p == p and rec.d is not None:

@@ -446,8 +446,6 @@ def find_ec_group_params(
                         g_sub = group.scalar_mul(h, pt)
                         if g_sub.data is None:
                             continue
-                        if group.scalar_mul(p, g_sub).data is not None:
-                            break  # curve order is not h*p after all; recount hit a liar
                         gx, gy = g_sub.data
                         return q, a, b, gx, gy, p
     raise RuntimeError(f"no toy curve found for p={p} with cofactors {cofactors}")

@@ -313,6 +313,14 @@ def test_load_database_rejects_invalid_record(tmp_path):
             load_database(str(alt))
 
 
+@pytest.mark.parametrize("doc", [[], {"version": 1}, {"records": 5}])
+def test_load_database_rejects_bad_shape(tmp_path, doc):
+    alt = tmp_path / "alt.json"
+    alt.write_text(json.dumps(doc))
+    with pytest.raises(DatabaseError, match="'records' list"):
+        load_database(str(alt))
+
+
 def test_load_database_explicit_path_beats_env(tmp_path, monkeypatch):
     doc = {"version": 1, "records": []}
     alt = tmp_path / "alt.json"

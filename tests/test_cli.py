@@ -124,6 +124,14 @@ def test_tables_invalid_db_record(tmp_path, capsys, fields, message):
     assert message in err and err.count("\n") == 1
 
 
+def test_tables_db_without_records_list(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    code, _, err = run(capsys, "tables", "--db", str(path))
+    assert code == 1
+    assert "'records' list" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- reduce
 
 
