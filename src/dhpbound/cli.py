@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -293,7 +294,9 @@ def cmd_divisors(args) -> int:
         print(f"policy suggestion ({args.policy}): unavailable (incomplete factorization)")
     try:
         db = bounds.load_database(args.db)
-    except (OSError, json.JSONDecodeError, bounds.DatabaseError):
+    except (OSError, json.JSONDecodeError, bounds.DatabaseError) as exc:
+        source = args.db or os.environ.get("DHP_DB") or "(packaged)"
+        print(f"warning: database {source}: {exc}; cross-reference skipped", file=sys.stderr)
         db = []
     for rec in db:
         if rec.p == p and rec.d is not None:

@@ -1,19 +1,30 @@
 """Simulated Diffie-Hellman oracle with exact call accounting.
 
-The oracle answers dh(aP, bP) = abP. It recovers a from aP by its own
-baby-step giant-step solver at call time, so it accepts arbitrary points
-produced mid-computation (squarings dh(Y, Y) included) without tracking any
-exponent bookkeeping that a real black box would not have. That private solver
-work is deliberately invisible to the caller: the attached ledger moves by
-exactly one oracle call per invocation and nothing else.
+The oracle answers dh(aP, bP) = abP. It recovers a from aP at call time, so
+it accepts arbitrary points produced mid-computation (squarings dh(Y, Y)
+included) without tracking any exponent bookkeeping that a real black box
+would not have. On Z_p the generator is 1, so a is the residue itself; on the
+other backends a private baby-step giant-step solver, built once per handle,
+walks the raw coordinates. That private solver work is deliberately invisible
+to the caller: the attached ledger moves by exactly one oracle call per
+invocation and nothing else. The handle's own solver_steps counter shows it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import isqrt
+from operator import attrgetter
 
-from .groups import ORDER_GUARD, CyclicGroup, GroupPoint, GuardRailError, bsgs_probe, bsgs_table
+from .groups import (
+    ORDER_GUARD,
+    CyclicGroup,
+    GroupPoint,
+    GuardRailError,
+    ZpAdditiveGroup,
+    bsgs_probe,
+    bsgs_table,
+)
 
 
 @dataclass
@@ -49,8 +60,9 @@ class OracleHandle:
         self.group = group
         self.call_count = 0
         self.ledger: CostLedger | None = None
-        self._baby_table: dict[bytes, int] | None = None
-        self._giant_step: GroupPoint | None = None
+        self.solver_steps = 0  # private solver work: baby steps, then giant probes per call
+        self._baby_table: dict[object, int] | None = None  # point data -> baby index
+        self._giant_step = None  # raw data of -m*P
         self._table_span = isqrt(group.order - 1) + 1 if group.order > 1 else 1
 
     def attach_ledger(self, ledger: CostLedger | None) -> None:
@@ -58,18 +70,23 @@ class OracleHandle:
         self.ledger = ledger
 
     def _private_dlog(self, A: GroupPoint) -> int:
-        """Exponent of A, solved with cached baby steps; work stays off the caller's ledger."""
+        """Exponent of A, off the caller's ledger: the Z_p residue, else cached BSGS on raw data."""
         g, m = self.group, self._table_span
+        if isinstance(g, ZpAdditiveGroup):  # generator 1: the residue is the dlog
+            return A.data
         if self._baby_table is None:  # one baby table per handle, shared by every call
-            self._baby_table = bsgs_table(g.encode, g.add, g.identity, g.generator, m)
-            self._giant_step = g.negate(g.scalar_mul(m, g.generator))
-        hit = bsgs_probe(  # every match u*m + r is the dlog
-            self._baby_table, g.encode, g.add, A, self._giant_step, range(m + 1), lambda u, r: True
+            self._baby_table = bsgs_table(attrgetter("data"), g.add, g.identity, g.generator, m)
+            self._giant_step = g.negate(g.scalar_mul(m, g.generator)).data
+            self.solver_steps += m - 1
+        hit = bsgs_probe(  # raw data is canonical and hashable; every match u*m + r is the dlog
+            self._baby_table, lambda a: a, g._raw_add, A.data, self._giant_step, range(m + 1),
+            lambda u, r: True,
         )
         if hit is None:
             raise RuntimeError(
                 f"oracle dlog failed on order {g.order}: point not generated by the group generator"
             )
+        self.solver_steps += hit[0] + 1
         return (hit[0] * m + hit[1]) % g.order
 
     def dh(self, A: GroupPoint, B: GroupPoint) -> GroupPoint:

@@ -10,7 +10,6 @@ from dhpbound.bounds import (
     VERDICT_FAILURE,
     VERDICT_NO_DATA,
     VERDICT_OK,
-    BoundRow,
     CurveRecord,
     DatabaseError,
     load_database,

@@ -283,9 +283,20 @@ def test_divisors_rejects_p_below_3(capsys):
 
 
 def test_divisors_skips_invalid_db(tmp_path, capsys):
-    code, out, _ = run(capsys, "divisors", "--p", "101", "--db", _one_record_db(tmp_path, d="3"))
-    assert code == 0
-    assert "database" not in out
+    # a broken --db warns on stderr; stdout and the exit code stay as without it
+    (tmp_path / "broken.json").write_text("{not json")
+    reasons = {
+        str(tmp_path / "absent.json"): "No such file or directory",
+        str(tmp_path / "broken.json"): "line 1 column 2",
+        _one_record_db(tmp_path, d="3"): "d=3 does not divide p-1=100",
+    }
+    _, plain_out, _ = run(capsys, "divisors", "--p", "101")  # no packaged record has p = 101
+    for path, reason in reasons.items():
+        code, out, err = run(capsys, "divisors", "--p", "101", "--db", path)
+        assert code == 0
+        assert out == plain_out
+        assert err.startswith(f"warning: database {path}: ") and reason in err
+        assert err.endswith("; cross-reference skipped\n") and err.count("\n") == 1
 
 
 # -------------------------------------------------------------- selftest

@@ -1,9 +1,11 @@
 """Tests for the simulated DH oracle and its cost ledger."""
 
 import random
+from math import isqrt
 
 import pytest
 
+import dhpbound.oracle as oracle_module
 from conftest import make_backend
 from dhpbound.groups import GroupMismatchError, GuardRailError, brute_force_dlog, make_zp_additive
 from dhpbound.oracle import CostLedger, OracleHandle
@@ -107,3 +109,39 @@ def test_ledger_swap_between_runs():
     assert first.oracle_calls == 1
     assert second.oracle_calls == 2
     assert oracle.call_count == 3
+
+
+SOLVER_GROUPS = [(kind, p) for kind in BACKENDS for p in (101, 1009)] + [("ec", 16381)]
+
+
+@pytest.mark.parametrize("kind, p", SOLVER_GROUPS)
+def test_private_solver_matches_brute_force(kind, p):
+    # dh(A, P) = aP: the solver's answer, cross-checked against the independent BSGS
+    g = make_backend(kind, p)
+    assert g.identity.data == {"zp": 0, "mult": 1, "ec": None}[kind]
+    oracle = OracleHandle(g)
+    rng = random.Random(32000 + p + len(kind))
+    points = [g.identity, g.generator]
+    points += [g.scalar_mul(rng.randrange(p), g.generator) for _ in range(40)]
+    for _ in range(20):  # points the oracle itself returned, fed straight back in
+        points.append(oracle.dh(points[-1], points[rng.randrange(len(points))]))
+    for A in points:
+        assert g.eq(oracle.dh(A, g.generator), g.scalar_mul(brute_force_dlog(g, A), g.generator))
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_solver_table_built_once_and_steps_counted(kind, monkeypatch):
+    builds = []
+    real = oracle_module.bsgs_table
+    monkeypatch.setattr(oracle_module, "bsgs_table", lambda *a: builds.append(a) or real(*a))
+    g = make_backend(kind, 1009)
+    oracle = OracleHandle(g)
+    m = isqrt(1009 - 1) + 1
+    rng = random.Random(34009)
+    for k in range(1, 41):
+        oracle.dh(g.scalar_mul(rng.randrange(1009), g.generator), g.generator)
+        if kind == "zp":  # the residue is the dlog: no table, no steps
+            assert oracle.solver_steps == 0
+        else:  # m - 1 baby steps once, then 1..m + 1 probes per call
+            assert (m - 1) + k <= oracle.solver_steps <= (m - 1) + k * (m + 1)
+    assert len(builds) == (0 if kind == "zp" else 1)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import make_backend
 from dhpbound.groups import make_zp_additive
-from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning, embed
+from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning
 from dhpbound.modmath import (
     Factorization,
     IncompleteFactorizationError,
@@ -86,6 +86,15 @@ def test_find_generator_deterministic_per_seed():
     runs = [find_generator(1009, f, 7) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
     assert len({find_generator(1009, f, s) for s in range(40)}) > 1
+
+
+def test_find_generator_wrong_factorization_exhausts_budget():
+    # "complete" but wrong: 1 and 100 as primes of 100, so every c^100 = 1 mod 101 rejects c
+    wrong = Factorization(((1, 1), (100, 1)), True)
+    stats = {}
+    with pytest.raises(ImprobableFailureError, match="factorization wrong"):
+        find_generator(101, wrong, 0, stats=stats)
+    assert stats == {"candidates": generator_try_budget(101)}
 
 
 def test_find_generator_p3_special_case():
