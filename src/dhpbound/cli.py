@@ -199,6 +199,7 @@ def cmd_reduce(args) -> int:
                 {
                     "transcript": tr.to_dict(),
                     "cost_report": report,
+                    "simulator": {"solver_steps": oracle.solver_steps},
                     "requested_x": x,
                     "recovered": recovered,
                     "warnings": notes,
@@ -216,6 +217,7 @@ def cmd_reduce(args) -> int:
                 print(f"{k},{v}")
         for k, v in report.items():
             print(f"cost_report.{k},{v}")
+        print(f"simulator.solver_steps,{oracle.solver_steps}")
     else:
         print(f"# dlog recovery: p={p}, d={d}, backend={tr.backend}, seed={args.seed}")
         print(f"generator of F_p^x: zeta0={tr.params.zeta0}  (zeta=zeta0^d={tr.params.zeta})")
@@ -228,6 +230,7 @@ def cmd_reduce(args) -> int:
             f"ledger: oracle_calls={led.oracle_calls} group_ops={led.group_ops} "
             f"table_entries={led.bsgs_table_entries}"
         )
+        print(f"simulator: solver_steps={oracle.solver_steps} (off the books)")
         print(
             f"oracle calls: formula={report['oracle_calls_formula']} "
             f"(match: {report['oracle_calls_match_formula']}), "

@@ -8,6 +8,17 @@ other backends a private baby-step giant-step solver, built once per handle,
 walks the raw coordinates. That private solver work is deliberately invisible
 to the caller: the attached ledger moves by exactly one oracle call per
 invocation and nothing else. The handle's own solver_steps counter shows it.
+
+Within one run (from one attach_ledger to the next) the solver remembers what
+it has already solved: the exponent of every point it probed, and the exponent
+ab of every answer abP whose b it knew. It is keyed only on points the calls
+carried in or out, never on the caller's own secrets, so it uses nothing a
+black box lacks: a point's exponent is unique, a memo hit returns exactly what
+a fresh probe would, and answers, transcripts and ledgers are the same with or
+without it. In a reduction the first squaring dh(Q, Q) solves Q, after which
+every point implicit_pow hands in is a hit: at most two probes per run, the
+generator and Q. attach_ledger forgets the memo, so it never outlives a run
+and holds at most two entries per call since the last attach.
 """
 
 from __future__ import annotations
@@ -60,20 +71,25 @@ class OracleHandle:
         self.group = group
         self.call_count = 0
         self.ledger: CostLedger | None = None
-        self.solver_steps = 0  # private solver work: baby steps, then giant probes per call
+        self.solver_steps = 0  # private solver work: baby steps, then giant probes per memo miss
         self._baby_table: dict[object, int] | None = None  # point data -> baby index
         self._giant_step = None  # raw data of -m*P
         self._table_span = isqrt(group.order - 1) + 1 if group.order > 1 else 1
+        self._known: dict[object, int] = {}  # point data -> dlog, for the current run only
 
     def attach_ledger(self, ledger: CostLedger | None) -> None:
-        """Direct subsequent call charges to this ledger (None detaches)."""
+        """Start a new run: charge later calls to this ledger (None detaches), forget the memo."""
         self.ledger = ledger
+        self._known.clear()
 
     def _private_dlog(self, A: GroupPoint) -> int:
-        """Exponent of A, off the caller's ledger: the Z_p residue, else cached BSGS on raw data."""
+        """Exponent of A, off the caller's ledger: the Z_p residue, else the memo or a BSGS probe."""
         g, m = self.group, self._table_span
         if isinstance(g, ZpAdditiveGroup):  # generator 1: the residue is the dlog
             return A.data
+        known = self._known.get(A.data)
+        if known is not None:
+            return known
         if self._baby_table is None:  # one baby table per handle, shared by every call
             self._baby_table = bsgs_table(attrgetter("data"), g.add, g.identity, g.generator, m)
             self._giant_step = g.negate(g.scalar_mul(m, g.generator)).data
@@ -87,7 +103,8 @@ class OracleHandle:
                 f"oracle dlog failed on order {g.order}: point not generated by the group generator"
             )
         self.solver_steps += hit[0] + 1
-        return (hit[0] * m + hit[1]) % g.order
+        a = self._known[A.data] = (hit[0] * m + hit[1]) % g.order
+        return a
 
     def dh(self, A: GroupPoint, B: GroupPoint) -> GroupPoint:
         """Return (ab)P for A = aP, B = bP; charges exactly one oracle call."""
@@ -95,6 +112,9 @@ class OracleHandle:
         self.group._member(B)
         a = self._private_dlog(A)
         result = self.group.scalar_mul(a, B)
+        b = self._known.get(B.data)  # never set on Z_p, where _private_dlog does not store
+        if b is not None:
+            self._known[result.data] = a * b % self.group.order
         self.call_count += 1
         if self.ledger is not None:
             self.ledger.oracle_calls += 1

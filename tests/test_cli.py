@@ -1,6 +1,7 @@
 """CLI surface: exit codes, output formats, determinism, argument validation."""
 
 import json
+import math
 
 import pytest
 
@@ -171,6 +172,28 @@ def test_reduce_csv_format(capsys):
     kv = dict(l.split(",", 1) for l in lines[1:])
     assert kv["x"] == "11" and kv["recovered"] == "True"
     assert kv["cost_report.within_sweep_ceiling"] == "True"
+
+
+@pytest.mark.parametrize("backend", ["zp", "ec"])
+def test_reduce_reports_simulator_steps_off_the_books(capsys, backend):
+    argv = ("reduce", "--p", "101", "--d", "20", "--x", "77", "--backend", backend)
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    steps = doc["simulator"]["solver_steps"]
+    if backend == "zp":  # the residue is the dlog: the simulator does no work
+        assert steps == 0
+    else:  # at least the m - 1 baby steps of its table, m = isqrt(p - 1) + 1
+        assert steps >= math.isqrt(100)
+    assert list(doc["transcript"]) == [
+        "p", "backend", "j", "u1", "v1", "t", "u2", "v2", "i0", "x", "ledger", "params",
+    ]
+    assert list(doc["transcript"]["ledger"]) == ["group_ops", "oracle_calls", "bsgs_table_entries"]
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    kv = dict(l.split(",", 1) for l in out.strip().splitlines()[1:])
+    assert kv["simulator.solver_steps"] == str(steps)
+    assert [k for k in kv if "solver" in k] == ["simulator.solver_steps"]
+    _, out, _ = run(capsys, *argv)
+    assert f"simulator: solver_steps={steps} (off the books)\n" in out
 
 
 def test_reduce_backends_agree(capsys):

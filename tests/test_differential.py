@@ -1,0 +1,72 @@
+"""Differential tests: the number-theory primitives against sympy, an independent implementation."""
+
+from collections import Counter
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dhpbound.modmath import _MR_DETERMINISTIC_BOUND, factorize, is_prime
+from dhpbound.reduction import find_generator
+
+
+def fixed(examples: int) -> settings:
+    """The same examples on every run, and no example database written."""
+    return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+
+
+# smallest strong pseudoprimes to the first k prime bases, k = 1..13 (OEIS A014233)
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+# the orders the acceptance sweep, the benchmark's walk and its large-order workload use
+SWEEP_PRIMES = (29, 101, 1009, 16381, 4294967291)
+
+
+def factor_dict(n: int) -> dict[int, int]:
+    f = factorize(n)
+    assert f.complete and f.value == n
+    return dict(f.factors)
+
+
+@fixed(150)
+@given(st.integers(min_value=2, max_value=10**15 - 1))
+def test_factorize_matches_factorint(n):
+    assert factor_dict(n) == sympy.factorint(n)
+
+
+@fixed(3)
+@given(st.integers(2**39, 2**40), st.integers(2**39, 2**40))
+def test_factorize_splits_products_of_40_bit_primes(a, b):
+    # past trial division and its prime-remainder shortcut: Brent's cycle method must split it
+    p, q = sympy.nextprime(a), sympy.nextprime(b)
+    assert factor_dict(p * q) == Counter([p, q])
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not sympy.isprime(n)
+        assert not is_prime(n), n
+
+
+def test_is_prime_matches_isprime_near_deterministic_bound():
+    window = range(_MR_DETERMINISTIC_BOUND - 600, _MR_DETERMINISTIC_BOUND + 600)
+    assert [n for n in window if is_prime(n)] == [n for n in window if sympy.isprime(n)]
+
+
+@fixed(300)
+@given(st.integers(min_value=-10, max_value=2**100))
+def test_is_prime_matches_isprime(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@fixed(100)
+@given(st.sampled_from(SWEEP_PRIMES), st.integers(min_value=0, max_value=2**64))
+def test_find_generator_is_primitive_root(p, seed):
+    assert sympy.is_primitive_root(find_generator(p, factorize(p - 1), seed), p)

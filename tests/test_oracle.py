@@ -1,6 +1,7 @@
 """Tests for the simulated DH oracle and its cost ledger."""
 
 import random
+import warnings
 from math import isqrt
 
 import pytest
@@ -8,7 +9,10 @@ import pytest
 import dhpbound.oracle as oracle_module
 from conftest import make_backend
 from dhpbound.groups import GroupMismatchError, GuardRailError, brute_force_dlog, make_zp_additive
+from dhpbound.implicit import PowCallBoundWarning
+from dhpbound.modmath import divisors_in_range, factorize
 from dhpbound.oracle import CostLedger, OracleHandle
+from dhpbound.reduction import reduce_dlog
 
 BACKENDS = ("zp", "mult", "ec")
 
@@ -138,10 +142,92 @@ def test_solver_table_built_once_and_steps_counted(kind, monkeypatch):
     oracle = OracleHandle(g)
     m = isqrt(1009 - 1) + 1
     rng = random.Random(34009)
-    for k in range(1, 41):
-        oracle.dh(g.scalar_mul(rng.randrange(1009), g.generator), g.generator)
+    seen = set()
+    for k in range(40):
+        A = g.scalar_mul(rng.randrange(1009), g.generator)
+        before = oracle.solver_steps
+        oracle.dh(A, g.generator)
+        steps = oracle.solver_steps - before
         if kind == "zp":  # the residue is the dlog: no table, no steps
-            assert oracle.solver_steps == 0
-        else:  # m - 1 baby steps once, then 1..m + 1 probes per call
-            assert (m - 1) + k <= oracle.solver_steps <= (m - 1) + k * (m + 1)
+            assert steps == 0
+        else:  # m - 1 baby steps on the first call; then 0 on a point seen, 1..m + 1 on a new one
+            steps -= (m - 1) if k == 0 else 0
+            assert steps == 0 if A.data in seen else 1 <= steps <= m + 1
+        seen.add(A.data)
+    assert len(seen) == 38  # two repeats, so both branches run
     assert len(builds) == (0 if kind == "zp" else 1)
+
+
+MEMO_GROUPS = [(kind, p) for kind in ("mult", "ec") for p in (101, 1009)] + [("ec", 16381)]
+
+
+@pytest.mark.parametrize("kind, p", MEMO_GROUPS)
+def test_reduction_probes_at_most_twice_per_run(kind, p, monkeypatch):
+    # the first squaring dh(Q, Q) solves Q; every later point implicit_pow hands in is a memo hit
+    probes = []
+    real = oracle_module.bsgs_probe
+    monkeypatch.setattr(oracle_module, "bsgs_probe", lambda *a: probes.append(a) or real(*a))
+    g = make_backend(kind, p)
+    oracle = OracleHandle(g)
+    rng = random.Random(35000 + p + len(kind))
+    for d in divisors_in_range(factorize(p - 1), 1, p - 1):
+        x = rng.randrange(1, p)
+        probes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PowCallBoundWarning)
+            tr = reduce_dlog(g, oracle, g.scalar_mul(x, g.generator), d, seed=x)
+        assert tr.x == x
+        assert (len(probes) == 0) if d == 1 else (1 <= len(probes) <= 2), (d, x)
+        assert len(oracle._known) <= 2 * tr.ledger.oracle_calls
+
+
+@pytest.mark.parametrize("kind, p", MEMO_GROUPS)
+def test_repeated_dh_is_free_and_answers_as_fresh(kind, p):
+    g = make_backend(kind, p)
+    oracle = OracleHandle(g)
+    rng = random.Random(36000 + p + len(kind))
+    A, B = (g.scalar_mul(rng.randrange(1, p), g.generator) for _ in range(2))
+    first = oracle.dh(A, B)
+    steps = oracle.solver_steps
+    again = oracle.dh(A, B)
+    assert oracle.solver_steps == steps
+    assert again.data == first.data == OracleHandle(g).dh(A, B).data
+    # dh(A, A) knows A, so it also records its answer: feeding that back probes nothing
+    square = oracle.dh(A, A)
+    steps = oracle.solver_steps
+    assert oracle.dh(square, B).data == OracleHandle(g).dh(square, B).data
+    assert oracle.solver_steps == steps
+
+
+@pytest.mark.parametrize("kind, p", MEMO_GROUPS)
+def test_attach_ledger_empties_memo(kind, p):
+    g = make_backend(kind, p)
+    oracle = OracleHandle(g)
+    rng = random.Random(37000 + p + len(kind))
+    points = [g.scalar_mul(rng.randrange(p), g.generator) for _ in range(10)]
+    for calls in range(1, 31):
+        points.append(oracle.dh(rng.choice(points), rng.choice(points)))
+        assert len(oracle._known) <= 2 * calls
+    assert oracle._known
+    oracle.attach_ledger(CostLedger())
+    assert oracle._known == {}
+    steps = oracle.solver_steps
+    oracle.dh(points[-1], points[-1])  # forgotten with the old run: probed again
+    assert oracle.solver_steps > steps
+    oracle.attach_ledger(None)
+    assert oracle._known == {}
+
+
+def test_zp_handle_never_writes_memo():
+    g = make_backend("zp", 1009)
+    oracle = OracleHandle(g)
+    rng = random.Random(38009)
+    for d in divisors_in_range(factorize(1008), 1, 1008):
+        x = rng.randrange(1, 1009)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PowCallBoundWarning)
+            assert reduce_dlog(g, oracle, g.scalar_mul(x, g.generator), d).x == x
+        assert oracle._known == {}
+    A = g.scalar_mul(5, g.generator)
+    oracle.dh(A, A)
+    assert oracle._known == {} and oracle.solver_steps == 0
