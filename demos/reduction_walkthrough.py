@@ -6,8 +6,9 @@ raises the hidden x to the d-th power implicitly (all oracle spending happens
 there), locates x^d in the order-(p-1)/d subgroup of F_p^x by baby-step
 giant-step, then pins down which d-th root was the original x with a second,
 oracle-free baby-step giant-step. The transcript below shows every matched
-index and the exact bill, then the same instance is replayed on three group
-backends to show the walk never depends on element encodings.
+index and the exact bill, with the window each walk's fixed-base table used,
+then the same instance is replayed on three group backends to show the walk
+never depends on element encodings.
 
 Run: python demos/reduction_walkthrough.py
 """
@@ -17,7 +18,7 @@ import random
 from dhpbound.groups import find_mult_subgroup, make_ec_group, make_zp_additive
 from dhpbound.modmath import divisors_in_range, factorize
 from dhpbound.oracle import OracleHandle
-from dhpbound.reduction import cost_report, reduce_dlog
+from dhpbound.reduction import WALK_NAMES, cost_report, reduce_dlog
 
 P = 101
 SECRET = 77
@@ -84,11 +85,17 @@ def main():
         "oracle_calls_formula",
         "oracle_calls_match_formula",
         "measured_group_ops",
+        "walk_group_op_ceiling",
+        "within_walk_ceiling",
+        "kkm_group_op_bound",
         "sweep_group_op_ceiling",
         "within_sweep_ceiling",
         "bsgs_table_entries",
     ):
         print(f"  {key:28s} {rep[key]}")
+    print("  window per walk (w-bit fixed-base table; 0 = plain double-and-add):")
+    for name in WALK_NAMES:
+        print(f"    {name:26s} {rep['window_' + name]}")
 
     # the same arithmetic on three unrelated element encodings
     banner("backend independence: zp additive, F_607 subgroup, curve over F_83")

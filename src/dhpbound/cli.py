@@ -41,6 +41,7 @@ from .implicit import (
 from .modmath import factorize, icbrt, is_prime, log2_approx
 from .oracle import OracleHandle
 from .reduction import (
+    WALK_NAMES,
     InvalidDivisorError,
     ZeroDlogError,
     cost_report,
@@ -242,8 +243,13 @@ def cmd_reduce(args) -> int:
             f"+slack {report['slack_allowance']} (within: {report['within_lemma_group_ceiling']}), "
             f"sweep ceiling {report['sweep_group_op_ceiling']} "
             f"(within: {report['within_sweep_ceiling']}), "
+            f"walk ceiling {report['walk_group_op_ceiling']} "
+            f"(within: {report['within_walk_ceiling']}), "
             f"M bound (not enforced) {report['kkm_group_op_bound']}"
         )
+        print("walk windows (0 = plain double-and-add): " + ", ".join(
+            f"{name}={report['window_' + name]}" for name in WALK_NAMES
+        ))
         for note in notes:
             print(f"note: {note}")
     return 0 if recovered else 1
@@ -433,6 +439,10 @@ def _st_reduction(rng: random.Random, deep: bool) -> None:
                 _check(
                     rep["within_sweep_ceiling"],
                     f"group ops above sweep ceiling (p={p}, d={d})",
+                )
+                _check(
+                    rep["within_walk_ceiling"],
+                    f"group ops above walk ceiling (p={p}, d={d})",
                 )
 
     for p in (29, 101):

@@ -10,10 +10,15 @@ Cost convention: one "group operation" is one point addition or doubling.
 scalar_mul_cost(k) is the double-and-add operation count charged for a scalar
 multiplication by k, even on backends where the whole product is a single
 machine operation; this keeps instrumentation comparable across backends.
+The fixed-base hook (_raw_fixed_base) follows the same rule: a caller bills
+what the generic windowed path performs -- the table, then one addition per
+nonzero window digit of k past the first -- while Z_p and F_q^x hand back
+their one-operation product and build no table.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -60,12 +65,19 @@ class GuardRailError(RuntimeError):
     """A brute-force computation was refused because the group is too large."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GroupPoint:
     """Opaque element of one concrete group; compare via the group's eq()."""
 
     group: "CyclicGroup"
     data: object  # int residue, (x, y) tuple, or None for the point at infinity
+
+    def __init__(self, group: "CyclicGroup", data: object):
+        # straight into the instance dict: the frozen __setattr__ path costs
+        # about a third of each construction, and every walk point makes one
+        fields = self.__dict__
+        fields["group"] = group
+        fields["data"] = data
 
     def __repr__(self) -> str:
         return f"<{self.group.backend} point {self.data!r}>"
@@ -91,6 +103,7 @@ class CyclicGroup:
 
     def __init__(self, order: int):
         self.order = order
+        self._generator_tables: dict = {}  # window w -> _raw_fixed_base on the generator, reused across runs
 
     # -- raw laws supplied by the backend (operate on .data) --------------
 
@@ -149,12 +162,46 @@ class CyclicGroup:
                 acc = self._raw_add(acc, a.data)
         return GroupPoint(self, acc)
 
+    def _raw_fixed_base(self, columns: list, w: int):
+        """Function k -> raw k*base for 0 < k < 2^(w*len(columns)), given columns[j] = raw 2^(wj)*base.
+
+        The generic path builds rows[j][i] = i*columns[j] for i < 2^w, with
+        2^w - 2 additions per row, and sums one entry per nonzero w-bit digit
+        of k. Backends whose scalar multiplication is a single machine
+        operation return that product instead and build nothing.
+        """
+        add, identity, mask = self._raw_add, self._raw_identity(), (1 << w) - 1
+        rows = []
+        for col in columns:
+            row = [identity, col]
+            for _ in range(mask - 1):
+                row.append(add(row[-1], col))
+            rows.append(row)
+
+        def times(k):
+            acc = identity
+            for row in rows:
+                if k & mask:
+                    acc = add(acc, row[k & mask])
+                k >>= w
+            return acc
+
+        return times
+
     def encode(self, a: GroupPoint) -> bytes:
         """Canonical injective byte encoding: tag, identity flag, padded coordinates."""
         self._member(a)
         if a.data == self._raw_identity():
-            return bytes([self._tag, 1]) + b"\x00" * self._coord_width()
-        return bytes([self._tag, 0]) + self._coord_bytes(a.data)
+            return bytes([self._tag, 1]) + b"\x00" * self._width
+        return self._point_prefix + self._coord_bytes(a.data)
+
+    @functools.cached_property
+    def _point_prefix(self) -> bytes:
+        return bytes([self._tag, 0])
+
+    @functools.cached_property
+    def _width(self) -> int:
+        return self._coord_width()
 
     def _coord_width(self) -> int:
         raise NotImplementedError
@@ -185,11 +232,15 @@ class ZpAdditiveGroup(CyclicGroup):
             raise ValueError(f"negative scalar {k}")
         return GroupPoint(self, k * a.data % self.order)
 
+    def _raw_fixed_base(self, columns: list, w: int):
+        base, p = columns[0], self.order
+        return lambda k: k * base % p
+
     def _coord_width(self) -> int:
         return (self.order.bit_length() + 7) // 8
 
     def _coord_bytes(self, a) -> bytes:
-        return a.to_bytes(self._coord_width(), "big")
+        return a.to_bytes(self._width, "big")
 
 
 class MultSubgroup(CyclicGroup):
@@ -218,11 +269,15 @@ class MultSubgroup(CyclicGroup):
             raise ValueError(f"negative scalar {k}")
         return GroupPoint(self, pow(a.data, k, self.q))
 
+    def _raw_fixed_base(self, columns: list, w: int):
+        base, q = columns[0], self.q
+        return lambda k: pow(base, k, q)
+
     def _coord_width(self) -> int:
         return (self.q.bit_length() + 7) // 8
 
     def _coord_bytes(self, a) -> bytes:
-        return a.to_bytes(self._coord_width(), "big")
+        return a.to_bytes(self._width, "big")
 
 
 class EcGroup(CyclicGroup):
@@ -277,7 +332,7 @@ class EcGroup(CyclicGroup):
         return 2 * ((self.q.bit_length() + 7) // 8)
 
     def _coord_bytes(self, a) -> bytes:
-        w = (self.q.bit_length() + 7) // 8
+        w = self._width // 2
         x, y = a
         return x.to_bytes(w, "big") + y.to_bytes(w, "big")
 

@@ -33,11 +33,14 @@ class PowCallBoundWarning(UserWarning):
     """Exact oracle-call count exceeds 2*floor(log2 e): all-ones exponent shape."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ImplicitFieldElement:
     """The value y in F_p, held as its image yP."""
 
     image: GroupPoint
+
+    def __init__(self, image: GroupPoint):
+        self.__dict__["image"] = image  # as GroupPoint.__init__: skip the frozen __setattr__
 
     @property
     def group(self) -> CyclicGroup:
@@ -68,7 +71,7 @@ def implicit_scalar(
     c: int, a: ImplicitFieldElement, ledger: CostLedger | None = None
 ) -> ImplicitFieldElement:
     """(c*y)P = c*(yP) for an explicitly known constant c < p; double-and-add cost."""
-    group = a.group
+    group = a.image.group
     if not 0 <= c < group.order:
         raise ValueError(f"scalar {c} outside [0, {group.order - 1}]")
     out = group.scalar_mul(c, a.image)

@@ -9,7 +9,8 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
 2. Compute the image of x^d by square-and-multiply on the implicit element
    (this is the only oracle consumption), then find j in [1, m] with
    x^d = zeta^j by a baby-step giant-step walk in the implicit field --
-   writing j = u1*d1 - v1 with d1 = isqrt(m).
+   writing j = u1*d1 - v1 with d1 = isqrt(m). The baby side visits
+   zeta^v1 * (x^d P), the giant side (zeta^d1)^u1 * P.
 3. Writing x = zeta0^(m*t + j) for t in [0, d), find t by a second walk
    driven by powers of zeta0^m, t = u2*s2 - v2 with s2 = isqrt(d). Every
    scaling here is by an explicitly known field constant, so this phase is
@@ -17,19 +18,29 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
 4. Recombine: i0 = m*t + j, x = zeta0^i0 mod p, verified against Q before
    returning.
 
-All group operations go through the implicit-arithmetic layer so the ledger
-records the double-and-add cost of every step; the final verification is a
-self-check, not part of the algorithm, and is left off the books.
+Every point a walk visits is k * base for a base fixed per walk (x^d P, Q or
+P) and a multiplier k the walk knows explicitly, k <- k * stride mod p per
+step. So each walk runs on a fixed-base table in the manner of
+Kozaki-Kutsuma-Matsuo's refinement of Cheon's algorithm: columns 2^(wj) *
+base built with implicit_scalar, 2^w - 2 row multiples per column, then one
+addition per nonzero w-bit digit of k past the first. window_plan picks w
+per walk from the exact number of points (the most a giant side can take),
+and w = 0 keeps the plain double-and-add walk when no table is cheaper. The
+ledger is charged exactly that, tables in full on every run, whatever the
+backend does underneath. The final verification is a self-check, not part of
+the algorithm, and is left off the books.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
-from .groups import CyclicGroup, GroupPoint, bsgs_probe, bsgs_table
-from .implicit import ImplicitFieldElement, embed, implicit_pow, implicit_scalar
+from .groups import CyclicGroup, GroupPoint, bsgs_probe, bsgs_table, scalar_mul_cost
+from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar
 from .modmath import Factorization, IncompleteFactorizationError, factorize
 from .oracle import CostLedger, OracleHandle
 
@@ -121,9 +132,118 @@ def find_generator(
     )
 
 
-def _walk(group: CyclicGroup, ledger: CostLedger | None):
-    """Key and step of a BSGS walk on implicit elements; every step is charged to ledger."""
-    return (lambda e: group.encode(e.image)), (lambda e, c: implicit_scalar(c, e, ledger))
+class Walk(NamedTuple):
+    """One BSGS side: it visits k*base for k = k0*stride^i mod p, i = 0..points-1 at most."""
+
+    k0: int
+    stride: int
+    points: int
+
+
+# a run's four walks in order, as cost_report names their windows
+WALK_NAMES = ("phase1_baby", "phase1_giant", "phase2_baby", "phase2_giant")
+
+
+def phase1_walks(p: int, params: ReductionParams) -> tuple[Walk, Walk]:
+    """Phase 1's baby side (on x^d*P) and giant side (on P)."""
+    m = (p - 1) // params.d
+    giant = pow(params.zeta, params.d1, p)
+    return Walk(1, params.zeta, params.d1 + 1), Walk(giant, giant, -(-m // params.d1) + 1)
+
+
+def phase2_walks(p: int, params: ReductionParams, j: int) -> tuple[Walk, Walk]:
+    """Phase 2's baby side (on Q) and giant side (on P), once phase 1 has found j."""
+    d, s2 = params.d, params.s2
+    zm = pow(params.zeta0, (p - 1) // d, p)
+    return Walk(1, zm, s2 + 1), Walk(pow(params.zeta0, j, p), pow(zm, s2, p), -(-d // s2) + 2)
+
+
+@functools.lru_cache(maxsize=1024)
+def _windows(bits: int, later: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """Windows 1 <= w < bits for multipliers below 2^bits and a walk of later + 1 points.
+
+    Each is (table cost plus the worst case of every point past the first,
+    w, cols, table cost, low, high), cheapest first. A table has cols = ceil(bits/w) columns 2^(wj)*base,
+    cols - 1 of them built with w doublings each, and 2^w - 2 row multiples
+    per column at one addition each; every point after the first costs at
+    most cols - 1 additions. low and high hold the low w-1 bits and the top
+    bit of every digit: k has (((k & low) + low | k) & high).bit_count()
+    nonzero w-bit digits, since adding low carries into a digit's top bit
+    exactly when its low bits are not all zero.
+    """
+    out = []
+    for w in range(1, bits):
+        cols = -(-bits // w)
+        unit = ((1 << (w * cols)) - 1) // ((1 << w) - 1)  # lowest bit of every digit
+        table = (cols - 1) * w + cols * ((1 << w) - 2)
+        low, high = unit * ((1 << (w - 1)) - 1), unit << (w - 1)
+        out.append((table + later * (cols - 1), w, cols, table, low, high))
+    return tuple(sorted(out))
+
+
+def _plan(p: int, walk: Walk) -> tuple[int, tuple | None]:
+    """(worst-case group ops, window) of window_plan's choice; window None is the plain walk."""
+    k0, stride, points = walk
+    later = points - 1
+    best, choice = scalar_mul_cost(k0) + later * scalar_mul_cost(stride), None
+    for window in _windows((p - 1).bit_length(), later):
+        bill, _, _, _, low, high = window
+        if bill >= best:  # k0's digits only add to it, and later windows cost no less
+            break
+        bill += (((k0 & low) + low | k0) & high).bit_count() - 1
+        if bill < best:
+            best, choice = bill, window
+    return best, choice
+
+
+def window_plan(p: int, walk: Walk) -> tuple[int, int]:
+    """(w, worst-case group ops) of the cheapest way to run walk; w = 0 is the plain walk.
+
+    The plain walk pays a double-and-add by k0 to reach its start and one by
+    the stride per later point. A w-bit window (1 <= w < bits of p-1) pays
+    for its table up front, then one addition per nonzero digit of k past the
+    first: exactly that for k0, at most cols - 1 for every later point. Ties
+    keep the plain walk, so no walk is planned to cost more than it does
+    without windows; among windows they keep the first in _windows' order.
+    """
+    bill, window = _plan(p, walk)
+    return (0 if window is None else window[1]), bill
+
+
+def _walk(group: CyclicGroup, ledger: CostLedger | None, base: ImplicitFieldElement, walk: Walk):
+    """Start, key and step of one BSGS side over k*base, for bsgs_table and bsgs_probe.
+
+    Under window_plan's w = 0 the state is the implicit element and each step
+    is an implicit_scalar by the stride. Otherwise the state is the known
+    multiplier k: a step sets k <- k*stride mod p, and the key evaluates k*base
+    through the group's fixed-base hook, on columns built with implicit_scalar.
+    The table is charged in full on every walk, also when the generator's is
+    reused from an earlier run, so the ledger is what the generic path performs.
+    """
+    p = group.order
+    _, window = _plan(p, walk)
+    if window is None:
+        start = base if walk.k0 == 1 else implicit_scalar(walk.k0, base, ledger)
+        return start, (lambda e: group.encode(e.image)), (lambda e, c: implicit_scalar(c, e, ledger))
+    if ledger is None:
+        ledger = CostLedger()
+    _, w, cols, table, low, high = window
+    ledger.charge_group_ops(table)
+    cache = group._generator_tables if base.image.data == group.generator.data else {}
+    times = cache.get(w)
+    if times is None:
+        column, columns = base, [base.image.data]
+        for _ in range(cols - 1):
+            column = implicit_scalar(1 << w, column)
+            columns.append(column.image.data)
+        times = cache[w] = group._raw_fixed_base(columns, w)
+    encode = group.encode
+
+    def key(k):
+        ledger.group_ops += (((k & low) + low | k) & high).bit_count() - 1
+        return encode(GroupPoint(group, times(k)))
+
+    return walk.k0, key, (lambda k, c: k * c % p)
 
 
 def phase1_find_j(
@@ -143,14 +263,15 @@ def phase1_find_j(
     p = group.order
     m = (p - 1) // params.d
     d1 = params.d1
-    key, step = _walk(group, ledger)
-    table = bsgs_table(key, step, q_pow_d, params.zeta, d1 + 1)
+    baby, giant = phase1_walks(p, params)
+    start, key, step = _walk(group, ledger, q_pow_d, baby)
+    table = bsgs_table(key, step, start, baby.stride, baby.points)
     if ledger is not None:
-        ledger.charge_table_entries(d1 + 1)
-    giant_const = pow(params.zeta, d1, p)
+        ledger.charge_table_entries(baby.points)
+    start, key, step = _walk(group, ledger, ImplicitFieldElement(group.generator), giant)
     hit = bsgs_probe(
-        table, key, step, step(embed(group, 1), giant_const), giant_const,
-        range(1, -(-m // d1) + 2), lambda u1, v1: 1 <= u1 * d1 - v1 <= m,
+        table, key, step, start, giant.stride,
+        range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m,
     )
     if hit is None:
         raise InternalInconsistencyError(
@@ -176,16 +297,16 @@ def phase2_find_t(
     ledger = oracle.ledger
     p = group.order
     d = params.d
-    m = (p - 1) // d
     s2 = params.s2
-    zm = pow(params.zeta0, m, p)
-    key, step = _walk(group, ledger)
-    table = bsgs_table(key, step, ImplicitFieldElement(Q), zm, s2 + 1)
+    baby, giant = phase2_walks(p, params, j)
+    start, key, step = _walk(group, ledger, ImplicitFieldElement(Q), baby)
+    table = bsgs_table(key, step, start, baby.stride, baby.points)
     if ledger is not None:
-        ledger.charge_table_entries(s2 + 1)
+        ledger.charge_table_entries(baby.points)
+    start, key, step = _walk(group, ledger, ImplicitFieldElement(group.generator), giant)
     hit = bsgs_probe(
-        table, key, step, step(embed(group, 1), pow(params.zeta0, j, p)), pow(zm, s2, p),
-        range(0, -(-d // s2) + 2), lambda u2, v2: 0 <= u2 * s2 - v2 < d,
+        table, key, step, start, giant.stride,
+        range(giant.points), lambda u2, v2: 0 <= u2 * s2 - v2 < d,
     )
     if hit is None:
         raise InternalInconsistencyError(
@@ -257,14 +378,18 @@ def ceil_log2(n: int) -> int:
 def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     """Measured costs of a run against the analytic ceilings.
 
-    Three ceilings are reported. The headline 2*ceil(log2 p)*(d1 + s2) form
+    Four ceilings are reported. The headline 2*ceil(log2 p)*(d1 + s2) form
     treats each BSGS side as d1 (resp. s2) steps of at most 2*ceil(log2 p)
     operations; a faithful sweep also pays for the giant strides past the
     range boundary, so that form carries a slack allowance of 4*ceil(log2 p)
     and its flag can honestly read False on an unlucky run. The sweep ceiling
-    prices every step the implementation can possibly take and must always
-    hold. The tighter 2*(d1 + s2) form is the known-improvement M bound,
-    reported for comparison and not enforced on this implementation.
+    prices every step the implementation can possibly take at that rate and
+    must always hold. The walk ceiling is the exact worst case of the four
+    walks as planned (window_plan, tables included, giant sides run to their
+    last point); it is recomputed from the transcript, must always hold, and
+    is never above what the same walks cost without windows. The tighter
+    2*(d1 + s2) form is the known-improvement M bound, reported for
+    comparison and not enforced on this implementation.
     """
     d1, s2 = tr.params.d1, tr.params.s2
     m = (p - 1) // d
@@ -275,6 +400,9 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     slack = 4 * cl2
     sweep_steps = (-(-m // d1) + 1) + (-(-d // s2) + 1) + d1 + s2
     sweep_ceiling = 2 * cl2 * sweep_steps
+    walks = (*phase1_walks(p, tr.params), *phase2_walks(p, tr.params, tr.j))
+    plans = {name: window_plan(p, walk) for name, walk in zip(WALK_NAMES, walks)}
+    walk_ceiling = sum(bill for _, bill in plans.values())
     return {
         "p": p,
         "d": d,
@@ -291,4 +419,7 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
         "kkm_group_op_bound": 2 * (d1 + s2),
         "sweep_group_op_ceiling": sweep_ceiling,
         "within_sweep_ceiling": tr.ledger.group_ops <= sweep_ceiling,
+        "walk_group_op_ceiling": walk_ceiling,
+        "within_walk_ceiling": tr.ledger.group_ops <= walk_ceiling,
+        **{f"window_{name}": w for name, (w, _) in plans.items()},
     }

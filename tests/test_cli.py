@@ -12,6 +12,7 @@ from dhpbound.bounds import (
     t_dh,
 )
 from dhpbound.cli import main
+from dhpbound.reduction import WALK_NAMES
 
 
 def run(capsys, *argv):
@@ -141,6 +142,10 @@ def test_reduce_recovers_specified_x(capsys):
     assert code == 0
     assert "requested 37, match: True" in out
     assert "oracle_calls=3" in out
+    # where the group ops went: the walk ceiling beside the M bound, and each walk's window
+    assert "walk ceiling 102 (within: True), M bound (not enforced) 14" in out
+    assert ("walk windows (0 = plain double-and-add): "
+            "phase1_baby=2, phase1_giant=2, phase2_baby=1, phase2_giant=2\n") in out
 
 
 def test_reduce_random_seed_deterministic(capsys):
@@ -172,6 +177,8 @@ def test_reduce_csv_format(capsys):
     kv = dict(l.split(",", 1) for l in lines[1:])
     assert kv["x"] == "11" and kv["recovered"] == "True"
     assert kv["cost_report.within_sweep_ceiling"] == "True"
+    assert kv["cost_report.within_walk_ceiling"] == "True"
+    assert [kv[f"cost_report.window_{name}"] for name in WALK_NAMES] == ["0", "2", "0", "1"]
 
 
 @pytest.mark.parametrize("backend", ["zp", "ec"])

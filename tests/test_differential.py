@@ -1,5 +1,6 @@
-"""Differential tests: the number-theory primitives against sympy, an independent implementation."""
+"""Differential tests: the number-theory primitives and the reduction against sympy, an independent implementation."""
 
+import warnings
 from collections import Counter
 
 import pytest
@@ -9,8 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhpbound.modmath import _MR_DETERMINISTIC_BOUND, factorize, is_prime
-from dhpbound.reduction import find_generator
+from conftest import make_backend
+from dhpbound.implicit import PowCallBoundWarning
+from dhpbound.modmath import _MR_DETERMINISTIC_BOUND, divisors_in_range, factorize, is_prime
+from dhpbound.oracle import OracleHandle
+from dhpbound.reduction import find_generator, reduce_dlog
 
 
 def fixed(examples: int) -> settings:
@@ -70,3 +74,33 @@ def test_is_prime_matches_isprime(n):
 @given(st.sampled_from(SWEEP_PRIMES), st.integers(min_value=0, max_value=2**64))
 def test_find_generator_is_primitive_root(p, seed):
     assert sympy.is_primitive_root(find_generator(p, factorize(p - 1), seed), p)
+
+
+def check_against_discrete_log(kind: str, p: int, d: int, x: int) -> None:
+    """reduce_dlog's x against sympy: mult solves g^x = Q in F_q^x; on Z_p the residue is x."""
+    group = make_backend(kind, p)
+    Q = group.scalar_mul(x, group.generator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowCallBoundWarning)
+        tr = reduce_dlog(group, OracleHandle(group), Q, d, seed=x % 97)
+    if kind == "mult":
+        assert sympy.discrete_log(group.q, Q.data, group.generator.data) == tr.x
+    else:
+        assert Q.data == tr.x
+    assert tr.x == x
+
+
+@fixed(60)
+@given(st.sampled_from(SWEEP_PRIMES[:-1]), st.sampled_from(["zp", "mult"]), st.data())
+def test_reduce_dlog_matches_discrete_log(p, kind, data):
+    d = data.draw(st.sampled_from(divisors_in_range(factorize(p - 1), 1, p - 1)))
+    check_against_discrete_log(kind, p, d, data.draw(st.integers(1, p - 1)))
+
+
+@fixed(3)
+@given(st.integers(1, 4294967290))
+def test_reduce_dlog_matches_discrete_log_at_2_32(x):
+    # d = 190 is the large-order workload's divisor; its cofactor 22605091 gives the reverse split
+    for kind in ("zp", "mult"):
+        for d in (190, 22605091):
+            check_against_discrete_log(kind, 4294967291, d, x)

@@ -200,3 +200,31 @@ def test_load_toy_curve_fixture():
     assert g.q == 65029
     assert g.on_curve(g.generator)
     assert g.eq(g.scalar_mul(16381, g.generator), g.identity)
+
+
+def fixed_base(group, base, w):
+    """The group's fixed-base hook on columns 2^(wj)*base, enough of them for every k < p."""
+    cols = -(-(group.order - 1).bit_length() // w)
+    return group._raw_fixed_base([group.scalar_mul(2 ** (w * j), base).data for j in range(cols)], w)
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_fixed_base_hook_matches_scalar_mul_every_k(kind):
+    g = make_backend(kind, 101)
+    for base in (g.generator, g.scalar_mul(37, g.generator)):
+        for w in range(1, 8):
+            times = fixed_base(g, base, w)
+            assert [times(k) for k in range(1, 101)] == [g.scalar_mul(k, base).data for k in range(1, 101)]
+
+
+@pytest.mark.parametrize("kind, p", [
+    ("zp", 16381), ("mult", 16381), ("ec", 16381), ("zp", 4294967291), ("mult", 4294967291),
+])
+def test_fixed_base_hook_matches_scalar_mul_random_k(kind, p):
+    g = make_backend(kind, p)
+    rng = random.Random(p)
+    base = g.scalar_mul(rng.randrange(1, p), g.generator)
+    for w in (1, 3, 5, 8):
+        times = fixed_base(g, base, w)
+        for k in [1, p - 1] + [rng.randrange(1, p) for _ in range(60)]:
+            assert times(k) == g.scalar_mul(k, base).data

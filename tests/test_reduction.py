@@ -13,7 +13,7 @@ from math import isqrt
 import pytest
 
 from conftest import make_backend
-from dhpbound.groups import make_zp_additive
+from dhpbound.groups import bsgs_table, make_zp_additive, scalar_mul_cost
 from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning
 from dhpbound.modmath import (
     Factorization,
@@ -21,19 +21,23 @@ from dhpbound.modmath import (
     divisors_in_range,
     factorize,
 )
-from dhpbound.oracle import OracleHandle
+from dhpbound.oracle import CostLedger, OracleHandle
 from dhpbound.reduction import (
+    WALK_NAMES,
     ImprobableFailureError,
     InternalInconsistencyError,
     InvalidDivisorError,
     ReductionParams,
+    Walk,
     ZeroDlogError,
+    _walk,
     ceil_log2,
     cost_report,
     find_generator,
     generator_try_budget,
     phase1_find_j,
     reduce_dlog,
+    window_plan,
 )
 
 
@@ -61,6 +65,9 @@ def run_and_check(group, oracle, x: int, d: int, seed: int = 0):
     assert rep["oracle_calls_match_formula"]
     assert rep["within_sweep_ceiling"], (
         f"p={p} d={d} x={x}: {tr.ledger.group_ops} ops > {rep['sweep_group_op_ceiling']}"
+    )
+    assert rep["within_walk_ceiling"], (
+        f"p={p} d={d} x={x}: {tr.ledger.group_ops} ops > {rep['walk_group_op_ceiling']}"
     )
     return tr
 
@@ -164,21 +171,27 @@ def test_p3_edge_orders():
 
 def test_backend_independence_of_transcript():
     """Same (p, d, x, seed) must yield identical matches and identical bills."""
-    results = []
-    for kind in ("zp", "mult", "ec"):
-        group = make_backend(kind, 101)
-        oracle = OracleHandle(group)
-        Q = group.scalar_mul(77, group.generator)
-        tr = reduce_dlog(group, oracle, Q, 20, seed=5)
-        results.append(tr)
-    first = results[0]
-    for tr in results[1:]:
-        assert (tr.j, tr.u1, tr.v1, tr.t, tr.u2, tr.v2) == (
-            first.j, first.u1, first.v1, first.t, first.u2, first.v2
-        )
-        assert tr.i0 == first.i0 and tr.x == first.x == 77
-        assert tr.ledger.as_dict() == first.ledger.as_dict()
-        assert tr.params == first.params
+    cases = (
+        (101, 20, 77, 5), (101, 1, 2, 0), (101, 4, 100, 9), (101, 100, 33, 1),
+        (1009, 12, 500, 3), (1009, 1, 1008, 7), (1009, 63, 17, 0), (1009, 1008, 1, 2),
+    )
+    for p, d, x, seed in cases:
+        results = []
+        for kind in ("zp", "mult", "ec"):
+            group = make_backend(kind, p)
+            oracle = OracleHandle(group)
+            Q = group.scalar_mul(x, group.generator)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PowCallBoundWarning)
+                results.append(reduce_dlog(group, oracle, Q, d, seed=seed))
+        first = results[0]
+        for tr in results[1:]:
+            assert (tr.j, tr.u1, tr.v1, tr.t, tr.u2, tr.v2) == (
+                first.j, first.u1, first.v1, first.t, first.u2, first.v2
+            )
+            assert tr.i0 == first.i0 and tr.x == first.x == x
+            assert tr.ledger.as_dict() == first.ledger.as_dict()
+            assert tr.params == first.params
 
 
 def test_transcript_export_json_roundtrip():
@@ -290,6 +303,15 @@ def test_cost_report_shapes_and_values():
     assert rep["within_sweep_ceiling"] is True
     assert rep["measured_group_ops"] == tr.ledger.group_ops > 0
     assert rep["bsgs_table_entries"] == (5 + 1) + (2 + 1)
+    # 100 has 7 bits. Phase 1 baby (k0 1, stride 19, 6 points): w = 2 costs a
+    # 14-op table plus 5*3, under the plain 5*6. Phase 1 giant (84, 84, 6):
+    # 14 + 84's three base-4 digits - 1 + 5*3 = 31. Phase 2 baby (1, 91, 3):
+    # w = 1 costs 6 + 2*6 = 18. Phase 2 giant (zeta0^3 = 38, 100, 4):
+    # 14 + 2 + 3*3 = 25.
+    assert tr.j == 3
+    assert [rep[f"window_{name}"] for name in WALK_NAMES] == [2, 2, 1, 2]
+    assert rep["walk_group_op_ceiling"] == 29 + 31 + 18 + 25
+    assert rep["within_walk_ceiling"] is True
 
 
 def test_ceil_log2():
@@ -300,3 +322,86 @@ def test_ceil_log2():
     assert ceil_log2(129) == 8
     with pytest.raises(ValueError):
         ceil_log2(0)
+
+
+# ------------------------------------------------------- fixed-base walks
+
+
+def nonzero_digits(k: int, w: int) -> int:
+    """Nonzero w-bit digits of k, counted one at a time."""
+    count = 0
+    while k:
+        count += k % (1 << w) != 0
+        k >>= w
+    return count
+
+
+def run_walk(group, base_x: int, walk: Walk):
+    """Run every point of a walk on the image of base_x: (w, its bill, its table)."""
+    ledger = CostLedger()
+    base = ImplicitFieldElement(group.scalar_mul(base_x, group.generator))
+    start, key, step = _walk(group, ledger, base, walk)
+    table = bsgs_table(key, step, start, walk.stride, walk.points)
+    return window_plan(group.order, walk)[0], ledger.group_ops, table
+
+
+def formula_bill(p: int, walk: Walk, w: int) -> int:
+    """The plain walk's double-and-add bill, or a w-bit table plus (digits - 1) per point."""
+    if w == 0:
+        return scalar_mul_cost(walk.k0) + (walk.points - 1) * scalar_mul_cost(walk.stride)
+    cols = -(-(p - 1).bit_length() // w)
+    table = (cols - 1) * w + cols * (2**w - 2)
+    ks = [walk.k0 * pow(walk.stride, i, p) % p for i in range(walk.points)]
+    return table + sum(nonzero_digits(k, w) - 1 for k in ks)
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+@pytest.mark.parametrize("p", [101, 1009, 16381])
+def test_walk_bill_equals_formula(kind, p):
+    group = make_backend(kind, p)
+    rng = random.Random(p)
+    seen = set()
+    for points in (2, 3, 6, 13, isqrt(p) + 1):
+        for _ in range(6):
+            stride, k0 = rng.randrange(2, p), rng.choice([1, rng.randrange(1, p)])
+            walk = Walk(k0, stride, points)
+            base_x = rng.randrange(1, p)
+            w, bill, table = run_walk(group, base_x, walk)
+            seen.add(w > 0)
+            assert bill == formula_bill(p, walk, w)
+            assert bill <= window_plan(p, walk)[1]  # the plan's worst case
+            # the same points, in the same order, as scalar multiplication
+            want = {}
+            for i in range(points):
+                k = k0 * pow(stride, i, p) * base_x % p
+                want.setdefault(group.encode(group.scalar_mul(k, group.generator)), i)
+            assert table == want
+    assert seen == {True, False}  # both the windowed and the plain walk ran
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_baby_side_never_billed_above_plain_walk(p):
+    group = make_zp_additive(p)
+    strides = range(2, p) if p < 200 else random.Random(p).sample(range(2, p), 150)
+    for stride in strides:
+        for points in (2, 3, 5, isqrt(p) + 1, 2 * isqrt(p)):
+            walk = Walk(1, stride, points)
+            _, bill, _ = run_walk(group, 1, walk)
+            assert bill <= (points - 1) * scalar_mul_cost(stride), (stride, points)
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_cached_generator_tables_bill_like_a_fresh_group(kind):
+    reused = make_backend(kind, 1009)
+    oracle = OracleHandle(reused)
+    rng = random.Random(1009)
+    for d in (1, 4, 12, 63, 336, 1008):
+        for x in rng.sample(range(1, 1009), 3):
+            fresh = make_backend(kind, 1009)
+            runs = []
+            for group, handle in ((reused, oracle), (fresh, OracleHandle(fresh))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", PowCallBoundWarning)
+                    runs.append(reduce_dlog(group, handle, group.scalar_mul(x, group.generator), d, seed=x))
+            assert runs[0].to_dict() == runs[1].to_dict()
+    assert reused._generator_tables  # later runs took their giant-side tables from the cache
