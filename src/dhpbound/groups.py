@@ -12,8 +12,8 @@ multiplication by k, even on backends where the whole product is a single
 machine operation; this keeps instrumentation comparable across backends.
 The fixed-base hook (_raw_fixed_base) follows the same rule: a caller bills
 what the generic windowed path performs -- the table, then one addition per
-nonzero window digit of k past the first -- while Z_p and F_q^x hand back
-their one-operation product and build no table.
+nonzero window digit of k past the first. F_q^x and EC build and read that
+table; only Z_p hands back its one-operation product and builds none.
 """
 
 from __future__ import annotations
@@ -167,8 +167,9 @@ class CyclicGroup:
 
         The generic path builds rows[j][i] = i*columns[j] for i < 2^w, with
         2^w - 2 additions per row, and sums one entry per nonzero w-bit digit
-        of k. Backends whose scalar multiplication is a single machine
-        operation return that product instead and build nothing.
+        of k. F_q^x builds the same rows with the group law inlined; Z_p,
+        whose scalar multiplication is one machine operation, returns that
+        product instead and builds nothing.
         """
         add, identity, mask = self._raw_add, self._raw_identity(), (1 << w) - 1
         rows = []
@@ -270,8 +271,25 @@ class MultSubgroup(CyclicGroup):
         return GroupPoint(self, pow(a.data, k, self.q))
 
     def _raw_fixed_base(self, columns: list, w: int):
-        base, q = columns[0], self.q
-        return lambda k: pow(base, k, q)
+        # the billed table with the group law inlined, because the generic
+        # path's per-digit _raw_add calls slow the short walks at p ~ 1009:
+        # rows[j][i] = columns[j]^i mod q, and entry 0 is 1, so no digit branches
+        q, mask = self.q, (1 << w) - 1
+        rows = []
+        for col in columns:
+            row = [1, col]
+            for _ in range(mask - 1):
+                row.append(row[-1] * col % q)
+            rows.append(row)
+
+        def times(k):
+            acc = 1
+            for row in rows:
+                acc = acc * row[k & mask] % q
+                k >>= w
+            return acc
+
+        return times
 
     def _coord_width(self) -> int:
         return (self.q.bit_length() + 7) // 8

@@ -108,25 +108,37 @@ def find_generator(
     generator density exceeds 1/(6 ln ln(p-1)), so the fixed try budget fails
     only with negligible probability on valid inputs. When a stats dict is
     supplied, the number of candidates examined is accumulated under
-    "candidates" (one entry per sampled c, accepted or not).
+    "candidates" (one entry per sampled c, accepted or not), also when the
+    sample comes out of _sample_generator's memo.
     """
     if not factors_of_p_minus_1.complete:
         raise IncompleteFactorizationError("generator search needs p-1 fully factored")
     if p < 3:
         raise ValueError(f"p must be a prime >= 3, got {p}")
-    if p == 3:
+    candidates = generator_try_budget(p)  # what a failed search examined
+    try:
+        zeta0, candidates = _sample_generator(p, factors_of_p_minus_1.primes(), seed)
+    finally:
         if stats is not None:
-            stats["candidates"] = stats.get("candidates", 0) + 1
-        return 2  # the only generator, and the sampling range [2, p-2] is empty
-    prime_cofactors = [(p - 1) // q for q in factors_of_p_minus_1.primes()]
+            stats["candidates"] = stats.get("candidates", 0) + candidates
+    return zeta0
+
+
+@functools.lru_cache(maxsize=1024)
+def _sample_generator(p: int, primes: tuple[int, ...], seed: int) -> tuple[int, int]:
+    """(generator, candidates examined), drawn by random.Random(seed).
+
+    A failed search raises, so lru_cache never keeps it.
+    """
+    if p == 3:
+        return 2, 1  # the only generator, and the sampling range [2, p-2] is empty
+    prime_cofactors = [(p - 1) // q for q in primes]
     rng = random.Random(seed)
     budget = generator_try_budget(p)
-    for _ in range(budget):
+    for candidates in range(1, budget + 1):
         c = rng.randrange(2, p - 1)
-        if stats is not None:
-            stats["candidates"] = stats.get("candidates", 0) + 1
         if all(pow(c, e, p) != 1 for e in prime_cofactors):
-            return c
+            return c, candidates
     raise ImprobableFailureError(
         f"no generator of F_{p}^x in {budget} samples: p composite or factorization wrong"
     )

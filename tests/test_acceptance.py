@@ -214,6 +214,7 @@ def test_criterion_5_cost_ceilings(sweep):
     call_violations = 0
     unflagged_boundary = 0
     ops_violations = 0
+    order_violations = 0
     boundary_runs = 0
     for r in sweep.runs:
         d = r["d"]
@@ -228,13 +229,16 @@ def test_criterion_5_cost_ceilings(sweep):
             call_violations += 1
         if r["ops"] > min(r["ceiling"], r["walk_ceiling"]):
             ops_violations += 1
+        if r["walk_ceiling"] > r["ceiling"]:  # the walk ceiling implies the sweep ceiling
+            order_violations += 1
     ok = call_violations == 0 and unflagged_boundary == 0 and ops_violations == 0
+    ok = ok and order_violations == 0
     record(
         "criterion 5",
         ok,
         f"oracle_calls <= 2*floor(log2 d)+1 on all {len(sweep.runs)} runs "
         f"({boundary_runs} popcount-saturated runs all warned, none failed); "
-        f"group_ops <= sweep ceiling and <= walk ceiling on every run",
+        f"group_ops <= walk ceiling <= sweep ceiling on every run",
     )
     assert ok
 

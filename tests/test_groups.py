@@ -7,6 +7,7 @@ import pytest
 from conftest import TOY_CURVES, make_backend
 from dhpbound.groups import (
     BadGeneratorError,
+    CyclicGroup,
     GroupMismatchError,
     GroupPoint,
     GuardRailError,
@@ -202,10 +203,11 @@ def test_load_toy_curve_fixture():
     assert g.eq(g.scalar_mul(16381, g.generator), g.identity)
 
 
-def fixed_base(group, base, w):
-    """The group's fixed-base hook on columns 2^(wj)*base, enough of them for every k < p."""
+def fixed_base_hooks(group, base, w):
+    """The group's fixed-base hook and the generic table path, on columns 2^(wj)*base for every k < p."""
     cols = -(-(group.order - 1).bit_length() // w)
-    return group._raw_fixed_base([group.scalar_mul(2 ** (w * j), base).data for j in range(cols)], w)
+    columns = [group.scalar_mul(2 ** (w * j), base).data for j in range(cols)]
+    return group._raw_fixed_base(columns, w), CyclicGroup._raw_fixed_base(group, columns, w)
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -213,8 +215,9 @@ def test_fixed_base_hook_matches_scalar_mul_every_k(kind):
     g = make_backend(kind, 101)
     for base in (g.generator, g.scalar_mul(37, g.generator)):
         for w in range(1, 8):
-            times = fixed_base(g, base, w)
-            assert [times(k) for k in range(1, 101)] == [g.scalar_mul(k, base).data for k in range(1, 101)]
+            want = [g.scalar_mul(k, base).data for k in range(101)]
+            for times in fixed_base_hooks(g, base, w):
+                assert [times(k) for k in range(101)] == want
 
 
 @pytest.mark.parametrize("kind, p", [
@@ -224,7 +227,9 @@ def test_fixed_base_hook_matches_scalar_mul_random_k(kind, p):
     g = make_backend(kind, p)
     rng = random.Random(p)
     base = g.scalar_mul(rng.randrange(1, p), g.generator)
-    for w in (1, 3, 5, 8):
-        times = fixed_base(g, base, w)
-        for k in [1, p - 1] + [rng.randrange(1, p) for _ in range(60)]:
-            assert times(k) == g.scalar_mul(k, base).data
+    for w in (1, 3, 5, 8, 11):
+        zero_digits = [2 ** (w * j) for j in range(-(-(p - 1).bit_length() // w))]
+        ks = zero_digits + [p - 1] + [rng.randrange(1, p) for _ in range(60)]  # zero_digits starts at k = 1
+        want = [g.scalar_mul(k, base).data for k in ks]
+        for times in fixed_base_hooks(g, base, w):
+            assert [times(k) for k in ks] == want

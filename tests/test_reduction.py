@@ -30,6 +30,7 @@ from dhpbound.reduction import (
     ReductionParams,
     Walk,
     ZeroDlogError,
+    _sample_generator,
     _walk,
     ceil_log2,
     cost_report,
@@ -118,6 +119,42 @@ def test_find_generator_stats_accumulate_across_calls():
     assert stats["candidates"] >= 50
     # density of generators is phi(100)/99 = 40/98, so ~2.5 candidates per hit
     assert stats["candidates"] < 50 * 30
+
+
+def reference_generator(p: int, seed: int) -> tuple[int, int]:
+    """(generator, candidates examined), sampled afresh as find_generator's contract says."""
+    primes = factorize(p - 1).primes()
+    rng = random.Random(seed)
+    candidates = 0
+    while True:
+        c = rng.randrange(2, p - 1)
+        candidates += 1
+        if all(pow(c, (p - 1) // q, p) != 1 for q in primes):
+            return c, candidates
+
+
+@pytest.mark.parametrize("p", [29, 101, 1009, 16381, 4294967291])
+def test_find_generator_memo_matches_fresh_sampler(p):
+    f = factorize(p - 1)
+    _sample_generator.cache_clear()
+    for seed in range(50):
+        zeta0, candidates = reference_generator(p, seed)
+        for hits in (0, 1):  # a miss, then a hit
+            stats = {}
+            assert find_generator(p, f, seed, stats=stats) == zeta0
+            assert stats == {"candidates": candidates}
+            assert _sample_generator.cache_info().hits == seed + hits
+
+
+def test_find_generator_failure_is_never_memoised():
+    wrong = Factorization(((1, 1), (100, 1)), True)
+    stats = {}
+    _sample_generator.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(ImprobableFailureError, match="factorization wrong"):
+            find_generator(101, wrong, 0, stats=stats)
+        assert stats == {"candidates": calls * generator_try_budget(101)}
+        assert _sample_generator.cache_info().currsize == 0
 
 
 def test_find_generator_rejects_incomplete_factorization():
