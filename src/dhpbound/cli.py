@@ -17,7 +17,7 @@ import time
 import warnings
 from dataclasses import asdict
 
-from . import bounds
+from . import bounds, invariants
 from .groups import (
     ORDER_GUARD,
     CyclicGroup,
@@ -28,16 +28,7 @@ from .groups import (
     make_ec_group,
     make_zp_additive,
 )
-from .implicit import (
-    PowCallBoundWarning,
-    embed,
-    implicit_add,
-    implicit_inv,
-    implicit_mul,
-    implicit_pow,
-    implicit_scalar,
-    implicit_sub,
-)
+from .implicit import PowCallBoundWarning
 from .modmath import factorize, icbrt, is_prime, log2_approx
 from .oracle import OracleHandle
 from .reduction import (
@@ -45,7 +36,6 @@ from .reduction import (
     InvalidDivisorError,
     ZeroDlogError,
     cost_report,
-    find_generator,
     reduce_dlog,
 )
 
@@ -62,6 +52,14 @@ class _Parser(argparse.ArgumentParser):
 
 class CliError(Exception):
     """Named operational failure; message printed, exit 1."""
+
+
+def _require_prime(p: int) -> None:
+    """Refuse p below 3 or composite: the checks reduce and divisors share."""
+    if p < 3:
+        raise CliError(f"p must be a prime >= 3, got {p}")
+    if not is_prime(p):
+        raise CliError(f"p={p} is not prime")
 
 
 def non_negative_int(text: str) -> int:
@@ -166,10 +164,7 @@ def _build_group(backend: str, p: int) -> CyclicGroup:
 def cmd_reduce(args) -> int:
     p, d = args.p, args.d
     try:
-        if p < 3:
-            raise CliError(f"p must be a prime >= 3, got {p}")
-        if not is_prime(p):
-            raise CliError(f"p={p} is not prime")
+        _require_prime(p)
         if p > ORDER_GUARD:
             raise CliError(f"desk-scale guard: p must be <= 2^32, got {p}")
         if d < 1 or (p - 1) % d != 0:
@@ -239,9 +234,7 @@ def cmd_reduce(args) -> int:
             f"(within: {report['within_lemma_oracle_bound']})"
         )
         print(
-            f"group ops: headline ceiling {report['lemma_group_op_ceiling']}"
-            f"+slack {report['slack_allowance']} (within: {report['within_lemma_group_ceiling']}), "
-            f"sweep ceiling {report['sweep_group_op_ceiling']} "
+            f"group ops: sweep ceiling {report['sweep_group_op_ceiling']} "
             f"(within: {report['within_sweep_ceiling']}), "
             f"walk ceiling {report['walk_group_op_ceiling']} "
             f"(within: {report['within_walk_ceiling']}), "
@@ -267,11 +260,10 @@ def _factor_string(f) -> str:
 
 def cmd_divisors(args) -> int:
     p = args.p
-    if p < 3:
-        print(f"error: p must be a prime >= 3, got {p}", file=sys.stderr)
-        return 1
-    if not is_prime(p):
-        print(f"error: p={p} is not prime", file=sys.stderr)
+    try:
+        _require_prime(p)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     f = factorize(p - 1, effort_budget=args.budget)
     print(f"p = {p} ({p.bit_length()} bits)")
@@ -317,198 +309,72 @@ def cmd_divisors(args) -> int:
 # -------------------------------------------------------------- selftest
 
 
-class SelfTestFailure(Exception):
-    pass
-
-
-def _check(cond: bool, invariant: str) -> None:
-    if not cond:
-        raise SelfTestFailure(invariant)
-
-
 @functools.lru_cache(maxsize=8)
-def _st_backends(p: int) -> tuple[CyclicGroup, ...]:
+def _backends(p: int) -> tuple[CyclicGroup, ...]:
     # curve search for the ec backend is the slow part; share instances across suites
-    return (make_zp_additive(p), _build_group("mult", p), _build_group("ec", p))
+    return tuple(_build_group(kind, p) for kind in ("zp", "mult", "ec"))
 
 
-def _st_modmath(rng: random.Random, deep: bool) -> None:
-    limit = 2**24 if deep else 2**20
-    for _ in range(400 if deep else 150):
-        n = rng.randrange(2, limit)
-        f = factorize(n)
-        _check(f.complete, f"factorize({n}) incomplete below trial-division range")
-        _check(f.value == n, f"factor product != {n}")
-        _check(all(is_prime(q) for q, _ in f.factors), f"non-prime factor for {n}")
-    small = [k for k in range(2, 500) if is_prime(k)]
-    sieve = [k for k in range(2, 500) if all(k % j for j in range(2, k))]
-    _check(small == sieve, "is_prime disagrees with trial division below 500")
+def _suite_modmath(rng: random.Random, deep: bool) -> None:
+    invariants.check_factorize_sample(rng, 400 if deep else 150, 2**24 if deep else 2**20)
+    invariants.check_is_prime_small(500)
 
 
-def _st_groups(rng: random.Random, deep: bool) -> None:
+def _suite_groups(rng: random.Random, deep: bool) -> None:
     for p in (29, 101):
-        for group in _st_backends(p):
-            pts = [group.scalar_mul(rng.randrange(p), group.generator) for _ in range(12)]
-            for _ in range(300 if deep else 80):
-                a, b, c = (rng.choice(pts) for _ in range(3))
-                lhs = group.add(group.add(a, b), c)
-                rhs = group.add(a, group.add(b, c))
-                _check(group.eq(lhs, rhs), f"associativity on {group.backend} p={p}")
-                _check(
-                    group.eq(group.add(a, b), group.add(b, a)),
-                    f"commutativity on {group.backend} p={p}",
-                )
-                _check(
-                    group.eq(group.add(a, group.negate(a)), group.identity),
-                    f"inverse law on {group.backend} p={p}",
-                )
-            seen = {group.encode(group.scalar_mul(k, group.generator)) for k in range(p)}
-            _check(len(seen) == p, f"encode not injective on {group.backend} p={p}")
+        for group in _backends(p):
+            invariants.check_group_laws(group, rng, 12, 300 if deep else 80)
+            invariants.check_encode(group, rng, 300 if deep else 80)
 
 
-def _st_oracle(rng: random.Random, deep: bool) -> None:
+def _suite_oracle(rng: random.Random, deep: bool) -> None:
     for p in (29, 101):
-        for group in _st_backends(p):
-            oracle = OracleHandle(group)
-            for _ in range(120 if deep else 40):
-                a, b = rng.randrange(1, p), rng.randrange(1, p)
-                A = group.scalar_mul(a, group.generator)
-                B = group.scalar_mul(b, group.generator)
-                got = oracle.dh(A, B)
-                want = group.scalar_mul(a * b % p, group.generator)
-                _check(group.eq(got, want), f"dh({a}P,{b}P) != {a}*{b}P on {group.backend} p={p}")
+        for group in _backends(p):
+            invariants.check_dh(group, OracleHandle(group), rng, 120 if deep else 40)
 
 
-def _st_implicit(rng: random.Random, deep: bool) -> None:
-    p = 16381 if deep else 101
-    group = make_zp_additive(p)
+def _suite_implicit(rng: random.Random, deep: bool) -> None:
+    group = make_zp_additive(16381 if deep else 101)
+    invariants.check_implicit_field_ops(group, OracleHandle(group), rng, 1000 if deep else 200)
+
+
+def _sweep(group: CyclicGroup, rng: random.Random, n: int | None) -> None:
+    """check_reduction for every divisor of p-1: on every x, or on n x drawn per divisor."""
+    p = group.order
     oracle = OracleHandle(group)
-    rounds = 1000 if deep else 200
-    for _ in range(rounds):
-        y, z = rng.randrange(p), rng.randrange(p)
-        a, b = embed(group, y), embed(group, z)
-        _check(
-            group.eq(implicit_add(a, b).image, embed(group, (y + z) % p).image),
-            "implicit add != field add",
-        )
-        _check(
-            group.eq(implicit_sub(a, b).image, embed(group, (y - z) % p).image),
-            "implicit sub != field sub",
-        )
-        c = rng.randrange(p)
-        _check(
-            group.eq(implicit_scalar(c, a).image, embed(group, c * y % p).image),
-            "implicit scalar != field scalar",
-        )
-        _check(
-            group.eq(implicit_mul(oracle, a, b).image, embed(group, y * z % p).image),
-            "implicit mul != field mul",
-        )
-        e = rng.randrange(1, p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PowCallBoundWarning)
-            _check(
-                group.eq(implicit_pow(oracle, a, e).image, embed(group, pow(y, e, p)).image),
-                "implicit pow != field pow",
-            )
-        if y != 0:
-            _check(
-                group.eq(implicit_inv(oracle, a).image, embed(group, pow(y, p - 2, p)).image),
-                "implicit inv != field inverse",
-            )
+    for d in bounds.divisors_in_range(factorize(p - 1), 1, p - 1):
+        xs = range(1, p) if n is None else sorted({rng.randrange(1, p) for _ in range(n)})
+        for x in xs:
+            invariants.check_reduction(group, oracle, x, d, seed=x)
 
 
-def _st_reduction(rng: random.Random, deep: bool) -> None:
-    from .modmath import divisors_in_range
-
-    def sweep(group, divisors, xs):
-        oracle = OracleHandle(group)
-        p = group.order
-        for d in divisors:
-            for x in xs(d):
-                Q = group.scalar_mul(x, group.generator)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", PowCallBoundWarning)
-                    tr = reduce_dlog(group, oracle, Q, d, seed=x)
-                _check(tr.x == x, f"reduce_dlog missed x={x} (p={p}, d={d}, {group.backend})")
-                _check(
-                    tr.ledger.oracle_calls == bounds.oracle_calls_exact(d),
-                    f"oracle calls != exact formula (p={p}, d={d})",
-                )
-                rep = cost_report(tr, p, d)
-                _check(
-                    rep["within_sweep_ceiling"],
-                    f"group ops above sweep ceiling (p={p}, d={d})",
-                )
-                _check(
-                    rep["within_walk_ceiling"],
-                    f"group ops above walk ceiling (p={p}, d={d})",
-                )
-
-    for p in (29, 101):
-        divisors = divisors_in_range(factorize(p - 1), 1, p - 1)
-        zp, mult, ec = _st_backends(p)
-        sweep(zp, divisors, lambda d: range(1, p))
-        n_random = 200 if deep else 10
+def _suite_reduction(rng: random.Random, deep: bool) -> None:
+    for p in (29, 101, 1009) if deep else (29, 101):
+        zp, mult, ec = _backends(p)
+        _sweep(zp, rng, None)
         for group in (mult, ec):
-            sweep(
-                group,
-                divisors,
-                lambda d: sorted({rng.randrange(1, p) for _ in range(n_random)}),
-            )
+            _sweep(group, rng, 200 if deep else 10)
     if deep:
-        p = 1009
-        divisors = divisors_in_range(factorize(p - 1), 1, p - 1)
-        sweep(make_zp_additive(p), divisors, lambda d: range(1, p))
-        mult, ec = _st_backends(p)[1:]
-        for group in (mult, ec):
-            sweep(
-                group,
-                divisors,
-                lambda d: sorted({rng.randrange(1, p) for _ in range(200)}),
-            )
-        p = 16381
-        divisors = divisors_in_range(factorize(p - 1), 1, p - 1)
-        sweep(make_zp_additive(p), divisors, lambda d: sorted({rng.randrange(1, p) for _ in range(30)}))
+        _sweep(make_zp_additive(16381), rng, 30)
 
 
-def _st_bounds(rng: random.Random, deep: bool) -> None:
-    db = bounds.load_database()
-    _check(len(db) == 33, "database does not hold 33 records")
-    rounds = 64
-    for rec in db:
-        _check(is_prime(rec.p, rounds=rounds), f"database p not prime: {rec.name}")
-        if rec.d is not None:
-            _check((rec.p - 1) % rec.d == 0, f"database d does not divide p-1: {rec.name}")
-    rows = bounds.table_rows(db)
-    for row in rows:
-        ok = row.verdict in (bounds.VERDICT_OK, bounds.VERDICT_NO_DATA)
-        if row.name == "SECT239K1":
-            _check(row.verdict == bounds.VERDICT_ANNOTATED, "SECT239K1 must grade as annotated")
-        else:
-            _check(ok, f"table row {row.name} grades {row.verdict}")
-    _check(bounds.rows_exit_code(rows) == 2, "full-table exit code != 2")
+def _suite_bounds(rng: random.Random, deep: bool) -> None:
+    invariants.check_database(bounds.load_database())
 
 
-def _st_generator_density(rng: random.Random, deep: bool) -> None:
-    trials = 10**4 if deep else 10**3
-    f = factorize(100)
-    stats: dict = {}
-    for i in range(trials):
-        find_generator(101, f, seed=rng.randrange(2**62), stats=stats)
-    rate = trials / stats["candidates"]
-    tol = 0.02 if deep else 0.05
-    _check(abs(rate - 0.40) <= tol, f"generator acceptance rate {rate:.3f} != 0.40 +- {tol}")
+def _suite_generator_density(rng: random.Random, deep: bool) -> None:
+    seeds = [rng.randrange(2**62) for _ in range(10**4 if deep else 10**3)]
+    invariants.check_generator_density(seeds, 0.02 if deep else 0.05)
 
 
 _SUITES = [
-    ("modmath", _st_modmath),
-    ("groups", _st_groups),
-    ("oracle", _st_oracle),
-    ("implicit", _st_implicit),
-    ("reduction", _st_reduction),
-    ("bounds", _st_bounds),
-    ("generator-density", _st_generator_density),
+    ("modmath", _suite_modmath),
+    ("groups", _suite_groups),
+    ("oracle", _suite_oracle),
+    ("implicit", _suite_implicit),
+    ("reduction", _suite_reduction),
+    ("bounds", _suite_bounds),
+    ("generator-density", _suite_generator_density),
 ]
 
 
@@ -520,7 +386,7 @@ def cmd_selftest(args) -> int:
         start = time.monotonic()
         try:
             suite(rng, deep)
-        except SelfTestFailure as exc:
+        except invariants.InvariantFailure as exc:
             print(f"{name}: FAIL: {exc}  [{time.monotonic() - start:.1f}s]")
             failed = True
             continue

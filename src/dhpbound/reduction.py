@@ -390,28 +390,23 @@ def ceil_log2(n: int) -> int:
 def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     """Measured costs of a run against the analytic ceilings.
 
-    Four ceilings are reported. The headline 2*ceil(log2 p)*(d1 + s2) form
-    treats each BSGS side as d1 (resp. s2) steps of at most 2*ceil(log2 p)
-    operations; a faithful sweep also pays for the giant strides past the
-    range boundary, so that form carries a slack allowance of 4*ceil(log2 p)
-    and its flag can honestly read False on an unlucky run. The sweep ceiling
-    prices every step the implementation can possibly take at that rate and
-    must always hold. The walk ceiling is the exact worst case of the four
-    walks as planned (window_plan, tables included, giant sides run to their
-    last point); it is recomputed from the transcript, must always hold, and
-    is never above what the same walks cost without windows. The tighter
-    2*(d1 + s2) form is the known-improvement M bound, reported for
-    comparison and not enforced on this implementation.
+    Two group-op ceilings are reported and must always hold. The sweep
+    ceiling prices every step the implementation can possibly take at
+    2*ceil(log2 p) operations, giant strides past the range boundary
+    included. The walk ceiling is the exact worst case of the four walks as
+    planned (window_plan, tables included, giant sides run to their last
+    point); it is recomputed from the transcript and is never above what the
+    same walks cost without windows. The tighter 2*(d1 + s2) form is the
+    known-improvement M bound, reported for comparison and not enforced on
+    this implementation.
     """
     d1, s2 = tr.params.d1, tr.params.s2
     m = (p - 1) // d
     calls_formula = oracle_calls_exact(d)
     lemma_call_bound = 0 if d == 1 else 2 * (d.bit_length() - 1)
-    cl2 = ceil_log2(p)
-    lemma_group_ceiling = 2 * cl2 * (d1 + s2)
-    slack = 4 * cl2
     sweep_steps = (-(-m // d1) + 1) + (-(-d // s2) + 1) + d1 + s2
-    sweep_ceiling = 2 * cl2 * sweep_steps
+    # implied by the walk ceiling, kept for perfbench workloads.check_reduction (within_sweep_ceiling)
+    sweep_ceiling = 2 * ceil_log2(p) * sweep_steps
     walks = (*phase1_walks(p, tr.params), *phase2_walks(p, tr.params, tr.j))
     plans = {name: window_plan(p, walk) for name, walk in zip(WALK_NAMES, walks)}
     walk_ceiling = sum(bill for _, bill in plans.values())
@@ -425,9 +420,6 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
         "oracle_calls_match_formula": tr.ledger.oracle_calls == calls_formula,
         "lemma_oracle_call_bound": lemma_call_bound,
         "within_lemma_oracle_bound": tr.ledger.oracle_calls <= lemma_call_bound,
-        "lemma_group_op_ceiling": lemma_group_ceiling,
-        "slack_allowance": slack,
-        "within_lemma_group_ceiling": tr.ledger.group_ops <= lemma_group_ceiling + slack,
         "kkm_group_op_bound": 2 * (d1 + s2),
         "sweep_group_op_ceiling": sweep_ceiling,
         "within_sweep_ceiling": tr.ledger.group_ops <= sweep_ceiling,

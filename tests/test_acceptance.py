@@ -5,7 +5,6 @@ per-run evidence for criteria 3 and 5, so it runs once as a module fixture.
 """
 
 import hashlib
-import math
 import random
 import time
 import warnings
@@ -14,22 +13,14 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import ACCEPTANCE_LINES, make_backend
-from dhpbound import bounds
+from dhpbound import bounds, invariants
 from dhpbound.cli import _markdown_table
 from dhpbound.groups import make_zp_additive
-from dhpbound.implicit import (
-    PowCallBoundWarning,
-    embed,
-    implicit_add,
-    implicit_inv,
-    implicit_mul,
-    implicit_pow,
-    implicit_scalar,
-    implicit_sub,
-)
-from dhpbound.modmath import divisors_in_range, factorize, is_prime, log2_approx
+from dhpbound.implicit import PowCallBoundWarning
+from dhpbound.invariants import InvariantFailure
+from dhpbound.modmath import divisors_in_range, factorize, log2_approx
 from dhpbound.oracle import OracleHandle
-from dhpbound.reduction import cost_report, find_generator, reduce_dlog
+from dhpbound.reduction import cost_report, reduce_dlog
 
 
 # sha256 over the sweep's per-run (j, u1, v1, t, u2, v2, i0, x, ledger) tuples;
@@ -243,75 +234,52 @@ def test_criterion_5_cost_ceilings(sweep):
     assert ok
 
 
+def outcome(check, *args):
+    """(what check returns, None) when the invariant holds, (None, its message) when it fails."""
+    try:
+        return check(*args), None
+    except InvariantFailure as exc:
+        return None, str(exc)
+
+
 def test_criterion_6_implicit_equals_direct():
-    p = 16381
-    group = make_zp_additive(p)
-    oracle = OracleHandle(group)
+    group = make_zp_additive(16381)
     rng = random.Random(0x1F1E1D)
-    bad = 0
-    samples = 1000
-    for _ in range(samples):
-        y, z = rng.randrange(p), rng.randrange(p)
-        a, b = embed(group, y), embed(group, z)
-        checks = [
-            (implicit_add(a, b), (y + z) % p),
-            (implicit_sub(a, b), (y - z) % p),
-        ]
-        c = rng.randrange(p)
-        checks.append((implicit_scalar(c, a), c * y % p))
-        checks.append((implicit_mul(oracle, a, b), y * z % p))
-        e = rng.randrange(1, p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PowCallBoundWarning)
-            checks.append((implicit_pow(oracle, a, e), pow(y, e, p)))
-            if y != 0:
-                checks.append((implicit_inv(oracle, a), pow(y, p - 2, p)))
-        for got, want in checks:
-            if not group.eq(got.image, embed(group, want).image):
-                bad += 1
-    ok = bad == 0
+    _, failure = outcome(invariants.check_implicit_field_ops, group, OracleHandle(group), rng, 1000)
     record(
         "criterion 6",
-        ok,
-        f"add/sub/scalar/mul/pow/inv at p=16381: {samples} samples per op, "
-        f"{bad} mismatches against direct F_p arithmetic",
+        failure is None,
+        "add/sub/scalar/mul/pow/inv at p=16381: 1000 samples per op, "
+        + (failure or "0 mismatches against direct F_p arithmetic"),
     )
-    assert ok
+    assert failure is None, failure
 
 
 def test_criterion_7_database_integrity():
     db = bounds.load_database()
-    ok = len(db) == 33
-    composite = [r.name for r in db if not is_prime(r.p, rounds=64)]
-    nondividing = [r.name for r in db if r.d is not None and (r.p - 1) % r.d != 0]
-    ok = ok and not composite and not nondividing
+    _, failure = outcome(invariants.check_database, db)
     p224 = next(r for r in db if r.name == "SECP224K1")
-    ok = ok and p224.d is None and p224.expected_log2_sqrt_p is None
+    ok = failure is None and p224.d is None and p224.expected_log2_sqrt_p is None
     marker = next(r for r in bounds.table_rows(db) if r.name == "SECP224K1")
     dash_line = _markdown_table([marker], diff=False)[2]
     ok = ok and dash_line.startswith("| SECP224K1 | - | - | - | - |")
     record(
         "criterion 7",
         ok,
-        "33 records: all p pass 64-round primality, every stored d divides p-1, "
+        failure
+        or "33 records: all p pass 64-round primality, every stored d divides p-1, "
         "SECP224K1 carries no d and renders as the dash row",
     )
     assert ok
 
 
 def test_criterion_8_generator_density():
-    trials = 10**4
-    f = factorize(100)
-    stats: dict = {}
-    for seed in range(trials):
-        find_generator(101, f, seed, stats=stats)
-    rate = trials / stats["candidates"]
-    floor_bound = 1.0 / (6.0 * math.log(math.log(100)))
-    ok = abs(rate - 0.40) <= 0.02 and rate > floor_bound
+    rate_and_floor, failure = outcome(invariants.check_generator_density, range(10**4), 0.02)
     record(
         "criterion 8",
-        ok,
-        f"find_generator acceptance rate {rate:.4f} at p=101 over 10^4 seeded trials "
-        f"(target 0.40 +- 0.02), above the density floor {floor_bound:.4f}",
+        failure is None,
+        failure
+        or "find_generator acceptance rate %.4f at p=101 over 10^4 seeded trials "
+        "(target 0.40 +- 0.02), above the density floor %.4f" % rate_and_floor,
     )
-    assert ok
+    assert failure is None, failure

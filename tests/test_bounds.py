@@ -20,6 +20,7 @@ from dhpbound.bounds import (
     t_dh,
     table_rows,
 )
+from dhpbound.invariants import check_database
 from dhpbound.modmath import (
     Factorization,
     IncompleteFactorizationError,
@@ -126,10 +127,7 @@ def test_database_shape(db):
 
 
 def test_database_integrity(db):
-    for r in db:
-        assert is_prime(r.p, rounds=64), r.name
-        if r.d is not None:
-            assert (r.p - 1) % r.d == 0, r.name
+    check_database(db)
 
 
 def test_database_annotations(db):

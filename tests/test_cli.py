@@ -2,9 +2,11 @@
 
 import json
 import math
+import re
 
 import pytest
 
+from dhpbound import invariants
 from dhpbound.bounds import (
     log2_approx,
     oracle_calls_exact,
@@ -300,15 +302,23 @@ def test_divisors_database_cross_reference(capsys):
     assert "policy suggestion (paper): d=140876" in out
 
 
-def test_divisors_rejects_composite(capsys):
-    code, _, err = run(capsys, "divisors", "--p", "100")
-    assert code == 1
-    assert "not prime" in err
+# reduce and divisors refuse a bad p through the same check, with the same message
+P_CHECKED = pytest.mark.parametrize(
+    "argv", [["divisors"], ["reduce", "--d", "1", "--x", "1"]], ids=["divisors", "reduce"]
+)
 
 
-def test_divisors_rejects_p_below_3(capsys):
-    code, _, err = run(capsys, "divisors", "--p", "2")
-    assert code == 1
+@P_CHECKED
+def test_divisors_rejects_composite(capsys, argv):
+    code, out, err = run(capsys, *argv, "--p", "100")
+    assert code == 1 and out == ""
+    assert err == "error: p=100 is not prime\n"
+
+
+@P_CHECKED
+def test_divisors_rejects_p_below_3(capsys, argv):
+    code, out, err = run(capsys, *argv, "--p", "2")
+    assert code == 1 and out == ""
     assert err == "error: p must be a prime >= 3, got 2\n"
 
 
@@ -332,12 +342,28 @@ def test_divisors_skips_invalid_db(tmp_path, capsys):
 # -------------------------------------------------------------- selftest
 
 
+SUITES = ["modmath", "groups", "oracle", "implicit", "reduction", "bounds", "generator-density"]
+
+
 def test_selftest_quick_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--depth", "quick")
     assert code == 0
-    lines = [l for l in out.strip().splitlines() if ": ok" in l]
-    assert len(lines) == 7
-    assert "FAIL" not in out
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == SUITES
+    assert all(re.fullmatch(r"[a-z-]+: ok  \[\d+\.\ds\]", line) for line in lines), out
+
+
+def test_selftest_reports_a_failing_suite(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise invariants.InvariantFailure("boom")
+
+    monkeypatch.setattr(invariants, "check_dh", boom)
+    code, out, _ = run(capsys, "selftest", "--depth", "quick")
+    assert code == 1
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert list(lines) == SUITES
+    assert re.fullmatch(r"FAIL: boom  \[\d+\.\ds\]", lines.pop("oracle"))
+    assert all(status.startswith("ok  [") for status in lines.values())
 
 
 # ----------------------------------------------------------- usage errors

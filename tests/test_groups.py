@@ -25,6 +25,7 @@ from dhpbound.groups import (
     make_zp_additive,
     scalar_mul_cost,
 )
+from dhpbound.invariants import check_encode, check_group_laws
 
 BACKENDS = ("zp", "mult", "ec")
 
@@ -75,15 +76,7 @@ def test_ec_construction_errors():
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_group_axioms_sampled(kind):
-    g = make_backend(kind, 101)
-    rng = random.Random(20101)
-    pts = [g.scalar_mul(rng.randrange(0, 101), g.generator) for _ in range(40)]
-    for _ in range(1000):
-        a, b, c = (rng.choice(pts) for _ in range(3))
-        assert g.eq(g.add(g.add(a, b), c), g.add(a, g.add(b, c)))
-        assert g.eq(g.add(a, b), g.add(b, a))
-        assert g.eq(g.add(a, g.identity), a)
-        assert g.eq(g.add(a, g.negate(a)), g.identity)
+    check_group_laws(make_backend(kind, 101), random.Random(20101), points=40, rounds=1000)
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -102,14 +95,7 @@ def test_scalar_mul_distributes(kind):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_encode_injective_and_matches_eq(kind):
-    g = make_backend(kind, 101)
-    pts = [g.scalar_mul(k, g.generator) for k in range(101)]
-    encodings = {g.encode(pt) for pt in pts}
-    assert len(encodings) == 101  # distinct points, distinct encodings
-    rng = random.Random(20103)
-    for _ in range(300):
-        a, b = rng.choice(pts), rng.choice(pts)
-        assert g.eq(a, b) == (g.encode(a) == g.encode(b))
+    check_encode(make_backend(kind, 101), random.Random(20103), pairs=300)
 
 
 def test_encode_layout():

@@ -14,6 +14,7 @@ from dhpbound.modmath import (
     is_prime,
     log2_approx,
 )
+from dhpbound.invariants import check_factorize_sample, check_is_prime_small
 
 # order of the subgroup behind the smallest prime-field record in the database
 P112 = 4451685225093714776491891542548933
@@ -31,13 +32,7 @@ def test_is_prime_known_values():
 
 
 def test_is_prime_matches_trial_division_small():
-    def trial(n):
-        if n < 2:
-            return False
-        return all(n % i for i in range(2, math.isqrt(n) + 1))
-
-    for n in range(0, 2000):
-        assert is_prime(n) == trial(n), n
+    check_is_prime_small(2000)
 
 
 def test_is_prime_large_probabilistic_path():
@@ -61,14 +56,7 @@ def test_factorize_small_complete():
 
 
 def test_factorize_exhaustive_reconstruction_sample():
-    rng = random.Random(4242)
-    for _ in range(10**4):
-        n = rng.randrange(2, 2**20)
-        f = factorize(n)
-        assert f.complete
-        assert f.value == n
-        for prime, _ in f.factors:
-            assert is_prime(prime)
+    check_factorize_sample(random.Random(4242), samples=10**4, limit=2**20)
 
 
 def test_factorize_two_30bit_primes():
