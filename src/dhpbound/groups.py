@@ -104,6 +104,12 @@ class CyclicGroup:
     def __init__(self, order: int):
         self.order = order
         self._generator_tables: dict = {}  # window w -> _raw_fixed_base on the generator, reused across runs
+        # phase-1 divisor d -> (giant stride g, encoded keys of g^u * generator
+        # for u = 1, 2, ..., as far as a run has probed): at most one sequence
+        # per d, never longer than its walk, replaced when a run's generator
+        # gives another stride. Runs read their giant keys from it; the ledger
+        # still bills every point and table as if it were recomputed.
+        self._giant_keys: dict = {}
 
     # -- raw laws supplied by the backend (operate on .data) --------------
 

@@ -27,8 +27,12 @@ addition per nonzero w-bit digit of k past the first. window_plan picks w
 per walk from the exact number of points (the most a giant side can take),
 and w = 0 keeps the plain double-and-add walk when no table is cheaper. The
 ledger is charged exactly that, tables in full on every run, whatever the
-backend does underneath. The final verification is a self-check, not part of
-the algorithm, and is left off the books.
+backend does underneath. Phase 1's giant side visits (zeta^d1)^u1 * P, which
+depends on the group and that stride alone, never on Q, so the group keeps
+its encoded keys per d as far as any run probed, and later runs read them
+back instead of evaluating them; each such point is still billed its digits.
+The final verification is a self-check, not part of the algorithm, and is
+left off the books.
 """
 
 from __future__ import annotations
@@ -222,7 +226,13 @@ def window_plan(p: int, walk: Walk) -> tuple[int, int]:
     return (0 if window is None else window[1]), bill
 
 
-def _walk(group: CyclicGroup, ledger: CostLedger | None, base: ImplicitFieldElement, walk: Walk):
+def _walk(
+    group: CyclicGroup,
+    ledger: CostLedger | None,
+    base: ImplicitFieldElement,
+    walk: Walk,
+    keys: list | None = None,
+):
     """Start, key and step of one BSGS side over k*base, for bsgs_table and bsgs_probe.
 
     Under window_plan's w = 0 the state is the implicit element and each step
@@ -231,6 +241,13 @@ def _walk(group: CyclicGroup, ledger: CostLedger | None, base: ImplicitFieldElem
     through the group's fixed-base hook, on columns built with implicit_scalar.
     The table is charged in full on every walk, also when the generator's is
     reused from an earlier run, so the ledger is what the generic path performs.
+
+    keys, if given, holds the encoded keys of the walk's first len(keys)
+    points in order, from earlier runs of the same walk; the plain walk
+    ignores it. A windowed walk's state is then (i, k) for its i-th point: a
+    key within the list is read from it, the next one is evaluated and
+    appended, so the list never grows past the last point a probe reached.
+    Each point is charged as above, whether its key was read or evaluated.
     """
     p = group.order
     _, window = _plan(p, walk)
@@ -250,12 +267,21 @@ def _walk(group: CyclicGroup, ledger: CostLedger | None, base: ImplicitFieldElem
             columns.append(column.image.data)
         times = cache[w] = group._raw_fixed_base(columns, w)
     encode = group.encode
+    if keys is None:
+        def key(k):
+            ledger.group_ops += (((k & low) + low | k) & high).bit_count() - 1
+            return encode(GroupPoint(group, times(k)))
 
-    def key(k):
+        return walk.k0, key, (lambda k, c: k * c % p)
+
+    def cached_key(state):
+        i, k = state
         ledger.group_ops += (((k & low) + low | k) & high).bit_count() - 1
-        return encode(GroupPoint(group, times(k)))
+        if i == len(keys):
+            keys.append(encode(GroupPoint(group, times(k))))
+        return keys[i]
 
-    return walk.k0, key, (lambda k, c: k * c % p)
+    return (0, walk.k0), cached_key, (lambda s, c: (s[0] + 1, s[1] * c % p))
 
 
 def phase1_find_j(
@@ -280,7 +306,12 @@ def phase1_find_j(
     table = bsgs_table(key, step, start, baby.stride, baby.points)
     if ledger is not None:
         ledger.charge_table_entries(baby.points)
-    start, key, step = _walk(group, ledger, ImplicitFieldElement(group.generator), giant)
+    # the giant side depends on the group and its stride alone, never on Q
+    stride, keys = group._giant_keys.get(params.d, (None, None))
+    if stride != giant.stride:
+        keys = []
+        group._giant_keys[params.d] = (giant.stride, keys)
+    start, key, step = _walk(group, ledger, ImplicitFieldElement(group.generator), giant, keys)
     hit = bsgs_probe(
         table, key, step, start, giant.stride,
         range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m,
@@ -397,8 +428,12 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     planned (window_plan, tables included, giant sides run to their last
     point); it is recomputed from the transcript and is never above what the
     same walks cost without windows. The tighter 2*(d1 + s2) form is the
-    known-improvement M bound, reported for comparison and not enforced on
-    this implementation.
+    known-improvement M bound, reported for comparison and not enforced: it
+    prices each step at one group operation, and a fixed-base walk gets down
+    to one addition per point only with two columns, that is with tables of
+    about sqrt(p) entries. So M is out of reach for this method:
+    kkm_group_op_bound stays reported but unenforced, and the walk ceiling,
+    the planner's optimum, is the bound every run is held to.
     """
     d1, s2 = tr.params.d1, tr.params.s2
     m = (p - 1) // d

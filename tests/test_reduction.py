@@ -38,6 +38,7 @@ from dhpbound.reduction import (
     find_generator,
     generator_try_budget,
     phase1_find_j,
+    phase1_walks,
     reduce_dlog,
     window_plan,
 )
@@ -345,11 +346,11 @@ def nonzero_digits(k: int, w: int) -> int:
     return count
 
 
-def run_walk(group, base_x: int, walk: Walk):
+def run_walk(group, base_x: int, walk: Walk, keys: list | None = None):
     """Run every point of a walk on the image of base_x: (w, its bill, its table)."""
     ledger = CostLedger()
     base = ImplicitFieldElement(group.scalar_mul(base_x, group.generator))
-    start, key, step = _walk(group, ledger, base, walk)
+    start, key, step = _walk(group, ledger, base, walk, keys)
     table = bsgs_table(key, step, start, walk.stride, walk.points)
     return window_plan(group.order, walk)[0], ledger.group_ops, table
 
@@ -388,6 +389,23 @@ def test_walk_bill_equals_formula(kind, p):
     assert seen == {True, False}  # both the windowed and the plain walk ran
 
 
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_walk_keys_read_from_a_list_bill_and_match_like_evaluated_ones(kind):
+    p = 1009
+    group = make_backend(kind, p)
+    rng = random.Random(kind)
+    for _ in range(40):
+        stride = rng.randrange(2, p)
+        walk = Walk(stride, stride, rng.randrange(2, 60))
+        w, bill, table = run_walk(group, 1, walk)
+        keys = []
+        assert run_walk(group, 1, walk, keys) == (w, bill, table)  # fills the list
+        assert len(keys) == (walk.points if w else 0)  # the plain walk leaves it alone
+        filled = list(keys)
+        assert run_walk(group, 1, walk, keys) == (w, bill, table)  # reads every key from it
+        assert keys == filled
+
+
 @pytest.mark.parametrize("p", [101, 1009])
 def test_baby_side_never_billed_above_plain_walk(p):
     group = make_zp_additive(p)
@@ -399,18 +417,114 @@ def test_baby_side_never_billed_above_plain_walk(p):
             assert bill <= (points - 1) * scalar_mul_cost(stride), (stride, points)
 
 
+def count_encodes(group) -> list[int]:
+    """Wrap this group instance's encode; the returned one-element list counts its calls."""
+    calls, encode = [0], group.encode
+
+    def counted(a):
+        calls[0] += 1
+        return encode(a)
+
+    group.encode = counted
+    return calls
+
+
+def run_quietly(group, handle, x: int, d: int, seed: int):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowCallBoundWarning)
+        return reduce_dlog(group, handle, group.scalar_mul(x, group.generator), d, seed=seed)
+
+
+def giant_is_windowed(tr) -> bool:
+    return window_plan(tr.p, phase1_walks(tr.p, tr.params)[1])[0] > 0
+
+
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
 def test_cached_generator_tables_bill_like_a_fresh_group(kind):
     reused = make_backend(kind, 1009)
     oracle = OracleHandle(reused)
+    reused_encodes = count_encodes(reused)
     rng = random.Random(1009)
+    repeats_read_keys = 0
     for d in (1, 4, 12, 63, 336, 1008):
         for x in rng.sample(range(1, 1009), 3):
             fresh = make_backend(kind, 1009)
-            runs = []
-            for group, handle in ((reused, oracle), (fresh, OracleHandle(fresh))):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", PowCallBoundWarning)
-                    runs.append(reduce_dlog(group, handle, group.scalar_mul(x, group.generator), d, seed=x))
-            assert runs[0].to_dict() == runs[1].to_dict()
+            fresh_encodes = count_encodes(fresh)
+            runs, encodes = [], []
+            # reused, fresh, then reused again on the same seed, whose giant keys are cached
+            for group, handle, calls in (
+                (reused, oracle, reused_encodes),
+                (fresh, OracleHandle(fresh), fresh_encodes),
+                (reused, oracle, reused_encodes),
+            ):
+                before = calls[0]
+                runs.append(run_quietly(group, handle, x, d, seed=x))
+                encodes.append(calls[0] - before)
+            assert runs[0].to_dict() == runs[1].to_dict() == runs[2].to_dict()
+            if giant_is_windowed(runs[2]):
+                # the repeat read all u1 giant keys from the cache and evaluated the rest
+                assert encodes[2] == encodes[1] - runs[2].u1
+                repeats_read_keys += 1
+            else:
+                assert encodes[2] == encodes[1]
     assert reused._generator_tables  # later runs took their giant-side tables from the cache
+    assert repeats_read_keys >= 12
+
+
+GIANT_KEY_CASES = [(kind, 1009, None) for kind in ("zp", "mult", "ec")] + [("ec", 16381, (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("kind,p,ds", GIANT_KEY_CASES, ids=["zp-1009", "mult-1009", "ec-1009", "ec-16381"])
+def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
+    reused = make_backend(kind, p)
+    oracle = OracleHandle(reused)
+    rng = random.Random(f"{kind}:{p}")
+    extended = hit = 0
+    for d in ds or all_divisors(p):
+        # each x's u1 on a fresh group; the runs below go middle, highest,
+        # lowest: they fill the cache, extend it past its end, then hit it
+        fresh = {}
+        for x in rng.sample(range(1, p), 6):
+            group = make_backend(kind, p)
+            fresh[x] = run_quietly(group, OracleHandle(group), x, d, seed=0)
+        by_u1 = sorted(fresh, key=lambda x: fresh[x].u1)
+        reach = 0
+        for x in (by_u1[2], by_u1[5], by_u1[0], by_u1[3], by_u1[1], by_u1[4]):
+            tr = run_quietly(reused, oracle, x, d, seed=0)
+            assert tr.to_dict() == fresh[x].to_dict()
+            stride, keys = reused._giant_keys[d]
+            if not giant_is_windowed(tr):
+                assert keys == []
+                continue
+            extended += 0 < reach < tr.u1
+            hit += tr.u1 <= reach
+            reach = max(reach, tr.u1)
+            assert stride == phase1_walks(p, tr.params)[1].stride
+            assert len(keys) == reach  # never past the furthest point a probe reached
+    assert extended and hit
+
+
+def test_giant_key_cache_is_bounded_by_the_group():
+    p, ds = 1009, (4, 12, 28, 63)
+    group = make_backend("mult", p)
+    oracle = OracleHandle(group)
+    xs = random.Random(p).sample(range(1, p), 25)
+    strides = []
+    for seed in (0, 1):
+        lengths = []
+        for _ in range(3):
+            reach, giants = dict.fromkeys(ds, 0), {}
+            for d in ds:
+                for x in xs:
+                    tr = run_quietly(group, oracle, x, d, seed)
+                    reach[d] = max(reach[d], tr.u1)
+                giants[d] = phase1_walks(p, tr.params)[1]
+            assert set(group._giant_keys) == set(ds)  # one sequence per divisor
+            for d in ds:
+                stride, keys = group._giant_keys[d]
+                assert stride == giants[d].stride  # this seed's, not the other seed's
+                assert len(keys) == reach[d] <= giants[d].points
+            lengths.append({d: len(group._giant_keys[d][1]) for d in ds})
+        assert lengths[0] == lengths[1] == lengths[2]  # more runs of the same (d, seed) add nothing
+        strides.append({d: group._giant_keys[d][0] for d in ds})
+    assert all(strides[0][d] != strides[1][d] for d in ds)  # the second seed replaced every sequence
