@@ -29,7 +29,7 @@ from .modmath import (
     icbrt,
     log2_approx,
 )
-from .reduction import InvalidDivisorError, oracle_calls_exact
+from .reduction import InvalidDivisorError, oracle_calls_exact, reduction_ops_bound
 
 # row verdict tiers, in increasing severity
 VERDICT_OK = "ok"
@@ -79,11 +79,10 @@ class BoundRow:
     annotations: tuple[str, ...] = ()
 
 
-def reduction_ops_bound(p: int, d: int) -> int:
-    """Group operations for the two BSGS walks: M = 2*(isqrt((p-1)/d) + isqrt(d))."""
-    if d < 1 or (p - 1) % d != 0:
-        raise InvalidDivisorError(f"d={d} does not divide p-1={p - 1}")
-    return 2 * (isqrt((p - 1) // d) + isqrt(d))
+def paper_band(p: int) -> tuple[int, int]:
+    """The paper's divisor range [ceil(cbrt p), isqrt p]; empty (lo > hi) for tiny p."""
+    lo = icbrt(p)
+    return lo + (lo**3 < p), isqrt(p)
 
 
 def t_dh(p: int, n: int) -> float:
@@ -199,10 +198,7 @@ def suggest_divisor(p: int, factors: Factorization, policy: str = "paper") -> in
     if not factors.complete:
         raise IncompleteFactorizationError("divisor suggestion needs p-1 fully factored")
     if policy == "paper":
-        lo = icbrt(p)
-        if lo**3 < p:
-            lo += 1
-        hi = isqrt(p)
+        lo, hi = paper_band(p)
         if lo <= hi:
             in_range = divisors_in_range(factors, lo, hi)
             if in_range:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -29,7 +28,7 @@ from .groups import (
     make_zp_additive,
 )
 from .implicit import PowCallBoundWarning
-from .modmath import factorize, icbrt, is_prime, log2_approx
+from .modmath import factorize, is_prime, log2_approx
 from .oracle import OracleHandle
 from .reduction import (
     WALK_NAMES,
@@ -271,10 +270,7 @@ def cmd_divisors(args) -> int:
     print(f"p-1 factorization [{status}]: {_factor_string(f)}")
     if not f.complete:
         print(f"  unfactored composite cofactor: {f.cofactor} ({f.cofactor.bit_length()} bits)")
-    lo = icbrt(p)
-    if lo**3 < p:
-        lo += 1
-    hi = math.isqrt(p)
+    lo, hi = bounds.paper_band(p)
     if f.complete:
         band = bounds.divisors_in_range(f, lo, hi) if lo <= hi else []
         shown = ", ".join(str(d) for d in band[:32]) or "(none)"

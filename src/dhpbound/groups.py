@@ -14,6 +14,11 @@ The fixed-base hook (_raw_fixed_base) follows the same rule: a caller bills
 what the generic windowed path performs -- the table, then one addition per
 nonzero window digit of k past the first. F_q^x and EC build and read that
 table; only Z_p hands back its one-operation product and builds none.
+
+Baby-step giant-step runs on key iterators, one lazy key per point a side
+visits: bsgs_table pulls the keys it stores, bsgs_probe one per giant step
+and none after an accepted match, so a walk billed per pull pays for exactly
+the points used. orbit is the raw walk behind the simulated oracle.
 """
 
 from __future__ import annotations
@@ -450,32 +455,31 @@ def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:
     raise RuntimeError(f"BSGS failed on order {g.order}: generator does not generate Q")
 
 
-def bsgs_table(key, step, point, stride, size: int) -> dict:
-    """Baby steps: key(point after v steps) -> v for v in range(size), smallest v kept.
+def orbit(add, point, stride):
+    """point, add(point, stride), ... lazily: n pulls make n - 1 additions."""
+    while True:
+        yield point
+        point = add(point, stride)
 
-    step(point, stride) runs size - 1 times: a charged walk pays only for what it stores.
-    """
+
+def bsgs_table(keys, size: int) -> dict:
+    """Baby steps: the v-th key -> v for v < size, smallest v kept; pulls exactly size keys."""
     table = {}
-    for v in range(size):
-        if v:
-            point = step(point, stride)
-        table.setdefault(key(point), v)
+    for v, key in zip(range(size), keys):  # range first: zip stops before pulling key size + 1
+        table.setdefault(key, v)
     return table
 
 
-def bsgs_probe(table, key, step, point, stride, us: range, accept):
-    """Giant steps: the first (u, v) with table[key(point at u)] = v and accept(u, v), or None.
+def bsgs_probe(table, keys, us, accept):
+    """Giant steps: the first (u, v) with table[key at u] = v and accept(u, v), or None.
 
-    point is the walk at u = us[0]; each later u is one step(point, stride) on,
-    taken only after the previous u found no accepted match.
+    keys yields the giant side's key at us[0], us[1], ...; one is pulled per u,
+    and none after an accepted match or past the last u.
     """
-    last = us[-1]
-    for u in us:
-        v = table.get(key(point))
+    for u, key in zip(us, keys):  # us first: a miss pulls exactly len(us) keys
+        v = table.get(key)
         if v is not None and accept(u, v):
             return u, v
-        if u != last:
-            point = step(point, stride)
     return None
 
 

@@ -124,8 +124,8 @@ def check_reduction(
     """One full recovery of x with every transcript invariant; returns the transcript.
 
     x is recovered, the matches lie in range and reassemble i0, oracle calls
-    equal floor(log2 d) + popcount(d), and group ops stay under both the
-    sweep ceiling and the planned walk ceiling.
+    equal floor(log2 d) + popcount(d), group ops stay under the sweep and walk
+    ceilings, and the reported M bound is 2*(d1 + s2) of the run's own split.
     """
     p = group.order
     where = f"(p={p}, d={d})"
@@ -149,6 +149,8 @@ def check_reduction(
     )
     _check(rep["within_sweep_ceiling"], f"group ops above sweep ceiling {where}")
     _check(rep["within_walk_ceiling"], f"group ops above walk ceiling {where}")
+    m_bound = 2 * (tr.params.d1 + tr.params.s2)
+    _check(rep["kkm_group_op_bound"] == m_bound, f"M bound != 2*(d1 + s2) = {m_bound} {where}")
     return tr
 
 

@@ -35,6 +35,7 @@ from .groups import (
     ZpAdditiveGroup,
     bsgs_probe,
     bsgs_table,
+    orbit,
 )
 
 
@@ -91,11 +92,12 @@ class OracleHandle:
         if known is not None:
             return known
         if self._baby_table is None:  # one baby table per handle, shared by every call
-            self._baby_table = bsgs_table(attrgetter("data"), g.add, g.identity, g.generator, m)
+            babies = map(attrgetter("data"), orbit(g.add, g.identity, g.generator))
+            self._baby_table = bsgs_table(babies, m)
             self._giant_step = g.negate(g.scalar_mul(m, g.generator)).data
             self.solver_steps += m - 1
         hit = bsgs_probe(  # raw data is canonical and hashable; every match u*m + r is the dlog
-            self._baby_table, lambda a: a, g._raw_add, A.data, self._giant_step, range(m + 1),
+            self._baby_table, orbit(g._raw_add, A.data, self._giant_step), range(m + 1),
             lambda u, r: True,
         )
         if hit is None:

@@ -18,19 +18,20 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
 4. Recombine: i0 = m*t + j, x = zeta0^i0 mod p, verified against Q before
    returning.
 
-Every point a walk visits is k * base for a base fixed per walk (x^d P, Q or
-P) and a multiplier k the walk knows explicitly, k <- k * stride mod p per
-step. So each walk runs on a fixed-base table in the manner of
+Both phases are one collision search. Each side visits k * base for a base
+fixed per walk (x^d P, Q or P) and a multiplier k the walk knows, k <- k *
+stride mod p per step; _walk yields its encoded keys and bills each point as
+it is pulled, and groups.bsgs_table/bsgs_probe pull only the points the
+search uses. A walk runs on a fixed-base table in the manner of
 Kozaki-Kutsuma-Matsuo's refinement of Cheon's algorithm: columns 2^(wj) *
 base built with implicit_scalar, 2^w - 2 row multiples per column, then one
 addition per nonzero w-bit digit of k past the first. window_plan picks w
-per walk from the exact number of points (the most a giant side can take),
-and w = 0 keeps the plain double-and-add walk when no table is cheaper. The
-ledger is charged exactly that, tables in full on every run, whatever the
-backend does underneath. Phase 1's giant side visits (zeta^d1)^u1 * P, which
-depends on the group and that stride alone, never on Q, so the group keeps
-its encoded keys per d as far as any run probed, and later runs read them
-back instead of evaluating them; each such point is still billed its digits.
+per walk from its exact number of points, and w = 0 keeps the plain
+double-and-add walk when no table is cheaper. The ledger is charged exactly
+that, tables in full on every run, whatever the backend does underneath.
+Phase 1's giant side visits (zeta^d1)^u1 * P, which depends on the group and
+that stride alone, never on Q, so the group keeps its keys per d as far as
+any run pulled, and later runs read them back; each is still billed.
 The final verification is a self-check, not part of the algorithm, and is
 left off the books.
 """
@@ -38,6 +39,7 @@ left off the books.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -228,34 +230,30 @@ def window_plan(p: int, walk: Walk) -> tuple[int, int]:
 
 def _walk(
     group: CyclicGroup,
-    ledger: CostLedger | None,
+    ledger: CostLedger,
     base: ImplicitFieldElement,
     walk: Walk,
     keys: list | None = None,
 ):
-    """Start, key and step of one BSGS side over k*base, for bsgs_table and bsgs_probe.
+    """Generator of the encoded keys of k*base, k = k0*stride^i mod p, billed per pull.
 
-    Under window_plan's w = 0 the state is the implicit element and each step
-    is an implicit_scalar by the stride. Otherwise the state is the known
-    multiplier k: a step sets k <- k*stride mod p, and the key evaluates k*base
-    through the group's fixed-base hook, on columns built with implicit_scalar.
-    The table is charged in full on every walk, also when the generator's is
-    reused from an earlier run, so the ledger is what the generic path performs.
-
-    keys, if given, holds the encoded keys of the walk's first len(keys)
-    points in order, from earlier runs of the same walk; the plain walk
-    ignores it. A windowed walk's state is then (i, k) for its i-th point: a
-    key within the list is read from it, the next one is evaluated and
-    appended, so the list never grows past the last point a probe reached.
-    Each point is charged as above, whether its key was read or evaluated.
+    Under window_plan's w = 0 each point is an implicit_scalar by the stride
+    of the last (the first by k0 of base). Otherwise k*base is read off the
+    group's fixed-base hook, on columns built with implicit_scalar: the first
+    pull charges the table in full, also when the generator's is reused, and
+    each point its nonzero digits - 1, as the generic path performs. The
+    windowed walk reads key i from keys when the list reaches that far, else
+    evaluates and appends it, so a list kept across runs never grows past the
+    last point pulled; the plain walk ignores it.
     """
     p = group.order
     _, window = _plan(p, walk)
+    encode = group.encode
     if window is None:
-        start = base if walk.k0 == 1 else implicit_scalar(walk.k0, base, ledger)
-        return start, (lambda e: group.encode(e.image)), (lambda e, c: implicit_scalar(c, e, ledger))
-    if ledger is None:
-        ledger = CostLedger()
+        point = base if walk.k0 == 1 else implicit_scalar(walk.k0, base, ledger)
+        while True:
+            yield encode(point.image)
+            point = implicit_scalar(walk.stride, point, ledger)
     _, w, cols, table, low, high = window
     ledger.charge_group_ops(table)
     cache = group._generator_tables if base.image.data == group.generator.data else {}
@@ -266,22 +264,29 @@ def _walk(
             column = implicit_scalar(1 << w, column)
             columns.append(column.image.data)
         times = cache[w] = group._raw_fixed_base(columns, w)
-    encode = group.encode
-    if keys is None:
-        def key(k):
-            ledger.group_ops += (((k & low) + low | k) & high).bit_count() - 1
-            return encode(GroupPoint(group, times(k)))
-
-        return walk.k0, key, (lambda k, c: k * c % p)
-
-    def cached_key(state):
-        i, k = state
+    keys = [] if keys is None else keys
+    k, stride = walk.k0, walk.stride
+    for i in itertools.count():
         ledger.group_ops += (((k & low) + low | k) & high).bit_count() - 1
         if i == len(keys):
             keys.append(encode(GroupPoint(group, times(k))))
-        return keys[i]
+        yield keys[i]
+        k = k * stride % p
 
-    return (0, walk.k0), cached_key, (lambda s, c: (s[0] + 1, s[1] * c % p))
+
+def _collide(
+    group: CyclicGroup, oracle: OracleHandle, base: ImplicitFieldElement,
+    baby: Walk, giant: Walk, us: range, accept, keys: list | None = None,
+) -> tuple[int, int] | None:
+    """First accepted (u, v) where the giant walk on P meets the baby walk on base, else None.
+
+    Billed to the oracle's ledger, or to a throwaway one when it is detached.
+    """
+    ledger = CostLedger() if oracle.ledger is None else oracle.ledger
+    table = bsgs_table(_walk(group, ledger, base, baby), baby.points)
+    ledger.charge_table_entries(baby.points)
+    giants = _walk(group, ledger, ImplicitFieldElement(group.generator), giant, keys)
+    return bsgs_probe(table, giants, us, accept)
 
 
 def phase1_find_j(
@@ -297,24 +302,18 @@ def phase1_find_j(
     j = u1*d1 - v1 falls outside [1, m] are collisions from wrapped exponents
     (possible only in degenerate splits); the sweep continues past them.
     """
-    ledger = oracle.ledger
     p = group.order
     m = (p - 1) // params.d
     d1 = params.d1
     baby, giant = phase1_walks(p, params)
-    start, key, step = _walk(group, ledger, q_pow_d, baby)
-    table = bsgs_table(key, step, start, baby.stride, baby.points)
-    if ledger is not None:
-        ledger.charge_table_entries(baby.points)
     # the giant side depends on the group and its stride alone, never on Q
     stride, keys = group._giant_keys.get(params.d, (None, None))
     if stride != giant.stride:
         keys = []
         group._giant_keys[params.d] = (giant.stride, keys)
-    start, key, step = _walk(group, ledger, ImplicitFieldElement(group.generator), giant, keys)
-    hit = bsgs_probe(
-        table, key, step, start, giant.stride,
-        range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m,
+    hit = _collide(
+        group, oracle, q_pow_d, baby, giant,
+        range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m, keys,
     )
     if hit is None:
         raise InternalInconsistencyError(
@@ -337,18 +336,10 @@ def phase2_find_t(
     zeta0^j and walks (zeta0^(m*s2))^u2 for u2 = 0..ceil(d/s2)+1. Every
     scaling constant is an explicit field element, so no oracle calls occur.
     """
-    ledger = oracle.ledger
-    p = group.order
-    d = params.d
-    s2 = params.s2
-    baby, giant = phase2_walks(p, params, j)
-    start, key, step = _walk(group, ledger, ImplicitFieldElement(Q), baby)
-    table = bsgs_table(key, step, start, baby.stride, baby.points)
-    if ledger is not None:
-        ledger.charge_table_entries(baby.points)
-    start, key, step = _walk(group, ledger, ImplicitFieldElement(group.generator), giant)
-    hit = bsgs_probe(
-        table, key, step, start, giant.stride,
+    d, s2 = params.d, params.s2
+    baby, giant = phase2_walks(group.order, params, j)
+    hit = _collide(
+        group, oracle, ImplicitFieldElement(Q), baby, giant,
         range(giant.points), lambda u2, v2: 0 <= u2 * s2 - v2 < d,
     )
     if hit is None:
@@ -411,6 +402,13 @@ def oracle_calls_exact(d: int) -> int:
     return (d.bit_length() - 1) + d.bit_count()
 
 
+def reduction_ops_bound(p: int, d: int) -> int:
+    """Group operations for the two BSGS walks: M = 2*(isqrt((p-1)/d) + isqrt(d))."""
+    if d < 1 or (p - 1) % d != 0:
+        raise InvalidDivisorError(f"d={d} does not divide p-1={p - 1}")
+    return 2 * (math.isqrt((p - 1) // d) + math.isqrt(d))
+
+
 def ceil_log2(n: int) -> int:
     """Smallest k with 2^k >= n, for n >= 1."""
     if n < 1:
@@ -455,7 +453,7 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
         "oracle_calls_match_formula": tr.ledger.oracle_calls == calls_formula,
         "lemma_oracle_call_bound": lemma_call_bound,
         "within_lemma_oracle_bound": tr.ledger.oracle_calls <= lemma_call_bound,
-        "kkm_group_op_bound": 2 * (d1 + s2),
+        "kkm_group_op_bound": reduction_ops_bound(p, d),
         "sweep_group_op_ceiling": sweep_ceiling,
         "within_sweep_ceiling": tr.ledger.group_ops <= sweep_ceiling,
         "walk_group_op_ceiling": walk_ceiling,

@@ -1,6 +1,7 @@
 """Tests for the three group backends, canonical encoding, and brute-force dlog."""
 
 import random
+from itertools import count, islice
 
 import pytest
 
@@ -17,12 +18,15 @@ from dhpbound.groups import (
     SingularCurveError,
     WrongOrderError,
     brute_force_dlog,
+    bsgs_probe,
+    bsgs_table,
     find_ec_group_params,
     find_mult_subgroup,
     load_toy_curve,
     make_ec_group,
     make_mult_subgroup,
     make_zp_additive,
+    orbit,
     scalar_mul_cost,
 )
 from dhpbound.invariants import check_encode, check_group_laws
@@ -219,3 +223,62 @@ def test_fixed_base_hook_matches_scalar_mul_random_k(kind, p):
         want = [g.scalar_mul(k, base).data for k in ks]
         for times in fixed_base_hooks(g, base, w):
             assert [times(k) for k in ks] == want
+
+
+class Counted:
+    """Iterator over keys that counts how many were pulled."""
+
+    def __init__(self, keys):
+        self._keys, self.pulled = iter(keys), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        key = next(self._keys)
+        self.pulled += 1
+        return key
+
+
+def test_bsgs_table_pulls_exactly_size_keys():
+    for size in (0, 1, 2, 5, 7, 30):
+        keys = Counted(i % 5 for i in count())  # never runs dry, so an extra pull shows
+        assert bsgs_table(keys, size) == {v: v for v in range(min(size, 5))}  # smallest v kept
+        assert keys.pulled == size
+
+
+def test_bsgs_probe_pulls_one_key_per_u_and_none_past_an_accepted_match():
+    rng = random.Random(4242)
+    outcomes = set()
+    for _ in range(400):
+        table = {rng.randrange(40): v for v in range(rng.randrange(1, 12))}
+        u0, n = rng.randrange(3), rng.randrange(1, 20)
+        us = range(u0, u0 + n)
+        giant = [rng.randrange(40) for _ in range(n + 5)]  # keys past the last u too
+        accept = lambda u, v: (u + v) % 3 != 0  # noqa: E731
+        hits = [i for i, key in enumerate(giant[:n]) if key in table and accept(us[i], table[key])]
+        keys = Counted(giant)
+        hit = bsgs_probe(table, keys, us, accept)
+        if hits:
+            i = hits[0]
+            assert hit == (us[i], table[giant[i]])
+            assert keys.pulled == us[i] - us[0] + 1
+            outcomes.add("rejected first" if any(key in table for key in giant[:i]) else "hit")
+        else:
+            assert hit is None
+            assert keys.pulled == len(us)
+            outcomes.add("miss")
+    assert outcomes == {"hit", "rejected first", "miss"}
+
+
+def test_orbit_adds_only_between_pulls():
+    adds = []
+
+    def add(a, b):
+        adds.append((a, b))
+        return a + b
+
+    walk = orbit(add, 5, 3)
+    assert adds == []  # nothing runs before the first pull
+    assert list(islice(walk, 4)) == [5, 8, 11, 14]
+    assert len(adds) == 3

@@ -8,6 +8,7 @@ every exponent x, so they cover all boundary alignments of both BSGS phases
 import json
 import random
 import warnings
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -349,10 +350,12 @@ def nonzero_digits(k: int, w: int) -> int:
 def run_walk(group, base_x: int, walk: Walk, keys: list | None = None):
     """Run every point of a walk on the image of base_x: (w, its bill, its table)."""
     ledger = CostLedger()
-    base = ImplicitFieldElement(group.scalar_mul(base_x, group.generator))
-    start, key, step = _walk(group, ledger, base, walk, keys)
-    table = bsgs_table(key, step, start, walk.stride, walk.points)
+    table = bsgs_table(_walk(group, ledger, walk_base(group, base_x), walk, keys), walk.points)
     return window_plan(group.order, walk)[0], ledger.group_ops, table
+
+
+def walk_base(group, base_x: int) -> ImplicitFieldElement:
+    return ImplicitFieldElement(group.scalar_mul(base_x, group.generator))
 
 
 def formula_bill(p: int, walk: Walk, w: int) -> int:
@@ -381,11 +384,18 @@ def test_walk_bill_equals_formula(kind, p):
             assert bill == formula_bill(p, walk, w)
             assert bill <= window_plan(p, walk)[1]  # the plan's worst case
             # the same points, in the same order, as scalar multiplication
-            want = {}
+            want, want_keys = {}, []
             for i in range(points):
                 k = k0 * pow(stride, i, p) * base_x % p
-                want.setdefault(group.encode(group.scalar_mul(k, group.generator)), i)
+                want_keys.append(group.encode(group.scalar_mul(k, group.generator)))
+                want.setdefault(want_keys[-1], i)
             assert table == want
+            # billed on pull: a prefix of n keys costs the formula over n points
+            n = rng.randrange(1, points + 1)
+            ledger = CostLedger()
+            prefix = list(islice(_walk(group, ledger, walk_base(group, base_x), walk), n))
+            assert ledger.group_ops == formula_bill(p, walk._replace(points=n), w)
+            assert prefix == want_keys[:n]
     assert seen == {True, False}  # both the windowed and the plain walk ran
 
 
