@@ -109,12 +109,11 @@ class CyclicGroup:
     def __init__(self, order: int):
         self.order = order
         self._generator_tables: dict = {}  # window w -> _raw_fixed_base on the generator, reused across runs
-        # phase-1 divisor d -> (giant stride g, encoded keys of g^u * generator
-        # for u = 1, 2, ..., as far as a run has probed): at most one sequence
-        # per d, never longer than its walk, replaced when a run's generator
-        # gives another stride. Runs read their giant keys from it; the ledger
-        # still bills every point and table as if it were recomputed.
-        self._giant_keys: dict = {}
+        # phase-1 divisor d -> reduction.GiantTable: the keys of the whole
+        # phase-1 giant walk (zeta^d1)^u * generator and the bills of both
+        # phase-1 walks, which no Q changes. One per d, replaced when a run's
+        # generator gives other walks; runs probe it with their baby points.
+        self._giant_tables: dict = {}
 
     # -- raw laws supplied by the backend (operate on .data) --------------
 

@@ -123,9 +123,13 @@ def check_reduction(
 ) -> ReductionTranscript:
     """One full recovery of x with every transcript invariant; returns the transcript.
 
-    x is recovered, the matches lie in range and reassemble i0, oracle calls
-    equal floor(log2 d) + popcount(d), group ops stay under the sweep and walk
-    ceilings, and the reported M bound is 2*(d1 + s2) of the run's own split.
+    x is recovered, the matches lie in range and reassemble i0, each phase
+    returns its first match (u1 = ceil(j/d1), v1 = u1*d1 - j, and
+    u2 = ceil(t/s2), v2 = u2*s2 - t: the smallest u of any pair that
+    reassembles the value, which phase 1 finds by streaming its baby points
+    into the giant table), oracle calls equal floor(log2 d) + popcount(d),
+    group ops stay under the sweep and walk ceilings, and the reported M
+    bound is 2*(d1 + s2) of the run's own split.
     """
     p = group.order
     where = f"(p={p}, d={d})"
@@ -137,6 +141,8 @@ def check_reduction(
     _check(1 <= tr.j <= m and 0 <= tr.t < d, f"match out of range: j={tr.j}, t={tr.t} {where}")
     _check(tr.j == tr.u1 * tr.params.d1 - tr.v1, f"j != u1*d1 - v1 {where}")
     _check(tr.t == tr.u2 * tr.params.s2 - tr.v2, f"t != u2*s2 - v2 {where}")
+    _check(tr.u1 == -(-tr.j // tr.params.d1), f"u1 != ceil(j/d1): not the first match {where}")
+    _check(tr.u2 == -(-tr.t // tr.params.s2), f"u2 != ceil(t/s2): not the first match {where}")
     _check(
         tr.i0 == m * tr.t + tr.j and pow(tr.params.zeta0, tr.i0, p) == x,
         f"i0={tr.i0} does not reassemble x={x} {where}",

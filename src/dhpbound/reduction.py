@@ -20,18 +20,24 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
 
 Both phases are one collision search. Each side visits k * base for a base
 fixed per walk (x^d P, Q or P) and a multiplier k the walk knows, k <- k *
-stride mod p per step; _walk yields its encoded keys and bills each point as
-it is pulled, and groups.bsgs_table/bsgs_probe pull only the points the
-search uses. A walk runs on a fixed-base table in the manner of
+stride mod p per step. _walk yields its encoded keys lazily, so
+groups.bsgs_table/bsgs_probe evaluate only the points the search uses, and
+_charges gives the group ops of each point, so a search is billed the sum
+over the points it pulled. A walk runs on a fixed-base table in the manner of
 Kozaki-Kutsuma-Matsuo's refinement of Cheon's algorithm: columns 2^(wj) *
 base built with implicit_scalar, 2^w - 2 row multiples per column, then one
 addition per nonzero w-bit digit of k past the first. window_plan picks w
 per walk from its exact number of points, and w = 0 keeps the plain
 double-and-add walk when no table is cheaper. The ledger is charged exactly
 that, tables in full on every run, whatever the backend does underneath.
-Phase 1's giant side visits (zeta^d1)^u1 * P, which depends on the group and
-that stride alone, never on Q, so the group keeps its keys per d as far as
-any run pulled, and later runs read them back; each is still billed.
+Phase 1's giant side visits (zeta^d1)^u1 * P, which depends on the group, d
+and the generator, never on Q. So the group keeps it as a giant_table, one
+per d, built once over the whole giant walk, and each run streams its baby
+points into it and stops at the first accepted one. The table stores what
+the walks cost, so the run is still billed the search as a baby table
+probed in u1 order would run it: the whole baby walk and its table
+entries, the giant walk through u1. Phase 2 builds its baby table and
+probes it with its giant walk on every run.
 The final verification is a self-check, not part of the algorithm, and is
 left off the books.
 """
@@ -199,8 +205,13 @@ def _windows(bits: int, later: int) -> tuple[tuple[int, int, int, int, int, int]
     return tuple(sorted(out))
 
 
+@functools.lru_cache(maxsize=256)
 def _plan(p: int, walk: Walk) -> tuple[int, tuple | None]:
-    """(worst-case group ops, window) of window_plan's choice; window None is the plain walk."""
+    """(worst-case group ops, window) of window_plan's choice; window None is the plain walk.
+
+    Memoised: a run and its cost_report plan the same walks, and every run
+    on one (p, d, seed) has the same phase-1 walks and phase-2 baby walk.
+    """
     k0, stride, points = walk
     later = points - 1
     best, choice = scalar_mul_cost(k0) + later * scalar_mul_cost(stride), None
@@ -228,34 +239,44 @@ def window_plan(p: int, walk: Walk) -> tuple[int, int]:
     return (0 if window is None else window[1]), bill
 
 
-def _walk(
-    group: CyclicGroup,
-    ledger: CostLedger,
-    base: ImplicitFieldElement,
-    walk: Walk,
-    keys: list | None = None,
-):
-    """Generator of the encoded keys of k*base, k = k0*stride^i mod p, billed per pull.
+def _charges(p: int, walk: Walk):
+    """Group ops of each point of walk in turn, as _walk evaluates it under window_plan's choice.
+
+    The plain walk (w = 0) pays a double-and-add by k0 for its first point
+    and one by the stride for each later one. A windowed walk pays its table
+    with the first point, also when the group reuses the generator's, and
+    each point its nonzero digits - 1, as the generic path performs. A
+    search is billed the sum over the points it pulled.
+    """
+    _, window = _plan(p, walk)
+    k, stride, points = walk
+    if window is None:
+        yield scalar_mul_cost(k)
+        yield from itertools.repeat(scalar_mul_cost(stride), points - 1)
+        return
+    _, _, _, table, low, high = window
+    for i in range(points):
+        yield (0 if i else table) + (((k & low) + low | k) & high).bit_count() - 1
+        k = k * stride % p
+
+
+def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk):
+    """Generator of the encoded keys of k*base, k = k0*stride^i mod p, one per pull.
 
     Under window_plan's w = 0 each point is an implicit_scalar by the stride
     of the last (the first by k0 of base). Otherwise k*base is read off the
-    group's fixed-base hook, on columns built with implicit_scalar: the first
-    pull charges the table in full, also when the generator's is reused, and
-    each point its nonzero digits - 1, as the generic path performs. The
-    windowed walk reads key i from keys when the list reaches that far, else
-    evaluates and appends it, so a list kept across runs never grows past the
-    last point pulled; the plain walk ignores it.
+    group's fixed-base hook, on columns built with implicit_scalar at the
+    first pull; a walk on the generator reuses the group's columns for its w.
     """
     p = group.order
     _, window = _plan(p, walk)
     encode = group.encode
     if window is None:
-        point = base if walk.k0 == 1 else implicit_scalar(walk.k0, base, ledger)
+        point = base if walk.k0 == 1 else implicit_scalar(walk.k0, base)
         while True:
             yield encode(point.image)
-            point = implicit_scalar(walk.stride, point, ledger)
-    _, w, cols, table, low, high = window
-    ledger.charge_group_ops(table)
+            point = implicit_scalar(walk.stride, point)
+    _, w, cols, _, _, _ = window
     cache = group._generator_tables if base.image.data == group.generator.data else {}
     times = cache.get(w)
     if times is None:
@@ -264,29 +285,51 @@ def _walk(
             column = implicit_scalar(1 << w, column)
             columns.append(column.image.data)
         times = cache[w] = group._raw_fixed_base(columns, w)
-    keys = [] if keys is None else keys
     k, stride = walk.k0, walk.stride
-    for i in itertools.count():
-        ledger.group_ops += (((k & low) + low | k) & high).bit_count() - 1
-        if i == len(keys):
-            keys.append(encode(GroupPoint(group, times(k))))
-        yield keys[i]
+    while True:
+        yield encode(GroupPoint(group, times(k)))
         k = k * stride % p
 
 
-def _collide(
-    group: CyclicGroup, oracle: OracleHandle, base: ImplicitFieldElement,
-    baby: Walk, giant: Walk, us: range, accept, keys: list | None = None,
-) -> tuple[int, int] | None:
-    """First accepted (u, v) where the giant walk on P meets the baby walk on base, else None.
+def _bill(oracle: OracleHandle, group_ops: int, table_entries: int) -> None:
+    """Charge one search to the oracle's ledger; a detached oracle keeps no bill."""
+    if oracle.ledger is not None:
+        oracle.ledger.charge_group_ops(group_ops)
+        oracle.ledger.charge_table_entries(table_entries)
 
-    Billed to the oracle's ledger, or to a throwaway one when it is detached.
+
+class GiantTable(NamedTuple):
+    """Phase 1's giant side for one (group, d, generator), shared by every Q.
+
+    table maps the encoded key of the giant walk's point i, which is
+    u1 = i + 1, to the smallest such i. baby_bill is the group ops of the
+    whole baby walk, giant_bills[i] those of the giant walk's first i + 1
+    points.
     """
-    ledger = CostLedger() if oracle.ledger is None else oracle.ledger
-    table = bsgs_table(_walk(group, ledger, base, baby), baby.points)
-    ledger.charge_table_entries(baby.points)
-    giants = _walk(group, ledger, ImplicitFieldElement(group.generator), giant, keys)
-    return bsgs_probe(table, giants, us, accept)
+
+    walks: tuple[Walk, Walk]  # (baby, giant) it was built for
+    table: dict
+    baby_bill: int
+    giant_bills: list[int]
+
+
+def giant_table(group: CyclicGroup, params: ReductionParams) -> GiantTable:
+    """The group's phase-1 giant table for params, built on first use or when the walks change.
+
+    One table per d: a run whose generator gives other walks replaces it.
+    A build pulls every point of the giant walk and bills nothing.
+    """
+    p = group.order
+    walks = baby, giant = phase1_walks(p, params)
+    kept = group._giant_tables.get(params.d)
+    if kept is None or kept.walks != walks:
+        kept = group._giant_tables[params.d] = GiantTable(
+            walks,
+            bsgs_table(_walk(group, ImplicitFieldElement(group.generator), giant), giant.points),
+            sum(_charges(p, baby)),
+            list(itertools.accumulate(_charges(p, giant))),
+        )
+    return kept
 
 
 def phase1_find_j(
@@ -297,29 +340,30 @@ def phase1_find_j(
 ) -> tuple[int, int, int]:
     """Find j in [1, m] with x^d = zeta^j, m = (p-1)/d, by BSGS on implicit elements.
 
-    Baby side stores zeta^v1 * x^d for v1 = 0..d1; giant side walks
-    (zeta^d1)^u1 for u1 = 1..ceil(m/d1)+1 and probes. Matches whose
+    The giant side (zeta^d1)^u1 * P for u1 = 1..ceil(m/d1)+1 is the group's
+    giant_table; the baby side zeta^v1 * x^d for v1 = 0..d1 probes it, one
+    point per v1, and stops at the first accepted match. Matches whose
     j = u1*d1 - v1 falls outside [1, m] are collisions from wrapped exponents
-    (possible only in degenerate splits); the sweep continues past them.
+    (possible only in degenerate splits); the sweep continues past them. The
+    first accepted v1 has u1 = ceil(j/d1), the smallest u1 of its key, so
+    the match is the one a baby table probed in u1 order finds, and the run
+    is billed that search: the whole baby walk and its table entries, the
+    giant walk through u1.
     """
-    p = group.order
-    m = (p - 1) // params.d
+    m = (group.order - 1) // params.d
     d1 = params.d1
-    baby, giant = phase1_walks(p, params)
-    # the giant side depends on the group and its stride alone, never on Q
-    stride, keys = group._giant_keys.get(params.d, (None, None))
-    if stride != giant.stride:
-        keys = []
-        group._giant_keys[params.d] = (giant.stride, keys)
-    hit = _collide(
-        group, oracle, q_pow_d, baby, giant,
-        range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m, keys,
+    giants = giant_table(group, params)
+    baby = giants.walks[0]
+    hit = bsgs_probe(
+        giants.table, _walk(group, q_pow_d, baby), range(baby.points),
+        lambda v1, i: 1 <= (i + 1) * d1 - v1 <= m,
     )
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
         )
-    u1, v1 = hit
+    v1, u1 = hit[0], hit[1] + 1
+    _bill(oracle, giants.baby_bill + giants.giant_bills[u1 - 1], baby.points)
     return u1 * d1 - v1, u1, v1
 
 
@@ -335,18 +379,22 @@ def phase2_find_t(
     Baby side stores (zeta0^m)^v2 * x for v2 = 0..s2; giant side starts at
     zeta0^j and walks (zeta0^(m*s2))^u2 for u2 = 0..ceil(d/s2)+1. Every
     scaling constant is an explicit field element, so no oracle calls occur.
+    The run is billed the whole baby walk and its table entries, and the
+    giant walk through u2.
     """
+    p = group.order
     d, s2 = params.d, params.s2
-    baby, giant = phase2_walks(group.order, params, j)
-    hit = _collide(
-        group, oracle, ImplicitFieldElement(Q), baby, giant,
-        range(giant.points), lambda u2, v2: 0 <= u2 * s2 - v2 < d,
-    )
+    baby, giant = phase2_walks(p, params, j)
+    table = bsgs_table(_walk(group, ImplicitFieldElement(Q), baby), baby.points)
+    giants = _walk(group, ImplicitFieldElement(group.generator), giant)
+    hit = bsgs_probe(table, giants, range(giant.points), lambda u2, v2: 0 <= u2 * s2 - v2 < d)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"
         )
     u2, v2 = hit
+    bill = sum(_charges(p, baby)) + sum(itertools.islice(_charges(p, giant), u2 + 1))
+    _bill(oracle, bill, baby.points)
     return u2 * s2 - v2, u2, v2
 
 

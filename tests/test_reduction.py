@@ -14,7 +14,7 @@ from math import isqrt
 import pytest
 
 from conftest import make_backend
-from dhpbound.groups import bsgs_table, make_zp_additive, scalar_mul_cost
+from dhpbound.groups import bsgs_probe, bsgs_table, make_zp_additive, scalar_mul_cost
 from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning
 from dhpbound.invariants import check_reduction
 from dhpbound.modmath import (
@@ -32,12 +32,14 @@ from dhpbound.reduction import (
     ReductionParams,
     Walk,
     ZeroDlogError,
+    _charges,
     _sample_generator,
     _walk,
     ceil_log2,
     cost_report,
     find_generator,
     generator_try_budget,
+    giant_table,
     phase1_find_j,
     phase1_walks,
     reduce_dlog,
@@ -347,11 +349,10 @@ def nonzero_digits(k: int, w: int) -> int:
     return count
 
 
-def run_walk(group, base_x: int, walk: Walk, keys: list | None = None):
+def run_walk(group, base_x: int, walk: Walk):
     """Run every point of a walk on the image of base_x: (w, its bill, its table)."""
-    ledger = CostLedger()
-    table = bsgs_table(_walk(group, ledger, walk_base(group, base_x), walk, keys), walk.points)
-    return window_plan(group.order, walk)[0], ledger.group_ops, table
+    table = bsgs_table(_walk(group, walk_base(group, base_x), walk), walk.points)
+    return window_plan(group.order, walk)[0], sum(_charges(group.order, walk)), table
 
 
 def walk_base(group, base_x: int) -> ImplicitFieldElement:
@@ -390,30 +391,13 @@ def test_walk_bill_equals_formula(kind, p):
                 want_keys.append(group.encode(group.scalar_mul(k, group.generator)))
                 want.setdefault(want_keys[-1], i)
             assert table == want
-            # billed on pull: a prefix of n keys costs the formula over n points
+            # billed per point: the first n charges are the formula over n points
             n = rng.randrange(1, points + 1)
-            ledger = CostLedger()
-            prefix = list(islice(_walk(group, ledger, walk_base(group, base_x), walk), n))
-            assert ledger.group_ops == formula_bill(p, walk._replace(points=n), w)
+            prefix = list(islice(_walk(group, walk_base(group, base_x), walk), n))
+            assert sum(islice(_charges(p, walk), n)) == formula_bill(p, walk._replace(points=n), w)
             assert prefix == want_keys[:n]
+            assert len(list(_charges(p, walk))) == points
     assert seen == {True, False}  # both the windowed and the plain walk ran
-
-
-@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
-def test_walk_keys_read_from_a_list_bill_and_match_like_evaluated_ones(kind):
-    p = 1009
-    group = make_backend(kind, p)
-    rng = random.Random(kind)
-    for _ in range(40):
-        stride = rng.randrange(2, p)
-        walk = Walk(stride, stride, rng.randrange(2, 60))
-        w, bill, table = run_walk(group, 1, walk)
-        keys = []
-        assert run_walk(group, 1, walk, keys) == (w, bill, table)  # fills the list
-        assert len(keys) == (walk.points if w else 0)  # the plain walk leaves it alone
-        filled = list(keys)
-        assert run_walk(group, 1, walk, keys) == (w, bill, table)  # reads every key from it
-        assert keys == filled
 
 
 @pytest.mark.parametrize("p", [101, 1009])
@@ -425,6 +409,128 @@ def test_baby_side_never_billed_above_plain_walk(p):
             walk = Walk(1, stride, points)
             _, bill, _ = run_walk(group, 1, walk)
             assert bill <= (points - 1) * scalar_mul_cost(stride), (stride, points)
+
+
+# -------------------------------------------------- phase 1's giant table
+
+
+def billed(ledger: CostLedger, p: int, keys, walk: Walk):
+    """The keys of walk, each point's group ops charged to ledger as it is pulled."""
+    for charge, key in zip(_charges(p, walk), keys):
+        ledger.charge_group_ops(charge)
+        yield key
+
+
+def reference_phase1(group, oracle, q_pow_d, params):
+    """Phase 1 as a table of every baby point probed by the giant walk in u1 order, billed per pull."""
+    p = group.order
+    m, d1 = (p - 1) // params.d, params.d1
+    baby, giant = phase1_walks(p, params)
+    ledger = CostLedger() if oracle.ledger is None else oracle.ledger
+    table = bsgs_table(billed(ledger, p, _walk(group, q_pow_d, baby), baby), baby.points)
+    ledger.charge_table_entries(baby.points)
+    giants = billed(ledger, p, _walk(group, ImplicitFieldElement(group.generator), giant), giant)
+    u1, v1 = bsgs_probe(
+        table, giants, range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m
+    )
+    return u1 * d1 - v1, u1, v1
+
+
+def phase1_inputs(group, x: int, d: int, seed: int):
+    """(x^d as an implicit element, the run's params), as reduce_dlog derives them."""
+    p = group.order
+    zeta0 = find_generator(p, factorize(p - 1), seed)
+    params = ReductionParams(
+        d=d, d1=isqrt((p - 1) // d), s2=isqrt(d), zeta0=zeta0, zeta=pow(zeta0, d, p), seed=seed
+    )
+    return walk_base(group, pow(x, d, p)), params
+
+
+def assert_phase1_matches_reference(group, oracle, x: int, d: int, seed: int):
+    """phase1_find_j and reference_phase1 give one match and one bill; returns the match."""
+    q_pow_d, params = phase1_inputs(group, x, d, seed)
+    results = []
+    for find in (phase1_find_j, reference_phase1):
+        oracle.attach_ledger(CostLedger())
+        results.append((find(group, oracle, q_pow_d, params), oracle.ledger.as_dict()))
+    assert results[0] == results[1], (group.backend, x, d, seed)
+    return results[0][0]
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+@pytest.mark.parametrize("p", [29, 101])
+def test_phase1_matches_reference_on_every_x_and_divisor(kind, p):
+    group = make_backend(kind, p)
+    oracle = OracleHandle(group)
+    for d in all_divisors(p):
+        for x in sorted(range(1, p), key=lambda x: x % 7):  # one build per seed, then hits
+            assert_phase1_matches_reference(group, oracle, x, d, seed=x % 7)
+
+
+SAMPLED_CASES = [(kind, 1009, None) for kind in ("zp", "mult", "ec")] + [("ec", 16381, (1, 2, 3, 4))]
+SAMPLED_IDS = ["zp-1009", "mult-1009", "ec-1009", "ec-16381"]
+
+
+@pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
+def test_phase1_matches_reference_sampled(kind, p, ds):
+    group = make_backend(kind, p)
+    oracle = OracleHandle(group)
+    rng = random.Random(f"reference:{kind}:{p}")
+    for d in ds or all_divisors(p):
+        for x in sorted({1, p - 1, *rng.sample(range(1, p), 10)}):
+            assert_phase1_matches_reference(group, oracle, x, d, seed=x % 3)
+
+
+DEGENERATE_SPLITS = {
+    # d = p - 1: m = 1 and zeta = 1, so every point of either walk has one key
+    "m-is-1": (101, 100, range(1, 101)),
+    # m = 25 = 5^2: the giant stride zeta^5 has order 5, so the giant key at
+    # u = 6 repeats u = 1, and only the smaller u is acceptable
+    "m-square": (101, 4, range(1, 101)),
+    # x^4 = 1 gives j = m = 25 with d1 = 5 | m: the match v1 = 0 at u1 = 5
+    # must win over v1 = d1 at u1 = 6, the one other pair with u1*d1 - v1 = j
+    "j-is-m": (101, 4, (1, 10, 91, 100)),
+}
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+@pytest.mark.parametrize("split", DEGENERATE_SPLITS)
+def test_phase1_matches_reference_on_degenerate_splits(kind, split):
+    p, d, xs = DEGENERATE_SPLITS[split]
+    m = (p - 1) // d
+    group = make_backend(kind, p)
+    oracle = OracleHandle(group)
+    u1s = set()
+    for seed in range(4):
+        for x in xs:
+            j, u1, v1 = assert_phase1_matches_reference(group, oracle, x, d, seed)
+            u1s.add(u1)
+            giants = giant_table(group, phase1_inputs(group, x, d, seed)[1])
+            if split == "m-is-1":
+                assert (j, u1, v1) == (1, 1, 0) and len(giants.table) == 1
+            elif split == "m-square":
+                assert len(giants.table) == 5 < giants.walks[1].points
+            else:
+                assert (j, u1, v1) == (m, 5, 0)
+    if split == "m-square":
+        assert 1 in u1s  # some runs matched on the repeated key
+
+
+def test_phase1_on_a_detached_oracle_matches_reference():
+    group = make_backend("mult", 1009)
+    oracle = OracleHandle(group)
+    rng = random.Random("detached")
+    for d in (1, 12, 63, 1008):
+        for x in rng.sample(range(1, 1009), 5):
+            q_pow_d, params = phase1_inputs(group, x, d, seed=x)
+            kept = CostLedger()
+            oracle.attach_ledger(kept)
+            want = reference_phase1(group, oracle, q_pow_d, params)
+            billed = kept.as_dict()
+            oracle.attach_ledger(None)
+            assert phase1_find_j(group, oracle, q_pow_d, params) == want
+            assert reference_phase1(group, oracle, q_pow_d, params) == want
+            assert oracle.ledger is None and kept.as_dict() == billed
 
 
 def count_encodes(group) -> list[int]:
@@ -445,8 +551,10 @@ def run_quietly(group, handle, x: int, d: int, seed: int):
         return reduce_dlog(group, handle, group.scalar_mul(x, group.generator), d, seed=seed)
 
 
-def giant_is_windowed(tr) -> bool:
-    return window_plan(tr.p, phase1_walks(tr.p, tr.params)[1])[0] > 0
+def hit_encodes(tr) -> int:
+    """Keys a run encodes when its giant table is kept: v1 + 1 baby keys in
+    phase 1, then s2 + 1 baby and u2 + 1 giant keys in phase 2."""
+    return (tr.v1 + 1) + (tr.params.s2 + 1) + (tr.u2 + 1)
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
@@ -455,63 +563,64 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind):
     oracle = OracleHandle(reused)
     reused_encodes = count_encodes(reused)
     rng = random.Random(1009)
-    repeats_read_keys = 0
+    first_runs_hit = 0
     for d in (1, 4, 12, 63, 336, 1008):
         for x in rng.sample(range(1, 1009), 3):
             fresh = make_backend(kind, 1009)
             fresh_encodes = count_encodes(fresh)
-            runs, encodes = [], []
-            # reused, fresh, then reused again on the same seed, whose giant keys are cached
+            runs, encodes, builds = [], [], []
+            # reused, fresh, then reused again on the same seed, whose giant table is kept
             for group, handle, calls in (
                 (reused, oracle, reused_encodes),
                 (fresh, OracleHandle(fresh), fresh_encodes),
                 (reused, oracle, reused_encodes),
             ):
-                before = calls[0]
+                before, kept = calls[0], group._giant_tables.get(d)
                 runs.append(run_quietly(group, handle, x, d, seed=x))
                 encodes.append(calls[0] - before)
+                builds.append(group._giant_tables[d] is not kept)
             assert runs[0].to_dict() == runs[1].to_dict() == runs[2].to_dict()
-            if giant_is_windowed(runs[2]):
-                # the repeat read all u1 giant keys from the cache and evaluated the rest
-                assert encodes[2] == encodes[1] - runs[2].u1
-                repeats_read_keys += 1
-            else:
-                assert encodes[2] == encodes[1]
-    assert reused._generator_tables  # later runs took their giant-side tables from the cache
-    assert repeats_read_keys >= 12
+            assert builds[1:] == [True, False]  # a fresh group builds, a repeat hits
+            giant = phase1_walks(1009, runs[0].params)[1]
+            for built, n in zip(builds, encodes):
+                assert n == hit_encodes(runs[0]) + built * giant.points  # a build pulls every giant key
+            first_runs_hit += not builds[0]
+    assert reused._generator_tables  # the giant walks took their fixed-base tables from the cache
+    assert first_runs_hit >= 3  # at d = p - 1 every seed gives the same walks
 
 
-GIANT_KEY_CASES = [(kind, 1009, None) for kind in ("zp", "mult", "ec")] + [("ec", 16381, (1, 2, 3, 4))]
-
-
-@pytest.mark.parametrize("kind,p,ds", GIANT_KEY_CASES, ids=["zp-1009", "mult-1009", "ec-1009", "ec-16381"])
+@pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
 def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
     reused = make_backend(kind, p)
     oracle = OracleHandle(reused)
+    encodes = count_encodes(reused)
     rng = random.Random(f"{kind}:{p}")
-    extended = hit = 0
-    for d in ds or all_divisors(p):
-        # each x's u1 on a fresh group; the runs below go middle, highest,
-        # lowest: they fill the cache, extend it past its end, then hit it
-        fresh = {}
-        for x in rng.sample(range(1, p), 6):
+    divisors = list(ds or all_divisors(p))
+    for n, d in enumerate(divisors):
+        for x in rng.sample(range(1, p), 4):
             group = make_backend(kind, p)
-            fresh[x] = run_quietly(group, OracleHandle(group), x, d, seed=0)
-        by_u1 = sorted(fresh, key=lambda x: fresh[x].u1)
-        reach = 0
-        for x in (by_u1[2], by_u1[5], by_u1[0], by_u1[3], by_u1[1], by_u1[4]):
+            fresh = run_quietly(group, OracleHandle(group), x, d, seed=0)
+            before, kept = encodes[0], reused._giant_tables.get(d)
             tr = run_quietly(reused, oracle, x, d, seed=0)
-            assert tr.to_dict() == fresh[x].to_dict()
-            stride, keys = reused._giant_keys[d]
-            if not giant_is_windowed(tr):
-                assert keys == []
+            assert tr.to_dict() == fresh.to_dict()
+            assert list(reused._giant_tables) == divisors[:n + 1]  # one more table per new d
+            giants = reused._giant_tables[d]
+            baby, giant = giants.walks
+            if kept is not None:  # a hit: no giant key pulled, v1 + 1 baby keys
+                assert giants is kept and encodes[0] - before == hit_encodes(tr)
                 continue
-            extended += 0 < reach < tr.u1
-            hit += tr.u1 <= reach
-            reach = max(reach, tr.u1)
-            assert stride == phase1_walks(p, tr.params)[1].stride
-            assert len(keys) == reach  # never past the furthest point a probe reached
-    assert extended and hit
+            assert encodes[0] - before == giant.points + hit_encodes(tr)
+            # the table holds the whole giant walk, smallest index per key, and its bills
+            want = {}
+            for i in range(giant.points):
+                u_point = reused.scalar_mul(pow(giant.stride, i + 1, p), reused.generator)
+                want.setdefault(reused.encode(u_point), i)
+            assert giants.table == want
+            assert giants.baby_bill == formula_bill(p, baby, window_plan(p, baby)[0])
+            w = window_plan(p, giant)[0]
+            assert giants.giant_bills == [
+                formula_bill(p, giant._replace(points=u), w) for u in range(1, giant.points + 1)
+            ]
 
 
 def test_giant_key_cache_is_bounded_by_the_group():
@@ -519,22 +628,25 @@ def test_giant_key_cache_is_bounded_by_the_group():
     group = make_backend("mult", p)
     oracle = OracleHandle(group)
     xs = random.Random(p).sample(range(1, p), 25)
-    strides = []
+    kept = []
     for seed in (0, 1):
-        lengths = []
         for _ in range(3):
-            reach, giants = dict.fromkeys(ds, 0), {}
             for d in ds:
                 for x in xs:
-                    tr = run_quietly(group, oracle, x, d, seed)
-                    reach[d] = max(reach[d], tr.u1)
-                giants[d] = phase1_walks(p, tr.params)[1]
-            assert set(group._giant_keys) == set(ds)  # one sequence per divisor
+                    run_quietly(group, oracle, x, d, seed)
+            assert list(group._giant_tables) == list(ds)  # one table per divisor
             for d in ds:
-                stride, keys = group._giant_keys[d]
-                assert stride == giants[d].stride  # this seed's, not the other seed's
-                assert len(keys) == reach[d] <= giants[d].points
-            lengths.append({d: len(group._giant_keys[d][1]) for d in ds})
-        assert lengths[0] == lengths[1] == lengths[2]  # more runs of the same (d, seed) add nothing
-        strides.append({d: group._giant_keys[d][0] for d in ds})
-    assert all(strides[0][d] != strides[1][d] for d in ds)  # the second seed replaced every sequence
+                giants = group._giant_tables[d]
+                # this seed's walks, not the other seed's, and no key past the giant walk
+                assert giants.walks == phase1_walks(p, phase1_inputs(group, 1, d, seed)[1])
+                assert len(giants.table) <= giants.walks[1].points == len(giants.giant_bills)
+            kept.append(dict(group._giant_tables))
+        # more runs of the same (d, seed) keep the same tables
+        assert all(kept[-3][d] is kept[-2][d] is kept[-1][d] for d in ds)
+    # the second seed replaced every table with one on another stride
+    assert all(kept[2][d].walks[1].stride != kept[3][d].walks[1].stride for d in ds)
+    # tables are held per group instance
+    other = make_backend("mult", p)
+    run_quietly(other, OracleHandle(other), xs[0], ds[0], 1)
+    assert list(other._giant_tables) == [ds[0]] and other._giant_tables[ds[0]] is not kept[-1][ds[0]]
+    assert group._giant_tables == kept[-1]
