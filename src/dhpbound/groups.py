@@ -109,10 +109,12 @@ class CyclicGroup:
     def __init__(self, order: int):
         self.order = order
         self._generator_tables: dict = {}  # window w -> _raw_fixed_base on the generator, reused across runs
-        # phase-1 divisor d -> reduction.GiantTable: the keys of the whole
-        # phase-1 giant walk (zeta^d1)^u * generator and the bills of both
-        # phase-1 walks, which no Q changes. One per d, replaced when a run's
-        # generator gives other walks; runs probe it with their baby points.
+        # phase-1 divisor d -> reduction.GiantTable: the keys of zeta^e * generator
+        # over the phase-1 giant walk e = d1*u, plus the half-stride walk
+        # e = d1*u - floor(d1/2) from the first reuse on, mapped to e, and the
+        # bills of both phase-1 walks, which no Q changes. One per d, replaced
+        # when a run's generator gives other walks; runs probe it with their
+        # baby points.
         self._giant_tables: dict = {}
 
     # -- raw laws supplied by the backend (operate on .data) --------------
@@ -469,11 +471,12 @@ def bsgs_table(keys, size: int) -> dict:
     return table
 
 
-def bsgs_probe(table, keys, us, accept):
+def bsgs_probe(table, keys, us, accept=lambda u, v: True):
     """Giant steps: the first (u, v) with table[key at u] = v and accept(u, v), or None.
 
     keys yields the giant side's key at us[0], us[1], ...; one is pulled per u,
-    and none after an accepted match or past the last u.
+    and none after an accepted match or past the last u. By default every
+    match is accepted.
     """
     for u, key in zip(us, keys):  # us first: a miss pulls exactly len(us) keys
         v = table.get(key)

@@ -97,8 +97,7 @@ class OracleHandle:
             self._giant_step = g.negate(g.scalar_mul(m, g.generator)).data
             self.solver_steps += m - 1
         hit = bsgs_probe(  # raw data is canonical and hashable; every match u*m + r is the dlog
-            self._baby_table, orbit(g._raw_add, A.data, self._giant_step), range(m + 1),
-            lambda u, r: True,
+            self._baby_table, orbit(g._raw_add, A.data, self._giant_step), range(m + 1)
         )
         if hit is None:
             raise RuntimeError(

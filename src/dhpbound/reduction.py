@@ -30,14 +30,19 @@ addition per nonzero w-bit digit of k past the first. window_plan picks w
 per walk from its exact number of points, and w = 0 keeps the plain
 double-and-add walk when no table is cheaper. The ledger is charged exactly
 that, tables in full on every run, whatever the backend does underneath.
-Phase 1's giant side visits (zeta^d1)^u1 * P, which depends on the group, d
-and the generator, never on Q. So the group keeps it as a giant_table, one
-per d, built once over the whole giant walk, and each run streams its baby
-points into it and stops at the first accepted one. The table stores what
-the walks cost, so the run is still billed the search as a baby table
-probed in u1 order would run it: the whole baby walk and its table
-entries, the giant walk through u1. Phase 2 builds its baby table and
-probes it with its giant walk on every run.
+Phase 1's giant side visits zeta^e * P for e = d1*u1, which depends on the
+group, d and the generator, never on Q. So the group keeps it as a
+giant_table, one per d, that maps each key to its exponent e. The first run
+on a table builds it over the whole giant walk, exactly as a one-shot run
+would. The first run that reuses it adds the half-stride points
+e = d1*u - floor(d1/2) once, so later runs meet a stored e within about d1/2
+baby points. Each run streams its baby points zeta^v * x^d P into the table
+and stops at the first hit: zeta has order m, so any hit gives
+j = (e - v - 1) mod m + 1. The table also stores what the walks cost, so the
+run is still billed the search as a baby table probed in u1 order would run
+it, at u1 = ceil(j/d1) and v1 = u1*d1 - j: the whole baby walk and its table
+entries, the giant walk through u1. Phase 2 builds its baby table and probes
+it with its giant walk on every run.
 The final verification is a self-check, not part of the algorithm, and is
 left off the books.
 """
@@ -298,37 +303,58 @@ def _bill(oracle: OracleHandle, group_ops: int, table_entries: int) -> None:
         oracle.ledger.charge_table_entries(table_entries)
 
 
-class GiantTable(NamedTuple):
+@dataclass
+class GiantTable:
     """Phase 1's giant side for one (group, d, generator), shared by every Q.
 
-    table maps the encoded key of the giant walk's point i, which is
-    u1 = i + 1, to the smallest such i. baby_bill is the group ops of the
-    whole baby walk, giant_bills[i] those of the giant walk's first i + 1
-    points.
+    table maps the encoded key of zeta^e * P to e. A build stores the giant
+    walk, e = d1*u for u = 1..G with G = its points; extended marks that the
+    half-stride walk e = d1*u - floor(d1/2), u = 1..G, has been added too, so
+    the table holds at most 2G keys. baby_bill is the group ops of the whole
+    baby walk, giant_bills[i] those of the giant walk's first i + 1 points.
     """
 
     walks: tuple[Walk, Walk]  # (baby, giant) it was built for
     table: dict
     baby_bill: int
     giant_bills: list[int]
+    extended: bool = False
+
+
+def _giant_keys(group: CyclicGroup, walk: Walk, e0: int, d1: int):
+    """(key, e) of zeta^e * P for e = e0 + d1*i, i < walk.points, with walk visiting those points.
+
+    Pulls exactly walk.points keys.
+    """
+    keys = itertools.islice(_walk(group, ImplicitFieldElement(group.generator), walk), walk.points)
+    return zip(keys, range(e0, e0 + d1 * walk.points, d1))
 
 
 def giant_table(group: CyclicGroup, params: ReductionParams) -> GiantTable:
-    """The group's phase-1 giant table for params, built on first use or when the walks change.
+    """The group's phase-1 giant table for params: built on first use, extended on first reuse.
 
     One table per d: a run whose generator gives other walks replaces it.
-    A build pulls every point of the giant walk and bills nothing.
+    A build pulls every point of the giant walk; the first run that finds
+    its walks kept adds the half-stride walk once, from zeta^(d1 - h) with
+    h = floor(d1/2) on the same stride (nothing when h = 0). Neither is
+    billed, and a one-shot run never extends.
     """
-    p = group.order
+    p, d1 = group.order, params.d1
     walks = baby, giant = phase1_walks(p, params)
     kept = group._giant_tables.get(params.d)
     if kept is None or kept.walks != walks:
         kept = group._giant_tables[params.d] = GiantTable(
             walks,
-            bsgs_table(_walk(group, ImplicitFieldElement(group.generator), giant), giant.points),
+            dict(_giant_keys(group, giant, d1, d1)),
             sum(_charges(p, baby)),
             list(itertools.accumulate(_charges(p, giant))),
         )
+    elif not kept.extended:
+        h = d1 // 2
+        if h:
+            half = giant._replace(k0=pow(params.zeta, d1 - h, p))
+            kept.table.update(_giant_keys(group, half, d1 - h, d1))
+        kept.extended = True
     return kept
 
 
@@ -340,31 +366,30 @@ def phase1_find_j(
 ) -> tuple[int, int, int]:
     """Find j in [1, m] with x^d = zeta^j, m = (p-1)/d, by BSGS on implicit elements.
 
-    The giant side (zeta^d1)^u1 * P for u1 = 1..ceil(m/d1)+1 is the group's
-    giant_table; the baby side zeta^v1 * x^d for v1 = 0..d1 probes it, one
-    point per v1, and stops at the first accepted match. Matches whose
-    j = u1*d1 - v1 falls outside [1, m] are collisions from wrapped exponents
-    (possible only in degenerate splits); the sweep continues past them. The
-    first accepted v1 has u1 = ceil(j/d1), the smallest u1 of its key, so
-    the match is the one a baby table probed in u1 order finds, and the run
-    is billed that search: the whole baby walk and its table entries, the
-    giant walk through u1.
+    The giant side is the group's giant_table of zeta^e * P; the baby side
+    zeta^v * x^d for v = 0..d1 probes it, one point per v, and stops at the
+    first hit. zeta has order exactly m, so a hit zeta^v * x^d = zeta^e gives
+    j = (e - v - 1) mod m + 1, whichever stored e it met, also in degenerate
+    splits where exponents wrap. The run is billed the search a baby table
+    probed in u1 order would run, whose match is u1 = ceil(j/d1),
+    v1 = u1*d1 - j: the whole baby walk and its table entries, the giant
+    walk through u1. On an extended table the probe pulls at most
+    ceil(d1/2) + 1 baby points.
     """
     m = (group.order - 1) // params.d
     d1 = params.d1
     giants = giant_table(group, params)
     baby = giants.walks[0]
-    hit = bsgs_probe(
-        giants.table, _walk(group, q_pow_d, baby), range(baby.points),
-        lambda v1, i: 1 <= (i + 1) * d1 - v1 <= m,
-    )
+    hit = bsgs_probe(giants.table, _walk(group, q_pow_d, baby), range(baby.points))
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
         )
-    v1, u1 = hit[0], hit[1] + 1
+    v, e = hit
+    j = (e - v - 1) % m + 1
+    u1 = -(-j // d1)
     _bill(oracle, giants.baby_bill + giants.giant_bills[u1 - 1], baby.points)
-    return u1 * d1 - v1, u1, v1
+    return j, u1, u1 * d1 - j
 
 
 def phase2_find_t(

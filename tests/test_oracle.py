@@ -153,6 +153,17 @@ def test_solver_table_built_once_and_steps_counted(kind, monkeypatch):
     assert len(builds) == (0 if kind == "zp" else 1)
 
 
+@pytest.mark.parametrize("kind", ("mult", "ec"))
+@pytest.mark.parametrize("p", (101, 1009))
+def test_solver_baby_table_holds_raw_multiples(kind, p):
+    # the solver's baby table, built on raw data, maps (r*P).data to r for every r < m
+    g = make_backend(kind, p)
+    oracle = OracleHandle(g)
+    oracle.dh(g.scalar_mul(5, g.generator), g.generator)
+    m = isqrt(p - 1) + 1
+    assert oracle._baby_table == {g.scalar_mul(r, g.generator).data: r for r in range(m)}
+
+
 MEMO_GROUPS = [(kind, p) for kind in ("mult", "ec") for p in (101, 1009)] + [("ec", 16381)]
 
 

@@ -39,7 +39,6 @@ from dhpbound.reduction import (
     cost_report,
     find_generator,
     generator_try_budget,
-    giant_table,
     phase1_find_j,
     phase1_walks,
     reduce_dlog,
@@ -485,7 +484,8 @@ DEGENERATE_SPLITS = {
     # d = p - 1: m = 1 and zeta = 1, so every point of either walk has one key
     "m-is-1": (101, 100, range(1, 101)),
     # m = 25 = 5^2: the giant stride zeta^5 has order 5, so the giant key at
-    # u = 6 repeats u = 1, and only the smaller u is acceptable
+    # u = 6 repeats u = 1; the reference accepts only the smaller u, and
+    # phase1_find_j reduces e - v mod m whichever it meets
     "m-square": (101, 4, range(1, 101)),
     # x^4 = 1 gives j = m = 25 with d1 = 5 | m: the match v1 = 0 at u1 = 5
     # must win over v1 = d1 at u1 = 6, the one other pair with u1*d1 - v1 = j
@@ -503,13 +503,18 @@ def test_phase1_matches_reference_on_degenerate_splits(kind, split):
     u1s = set()
     for seed in range(4):
         for x in xs:
+            kept = group._giant_tables.get(d)
             j, u1, v1 = assert_phase1_matches_reference(group, oracle, x, d, seed)
             u1s.add(u1)
-            giants = giant_table(group, phase1_inputs(group, x, d, seed)[1])
+            giants = group._giant_tables[d]
+            assert giants.extended == (giants is kept)  # a build is plain, a reuse extends it
             if split == "m-is-1":
+                # d1 = 1: the half stride floor(d1/2) = 0 adds no key
                 assert (j, u1, v1) == (1, 1, 0) and len(giants.table) == 1
             elif split == "m-square":
-                assert len(giants.table) == 5 < giants.walks[1].points
+                # 5 keys on the stride, 5 more a half stride (2) below them, of G = 6 points each
+                assert len(giants.table) == (10 if giants.extended else 5)
+                assert giants.walks[1].points == 6
             else:
                 assert (j, u1, v1) == (m, 5, 0)
     if split == "m-square":
@@ -551,10 +556,48 @@ def run_quietly(group, handle, x: int, d: int, seed: int):
         return reduce_dlog(group, handle, group.scalar_mul(x, group.generator), d, seed=seed)
 
 
-def hit_encodes(tr) -> int:
-    """Keys a run encodes when its giant table is kept: v1 + 1 baby keys in
-    phase 1, then s2 + 1 baby and u2 + 1 giant keys in phase 2."""
-    return (tr.v1 + 1) + (tr.params.s2 + 1) + (tr.u2 + 1)
+def baby_pulls(giants, j: int, m: int) -> int:
+    """Baby keys phase 1 pulls on giants: v = 0, 1, ... up to the first v = (e - j) mod m of a stored e."""
+    return 1 + min((e - j) % m for e in giants.table.values())
+
+
+def hit_encodes(tr, giants) -> int:
+    """Keys a run encodes when its giant table is kept: its phase-1 baby keys
+    up to the first hit, then s2 + 1 baby and u2 + 1 giant keys in phase 2."""
+    m = (tr.p - 1) // tr.params.d
+    return baby_pulls(giants, tr.j, m) + (tr.params.s2 + 1) + (tr.u2 + 1)
+
+
+def table_state(group, d: int):
+    """(the group's kept table for d or None, whether it was extended), taken before a run."""
+    kept = group._giant_tables.get(d)
+    return kept, kept is not None and kept.extended
+
+
+def run_encodes(state, giants, tr) -> int:
+    """Keys a run encodes from the table state before it: G giant keys for a
+    build, G more when it is the first reuse (none when floor(d1/2) = 0), then its hit."""
+    kept, was_extended = state
+    built = giants is not kept
+    extends = not built and not was_extended and tr.params.d1 // 2 > 0
+    return (built + extends) * giants.walks[1].points + hit_encodes(tr, giants)
+
+
+def assert_giant_keys(group, giants, params) -> None:
+    """giants holds the keys of zeta^e * P for e = d1*u, and for e = d1*u - floor(d1/2)
+    once extended (u = 1..G), and no other, each mapped to one of its exponents."""
+    p, d1 = group.order, params.d1
+    points = giants.walks[1].points
+    shifts = (0, d1 // 2) if giants.extended else (0,)
+    want = {}
+    for shift in shifts:
+        for u in range(1, points + 1):
+            e = d1 * u - shift
+            key = group.encode(group.scalar_mul(pow(params.zeta, e, p), group.generator))
+            want.setdefault(key, set()).add(e)
+    assert set(giants.table) == set(want)
+    assert all(giants.table[key] in es for key, es in want.items())
+    assert len(giants.table) <= len(shifts) * points
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
@@ -575,15 +618,15 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind):
                 (fresh, OracleHandle(fresh), fresh_encodes),
                 (reused, oracle, reused_encodes),
             ):
-                before, kept = calls[0], group._giant_tables.get(d)
+                before, state = calls[0], table_state(group, d)
                 runs.append(run_quietly(group, handle, x, d, seed=x))
+                giants = group._giant_tables[d]
                 encodes.append(calls[0] - before)
-                builds.append(group._giant_tables[d] is not kept)
+                builds.append(giants is not state[0])
+                assert encodes[-1] == run_encodes(state, giants, runs[-1])
+                assert giants.extended == (not builds[-1])  # every reuse finds it extended
             assert runs[0].to_dict() == runs[1].to_dict() == runs[2].to_dict()
             assert builds[1:] == [True, False]  # a fresh group builds, a repeat hits
-            giant = phase1_walks(1009, runs[0].params)[1]
-            for built, n in zip(builds, encodes):
-                assert n == hit_encodes(runs[0]) + built * giant.points  # a build pulls every giant key
             first_runs_hit += not builds[0]
     assert reused._generator_tables  # the giant walks took their fixed-base tables from the cache
     assert first_runs_hit >= 3  # at d = p - 1 every seed gives the same walks
@@ -597,30 +640,66 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
     rng = random.Random(f"{kind}:{p}")
     divisors = list(ds or all_divisors(p))
     for n, d in enumerate(divisors):
-        for x in rng.sample(range(1, p), 4):
+        for run, x in enumerate(rng.sample(range(1, p), 4)):
             group = make_backend(kind, p)
             fresh = run_quietly(group, OracleHandle(group), x, d, seed=0)
-            before, kept = encodes[0], reused._giant_tables.get(d)
+            before, state = encodes[0], table_state(reused, d)
             tr = run_quietly(reused, oracle, x, d, seed=0)
             assert tr.to_dict() == fresh.to_dict()
             assert list(reused._giant_tables) == divisors[:n + 1]  # one more table per new d
             giants = reused._giant_tables[d]
             baby, giant = giants.walks
-            if kept is not None:  # a hit: no giant key pulled, v1 + 1 baby keys
-                assert giants is kept and encodes[0] - before == hit_encodes(tr)
+            # a build pulls every giant key, the first reuse every half-stride one, later runs
+            # none: the table extends exactly once
+            pulled = encodes[0] - before - hit_encodes(tr, giants)
+            assert pulled == [giant.points, giant.points * (tr.params.d1 > 1), 0, 0][run]
+            assert giants.extended == (run > 0)
+            if run > 1:
+                assert giants is state[0]
                 continue
-            assert encodes[0] - before == giant.points + hit_encodes(tr)
-            # the table holds the whole giant walk, smallest index per key, and its bills
-            want = {}
-            for i in range(giant.points):
-                u_point = reused.scalar_mul(pow(giant.stride, i + 1, p), reused.generator)
-                want.setdefault(reused.encode(u_point), i)
-            assert giants.table == want
+            assert_giant_keys(reused, giants, tr.params)
             assert giants.baby_bill == formula_bill(p, baby, window_plan(p, baby)[0])
             w = window_plan(p, giant)[0]
             assert giants.giant_bills == [
                 formula_bill(p, giant._replace(points=u), w) for u in range(1, giant.points + 1)
             ]
+
+
+@pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
+def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds):
+    rng = random.Random(f"one-shot:{kind}:{p}")
+    for d in ds or all_divisors(p):
+        x, seed = rng.randrange(1, p), rng.randrange(4)
+        group = make_backend(kind, p)
+        encodes = count_encodes(group)
+        tr = run_quietly(group, OracleHandle(group), x, d, seed)
+        giants = group._giant_tables[d]
+        assert not giants.extended
+        assert encodes[0] == giants.walks[1].points + hit_encodes(tr, giants)
+        assert_giant_keys(group, giants, tr.params)
+
+
+@pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
+def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
+    group = make_backend(kind, p)
+    oracle = OracleHandle(group)
+    encodes = count_encodes(group)
+    rng = random.Random(f"half:{kind}:{p}")
+    for d in ds or all_divisors(p):
+        m = (p - 1) // d
+        for seed in (0, 1):
+            for _ in range(2):  # build, then extend
+                run_quietly(group, oracle, rng.randrange(1, p), d, seed)
+            giants = group._giant_tables[d]
+            assert giants.extended
+            d1 = isqrt(m)
+            for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
+                q_pow_d, params = phase1_inputs(group, x, d, seed)
+                before = encodes[0]
+                j, _, _ = phase1_find_j(group, oracle, q_pow_d, params)
+                assert encodes[0] - before == baby_pulls(giants, j, m) <= -(-d1 // 2) + 1
+                assert pow(params.zeta, j, p) == pow(x, d, p)
+            assert group._giant_tables[d] is giants
 
 
 def test_giant_key_cache_is_bounded_by_the_group():
@@ -639,7 +718,8 @@ def test_giant_key_cache_is_bounded_by_the_group():
                 giants = group._giant_tables[d]
                 # this seed's walks, not the other seed's, and no key past the giant walk
                 assert giants.walks == phase1_walks(p, phase1_inputs(group, 1, d, seed)[1])
-                assert len(giants.table) <= giants.walks[1].points == len(giants.giant_bills)
+                assert giants.extended and giants.walks[1].points == len(giants.giant_bills)
+                assert len(giants.table) <= 2 * giants.walks[1].points
             kept.append(dict(group._giant_tables))
         # more runs of the same (d, seed) keep the same tables
         assert all(kept[-3][d] is kept[-2][d] is kept[-1][d] for d in ds)
