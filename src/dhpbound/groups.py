@@ -13,12 +13,16 @@ machine operation; this keeps instrumentation comparable across backends.
 The fixed-base hook (_raw_fixed_base) follows the same rule: a caller bills
 what the generic windowed path performs -- the table, then one addition per
 nonzero window digit of k past the first. F_q^x and EC build and read that
-table; only Z_p hands back its one-operation product and builds none.
+table; only Z_p hands back its one-operation product and builds none. The
+simulated oracle also reads one on the generator for its answers, unbilled.
 
 Baby-step giant-step runs on key iterators, one lazy key per point a side
 visits: bsgs_table pulls the keys it stores, bsgs_probe one per giant step
 and none after an accepted match, so a walk billed per pull pays for exactly
-the points used. orbit is the raw walk behind the simulated oracle.
+the points used. orbit is the lazy walk that builds the simulated oracle's
+baby table. The oracle's giant side, which nobody bills, runs on the raw
+hook _raw_probe instead: one loop over raw data that stops at the first
+stored point, generic on _raw_add and inlined on F_q^x. Z_p never probes.
 """
 
 from __future__ import annotations
@@ -201,6 +205,21 @@ class CyclicGroup:
 
         return times
 
+    def _raw_probe(self, table: dict, start, stride, steps: int):
+        """(u, table[key]) for the first u < steps whose key start + u*stride is in table, else None.
+
+        The raw giant side of a baby-step giant-step search: the same matches
+        bsgs_probe finds on orbit(_raw_add, start, stride) over range(steps),
+        without a generator, a zip or a bound lookup per step. F_q^x inlines
+        its group law.
+        """
+        add, point = self._raw_add, start
+        for u in range(steps):
+            if point in table:
+                return u, table[point]
+            point = add(point, stride)
+        return None
+
     def encode(self, a: GroupPoint) -> bytes:
         """Canonical injective byte encoding: tag, identity flag, padded coordinates."""
         self._member(a)
@@ -302,6 +321,16 @@ class MultSubgroup(CyclicGroup):
             return acc
 
         return times
+
+    def _raw_probe(self, table: dict, start, stride, steps: int):
+        # the generic loop with a * stride % q inlined, which the simulated
+        # oracle runs for up to sqrt(p) steps on every point it solves
+        q, a = self.q, start
+        for u in range(steps):
+            if a in table:
+                return u, table[a]
+            a = a * stride % q
+        return None
 
     def _coord_width(self) -> int:
         return (self.q.bit_length() + 7) // 8

@@ -83,14 +83,25 @@ def check_encode(group: CyclicGroup, rng: random.Random, pairs: int) -> None:
 
 
 def check_dh(group: CyclicGroup, oracle: OracleHandle, rng: random.Random, samples: int) -> None:
-    """dh(aP, bP) has discrete log ab mod p, as brute_force_dlog finds it."""
+    """dh(aP, bP) has discrete log ab mod p, as brute_force_dlog finds it, and dh(abP, aP) a^2 b.
+
+    Feeding the answer back as dh(abP, aP) takes the oracle's other branch:
+    dh(aP, bP) solved aP, so both exponents are known and the product is
+    read off the oracle's table on the generator instead of scalar_mul.
+    """
     p = group.order
     for _ in range(samples):
         a, b = rng.randrange(p), rng.randrange(p)
-        got = oracle.dh(group.scalar_mul(a, group.generator), group.scalar_mul(b, group.generator))
+        A = group.scalar_mul(a, group.generator)
+        got = oracle.dh(A, group.scalar_mul(b, group.generator))
         _check(
             brute_force_dlog(group, got) == a * b % p,
             f"dh({a}P,{b}P) != {a}*{b}P on {group.backend} p={p}",
+        )
+        again = oracle.dh(got, A)
+        _check(
+            brute_force_dlog(group, again) == a * a * b % p,
+            f"dh({a * b % p}P,{a}P) != {a * b % p}*{a}P on {group.backend} p={p}",
         )
 
 

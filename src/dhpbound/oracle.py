@@ -4,10 +4,14 @@ The oracle answers dh(aP, bP) = abP. It recovers a from aP at call time, so
 it accepts arbitrary points produced mid-computation (squarings dh(Y, Y)
 included) without tracking any exponent bookkeeping that a real black box
 would not have. On Z_p the generator is 1, so a is the residue itself; on the
-other backends a private baby-step giant-step solver, built once per handle,
-walks the raw coordinates. That private solver work is deliberately invisible
-to the caller: the attached ledger moves by exactly one oracle call per
-invocation and nothing else. The handle's own solver_steps counter shows it.
+other backends a private baby-step giant-step solver recovers it on the raw
+coordinates. Its baby table (r*P -> r for r < m = isqrt(p - 1) + 1) is built
+once per handle through orbit; each probe then runs the group's raw hook
+_raw_probe from aP with stride -m*P for at most m + 1 steps, and the first
+stored point u*m + r gives a. That private solver work is deliberately
+invisible to the caller: the attached ledger moves by exactly one oracle call
+per invocation and nothing else. The handle's own solver_steps counter shows
+it: m - 1 for the baby table, u + 1 per probe.
 
 Within one run (from one attach_ledger to the next) the solver remembers what
 it has already solved: the exponent of every point it probed, and the exponent
@@ -19,6 +23,14 @@ without it. In a reduction the first squaring dh(Q, Q) solves Q, after which
 every point implicit_pow hands in is a hit: at most two probes per run, the
 generator and Q. attach_ledger forgets the memo, so it never outlives a run
 and holds at most two entries per call since the last attach.
+
+The answer is scalar_mul(a, B) when b is unknown. When the memo knows b, as
+on every call of a reduction after its first, both exponents are known and
+the answer is (ab mod p)*P, read off a fixed-base table on the generator
+(w = 4, built through the group's _raw_fixed_base on the handle's first such
+call and kept with the handle): at most one addition per nonzero 4-bit
+digit of ab, where a double-and-add by a costs about 1.5 log2 p. Both give
+the same point, and neither reaches the ledger.
 """
 
 from __future__ import annotations
@@ -33,7 +45,6 @@ from .groups import (
     GroupPoint,
     GuardRailError,
     ZpAdditiveGroup,
-    bsgs_probe,
     bsgs_table,
     orbit,
 )
@@ -77,6 +88,7 @@ class OracleHandle:
         self._giant_step = None  # raw data of -m*P
         self._table_span = isqrt(group.order - 1) + 1 if group.order > 1 else 1
         self._known: dict[object, int] = {}  # point data -> dlog, for the current run only
+        self._generator_times = None  # k -> raw k*P, the fixed-base table behind known-b answers
 
     def attach_ledger(self, ledger: CostLedger | None) -> None:
         """Start a new run: charge later calls to this ledger (None detaches), forget the memo."""
@@ -96,9 +108,8 @@ class OracleHandle:
             self._baby_table = bsgs_table(babies, m)
             self._giant_step = g.negate(g.scalar_mul(m, g.generator)).data
             self.solver_steps += m - 1
-        hit = bsgs_probe(  # raw data is canonical and hashable; every match u*m + r is the dlog
-            self._baby_table, orbit(g._raw_add, A.data, self._giant_step), range(m + 1)
-        )
+        # raw data is canonical and hashable; every match u*m + r is the dlog
+        hit = g._raw_probe(self._baby_table, A.data, self._giant_step, m + 1)
         if hit is None:
             raise RuntimeError(
                 f"oracle dlog failed on order {g.order}: point not generated by the group generator"
@@ -107,15 +118,31 @@ class OracleHandle:
         a = self._known[A.data] = (hit[0] * m + hit[1]) % g.order
         return a
 
+    def _times_generator(self, k: int):
+        """Raw k*P for 0 <= k < p, from the handle's fixed-base table, built on first use."""
+        if self._generator_times is None:
+            g, w = self.group, 4  # fixed window: at 2^32, 8 columns of 16 multiples
+            column, columns = g.generator.data, []
+            for _ in range(-(-g.order.bit_length() // w)):  # columns 2^(wj)*P cover every k < p
+                columns.append(column)
+                for _ in range(w):
+                    column = g._raw_add(column, column)
+            self._generator_times = g._raw_fixed_base(columns, w)
+        return self._generator_times(k)
+
     def dh(self, A: GroupPoint, B: GroupPoint) -> GroupPoint:
         """Return (ab)P for A = aP, B = bP; charges exactly one oracle call."""
-        self.group._member(A)
-        self.group._member(B)
+        g = self.group
+        g._member(A)
+        g._member(B)
         a = self._private_dlog(A)
-        result = self.group.scalar_mul(a, B)
         b = self._known.get(B.data)  # never set on Z_p, where _private_dlog does not store
-        if b is not None:
-            self._known[result.data] = a * b % self.group.order
+        if b is None:
+            result = g.scalar_mul(a, B)
+        else:
+            ab = a * b % g.order
+            result = GroupPoint(g, self._times_generator(ab))
+            self._known[result.data] = ab
         self.call_count += 1
         if self.ledger is not None:
             self.ledger.oracle_calls += 1

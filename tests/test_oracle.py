@@ -8,7 +8,16 @@ import pytest
 
 import dhpbound.oracle as oracle_module
 from conftest import make_backend
-from dhpbound.groups import GroupMismatchError, GuardRailError, brute_force_dlog, make_zp_additive
+from dhpbound.groups import (
+    CyclicGroup,
+    GroupMismatchError,
+    GroupPoint,
+    GuardRailError,
+    brute_force_dlog,
+    bsgs_probe,
+    make_zp_additive,
+    orbit,
+)
 from dhpbound.implicit import PowCallBoundWarning
 from dhpbound.invariants import check_dh
 from dhpbound.modmath import divisors_in_range, factorize
@@ -170,10 +179,10 @@ MEMO_GROUPS = [(kind, p) for kind in ("mult", "ec") for p in (101, 1009)] + [("e
 @pytest.mark.parametrize("kind, p", MEMO_GROUPS)
 def test_reduction_probes_at_most_twice_per_run(kind, p, monkeypatch):
     # the first squaring dh(Q, Q) solves Q; every later point implicit_pow hands in is a memo hit
-    probes = []
-    real = oracle_module.bsgs_probe
-    monkeypatch.setattr(oracle_module, "bsgs_probe", lambda *a: probes.append(a) or real(*a))
     g = make_backend(kind, p)
+    probes = []
+    real = g._raw_probe
+    monkeypatch.setattr(g, "_raw_probe", lambda *a: probes.append(a) or real(*a))
     oracle = OracleHandle(g)
     rng = random.Random(35000 + p + len(kind))
     for d in divisors_in_range(factorize(p - 1), 1, p - 1):
@@ -185,6 +194,94 @@ def test_reduction_probes_at_most_twice_per_run(kind, p, monkeypatch):
         assert tr.x == x
         assert (len(probes) == 0) if d == 1 else (1 <= len(probes) <= 2), (d, x)
         assert len(oracle._known) <= 2 * tr.ledger.oracle_calls
+
+
+PROBE_GROUPS = [(kind, p, None) for kind in ("mult", "ec") for p in (101, 1009)]
+PROBE_GROUPS += [("ec", 16381, 20), ("mult", 4294967291, 20)]
+
+
+@pytest.mark.parametrize("kind, p, sampled", PROBE_GROUPS)
+def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled):
+    # _raw_probe finds what bsgs_probe finds on orbit over the same steps, and the
+    # oracle's solver_steps move by the same u + 1; every point, or `sampled` seeded ones
+    g = make_backend(kind, p)
+    oracle = OracleHandle(g)
+    oracle.dh(g.generator, g.generator)  # builds the baby table
+    table, step, m = oracle._baby_table, oracle._giant_step, oracle._table_span
+    if sampled is None:
+        xs = range(p)
+    else:
+        rng = random.Random(39000 + len(kind))
+        xs = [rng.randrange(p) for _ in range(sampled)]
+    for x in xs:
+        A = g.scalar_mul(x, g.generator)
+        want = bsgs_probe(table, orbit(g._raw_add, A.data, step), range(m + 1))
+        assert g._raw_probe(table, A.data, step, m + 1) == want
+        assert want is not None and (want[0] * m + want[1]) % p == x
+        assert g._raw_probe(table, A.data, step, want[0]) is None  # one step short of the first hit
+        oracle.attach_ledger(None)  # forget the memo, so the point is probed again
+        before = oracle.solver_steps
+        assert oracle._private_dlog(A) == x
+        assert oracle.solver_steps - before == want[0] + 1
+
+
+@pytest.mark.parametrize("p", (101, 4294967291))
+def test_raw_probe_outside_the_subgroup_fails_by_name(p):
+    # q - 1 has order 2 in F_q^x, so no giant step meets the table: no match, no steps billed
+    g = make_backend("mult", p)
+    oracle = OracleHandle(g)
+    oracle.dh(g.generator, g.generator)
+    outside = GroupPoint(g, g.q - 1)
+    table, step, m = oracle._baby_table, oracle._giant_step, oracle._table_span
+    assert g._raw_probe(table, outside.data, step, m + 1) is None
+    assert bsgs_probe(table, orbit(g._raw_add, outside.data, step), range(m + 1)) is None
+    steps = oracle.solver_steps
+    with pytest.raises(RuntimeError, match="oracle dlog failed"):
+        oracle.dh(outside, g.generator)
+    assert oracle.solver_steps == steps
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("p", (101, 1009))
+def test_generator_table_answers_like_scalar_mul(kind, p):
+    # every k < p off the handle's generator table is k*P; dh with b known answers scalar_mul(a, B)
+    g = make_backend(kind, p)
+    oracle = OracleHandle(g)
+    assert [oracle._times_generator(k) for k in range(p)] == [
+        g.scalar_mul(k, g.generator).data for k in range(p)
+    ]
+    rng = random.Random(40000 + p + len(kind))
+    known_b = 0
+    for ledger in (CostLedger(), None):  # attached, then detached
+        oracle.attach_ledger(ledger)
+        points = [g.identity, g.generator, g.scalar_mul(rng.randrange(p), g.generator)]
+        pairs = [(g.identity, g.identity), (points[2], g.identity), (g.identity, points[2])]
+        pairs += [(points[2], points[2]), (points[2], g.generator)]
+        for k in range(60):
+            A, B = pairs[k] if k < len(pairs) else (rng.choice(points), rng.choice(points))
+            known_b += B.data in oracle._known
+            got = oracle.dh(A, B)
+            assert got.data == g.scalar_mul(brute_force_dlog(g, A), B).data
+            points.append(got)  # answers fed back in
+        if ledger is not None:
+            assert ledger.as_dict() == {"group_ops": 0, "oracle_calls": 60, "bsgs_table_entries": 0}
+    assert (known_b == 0) if kind == "zp" else (known_b >= 60)
+
+
+def test_ec_dh_with_known_b_never_calls_scalar_mul(monkeypatch):
+    # both exponents known: the answer comes off the generator table, never a double-and-add
+    g = make_backend("ec", 1009)
+    oracle = OracleHandle(g)
+    rng = random.Random(41009)
+    A, B = (g.scalar_mul(rng.randrange(1, 1009), g.generator) for _ in range(2))
+    oracle.dh(B, g.generator)  # solves B and builds the baby table, through scalar_mul
+    want = [g.scalar_mul(brute_force_dlog(g, A), B).data, g.scalar_mul(brute_force_dlog(g, B), B).data]
+
+    def boom(*args):
+        raise AssertionError("scalar_mul called on a known-b dh")
+
+    monkeypatch.setattr(CyclicGroup, "scalar_mul", boom)
+    assert [oracle.dh(A, B).data, oracle.dh(B, B).data] == want
 
 
 @pytest.mark.parametrize("kind, p", MEMO_GROUPS)
