@@ -12,9 +12,11 @@ multiplication by k, even on backends where the whole product is a single
 machine operation; this keeps instrumentation comparable across backends.
 The fixed-base hook (_raw_fixed_base) follows the same rule: a caller bills
 what the generic windowed path performs -- the table, then one addition per
-nonzero window digit of k past the first. F_q^x and EC build and read that
-table; only Z_p hands back its one-operation product and builds none. The
-simulated oracle also reads one on the generator for its answers, unbilled.
+nonzero window digit of k past the first. The table serves every k < p, so
+its top column's row holds multiples only up to the top digit of p - 1.
+F_q^x and EC build and read that table; only Z_p hands back its
+one-operation product and builds none. The simulated oracle also reads one
+on the generator for its answers, unbilled.
 
 Baby-step giant-step runs on key iterators, one lazy key per point a side
 visits: bsgs_table pulls the keys it stores, bsgs_probe one per giant step
@@ -178,20 +180,30 @@ class CyclicGroup:
                 acc = self._raw_add(acc, a.data)
         return GroupPoint(self, acc)
 
-    def _raw_fixed_base(self, columns: list, w: int):
-        """Function k -> raw k*base for 0 < k < 2^(w*len(columns)), given columns[j] = raw 2^(wj)*base.
+    def _row_tops(self, cols: int, w: int) -> list[int]:
+        """The largest multiple each of cols w-bit columns must hold for every k < p.
 
-        The generic path builds rows[j][i] = i*columns[j] for i < 2^w, with
-        2^w - 2 additions per row, and sums one entry per nonzero w-bit digit
-        of k. F_q^x builds the same rows with the group law inlined; Z_p,
-        whose scalar multiplication is one machine operation, returns that
-        product instead and builds nothing.
+        2^w - 1 for every column but the last; the last holds only the top
+        digit of p - 1, top = (p - 1) >> (w*(cols - 1)), the largest top
+        w-bit digit of any k < p.
+        """
+        return [(1 << w) - 1] * (cols - 1) + [(self.order - 1) >> (w * (cols - 1))]
+
+    def _raw_fixed_base(self, columns: list, w: int):
+        """Function k -> raw k*base for 0 <= k < p, given columns[j] = raw 2^(wj)*base covering p - 1.
+
+        The generic path builds rows[j][i] = i*columns[j] for i up to the
+        column's _row_tops entry: 2^w - 2 additions per row, and top - 1 on
+        the last, whose row is trimmed to the top digit of p - 1. It sums one
+        entry per nonzero w-bit digit of k. F_q^x builds the same rows with
+        the group law inlined; Z_p, whose scalar multiplication is one
+        machine operation, returns that product instead and builds nothing.
         """
         add, identity, mask = self._raw_add, self._raw_identity(), (1 << w) - 1
         rows = []
-        for col in columns:
+        for col, top in zip(columns, self._row_tops(len(columns), w)):
             row = [identity, col]
-            for _ in range(mask - 1):
+            for _ in range(top - 1):
                 row.append(add(row[-1], col))
             rows.append(row)
 
@@ -304,12 +316,13 @@ class MultSubgroup(CyclicGroup):
     def _raw_fixed_base(self, columns: list, w: int):
         # the billed table with the group law inlined, because the generic
         # path's per-digit _raw_add calls slow the short walks at p ~ 1009:
-        # rows[j][i] = columns[j]^i mod q, and entry 0 is 1, so no digit branches
+        # rows[j][i] = columns[j]^i mod q up to the same trimmed tops, and
+        # entry 0 is 1, so no digit branches
         q, mask = self.q, (1 << w) - 1
         rows = []
-        for col in columns:
+        for col, top in zip(columns, self._row_tops(len(columns), w)):
             row = [1, col]
-            for _ in range(mask - 1):
+            for _ in range(top - 1):
                 row.append(row[-1] * col % q)
             rows.append(row)
 

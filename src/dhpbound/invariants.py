@@ -139,8 +139,9 @@ def check_reduction(
     u2 = ceil(t/s2), v2 = u2*s2 - t: the smallest u of any pair that
     reassembles the value, which phase 1 finds by streaming its baby points
     into the giant table), oracle calls equal floor(log2 d) + popcount(d),
-    group ops stay under the sweep and walk ceilings, and the reported M
-    bound is 2*(d1 + s2) of the run's own split.
+    group ops stay under the walk ceiling and the walk ceiling under the
+    sweep ceiling, and the reported M bound is 2*(d1 + s2) of the run's own
+    split.
     """
     p = group.order
     where = f"(p={p}, d={d})"
@@ -164,8 +165,11 @@ def check_reduction(
         tr.ledger.oracle_calls == calls and rep["oracle_calls_match_formula"],
         f"oracle calls != exact formula {where}",
     )
-    _check(rep["within_sweep_ceiling"], f"group ops above sweep ceiling {where}")
     _check(rep["within_walk_ceiling"], f"group ops above walk ceiling {where}")
+    _check(
+        rep["walk_group_op_ceiling"] <= rep["sweep_group_op_ceiling"],
+        f"walk ceiling above sweep ceiling {where}",
+    )
     m_bound = 2 * (tr.params.d1 + tr.params.s2)
     _check(rep["kkm_group_op_bound"] == m_bound, f"M bound != 2*(d1 + s2) = {m_bound} {where}")
     return tr

@@ -144,10 +144,15 @@ def test_reduce_recovers_specified_x(capsys):
     assert code == 0
     assert "requested 37, match: True" in out
     assert "oracle_calls=3" in out
-    # where the group ops went: the walk ceiling beside the M bound, and each walk's window
-    assert "walk ceiling 102 (within: True), M bound (not enforced) 14" in out
+    # where the group ops went: the walk ceiling beside the M bound, and each walk's window.
+    # Seed 0 gives test_cost_report_shapes_and_values' phase 1 (27 + 38 on w = 2 and 1) and
+    # phase 2 baby (18 on w = 1). Here j = 19, so phase 2's giant walk starts at
+    # zeta0^19 = 67 = 0b1000011: its own w = 1 plan costs 6 + 2 + 6 = 14 over its
+    # first 2 points, phase 1's w = 1 table 2 + 6 = 8, so it shares that table,
+    # at 2 + 3*6 = 20 over all 4 points: 27 + 38 + 18 + 20 = 103.
+    assert "walk ceiling 103 (within: True), M bound (not enforced) 14" in out
     assert ("walk windows (0 = plain double-and-add): "
-            "phase1_baby=2, phase1_giant=2, phase2_baby=1, phase2_giant=2\n") in out
+            "phase1_baby=2, phase1_giant=1, phase2_baby=1, phase2_giant=1\n") in out
 
 
 def test_reduce_random_seed_deterministic(capsys):
@@ -180,7 +185,13 @@ def test_reduce_csv_format(capsys):
     assert kv["x"] == "11" and kv["recovered"] == "True"
     assert kv["cost_report.within_sweep_ceiling"] == "True"
     assert kv["cost_report.within_walk_ceiling"] == "True"
-    assert [kv[f"cost_report.window_{name}"] for name in WALK_NAMES] == ["0", "2", "0", "1"]
+    # 28 = 0b11100: tables cost 4 (w = 1), 8 (w = 2, top digit 1), 11 (w = 3, top digit 3).
+    # The baby walks (1, 20, 3) and (1, 12, 3) stay plain at 2*5 and 2*4. Phase 1's giant
+    # walk (23, 23, 5), priced at its first 3 points, takes w = 2 at 8 + 2*2 + 2 = 14 over
+    # the plain 21. Phase 2's (14^3 = 18, 28, 4) shares it, at 1 + 2 = 3 over 2 points
+    # against its own w = 1 at 4 + 4 + 1 = 9.
+    assert [kv[f"cost_report.window_{name}"] for name in WALK_NAMES] == ["0", "2", "0", "2"]
+    assert kv["cost_report.walk_group_op_ceiling"] == str(10 + 18 + 8 + 7)
 
 
 @pytest.mark.parametrize("backend", ["zp", "ec"])

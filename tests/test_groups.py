@@ -30,6 +30,7 @@ from dhpbound.groups import (
     scalar_mul_cost,
 )
 from dhpbound.invariants import check_encode, check_group_laws
+from dhpbound.oracle import OracleHandle
 
 BACKENDS = ("zp", "mult", "ec")
 
@@ -223,6 +224,29 @@ def test_fixed_base_hook_matches_scalar_mul_random_k(kind, p):
         want = [g.scalar_mul(k, base).data for k in ks]
         for times in fixed_base_hooks(g, base, w):
             assert [times(k) for k in ks] == want
+
+
+def trim_backend(kind: str, p: int):
+    """make_backend, with the curves of order 17 and 257 found on the spot."""
+    if kind == "ec" and p in (17, 257):
+        return make_ec_group(*find_ec_group_params(p))
+    return make_backend(kind, p)
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("p", [17, 257, 1009])
+def test_trimmed_tables_give_every_multiple(kind, p):
+    # the top column's row stops at the top digit of p - 1, which is one bit at 17 and 257,
+    # where p - 1 is a power of two; every w, every k < p, and the oracle's w = 4 table
+    g = trim_backend(kind, p)
+    base = g.scalar_mul(3, g.generator)
+    want = [g.scalar_mul(k, base).data for k in range(p)]
+    for w in range(1, (p - 1).bit_length()):
+        for times in fixed_base_hooks(g, base, w):
+            assert [times(k) for k in range(p)] == want, w
+    oracle = OracleHandle(g)
+    want = [g.scalar_mul(k, g.generator).data for k in range(p)]
+    assert [oracle._times_generator(k) for k in range(p)] == want
 
 
 class Counted:

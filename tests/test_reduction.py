@@ -14,7 +14,7 @@ from math import isqrt
 import pytest
 
 from conftest import make_backend
-from dhpbound.groups import bsgs_probe, bsgs_table, make_zp_additive, scalar_mul_cost
+from dhpbound.groups import CyclicGroup, bsgs_probe, bsgs_table, make_zp_additive, scalar_mul_cost
 from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning
 from dhpbound.invariants import check_reduction
 from dhpbound.modmath import (
@@ -22,6 +22,7 @@ from dhpbound.modmath import (
     IncompleteFactorizationError,
     divisors_in_range,
     factorize,
+    is_prime,
 )
 from dhpbound.oracle import CostLedger, OracleHandle
 from dhpbound.reduction import (
@@ -35,13 +36,17 @@ from dhpbound.reduction import (
     _charges,
     _sample_generator,
     _walk,
+    _windows,
     ceil_log2,
     cost_report,
     find_generator,
     generator_try_budget,
     phase1_find_j,
+    phase1_plan,
     phase1_walks,
+    phase2_walks,
     reduce_dlog,
+    walk_window,
     window_plan,
 )
 
@@ -169,6 +174,23 @@ def test_sampled_sweep_p16381_zp_all_divisors():
         xs = {1, p - 1} | {rng.randrange(1, p) for _ in range(20)}
         for x in sorted(xs):
             check_reduction(group, oracle, x, d, seed=d)
+
+
+def test_every_prime_below_3000_zp_every_divisor():
+    # one seeded x per (p, d): group_ops <= walk ceiling <= sweep ceiling on every top-bit
+    # pattern of p - 1 the trimmed tables meet, about 1 s
+    rng = random.Random(3000)
+    runs = 0
+    for p in range(5, 3000):
+        if not is_prime(p):
+            continue
+        group = make_zp_additive(p)
+        oracle = OracleHandle(group)
+        for d in all_divisors(p):
+            x = rng.randrange(1, p)
+            check_reduction(group, oracle, x, d, seed=x)
+            runs += 1
+    assert runs == 5534
 
 
 def test_p3_edge_orders():
@@ -315,14 +337,21 @@ def test_cost_report_shapes_and_values():
     assert rep["within_sweep_ceiling"] is True
     assert rep["measured_group_ops"] == tr.ledger.group_ops > 0
     assert rep["bsgs_table_entries"] == (5 + 1) + (2 + 1)
-    # 100 has 7 bits. Phase 1 baby (k0 1, stride 19, 6 points): w = 2 costs a
-    # 14-op table plus 5*3, under the plain 5*6. Phase 1 giant (84, 84, 6):
-    # 14 + 84's three base-4 digits - 1 + 5*3 = 31. Phase 2 baby (1, 91, 3):
-    # w = 1 costs 6 + 2*6 = 18. Phase 2 giant (zeta0^3 = 38, 100, 4):
-    # 14 + 2 + 3*3 = 25.
+    # 100 = 0b1100100 has 7 bits, and its top digit is 1 for w = 1, 2, 3, so
+    # those tables cost (cols - 1)*w + (cols - 1)*(2^w - 2): 6, 12 and 18 ops;
+    # w = 4 costs 4 + 14 + (6 - 1) = 23. Phase 1 baby (k0 1, stride 19, 6
+    # points, priced at all 6): w = 2 costs 12 + 5*3 = 27, under the plain
+    # 5*6 and w = 3's 18 + 5*2. Phase 1 giant (84, 84, 6), priced at its
+    # first 3 points against the plain 3*8: w = 1 and w = 2 both cost 20
+    # (6 + 2*6 + popcount 3 - 1; 12 + 2*3 + three base-4 digits - 1), and
+    # the tie keeps w = 1; over all 6 points it costs 6 + 2 + 5*6 = 38.
+    # Phase 2 baby (1, 91, 3): w = 1 costs 6 + 2*6 = 18, under the plain
+    # 2*10. Phase 2 giant (zeta0^3 = 38, 100, 4): its own plan, w = 1 at
+    # 6 + 2 + 6 = 14 over 2 points, loses to phase 1's w = 1 table at
+    # 2 + 6 = 8, so it shares that table and costs 2 + 3*6 = 20 over all 4.
     assert tr.j == 3
-    assert [rep[f"window_{name}"] for name in WALK_NAMES] == [2, 2, 1, 2]
-    assert rep["walk_group_op_ceiling"] == 29 + 31 + 18 + 25
+    assert [rep[f"window_{name}"] for name in WALK_NAMES] == [2, 1, 1, 1]
+    assert rep["walk_group_op_ceiling"] == 27 + 38 + 18 + 20
     assert rep["within_walk_ceiling"] is True
 
 
@@ -348,24 +377,39 @@ def nonzero_digits(k: int, w: int) -> int:
     return count
 
 
-def run_walk(group, base_x: int, walk: Walk):
-    """Run every point of a walk on the image of base_x: (w, its bill, its table)."""
-    table = bsgs_table(_walk(group, walk_base(group, base_x), walk), walk.points)
-    return window_plan(group.order, walk)[0], sum(_charges(group.order, walk)), table
+def run_walk(group, base_x: int, walk: Walk, giant: bool = False):
+    """Run every point of a walk on its own window, on the image of base_x: (w, its bill, its table)."""
+    p, window = group.order, walk_window(group.order, walk, giant)
+    table = bsgs_table(_walk(group, walk_base(group, base_x), walk, window), walk.points)
+    return window_plan(p, walk, giant)[0], sum(_charges(p, walk, window)), table
 
 
 def walk_base(group, base_x: int) -> ImplicitFieldElement:
     return ImplicitFieldElement(group.scalar_mul(base_x, group.generator))
 
 
-def formula_bill(p: int, walk: Walk, w: int) -> int:
-    """The plain walk's double-and-add bill, or a w-bit table plus (digits - 1) per point."""
+def table_bill(p: int, w: int) -> int:
+    """Group ops of a w-bit table for every k < p, from the base-2^w digits of p - 1.
+
+    One column per digit, each but the first reached by w doublings; a row of
+    2^w - 2 additions per column, except the top one, which stops at the top
+    digit of p - 1.
+    """
+    digits = []
+    n = p - 1
+    while n:
+        digits.append(n % 2**w)
+        n //= 2**w
+    cols, top = len(digits), digits[-1]
+    return (cols - 1) * w + (cols - 1) * (2**w - 2) + max(top - 1, 0)
+
+
+def formula_bill(p: int, walk: Walk, w: int, table: bool = True) -> int:
+    """The plain walk's double-and-add bill, or a w-bit table (unless shared) plus (digits - 1) per point."""
     if w == 0:
         return scalar_mul_cost(walk.k0) + (walk.points - 1) * scalar_mul_cost(walk.stride)
-    cols = -(-(p - 1).bit_length() // w)
-    table = (cols - 1) * w + cols * (2**w - 2)
     ks = [walk.k0 * pow(walk.stride, i, p) % p for i in range(walk.points)]
-    return table + sum(nonzero_digits(k, w) - 1 for k in ks)
+    return table * table_bill(p, w) + sum(nonzero_digits(k, w) - 1 for k in ks)
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
@@ -375,14 +419,15 @@ def test_walk_bill_equals_formula(kind, p):
     rng = random.Random(p)
     seen = set()
     for points in (2, 3, 6, 13, isqrt(p) + 1):
-        for _ in range(6):
+        for trial in range(6):
             stride, k0 = rng.randrange(2, p), rng.choice([1, rng.randrange(1, p)])
-            walk = Walk(k0, stride, points)
+            walk, giant = Walk(k0, stride, points), trial % 2 == 1  # priced in full, then at half
+            window = walk_window(p, walk, giant)
             base_x = rng.randrange(1, p)
-            w, bill, table = run_walk(group, base_x, walk)
+            w, bill, table = run_walk(group, base_x, walk, giant)
             seen.add(w > 0)
             assert bill == formula_bill(p, walk, w)
-            assert bill <= window_plan(p, walk)[1]  # the plan's worst case
+            assert bill <= window_plan(p, walk, giant)[1]  # the plan's worst case
             # the same points, in the same order, as scalar multiplication
             want, want_keys = {}, []
             for i in range(points):
@@ -392,10 +437,11 @@ def test_walk_bill_equals_formula(kind, p):
             assert table == want
             # billed per point: the first n charges are the formula over n points
             n = rng.randrange(1, points + 1)
-            prefix = list(islice(_walk(group, walk_base(group, base_x), walk), n))
-            assert sum(islice(_charges(p, walk), n)) == formula_bill(p, walk._replace(points=n), w)
+            prefix = list(islice(_walk(group, walk_base(group, base_x), walk, window), n))
+            charges = _charges(p, walk, window)
+            assert sum(islice(charges, n)) == formula_bill(p, walk._replace(points=n), w)
             assert prefix == want_keys[:n]
-            assert len(list(_charges(p, walk))) == points
+            assert len(list(_charges(p, walk, window))) == points
     assert seen == {True, False}  # both the windowed and the plain walk ran
 
 
@@ -410,12 +456,94 @@ def test_baby_side_never_billed_above_plain_walk(p):
             assert bill <= (points - 1) * scalar_mul_cost(stride), (stride, points)
 
 
+@pytest.mark.parametrize("p", [101, 1009])
+def test_giant_side_billed_prefix_never_above_plain_walk(p):
+    # a giant side is priced at its first ceil(points/2) points, so those cost no more than plain
+    rng = random.Random(f"giant:{p}")
+    for _ in range(400):
+        points = rng.choice((2, 3, 5, isqrt(p) + 1, 2 * isqrt(p)))
+        walk = Walk(rng.randrange(1, p), rng.randrange(2, p), points)
+        half = -(-points // 2)
+        billed = sum(islice(_charges(p, walk, walk_window(p, walk, giant=True)), half))
+        assert billed <= scalar_mul_cost(walk.k0) + (half - 1) * scalar_mul_cost(walk.stride), walk
+
+
+@pytest.mark.parametrize("p", [17, 29, 101, 257, 1009, 16381])
+def test_table_is_built_at_its_billed_size(p):
+    # the generic path's row additions plus (cols - 1)*w column doublings equal table_bill,
+    # which the planner charges: the top row is built and billed up to the top digit of p - 1
+    group = make_zp_additive(p)  # run through the generic path, as EC builds it
+    adds, add = [0], group._raw_add
+
+    def counted(a, b):
+        adds[0] += 1
+        return add(a, b)
+
+    group._raw_add = counted
+    billed = {window.w: window.table for window in _windows(p - 1, 0)}
+    for w in range(1, (p - 1).bit_length()):
+        cols = -(-(p - 1).bit_length() // w)
+        before = adds[0]
+        CyclicGroup._raw_fixed_base(group, [2 ** (w * j) % p for j in range(cols)], w)
+        assert adds[0] - before + (cols - 1) * w == table_bill(p, w) == billed[w], w
+
+
+def run_bill(p: int, tr, rep) -> int:
+    """A run's group ops from (params, j, u1, u2) and its windows, with the generator table counted once.
+
+    Both baby walks in full, phase 1's giant walk through u1 and phase 2's
+    through u2 + 1; phase 2's giant walk pays no table when it runs on phase
+    1's window.
+    """
+    w = {name: rep[f"window_{name}"] for name in WALK_NAMES}
+    baby1, giant1 = phase1_walks(p, tr.params)
+    baby2, giant2 = phase2_walks(p, tr.params, tr.j)
+    shared = w["phase1_giant"] == w["phase2_giant"] > 0
+    return (
+        formula_bill(p, baby1, w["phase1_baby"])
+        + formula_bill(p, giant1._replace(points=tr.u1), w["phase1_giant"])
+        + formula_bill(p, baby2, w["phase2_baby"])
+        + formula_bill(p, giant2._replace(points=tr.u2 + 1), w["phase2_giant"], table=not shared)
+    )
+
+
+def priced_worst(p: int, walk: Walk, w: int, table: bool = True) -> int:
+    """Worst case of a giant walk's first ceil(points/2) points on w (0: plain), from its digits."""
+    half = -(-walk.points // 2)
+    if w == 0:
+        return scalar_mul_cost(walk.k0) + (half - 1) * scalar_mul_cost(walk.stride)
+    cols = -(-(p - 1).bit_length() // w)
+    return table * table_bill(p, w) + nonzero_digits(walk.k0, w) - 1 + (half - 1) * (cols - 1)
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_run_bill_equals_independent_formula(kind):
+    # sampled sweep runs: the ledger is the digit-by-digit bill of the run's matches, and
+    # phase 2's giant walk shares phase 1's table exactly when that is windowed and no dearer
+    rng = random.Random(f"run-bill:{kind}")
+    shares = set()
+    for p in (29, 101, 1009):
+        group = make_backend(kind, p)
+        oracle = OracleHandle(group)
+        for d in all_divisors(p):
+            for x in rng.sample(range(1, p), 4):
+                tr = run_quietly(group, oracle, x, d, seed=(31 * x + d) & 0xFFFF)
+                rep = cost_report(tr, p, d)
+                assert tr.ledger.group_ops == run_bill(p, tr, rep), (p, d, x)
+                giant2 = phase2_walks(p, tr.params, tr.j)[1]
+                w1, own = rep["window_phase1_giant"], window_plan(p, giant2, giant=True)[0]
+                share = w1 > 0 and priced_worst(p, giant2, w1, False) <= priced_worst(p, giant2, own)
+                assert rep["window_phase2_giant"] == (w1 if share else own), (p, d, x)
+                shares.add((share, w1 == own))
+    assert shares >= {(True, True), (True, False), (False, False)}
+
+
 # -------------------------------------------------- phase 1's giant table
 
 
-def billed(ledger: CostLedger, p: int, keys, walk: Walk):
-    """The keys of walk, each point's group ops charged to ledger as it is pulled."""
-    for charge, key in zip(_charges(p, walk), keys):
+def billed(ledger: CostLedger, p: int, keys, walk: Walk, window):
+    """The keys of walk, each point's group ops on window charged to ledger as it is pulled."""
+    for charge, key in zip(_charges(p, walk, window), keys):
         ledger.charge_group_ops(charge)
         yield key
 
@@ -424,11 +552,13 @@ def reference_phase1(group, oracle, q_pow_d, params):
     """Phase 1 as a table of every baby point probed by the giant walk in u1 order, billed per pull."""
     p = group.order
     m, d1 = (p - 1) // params.d, params.d1
-    baby, giant = phase1_walks(p, params)
+    (baby, baby_window), (giant, giant_window) = phase1_plan(p, params)
     ledger = CostLedger() if oracle.ledger is None else oracle.ledger
-    table = bsgs_table(billed(ledger, p, _walk(group, q_pow_d, baby), baby), baby.points)
+    babies = _walk(group, q_pow_d, baby, baby_window)
+    table = bsgs_table(billed(ledger, p, babies, baby, baby_window), baby.points)
     ledger.charge_table_entries(baby.points)
-    giants = billed(ledger, p, _walk(group, ImplicitFieldElement(group.generator), giant), giant)
+    generator = ImplicitFieldElement(group.generator)
+    giants = billed(ledger, p, _walk(group, generator, giant, giant_window), giant, giant_window)
     u1, v1 = bsgs_probe(
         table, giants, range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m
     )
@@ -659,7 +789,7 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
                 continue
             assert_giant_keys(reused, giants, tr.params)
             assert giants.baby_bill == formula_bill(p, baby, window_plan(p, baby)[0])
-            w = window_plan(p, giant)[0]
+            w = window_plan(p, giant, giant=True)[0]
             assert giants.giant_bills == [
                 formula_bill(p, giant._replace(points=u), w) for u in range(1, giant.points + 1)
             ]
