@@ -15,8 +15,10 @@ what the generic windowed path performs -- the table, then one addition per
 nonzero window digit of k past the first. The table serves every k < p, so
 its top column's row holds multiples only up to the top digit of p - 1.
 F_q^x and EC build and read that table; only Z_p hands back its
-one-operation product and builds none. The simulated oracle also reads one
-on the generator for its answers, unbilled.
+one-operation product and builds none. _generator_table keeps one such table
+per w on the generator for the group's lifetime: the reduction's walks on P
+read it, billed as above, and so does the simulated oracle for its answers,
+unbilled.
 
 Baby-step giant-step runs on key iterators, one lazy key per point a side
 visits: bsgs_table pulls the keys it stores, bsgs_probe one per giant step
@@ -114,7 +116,7 @@ class CyclicGroup:
 
     def __init__(self, order: int):
         self.order = order
-        self._generator_tables: dict = {}  # window w -> _raw_fixed_base on the generator, reused across runs
+        self._generator_tables: dict = {}  # window w -> _generator_table(w), built on first use
         # phase-1 divisor d -> reduction.GiantTable: the keys of zeta^e * generator
         # over the phase-1 giant walk e = d1*u, plus the half-stride walk
         # e = d1*u - floor(d1/2) from the first reuse on, mapped to e, and the
@@ -215,6 +217,23 @@ class CyclicGroup:
                 k >>= w
             return acc
 
+        return times
+
+    def _generator_table(self, w: int):
+        """Function k -> raw k*generator for 0 <= k < p off a w-bit fixed-base table, kept per w.
+
+        The first call for a w builds the columns 2^(wj)*generator by raw
+        doubling, ceil(bits(p - 1)/w) of them, and _raw_fixed_base's rows on
+        them; later calls return the same function.
+        """
+        times = self._generator_tables.get(w)
+        if times is None:
+            column, columns = self.generator.data, [self.generator.data]
+            for _ in range(-(-(self.order - 1).bit_length() // w) - 1):
+                for _ in range(w):
+                    column = self._raw_add(column, column)
+                columns.append(column)
+            times = self._generator_tables[w] = self._raw_fixed_base(columns, w)
         return times
 
     def _raw_probe(self, table: dict, start, stride, steps: int):

@@ -26,11 +26,11 @@ and holds at most two entries per call since the last attach.
 
 The answer is scalar_mul(a, B) when b is unknown. When the memo knows b, as
 on every call of a reduction after its first, both exponents are known and
-the answer is (ab mod p)*P, read off a fixed-base table on the generator
-(w = 4, built through the group's _raw_fixed_base on the handle's first such
-call and kept with the handle): at most one addition per nonzero 4-bit
-digit of ab, where a double-and-add by a costs about 1.5 log2 p. Both give
-the same point, and neither reaches the ledger.
+the answer is (ab mod p)*P, read off the group's fixed-base table on the
+generator (_generator_table(4), built on first use and kept with the group,
+which the reduction's w = 4 walks on P share): at most one addition per
+nonzero 4-bit digit of ab, where a double-and-add by a costs about
+1.5 log2 p. Both give the same point, and neither reaches the ledger.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class OracleHandle:
         self._giant_step = None  # raw data of -m*P
         self._table_span = isqrt(group.order - 1) + 1 if group.order > 1 else 1
         self._known: dict[object, int] = {}  # point data -> dlog, for the current run only
-        self._generator_times = None  # k -> raw k*P, the fixed-base table behind known-b answers
 
     def attach_ledger(self, ledger: CostLedger | None) -> None:
         """Start a new run: charge later calls to this ledger (None detaches), forget the memo."""
@@ -118,18 +117,6 @@ class OracleHandle:
         a = self._known[A.data] = (hit[0] * m + hit[1]) % g.order
         return a
 
-    def _times_generator(self, k: int):
-        """Raw k*P for 0 <= k < p, from the handle's fixed-base table, built on first use."""
-        if self._generator_times is None:
-            g, w = self.group, 4  # fixed window: at 2^32, 8 columns of 16 multiples
-            column, columns = g.generator.data, []
-            for _ in range(-(-g.order.bit_length() // w)):  # columns 2^(wj)*P cover every k < p
-                columns.append(column)
-                for _ in range(w):
-                    column = g._raw_add(column, column)
-            self._generator_times = g._raw_fixed_base(columns, w)
-        return self._generator_times(k)
-
     def dh(self, A: GroupPoint, B: GroupPoint) -> GroupPoint:
         """Return (ab)P for A = aP, B = bP; charges exactly one oracle call."""
         g = self.group
@@ -141,7 +128,7 @@ class OracleHandle:
             result = g.scalar_mul(a, B)
         else:
             ab = a * b % g.order
-            result = GroupPoint(g, self._times_generator(ab))
+            result = GroupPoint(g, g._generator_table(4)(ab))  # at 2^32, 8 columns of 16 multiples
             self._known[result.data] = ab
         self.call_count += 1
         if self.ledger is not None:

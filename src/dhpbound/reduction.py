@@ -25,22 +25,24 @@ groups.bsgs_table/bsgs_probe evaluate only the points the search uses, and
 _charges gives the group ops of each point, so a search is billed the sum
 over the points it pulled. A walk runs on a fixed-base table in the manner of
 Kozaki-Kutsuma-Matsuo's refinement of Cheon's algorithm: columns 2^(wj) *
-base built with implicit_scalar, 2^w - 2 row multiples per column except the
-top one, whose row stops at the top w-bit digit of p - 1, then one addition
-per nonzero w-bit digit of k past the first. walk_window picks w per walk
-from the points it is billed for: all of a baby side, the first half of a
-giant side, which is billed only through its match. w = 0 keeps the plain
-double-and-add walk when no table is cheaper. Both giant walks are on P, so
-phase 2's runs on phase 1's table whenever that is no dearer (phase2_plan),
-and a run builds and bills at most one table on P. The ledger is charged
-exactly that, each table in full with the first point of the walk that owns
-it, also when the group reuses the generator's from an earlier run, whatever
-the backend does underneath.
-Phase 1's giant side visits zeta^e * P for e = d1*u1, which depends on the
-group, d and the generator, never on Q. So the group keeps it as a
-giant_table, one per d, that maps each key to its exponent e. The first run
-on a table builds it over the whole giant walk, exactly as a one-shot run
-would. The first run that reuses it adds the half-stride points
+base (on P the group's kept generator table, otherwise built with
+implicit_scalar), 2^w - 2 row multiples per column except the top one, whose
+row stops at the top w-bit digit of p - 1, then one addition per nonzero
+w-bit digit of k past the first. _plan picks w per walk from the points it
+is billed for: all of a baby side, the first half of a giant side, which is
+billed only through its match. w = 0 keeps the plain double-and-add walk
+when no table is cheaper. Both giant walks are on P, so phase 2's giant walk
+is offered phase 1's window with its table already paid for, and a run
+builds and bills at most one table on P. Each run is planned once: the
+transcript carries the four planned walks, and cost_report reads them. The
+ledger is charged exactly that, each table in full with the first point of
+the walk that owns it, also when the group reuses the generator's from an
+earlier run, whatever the backend does underneath.
+Phase 1's walks depend on p, d and zeta, never on Q. So the group keeps
+phase 1 as a giant_table, one per d: its planned walks, and the giant side's
+points zeta^e * P for e = d1*u1, each key mapped to its exponent e. The
+first run on a table builds it over the whole giant walk, exactly as a
+one-shot run would. The first run that reuses it adds the half-stride points
 e = d1*u - floor(d1/2) once, so later runs meet a stored e within about d1/2
 baby points. Each run streams its baby points zeta^v * x^d P into the table
 and stops at the first hit: zeta has order m, so any hit gives
@@ -112,9 +114,13 @@ class ReductionTranscript:
     x: int
     ledger: CostLedger
     params: ReductionParams
+    plan: tuple[Planned, ...]  # the four walks on their windows, in WALK_NAMES order
 
     def to_dict(self) -> dict:
-        return asdict(self)  # ledger and params become nested dicts
+        """The run's fields, ledger and params as nested dicts; the plan stays out of exports."""
+        out = asdict(self)
+        del out["plan"]
+        return out
 
 
 def generator_try_budget(p: int) -> int:
@@ -252,81 +258,38 @@ def _worst(walk: Walk, window: Window | None, points: int) -> int:
     return window.table + _digits(walk.k0, window) - 1 + (points - 1) * (window.cols - 1)
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(p: int, walk: Walk, priced: int) -> tuple[int, Window | None]:
-    """(worst-case group ops, window) that make walk's first priced points cheapest; None is the plain walk.
+Planned = tuple[Walk, Window | None]  # a walk and the window it runs on
 
-    Ties keep the plain walk, and among windows the first in _windows'
-    order. Memoised: a run and its cost_report plan the same walks, and
-    every run on one (p, d, seed) has the same phase-1 walks and phase-2
-    baby walk.
+
+@functools.lru_cache(maxsize=256)
+def _plan(p: int, walk: Walk, giant: bool = False, shared: Window | None = None) -> Window | None:
+    """The window walk runs on, the one that makes the points it is billed cheapest; None is the plain walk.
+
+    A baby side is billed in full, so it is priced at all its points. A
+    giant side is billed only through its match, so it is priced at its
+    first ceil(points/2). shared is phase 1's giant window, whose table the
+    run already built and was billed for: it is offered with no table
+    charge and wins ties, so a run builds and bills at most one table on P.
+    Otherwise ties keep the plain walk, and among windows the first in
+    _windows' order. So no baby side costs more in the worst case than
+    without windows, and no giant side's first ceil(points/2) points do; a
+    giant side's later points may cost more than the plain walk's would.
+    Memoised: every run on one (p, d, seed) has the same phase-2 baby walk.
     """
+    priced = -(-walk.points // 2) if giant else walk.points
     best, choice = _worst(walk, None, priced), None
+    if shared is not None:
+        shared = shared._replace(bill=shared.bill - shared.table, table=0)
+        bill = _worst(walk, shared, priced)
+        if bill <= best:
+            best, choice = bill, shared
     for window in _windows(p - 1, priced - 1):
         if window.bill >= best:  # k0's digits only add to it, and later windows cost no less
             break
         bill = window.bill + _digits(walk.k0, window) - 1
         if bill < best:
             best, choice = bill, window
-    return best, choice
-
-
-def walk_window(p: int, walk: Walk, giant: bool = False) -> Window | None:
-    """The window walk runs on when it has its own table, priced at the points it is billed.
-
-    A baby side is billed in full, so it is priced at all its points. A
-    giant side is billed only through its match, so it is priced at its
-    first ceil(points/2). So no baby side costs more in the worst case than
-    without windows, and no giant side's first ceil(points/2) points do;
-    a giant side's later points may cost more than the plain walk's would.
-    """
-    return _plan(p, walk, -(-walk.points // 2) if giant else walk.points)[1]
-
-
-def window_plan(p: int, walk: Walk, giant: bool = False) -> tuple[int, int]:
-    """(w, worst-case group ops over all its points) of walk_window's choice; w = 0 is the plain walk."""
-    window = walk_window(p, walk, giant)
-    return (0 if window is None else window.w), _worst(walk, window, walk.points)
-
-
-Planned = tuple[Walk, Window | None]  # a walk and the window it runs on
-
-
-@functools.lru_cache(maxsize=256)
-def phase1_plan(p: int, params: ReductionParams) -> tuple[Planned, Planned]:
-    """Phase 1's baby and giant walks, each on its own walk_window.
-
-    Memoised: phase2_plan reads the giant window again, and every run on one
-    (p, d, seed) has the same phase-1 plan.
-    """
-    baby, giant = phase1_walks(p, params)
-    return (baby, walk_window(p, baby)), (giant, walk_window(p, giant, giant=True))
-
-
-def phase2_plan(p: int, params: ReductionParams, j: int) -> tuple[Planned, Planned]:
-    """Phase 2's baby and giant walks with their windows: the one place that decides table sharing.
-
-    Both giant walks are on P. Phase 2's giant walk runs on phase 1's giant
-    window, whose table that run already built and was billed for, with no
-    table charge, whenever its first ceil(points/2) points cost no more
-    there than on its own walk_window. A plain phase-1 giant walk has no
-    table to share. So a run builds and bills at most one table on P.
-    """
-    baby, giant = phase2_walks(p, params, j)
-    priced = -(-giant.points // 2)
-    bill, window = _plan(p, giant, priced)
-    shared = phase1_plan(p, params)[1][1]
-    if shared is not None:
-        shared = _built(shared)
-        if _worst(giant, shared, priced) <= bill:
-            window = shared
-    return (baby, walk_window(p, baby)), (giant, window)
-
-
-@functools.lru_cache(maxsize=256)
-def _built(window: Window) -> Window:
-    """window for a second walk on its base, whose table is already built and billed: no table charge."""
-    return window._replace(bill=window.bill - window.table, table=0)
+    return choice
 
 
 def _charges(p: int, walk: Walk, window: Window | None):
@@ -355,8 +318,9 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
 
     On the plain walk (None) each point is an implicit_scalar by the stride
     of the last (the first by k0 of base). Otherwise k*base is read off the
-    group's fixed-base hook, on columns built with implicit_scalar at the
-    first pull; a walk on the generator reuses the group's columns for its w.
+    group's fixed-base hook: a walk on the generator reads the group's kept
+    table for its w, any other walk builds its columns with implicit_scalar
+    at the first pull.
     """
     p = group.order
     encode = group.encode
@@ -366,14 +330,14 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
             yield encode(point.image)
             point = implicit_scalar(walk.stride, point)
     w = window.w
-    cache = group._generator_tables if base.image.data == group.generator.data else {}
-    times = cache.get(w)
-    if times is None:
+    if base.image.data == group.generator.data:
+        times = group._generator_table(w)
+    else:
         column, columns = base, [base.image.data]
         for _ in range(window.cols - 1):
             column = implicit_scalar(1 << w, column)
             columns.append(column.image.data)
-        times = cache[w] = group._raw_fixed_base(columns, w)
+        times = group._raw_fixed_base(columns, w)
     k, stride = walk.k0, walk.stride
     while True:
         yield encode(GroupPoint(group, times(k)))
@@ -389,16 +353,19 @@ def _bill(oracle: OracleHandle, group_ops: int, table_entries: int) -> None:
 
 @dataclass
 class GiantTable:
-    """Phase 1's giant side for one (group, d, generator), shared by every Q.
+    """Phase 1's giant side for one (group, d, zeta), shared by every Q.
 
-    table maps the encoded key of zeta^e * P to e. A build stores the giant
-    walk, e = d1*u for u = 1..G with G = its points; extended marks that the
+    plan is phase 1's (baby, giant) walks on their windows, planned once when
+    the table is built: the walks depend only on p, d and zeta. table maps
+    the encoded key of zeta^e * P to e. A build stores the giant walk,
+    e = d1*u for u = 1..G with G = its points; extended marks that the
     half-stride walk e = d1*u - floor(d1/2), u = 1..G, has been added too, so
     the table holds at most 2G keys. baby_bill is the group ops of the whole
     baby walk, giant_bills[i] those of the giant walk's first i + 1 points.
     """
 
-    walks: tuple[Walk, Walk]  # (baby, giant) it was built for
+    zeta: int
+    plan: tuple[Planned, Planned]
     table: dict
     baby_bill: int
     giant_bills: list[int]
@@ -415,23 +382,24 @@ def _giant_keys(group: CyclicGroup, walk: Walk, window: Window | None, e0: int, 
     return zip(keys, range(e0, e0 + d1 * walk.points, d1))
 
 
-def giant_table(
-    group: CyclicGroup, params: ReductionParams, plan: tuple[Planned, Planned]
-) -> GiantTable:
-    """The group's phase-1 giant table for params and its phase1_plan: built on first use, extended on first reuse.
+def giant_table(group: CyclicGroup, params: ReductionParams) -> GiantTable:
+    """The group's phase-1 giant table for params: planned and built on first use, extended on first reuse.
 
-    One table per d: a run whose generator gives other walks replaces it.
-    A build pulls every point of the giant walk; the first run that finds
-    its walks kept adds the half-stride walk once, from zeta^(d1 - h) with
-    h = floor(d1/2) on the same stride and window (nothing when h = 0).
-    Neither is billed, and a one-shot run never extends.
+    One table per d: a run with another zeta replaces it. A build plans
+    both phase-1 walks and pulls every point of the giant walk; the first
+    run that finds its zeta kept adds the half-stride walk once, from
+    zeta^(d1 - h) with h = floor(d1/2) on the same stride and window
+    (nothing when h = 0). Neither is billed, and a one-shot run never
+    extends.
     """
     p, d1 = group.order, params.d1
-    (baby, baby_window), (giant, giant_window) = plan
     kept = group._giant_tables.get(params.d)
-    if kept is None or kept.walks != (baby, giant):
+    if kept is None or kept.zeta != params.zeta:
+        baby, giant = phase1_walks(p, params)
+        baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True)
         kept = group._giant_tables[params.d] = GiantTable(
-            (baby, giant),
+            params.zeta,
+            ((baby, baby_window), (giant, giant_window)),
             dict(_giant_keys(group, giant, giant_window, d1, d1)),
             sum(_charges(p, baby, baby_window)),
             list(itertools.accumulate(_charges(p, giant, giant_window))),
@@ -439,6 +407,7 @@ def giant_table(
     elif not kept.extended:
         h = d1 // 2
         if h:
+            giant, giant_window = kept.plan[1]
             half = giant._replace(k0=pow(params.zeta, d1 - h, p))
             kept.table.update(_giant_keys(group, half, giant_window, d1 - h, d1))
         kept.extended = True
@@ -450,7 +419,7 @@ def phase1_find_j(
     oracle: OracleHandle,
     q_pow_d: ImplicitFieldElement,
     params: ReductionParams,
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, tuple[Planned, Planned]]:
     """Find j in [1, m] with x^d = zeta^j, m = (p-1)/d, by BSGS on implicit elements.
 
     The giant side is the group's giant_table of zeta^e * P; the baby side
@@ -461,13 +430,12 @@ def phase1_find_j(
     probed in u1 order would run, whose match is u1 = ceil(j/d1),
     v1 = u1*d1 - j: the whole baby walk and its table entries, the giant
     walk through u1. On an extended table the probe pulls at most
-    ceil(d1/2) + 1 baby points.
+    ceil(d1/2) + 1 baby points. Returns (j, u1, v1, the table's plan).
     """
     m = (group.order - 1) // params.d
     d1 = params.d1
-    plan = phase1_plan(group.order, params)
-    giants = giant_table(group, params, plan)
-    baby, window = plan[0]
+    giants = giant_table(group, params)
+    baby, window = giants.plan[0]
     hit = bsgs_probe(giants.table, _walk(group, q_pow_d, baby, window), range(baby.points))
     if hit is None:
         raise InternalInconsistencyError(
@@ -477,7 +445,7 @@ def phase1_find_j(
     j = (e - v - 1) % m + 1
     u1 = -(-j // d1)
     _bill(oracle, giants.baby_bill + giants.giant_bills[u1 - 1], baby.points)
-    return j, u1, u1 * d1 - j
+    return j, u1, u1 * d1 - j, giants.plan
 
 
 def phase2_find_t(
@@ -486,18 +454,22 @@ def phase2_find_t(
     Q: GroupPoint,
     j: int,
     params: ReductionParams,
-) -> tuple[int, int, int]:
+    shared: Window | None,
+) -> tuple[int, int, int, tuple[Planned, Planned]]:
     """Find t in [0, d) with x = zeta0^(m*t + j), by a second, oracle-free BSGS.
 
     Baby side stores (zeta0^m)^v2 * x for v2 = 0..s2; giant side starts at
     zeta0^j and walks (zeta0^(m*s2))^u2 for u2 = 0..ceil(d/s2)+1. Every
     scaling constant is an explicit field element, so no oracle calls occur.
-    The run is billed the whole baby walk and its table entries, and the
-    giant walk through u2, on the windows phase2_plan gives them.
+    The giant side is on P, like phase 1's, and shared is phase 1's giant
+    window, which _plan offers it with no table charge. The run is billed
+    the whole baby walk and its table entries, and the giant walk through
+    u2. Returns (t, u2, v2, the planned walks).
     """
     p = group.order
     d, s2 = params.d, params.s2
-    (baby, baby_window), (giant, giant_window) = phase2_plan(p, params, j)
+    baby, giant = phase2_walks(p, params, j)
+    baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True, shared=shared)
     table = bsgs_table(_walk(group, ImplicitFieldElement(Q), baby, baby_window), baby.points)
     giants = _walk(group, ImplicitFieldElement(group.generator), giant, giant_window)
     hit = bsgs_probe(table, giants, range(giant.points), lambda u2, v2: 0 <= u2 * s2 - v2 < d)
@@ -509,7 +481,7 @@ def phase2_find_t(
     bill = sum(_charges(p, baby, baby_window))
     bill += sum(itertools.islice(_charges(p, giant, giant_window), u2 + 1))
     _bill(oracle, bill, baby.points)
-    return u2 * s2 - v2, u2, v2
+    return u2 * s2 - v2, u2, v2, ((baby, baby_window), (giant, giant_window))
 
 
 def reduce_dlog(
@@ -519,7 +491,8 @@ def reduce_dlog(
 
     Attaches a fresh ledger to the oracle for the duration of the run. The
     returned transcript carries the matches of both phases, the recombined
-    exponent, the recovered x (verified to satisfy xP = Q), and the ledger.
+    exponent, the recovered x (verified to satisfy xP = Q), the ledger and
+    the four planned walks.
     """
     p = group.order
     group._member(Q)
@@ -541,8 +514,8 @@ def reduce_dlog(
     Q_implicit = ImplicitFieldElement(Q)
     # for d = 1, x^d is already in hand: no oracle calls
     x_pow_d = Q_implicit if d == 1 else implicit_pow(oracle, Q_implicit, d)
-    j, u1, v1 = phase1_find_j(group, oracle, x_pow_d, params)
-    t, u2, v2 = phase2_find_t(group, oracle, Q, j, params)
+    j, u1, v1, plan1 = phase1_find_j(group, oracle, x_pow_d, params)
+    t, u2, v2, plan2 = phase2_find_t(group, oracle, Q, j, params, shared=plan1[1][1])
     i0 = ((p - 1) // d) * t + j
     x = pow(zeta0, i0, p)
     # self-check, off the books: the algorithm's answer must reproduce Q
@@ -551,7 +524,7 @@ def reduce_dlog(
     return ReductionTranscript(
         p=p, backend=group.backend,
         j=j, u1=u1, v1=v1, t=t, u2=u2, v2=v2,
-        i0=i0, x=x, ledger=ledger, params=params,
+        i0=i0, x=x, ledger=ledger, params=params, plan=(*plan1, *plan2),
     )
 
 
@@ -584,10 +557,10 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     Two group-op ceilings are reported and must always hold. The sweep
     ceiling prices every step the implementation can possibly take at
     2*ceil(log2 p) operations, giant strides past the range boundary
-    included. The walk ceiling is the exact worst case of the four walks on
-    the windows the run used (phase1_plan and phase2_plan, tables included,
-    the generator table once, giant sides run to their last point); it is
-    recomputed from the transcript and window_<walk> reports each walk's w.
+    included. The walk ceiling is the exact worst case of the four walks in
+    tr.plan, on the windows the run used (tables included, the generator
+    table once, giant sides run to their last point), and window_<walk>
+    reports each walk's w from the same plan; nothing is planned again.
     The planner prices a giant side at its first ceil(points/2) points, so
     the ceiling is not bounded by what the same walks cost without windows;
     what holds is that no baby side, and no giant side's priced prefix,
@@ -608,8 +581,7 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     sweep_steps = (-(-m // d1) + 1) + (-(-d // s2) + 1) + d1 + s2
     # implied by the walk ceiling, kept for perfbench workloads.check_reduction (within_sweep_ceiling)
     sweep_ceiling = 2 * ceil_log2(p) * sweep_steps
-    planned = (*phase1_plan(p, tr.params), *phase2_plan(p, tr.params, tr.j))
-    walk_ceiling = sum(_worst(walk, window, walk.points) for walk, window in planned)
+    walk_ceiling = sum(_worst(walk, window, walk.points) for walk, window in tr.plan)
     return {
         "p": p,
         "d": d,
@@ -627,6 +599,6 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
         "within_walk_ceiling": tr.ledger.group_ops <= walk_ceiling,
         **{
             f"window_{name}": 0 if window is None else window.w
-            for name, (_, window) in zip(WALK_NAMES, planned)
+            for name, (_, window) in zip(WALK_NAMES, tr.plan)
         },
     }

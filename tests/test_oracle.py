@@ -244,12 +244,10 @@ def test_raw_probe_outside_the_subgroup_fails_by_name(p):
 @pytest.mark.parametrize("kind", BACKENDS)
 @pytest.mark.parametrize("p", (101, 1009))
 def test_generator_table_answers_like_scalar_mul(kind, p):
-    # every k < p off the handle's generator table is k*P; dh with b known answers scalar_mul(a, B)
+    # dh with b known answers scalar_mul(a, B) off the group's w = 4 generator table, and
+    # every k < p off that table is k*P
     g = make_backend(kind, p)
     oracle = OracleHandle(g)
-    assert [oracle._times_generator(k) for k in range(p)] == [
-        g.scalar_mul(k, g.generator).data for k in range(p)
-    ]
     rng = random.Random(40000 + p + len(kind))
     known_b = 0
     for ledger in (CostLedger(), None):  # attached, then detached
@@ -266,6 +264,9 @@ def test_generator_table_answers_like_scalar_mul(kind, p):
         if ledger is not None:
             assert ledger.as_dict() == {"group_ops": 0, "oracle_calls": 60, "bsgs_table_entries": 0}
     assert (known_b == 0) if kind == "zp" else (known_b >= 60)
+    assert list(g._generator_tables) == ([] if kind == "zp" else [4])  # built by the oracle's dh
+    times = g._generator_table(4)
+    assert [times(k) for k in range(p)] == [g.scalar_mul(k, g.generator).data for k in range(p)]
 
 
 def test_ec_dh_with_known_b_never_calls_scalar_mul(monkeypatch):

@@ -5,6 +5,7 @@ every exponent x, so they cover all boundary alignments of both BSGS phases
 (j = 1, j = m, t = 0, t = d-1, wrapped baby tables in degenerate splits).
 """
 
+import dataclasses
 import json
 import random
 import warnings
@@ -34,20 +35,19 @@ from dhpbound.reduction import (
     Walk,
     ZeroDlogError,
     _charges,
+    _plan,
     _sample_generator,
     _walk,
     _windows,
+    _worst,
     ceil_log2,
     cost_report,
     find_generator,
     generator_try_budget,
     phase1_find_j,
-    phase1_plan,
     phase1_walks,
     phase2_walks,
     reduce_dlog,
-    walk_window,
-    window_plan,
 )
 
 
@@ -379,9 +379,14 @@ def nonzero_digits(k: int, w: int) -> int:
 
 def run_walk(group, base_x: int, walk: Walk, giant: bool = False):
     """Run every point of a walk on its own window, on the image of base_x: (w, its bill, its table)."""
-    p, window = group.order, walk_window(group.order, walk, giant)
+    p, window = group.order, _plan(group.order, walk, giant)
     table = bsgs_table(_walk(group, walk_base(group, base_x), walk, window), walk.points)
-    return window_plan(p, walk, giant)[0], sum(_charges(p, walk, window)), table
+    return w_of(window), sum(_charges(p, walk, window)), table
+
+
+def w_of(window) -> int:
+    """The window's w; 0 is the plain walk."""
+    return 0 if window is None else window.w
 
 
 def walk_base(group, base_x: int) -> ImplicitFieldElement:
@@ -422,12 +427,12 @@ def test_walk_bill_equals_formula(kind, p):
         for trial in range(6):
             stride, k0 = rng.randrange(2, p), rng.choice([1, rng.randrange(1, p)])
             walk, giant = Walk(k0, stride, points), trial % 2 == 1  # priced in full, then at half
-            window = walk_window(p, walk, giant)
+            window = _plan(p, walk, giant)
             base_x = rng.randrange(1, p)
             w, bill, table = run_walk(group, base_x, walk, giant)
             seen.add(w > 0)
             assert bill == formula_bill(p, walk, w)
-            assert bill <= window_plan(p, walk, giant)[1]  # the plan's worst case
+            assert bill <= _worst(walk, window, points)  # the plan's worst case
             # the same points, in the same order, as scalar multiplication
             want, want_keys = {}, []
             for i in range(points):
@@ -464,7 +469,7 @@ def test_giant_side_billed_prefix_never_above_plain_walk(p):
         points = rng.choice((2, 3, 5, isqrt(p) + 1, 2 * isqrt(p)))
         walk = Walk(rng.randrange(1, p), rng.randrange(2, p), points)
         half = -(-points // 2)
-        billed = sum(islice(_charges(p, walk, walk_window(p, walk, giant=True)), half))
+        billed = sum(islice(_charges(p, walk, _plan(p, walk, giant=True)), half))
         assert billed <= scalar_mul_cost(walk.k0) + (half - 1) * scalar_mul_cost(walk.stride), walk
 
 
@@ -531,11 +536,79 @@ def test_run_bill_equals_independent_formula(kind):
                 rep = cost_report(tr, p, d)
                 assert tr.ledger.group_ops == run_bill(p, tr, rep), (p, d, x)
                 giant2 = phase2_walks(p, tr.params, tr.j)[1]
-                w1, own = rep["window_phase1_giant"], window_plan(p, giant2, giant=True)[0]
+                w1, own = rep["window_phase1_giant"], w_of(_plan(p, giant2, giant=True))
                 share = w1 > 0 and priced_worst(p, giant2, w1, False) <= priced_worst(p, giant2, own)
                 assert rep["window_phase2_giant"] == (w1 if share else own), (p, d, x)
                 shares.add((share, w1 == own))
     assert shares >= {(True, True), (True, False), (False, False)}
+
+
+def run_params(p: int, d: int, seed: int) -> ReductionParams:
+    """The params reduce_dlog derives for (p, d, seed)."""
+    zeta0 = find_generator(p, factorize(p - 1), seed)
+    return ReductionParams(
+        d=d, d1=isqrt((p - 1) // d), s2=isqrt(d), zeta0=zeta0, zeta=pow(zeta0, d, p), seed=seed
+    )
+
+
+def two_step_window(p: int, walk: Walk, shared):
+    """Phase 2's giant window by the two-step sharing rule: the walk's own plan, then phase 1's
+    window with no table charge if its worst case over ceil(points/2) is no higher."""
+    own = _plan(p, walk, giant=True)
+    if shared is None:
+        return own
+    built = shared._replace(bill=shared.bill - shared.table, table=0)
+    half = -(-walk.points // 2)
+    return built if _worst(walk, built, half) <= _worst(walk, own, half) else own
+
+
+@pytest.mark.parametrize("p", [29, 101, 1009])
+def test_shared_plan_matches_two_step_rule(p):
+    # one window search with phase 1's window offered table-free, winning ties, decides
+    # exactly as planning the walk alone and then sharing when no dearer
+    outcomes = set()
+    for seed in (0, 1):
+        for d in all_divisors(p):
+            params = run_params(p, d, seed)
+            shared = _plan(p, phase1_walks(p, params)[1], giant=True)
+            js = range(1, (p - 1) // d + 1)
+            if len(js) > 40:
+                js = random.Random(f"{p}:{d}:{seed}").sample(js, 20)
+            for j in js:
+                giant = phase2_walks(p, params, j)[1]
+                got = _plan(p, giant, giant=True, shared=shared)
+                assert got == two_step_window(p, giant, shared), (p, d, seed, j)
+                outcomes.add((shared is not None, got is not None and got.table == 0))
+    assert outcomes >= {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_cost_report_reads_the_plan_the_run_carries(kind):
+    # the run's plan holds the four walks it ran on their windows; cost_report prices the walk
+    # ceiling and reports every window_* from that plan, and exports leave the plan out
+    group = make_backend(kind, 101)
+    oracle = OracleHandle(group)
+    windowed = 0
+    for d in all_divisors(101):
+        tr = run_quietly(group, oracle, 77, d, seed=d)
+        windowed += any(window is not None for _, window in tr.plan)
+        baby1, giant1 = phase1_walks(101, tr.params)
+        baby2, giant2 = phase2_walks(101, tr.params, tr.j)
+        assert [walk for walk, _ in tr.plan] == [baby1, giant1, baby2, giant2]
+        assert tr.plan[3][1] == _plan(101, giant2, giant=True, shared=tr.plan[1][1])
+        rep = cost_report(tr, 101, d)
+        assert [rep[f"window_{name}"] for name in WALK_NAMES] == [w_of(w) for _, w in tr.plan]
+        assert rep["walk_group_op_ceiling"] == sum(_worst(w, win, w.points) for w, win in tr.plan)
+        # a doctored plan moves the report: nothing is planned again
+        plain = tuple((walk, None) for walk, _ in tr.plan)
+        rep = cost_report(dataclasses.replace(tr, plan=plain), 101, d)
+        assert [rep[f"window_{name}"] for name in WALK_NAMES] == [0, 0, 0, 0]
+        assert rep["walk_group_op_ceiling"] == sum(_worst(w, None, w.points) for w, _ in tr.plan)
+        assert "plan" not in tr.to_dict()
+        assert list(tr.to_dict()) == [
+            "p", "backend", "j", "u1", "v1", "t", "u2", "v2", "i0", "x", "ledger", "params",
+        ]
+    assert windowed >= 8  # all but one run had a window, so their reports moved
 
 
 # -------------------------------------------------- phase 1's giant table
@@ -552,7 +625,8 @@ def reference_phase1(group, oracle, q_pow_d, params):
     """Phase 1 as a table of every baby point probed by the giant walk in u1 order, billed per pull."""
     p = group.order
     m, d1 = (p - 1) // params.d, params.d1
-    (baby, baby_window), (giant, giant_window) = phase1_plan(p, params)
+    baby, giant = phase1_walks(p, params)
+    baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True)
     ledger = CostLedger() if oracle.ledger is None else oracle.ledger
     babies = _walk(group, q_pow_d, baby, baby_window)
     table = bsgs_table(billed(ledger, p, babies, baby, baby_window), baby.points)
@@ -562,17 +636,13 @@ def reference_phase1(group, oracle, q_pow_d, params):
     u1, v1 = bsgs_probe(
         table, giants, range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m
     )
-    return u1 * d1 - v1, u1, v1
+    return u1 * d1 - v1, u1, v1, ((baby, baby_window), (giant, giant_window))
 
 
 def phase1_inputs(group, x: int, d: int, seed: int):
     """(x^d as an implicit element, the run's params), as reduce_dlog derives them."""
     p = group.order
-    zeta0 = find_generator(p, factorize(p - 1), seed)
-    params = ReductionParams(
-        d=d, d1=isqrt((p - 1) // d), s2=isqrt(d), zeta0=zeta0, zeta=pow(zeta0, d, p), seed=seed
-    )
-    return walk_base(group, pow(x, d, p)), params
+    return walk_base(group, pow(x, d, p)), run_params(p, d, seed)
 
 
 def assert_phase1_matches_reference(group, oracle, x: int, d: int, seed: int):
@@ -634,7 +704,7 @@ def test_phase1_matches_reference_on_degenerate_splits(kind, split):
     for seed in range(4):
         for x in xs:
             kept = group._giant_tables.get(d)
-            j, u1, v1 = assert_phase1_matches_reference(group, oracle, x, d, seed)
+            j, u1, v1, _ = assert_phase1_matches_reference(group, oracle, x, d, seed)
             u1s.add(u1)
             giants = group._giant_tables[d]
             assert giants.extended == (giants is kept)  # a build is plain, a reuse extends it
@@ -644,7 +714,7 @@ def test_phase1_matches_reference_on_degenerate_splits(kind, split):
             elif split == "m-square":
                 # 5 keys on the stride, 5 more a half stride (2) below them, of G = 6 points each
                 assert len(giants.table) == (10 if giants.extended else 5)
-                assert giants.walks[1].points == 6
+                assert giants.plan[1][0].points == 6
             else:
                 assert (j, u1, v1) == (m, 5, 0)
     if split == "m-square":
@@ -710,14 +780,14 @@ def run_encodes(state, giants, tr) -> int:
     kept, was_extended = state
     built = giants is not kept
     extends = not built and not was_extended and tr.params.d1 // 2 > 0
-    return (built + extends) * giants.walks[1].points + hit_encodes(tr, giants)
+    return (built + extends) * giants.plan[1][0].points + hit_encodes(tr, giants)
 
 
 def assert_giant_keys(group, giants, params) -> None:
     """giants holds the keys of zeta^e * P for e = d1*u, and for e = d1*u - floor(d1/2)
     once extended (u = 1..G), and no other, each mapped to one of its exponents."""
     p, d1 = group.order, params.d1
-    points = giants.walks[1].points
+    points = giants.plan[1][0].points
     shifts = (0, d1 // 2) if giants.extended else (0,)
     want = {}
     for shift in shifts:
@@ -778,7 +848,7 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
             assert tr.to_dict() == fresh.to_dict()
             assert list(reused._giant_tables) == divisors[:n + 1]  # one more table per new d
             giants = reused._giant_tables[d]
-            baby, giant = giants.walks
+            (baby, _), (giant, _) = giants.plan
             # a build pulls every giant key, the first reuse every half-stride one, later runs
             # none: the table extends exactly once
             pulled = encodes[0] - before - hit_encodes(tr, giants)
@@ -788,8 +858,8 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
                 assert giants is state[0]
                 continue
             assert_giant_keys(reused, giants, tr.params)
-            assert giants.baby_bill == formula_bill(p, baby, window_plan(p, baby)[0])
-            w = window_plan(p, giant, giant=True)[0]
+            assert giants.baby_bill == formula_bill(p, baby, w_of(_plan(p, baby)))
+            w = w_of(_plan(p, giant, giant=True))
             assert giants.giant_bills == [
                 formula_bill(p, giant._replace(points=u), w) for u in range(1, giant.points + 1)
             ]
@@ -805,7 +875,7 @@ def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds):
         tr = run_quietly(group, OracleHandle(group), x, d, seed)
         giants = group._giant_tables[d]
         assert not giants.extended
-        assert encodes[0] == giants.walks[1].points + hit_encodes(tr, giants)
+        assert encodes[0] == giants.plan[1][0].points + hit_encodes(tr, giants)
         assert_giant_keys(group, giants, tr.params)
 
 
@@ -826,10 +896,15 @@ def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
             for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
                 q_pow_d, params = phase1_inputs(group, x, d, seed)
                 before = encodes[0]
-                j, _, _ = phase1_find_j(group, oracle, q_pow_d, params)
+                j, _, _, _ = phase1_find_j(group, oracle, q_pow_d, params)
                 assert encodes[0] - before == baby_pulls(giants, j, m) <= -(-d1 // 2) + 1
                 assert pow(params.zeta, j, p) == pow(x, d, p)
             assert group._giant_tables[d] is giants
+
+
+def kept_walks(giants) -> tuple[Walk, Walk]:
+    """The (baby, giant) walks a kept giant table was planned for."""
+    return tuple(walk for walk, _ in giants.plan)
 
 
 def test_giant_key_cache_is_bounded_by_the_group():
@@ -847,14 +922,14 @@ def test_giant_key_cache_is_bounded_by_the_group():
             for d in ds:
                 giants = group._giant_tables[d]
                 # this seed's walks, not the other seed's, and no key past the giant walk
-                assert giants.walks == phase1_walks(p, phase1_inputs(group, 1, d, seed)[1])
-                assert giants.extended and giants.walks[1].points == len(giants.giant_bills)
-                assert len(giants.table) <= 2 * giants.walks[1].points
+                assert kept_walks(giants) == phase1_walks(p, phase1_inputs(group, 1, d, seed)[1])
+                assert giants.extended and giants.plan[1][0].points == len(giants.giant_bills)
+                assert len(giants.table) <= 2 * giants.plan[1][0].points
             kept.append(dict(group._giant_tables))
         # more runs of the same (d, seed) keep the same tables
         assert all(kept[-3][d] is kept[-2][d] is kept[-1][d] for d in ds)
     # the second seed replaced every table with one on another stride
-    assert all(kept[2][d].walks[1].stride != kept[3][d].walks[1].stride for d in ds)
+    assert all(kept[2][d].plan[1][0].stride != kept[3][d].plan[1][0].stride for d in ds)
     # tables are held per group instance
     other = make_backend("mult", p)
     run_quietly(other, OracleHandle(other), xs[0], ds[0], 1)
