@@ -21,8 +21,8 @@ read it, billed as above, and so does the simulated oracle for its answers,
 unbilled.
 
 Baby-step giant-step runs on key iterators, one lazy key per point a side
-visits: bsgs_table pulls the keys it stores, bsgs_probe one per giant step
-and none after an accepted match, so a walk billed per pull pays for exactly
+visits: bsgs_table pulls the keys it stores, bsgs_probe one per probe and
+none after an accepted match, so a walk billed per pull pays for exactly
 the points used. orbit is the lazy walk that builds the simulated oracle's
 baby table. The oracle's giant side, which nobody bills, runs on the raw
 hook _raw_probe instead: one loop over raw data that stops at the first
@@ -117,12 +117,12 @@ class CyclicGroup:
     def __init__(self, order: int):
         self.order = order
         self._generator_tables: dict = {}  # window w -> _generator_table(w), built on first use
-        # phase-1 divisor d -> reduction.GiantTable: the keys of zeta^e * generator
-        # over the phase-1 giant walk e = d1*u, plus the half-stride walk
-        # e = d1*u - floor(d1/2) from the first reuse on, mapped to e, and the
-        # bills of both phase-1 walks, which no Q changes. One per d, replaced
-        # when a run's generator gives other walks; runs probe it with their
-        # baby points.
+        # (phase, divisor d) -> reduction.GiantTable: the keys of g^e * generator
+        # over the phase's giant walk (g = zeta, e = d1*u for phase 1; g = zm,
+        # e = s2*u for phase 2), plus the half-stride walk, each e less half
+        # the step, from the first reuse on, mapped to e, and the bills the
+        # search keeps, which no Q changes. One per phase and d, replaced when
+        # a run's g differs; runs probe it with their baby points.
         self._giant_tables: dict = {}
 
     # -- raw laws supplied by the backend (operate on .data) --------------

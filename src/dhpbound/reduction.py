@@ -12,45 +12,51 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
    writing j = u1*d1 - v1 with d1 = isqrt(m). The baby side visits
    zeta^v1 * (x^d P), the giant side (zeta^d1)^u1 * P.
 3. Writing x = zeta0^(m*t + j) for t in [0, d), find t by a second walk
-   driven by powers of zeta0^m, t = u2*s2 - v2 with s2 = isqrt(d). Every
-   scaling here is by an explicitly known field constant, so this phase is
-   oracle-free.
+   in the order-d subgroup generated by zm = zeta0^m, t = u2*s2 - v2 with
+   s2 = isqrt(d). The baby side visits zm^v * (zeta0^-j Q) = zm^(t+v) P, the
+   giant side (zm^s2)^u2 * P. Every scaling here is by an explicitly known
+   field constant, so this phase is oracle-free.
 4. Recombine: i0 = m*t + j, x = zeta0^i0 mod p, verified against Q before
    returning.
 
 Both phases are one collision search. Each side visits k * base for a base
 fixed per walk (x^d P, Q or P) and a multiplier k the walk knows, k <- k *
 stride mod p per step. _walk yields its encoded keys lazily, so
-groups.bsgs_table/bsgs_probe evaluate only the points the search uses, and
-_charges gives the group ops of each point, so a search is billed the sum
-over the points it pulled. A walk runs on a fixed-base table in the manner of
-Kozaki-Kutsuma-Matsuo's refinement of Cheon's algorithm: columns 2^(wj) *
-base (on P the group's kept generator table, otherwise built with
-implicit_scalar), 2^w - 2 row multiples per column except the top one, whose
-row stops at the top w-bit digit of p - 1, then one addition per nonzero
-w-bit digit of k past the first. _plan picks w per walk from the points it
-is billed for: all of a baby side, the first half of a giant side, which is
-billed only through its match. w = 0 keeps the plain double-and-add walk
-when no table is cheaper. Both giant walks are on P, so phase 2's giant walk
-is offered phase 1's window with its table already paid for, and a run
-builds and bills at most one table on P. Each run is planned once: the
-transcript carries the four planned walks, and cost_report reads them. The
-ledger is charged exactly that, each table in full with the first point of
-the walk that owns it, also when the group reuses the generator's from an
-earlier run, whatever the backend does underneath.
-Phase 1's walks depend on p, d and zeta, never on Q. So the group keeps
-phase 1 as a giant_table, one per d: its planned walks, and the giant side's
-points zeta^e * P for e = d1*u1, each key mapped to its exponent e. The
-first run on a table builds it over the whole giant walk, exactly as a
-one-shot run would. The first run that reuses it adds the half-stride points
-e = d1*u - floor(d1/2) once, so later runs meet a stored e within about d1/2
-baby points. Each run streams its baby points zeta^v * x^d P into the table
-and stops at the first hit: zeta has order m, so any hit gives
-j = (e - v - 1) mod m + 1. The table also stores what the walks cost, so the
-run is still billed the search as a baby table probed in u1 order would run
-it, at u1 = ceil(j/d1) and v1 = u1*d1 - j: the whole baby walk and its table
-entries, the giant walk through u1. Phase 2 builds its baby table and probes
-it with its giant walk on every run.
+groups.bsgs_probe evaluates only the points the search uses, and _charges
+gives the group ops of each point, so a search is billed the sum over the
+points the classic search pulls (see below). A walk runs on a fixed-base
+table in the manner of Kozaki-Kutsuma-Matsuo's refinement of Cheon's
+algorithm: columns 2^(wj) * base (on P the group's kept generator table,
+otherwise built with implicit_scalar), 2^w - 2 row multiples per column
+except the top one, whose row stops at the top w-bit digit of p - 1, then
+one addition per nonzero w-bit digit of k past the first. _plan picks w per
+walk from the points it is billed for: all of a baby side, the first half of
+a giant side, which is billed only through its match. w = 0 keeps the plain
+double-and-add walk when no table is cheaper. Both giant walks are on P, so
+phase 2's giant walk is offered phase 1's window with its table already paid
+for, and a run builds and bills at most one table on P. Each run is planned
+once: the transcript carries the four planned walks, and cost_report reads
+them. The ledger is charged exactly that, each table in full with the first
+point of the walk that owns it, also when the group reuses the generator's
+from an earlier run, whatever the backend does underneath.
+Each phase's giant side depends on p, d and its subgroup's generator g
+(zeta for phase 1, zm for phase 2), never on Q. So the group keeps one
+giant_table per phase and d: the search's planned walks, and the keys
+g^e * P of the giant walk, e = d1*u for u = 1..G1 in phase 1 and e = s2*u
+for u = 0..G2 - 1 in phase 2, each mapped to its exponent e. A run with
+another g replaces the table. The first run on a table builds it over the
+whole giant walk, which a one-shot run pays for and never more. The first
+run that reuses it adds the half-stride points e - floor(step/2) once, so
+later runs meet a stored e within about half a step of baby points. Each
+run streams its baby points into the table and stops at the first hit (v, e):
+phase 1's zeta^v * x^d P gives j = (e - v - 1) mod m + 1, and phase 2's
+zm^v * zeta0^-j Q gives t = (e - v) mod d, since g has order m or d. The
+run is still billed the classic search, a baby table probed in u order,
+whose first match the hit fixes: u1 = ceil(j/d1), v1 = u1*d1 - j and
+u2 = ceil(t/s2), v2 = u2*s2 - t. Each phase is billed its whole baby walk,
+whose bill the table keeps, and its table entries, then its giant walk
+through the match: phase 1's off the table's prefix bills, phase 2's from
+zeta0^j, planned per run.
 The final verification is a self-check, not part of the algorithm, and is
 left off the books.
 """
@@ -64,7 +70,7 @@ import random
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .groups import CyclicGroup, GroupPoint, bsgs_probe, bsgs_table, scalar_mul_cost
+from .groups import CyclicGroup, GroupPoint, bsgs_probe, scalar_mul_cost
 from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar
 from .modmath import Factorization, IncompleteFactorizationError, factorize
 from .oracle import CostLedger, OracleHandle
@@ -353,65 +359,90 @@ def _bill(oracle: OracleHandle, group_ops: int, table_entries: int) -> None:
 
 @dataclass
 class GiantTable:
-    """Phase 1's giant side for one (group, d, zeta), shared by every Q.
+    """One search's kept giant side for one (group, d, g), shared by every Q.
 
-    plan is phase 1's (baby, giant) walks on their windows, planned once when
-    the table is built: the walks depend only on p, d and zeta. table maps
-    the encoded key of zeta^e * P to e. A build stores the giant walk,
-    e = d1*u for u = 1..G with G = its points; extended marks that the
-    half-stride walk e = d1*u - floor(d1/2), u = 1..G, has been added too, so
-    the table holds at most 2G keys. baby_bill is the group ops of the whole
-    baby walk, giant_bills[i] those of the giant walk's first i + 1 points.
+    g generates the subgroup the search runs in: zeta for phase 1, zm =
+    zeta0^m for phase 2. plan is the search's (baby, giant) walks on their
+    windows, planned once when the table is built: both depend only on p, d
+    and g. table maps the encoded key of g^e * P to e. A build stores the
+    giant walk, e = e0 + step*i for i < G, G its points (e0 = step = d1 in
+    phase 1; e0 = 0, step = s2 in phase 2); extended marks that the
+    half-stride walk, each of those e minus floor(step/2), has been added
+    too, so the table holds at most 2G keys. baby_bill is the group ops of
+    the whole baby walk, giant_bills[i] those of the giant walk's first
+    i + 1 points, worked out on first use (phase 1 bills its giant side off
+    them; phase 2's billed giant walk starts elsewhere on every run).
     """
 
-    zeta: int
+    p: int
+    g: int
     plan: tuple[Planned, Planned]
     table: dict
     baby_bill: int
-    giant_bills: list[int]
     extended: bool = False
 
+    @functools.cached_property
+    def giant_bills(self) -> list[int]:
+        walk, window = self.plan[1]
+        return list(itertools.accumulate(_charges(self.p, walk, window)))
 
-def _giant_keys(group: CyclicGroup, walk: Walk, window: Window | None, e0: int, d1: int):
-    """(key, e) of zeta^e * P for e = e0 + d1*i, i < walk.points, with walk visiting those points.
+
+def _giant_keys(group: CyclicGroup, walk: Walk, window: Window | None, e0: int, step: int):
+    """(key, e) of g^e * P for e = e0 + step*i, i < walk.points, with walk visiting those points.
 
     Pulls exactly walk.points keys.
     """
     generator = ImplicitFieldElement(group.generator)
     keys = itertools.islice(_walk(group, generator, walk, window), walk.points)
-    return zip(keys, range(e0, e0 + d1 * walk.points, d1))
+    return zip(keys, range(e0, e0 + step * walk.points, step))
 
 
-def giant_table(group: CyclicGroup, params: ReductionParams) -> GiantTable:
-    """The group's phase-1 giant table for params: planned and built on first use, extended on first reuse.
+def giant_table(
+    group: CyclicGroup, key: tuple, g: int, step: int, e0: int, walks, shared: Window | None = None
+) -> GiantTable:
+    """The group's kept table under key for a search in the subgroup g generates.
 
-    One table per d: a run with another zeta replaces it. A build plans
-    both phase-1 walks and pulls every point of the giant walk; the first
-    run that finds its zeta kept adds the half-stride walk once, from
-    zeta^(d1 - h) with h = floor(d1/2) on the same stride and window
+    walks() gives the search's (baby, giant) walks, the giant one visiting
+    g^e * P for e = e0 + step*i. The table is planned and built on first use:
+    the baby walk on its _plan, the giant walk priced as a giant side with
+    shared offered (phase 1's giant window, for phase 2), and every point of
+    the giant walk pulled. One table per key: a run with another g replaces
+    it. The first run that finds its g kept adds the half-stride walk once,
+    from g^(e0 - h) with h = floor(step/2) on the same stride and window
     (nothing when h = 0). Neither is billed, and a one-shot run never
     extends.
     """
-    p, d1 = group.order, params.d1
-    kept = group._giant_tables.get(params.d)
-    if kept is None or kept.zeta != params.zeta:
-        baby, giant = phase1_walks(p, params)
-        baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True)
-        kept = group._giant_tables[params.d] = GiantTable(
-            params.zeta,
+    p = group.order
+    kept = group._giant_tables.get(key)
+    if kept is None or kept.g != g:
+        baby, giant = walks()
+        baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True, shared=shared)
+        kept = group._giant_tables[key] = GiantTable(
+            p,
+            g,
             ((baby, baby_window), (giant, giant_window)),
-            dict(_giant_keys(group, giant, giant_window, d1, d1)),
+            dict(_giant_keys(group, giant, giant_window, e0, step)),
             sum(_charges(p, baby, baby_window)),
-            list(itertools.accumulate(_charges(p, giant, giant_window))),
         )
     elif not kept.extended:
-        h = d1 // 2
+        h = step // 2
         if h:
             giant, giant_window = kept.plan[1]
-            half = giant._replace(k0=pow(params.zeta, d1 - h, p))
-            kept.table.update(_giant_keys(group, half, giant_window, d1 - h, d1))
+            half = giant._replace(k0=pow(g, e0 - h, p))
+            kept.table.update(_giant_keys(group, half, giant_window, e0 - h, step))
         kept.extended = True
     return kept
+
+
+def _first_hit(group: CyclicGroup, giants: GiantTable, base: ImplicitFieldElement, k0: int = 1):
+    """The first (v, e) at which the baby walk, started at k0*base, meets a key g^e * P of giants; or None.
+
+    The walk is giants' planned baby walk on its window, with its start
+    moved to k0. It pulls one key per v and stops at the hit.
+    """
+    baby, window = giants.plan[0]
+    babies = _walk(group, base, Walk(k0, baby.stride, baby.points), window)
+    return bsgs_probe(giants.table, babies, range(baby.points))
 
 
 def phase1_find_j(
@@ -422,21 +453,21 @@ def phase1_find_j(
 ) -> tuple[int, int, int, tuple[Planned, Planned]]:
     """Find j in [1, m] with x^d = zeta^j, m = (p-1)/d, by BSGS on implicit elements.
 
-    The giant side is the group's giant_table of zeta^e * P; the baby side
-    zeta^v * x^d for v = 0..d1 probes it, one point per v, and stops at the
-    first hit. zeta has order exactly m, so a hit zeta^v * x^d = zeta^e gives
-    j = (e - v - 1) mod m + 1, whichever stored e it met, also in degenerate
-    splits where exponents wrap. The run is billed the search a baby table
-    probed in u1 order would run, whose match is u1 = ceil(j/d1),
-    v1 = u1*d1 - j: the whole baby walk and its table entries, the giant
-    walk through u1. On an extended table the probe pulls at most
-    ceil(d1/2) + 1 baby points. Returns (j, u1, v1, the table's plan).
+    The giant side is the group's giant_table of zeta^e * P, e = d1*u for
+    u = 1..G; the baby side zeta^v * x^d for v = 0..d1 probes it, one point
+    per v, and stops at the first hit. zeta has order exactly m, so a hit
+    zeta^v * x^d = zeta^e gives j = (e - v - 1) mod m + 1, whichever stored
+    e it met, also in degenerate splits where exponents wrap. The run is
+    billed the search a baby table probed in u1 order would run, whose match
+    is u1 = ceil(j/d1), v1 = u1*d1 - j: the whole baby walk and its table
+    entries, the giant walk through u1. On an extended table the probe pulls
+    at most ceil(d1/2) + 1 baby points. Returns (j, u1, v1, the table's plan).
     """
-    m = (group.order - 1) // params.d
+    p = group.order
+    m = (p - 1) // params.d
     d1 = params.d1
-    giants = giant_table(group, params)
-    baby, window = giants.plan[0]
-    hit = bsgs_probe(giants.table, _walk(group, q_pow_d, baby, window), range(baby.points))
+    giants = giant_table(group, (1, params.d), params.zeta, d1, d1, lambda: phase1_walks(p, params))
+    hit = _first_hit(group, giants, q_pow_d)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
@@ -444,7 +475,7 @@ def phase1_find_j(
     v, e = hit
     j = (e - v - 1) % m + 1
     u1 = -(-j // d1)
-    _bill(oracle, giants.baby_bill + giants.giant_bills[u1 - 1], baby.points)
+    _bill(oracle, giants.baby_bill + giants.giant_bills[u1 - 1], d1 + 1)
     return j, u1, u1 * d1 - j, giants.plan
 
 
@@ -458,30 +489,53 @@ def phase2_find_t(
 ) -> tuple[int, int, int, tuple[Planned, Planned]]:
     """Find t in [0, d) with x = zeta0^(m*t + j), by a second, oracle-free BSGS.
 
-    Baby side stores (zeta0^m)^v2 * x for v2 = 0..s2; giant side starts at
-    zeta0^j and walks (zeta0^(m*s2))^u2 for u2 = 0..ceil(d/s2)+1. Every
-    scaling constant is an explicit field element, so no oracle calls occur.
-    The giant side is on P, like phase 1's, and shared is phase 1's giant
-    window, which _plan offers it with no table charge. The run is billed
-    the whole baby walk and its table entries, and the giant walk through
-    u2. Returns (t, u2, v2, the planned walks).
+    zm = zeta0^m has order d and Q = zeta0^(m*t + j) * P, so
+    zm^v * zeta0^(-j) * Q = zm^(t + v) * P. The giant side is the group's
+    giant_table of zm^e * P for e = s2*u, u = 0..G2 - 1, G2 = ceil(d/s2) + 2
+    the billed giant walk's length; like phase 1's it depends on p, d and zm,
+    never on Q or j. The baby side is the planned baby walk on Q, started at
+    k0 = zeta0^(-j): it visits zm^(t + v) * P for v = 0..s2 and stops at the
+    first hit (v, e), where t + v = e (mod d), so t = (e - v) mod d whatever
+    stored e it met. One exists: v = s2*ceil(t/s2) - t < s2 meets
+    e = s2*ceil(t/s2), whose u is at most G2 - 1.
+
+    This is the classic search's first accepted match: a table of
+    zm^v * Q, v = 0..s2, probed by zeta0^j * zm^(s2*u) * P for u = 0, 1, ...,
+    accepting (u, v) when 0 <= u*s2 - v < d. The giant point at u meets v
+    exactly when s2*u = t + v (mod d). For d >= 2, s2 < d, so the s2 + 1 baby
+    keys are distinct and each giant point meets at most one v; u*s2 - v is
+    then t plus a multiple of d, so it lies in [0, d) only when it equals t,
+    and such a v in [0, s2] exists only when t <= u*s2 <= t + s2. The first
+    such u is u2 = ceil(t/s2), with v2 = u2*s2 - t. For d = 1 every key is
+    P's, t = 0, and the classic search accepts (0, 0) at once, which the
+    same formulas give.
+
+    Every scaling constant is an explicit field element, so no oracle calls
+    occur. The run is billed as that classic search runs: the whole baby
+    walk (its bill kept with the table) and its table entries, and the
+    giant walk from zeta0^j through u2, planned per run with shared, phase
+    1's giant window, offered with no table charge. Returns (t, u2, v2, the
+    planned walks).
     """
     p = group.order
     d, s2 = params.d, params.s2
-    baby, giant = phase2_walks(p, params, j)
-    baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True, shared=shared)
-    table = bsgs_table(_walk(group, ImplicitFieldElement(Q), baby, baby_window), baby.points)
-    giants = _walk(group, ImplicitFieldElement(group.generator), giant, giant_window)
-    hit = bsgs_probe(table, giants, range(giant.points), lambda u2, v2: 0 <= u2 * s2 - v2 < d)
+    zeta0 = params.zeta0
+    zm = pow(zeta0, (p - 1) // d, p)
+    giants = giant_table(group, (2, d), zm, s2, 0, lambda: phase2_walks(p, params, 0), shared)
+    hit = _first_hit(group, giants, ImplicitFieldElement(Q), pow(zeta0, -j, p))
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"
         )
-    u2, v2 = hit
-    bill = sum(_charges(p, baby, baby_window))
-    bill += sum(itertools.islice(_charges(p, giant, giant_window), u2 + 1))
-    _bill(oracle, bill, baby.points)
-    return u2 * s2 - v2, u2, v2, ((baby, baby_window), (giant, giant_window))
+    v, e = hit
+    t = (e - v) % d
+    u2 = -(-t // s2)
+    fill = giants.plan[1][0]
+    giant = Walk(pow(zeta0, j, p), fill.stride, fill.points)
+    giant_window = _plan(p, giant, giant=True, shared=shared)
+    bill = giants.baby_bill + sum(itertools.islice(_charges(p, giant, giant_window), u2 + 1))
+    _bill(oracle, bill, s2 + 1)
+    return t, u2, u2 * s2 - t, (giants.plan[0], (giant, giant_window))
 
 
 def reduce_dlog(

@@ -46,6 +46,7 @@ from dhpbound.reduction import (
     generator_try_budget,
     phase1_find_j,
     phase1_walks,
+    phase2_find_t,
     phase2_walks,
     reduce_dlog,
 )
@@ -703,10 +704,10 @@ def test_phase1_matches_reference_on_degenerate_splits(kind, split):
     u1s = set()
     for seed in range(4):
         for x in xs:
-            kept = group._giant_tables.get(d)
+            kept = group._giant_tables.get((1, d))
             j, u1, v1, _ = assert_phase1_matches_reference(group, oracle, x, d, seed)
             u1s.add(u1)
-            giants = group._giant_tables[d]
+            giants = group._giant_tables[1, d]
             assert giants.extended == (giants is kept)  # a build is plain, a reuse extends it
             if split == "m-is-1":
                 # d1 = 1: the half stride floor(d1/2) = 0 adds no key
@@ -738,6 +739,107 @@ def test_phase1_on_a_detached_oracle_matches_reference():
             assert oracle.ledger is None and kept.as_dict() == billed
 
 
+# -------------------------------------------------- phase 2's giant table
+
+
+def reference_phase2(group, oracle, Q, j, params, shared):
+    """Phase 2 as the classic search: a table of every baby point zm^v * Q, probed by the giant
+    walk from zeta0^j in u2 order with the 0 <= u2*s2 - v2 < d accept, billed per pull."""
+    p = group.order
+    d, s2 = params.d, params.s2
+    baby, giant = phase2_walks(p, params, j)
+    baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True, shared=shared)
+    ledger = CostLedger() if oracle.ledger is None else oracle.ledger
+    babies = _walk(group, ImplicitFieldElement(Q), baby, baby_window)
+    table = bsgs_table(billed(ledger, p, babies, baby, baby_window), baby.points)
+    ledger.charge_table_entries(baby.points)
+    generator = ImplicitFieldElement(group.generator)
+    giants = billed(ledger, p, _walk(group, generator, giant, giant_window), giant, giant_window)
+    u2, v2 = bsgs_probe(table, giants, range(giant.points), lambda u2, v2: 0 <= u2 * s2 - v2 < d)
+    return u2 * s2 - v2, u2, v2, ((baby, baby_window), (giant, giant_window))
+
+
+def phase2_inputs(group, x: int, d: int, seed: int):
+    """(Q = xP, j, the run's params, phase 1's giant window), as reduce_dlog hands them to phase 2.
+
+    j is read off x = zeta0^i0 with i0 = m*t + j, j in [1, m], by a table of
+    zeta0's powers, so no phase-1 table is touched.
+    """
+    p = group.order
+    params = run_params(p, d, seed)
+    i0 = {pow(params.zeta0, i, p): i for i in range(p - 1)}[x]
+    j = (i0 - 1) % ((p - 1) // d) + 1
+    shared = _plan(p, phase1_walks(p, params)[1], giant=True)
+    return group.scalar_mul(x, group.generator), j, params, shared
+
+
+def assert_phase2_matches_reference(group, oracle, x: int, d: int, seed: int):
+    """phase2_find_t and reference_phase2 give one match, one plan and one bill; returns the match."""
+    inputs = phase2_inputs(group, x, d, seed)
+    results = []
+    for find in (phase2_find_t, reference_phase2):
+        oracle.attach_ledger(CostLedger())
+        results.append((find(group, oracle, *inputs), oracle.ledger.as_dict()))
+    assert results[0] == results[1], (group.backend, x, d, seed)
+    return results[0][0]
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+@pytest.mark.parametrize("p", [29, 101])
+def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
+    # each seed's first x builds the table (or replaces another seed's) and probes it, its
+    # second extends it, the rest probe the extended table; every build also runs on a fresh group
+    group = make_backend(kind, p)
+    oracle = OracleHandle(group)
+    states = set()
+    for d in all_divisors(p):
+        for x in sorted(range(1, p), key=lambda x: x % 7):
+            seed = x % 7
+            zm = pow(run_params(p, d, seed).zeta0, (p - 1) // d, p)
+            kept = group._giant_tables.get((2, d))
+            if kept is None or kept.g != zm:
+                states.add("none" if kept is None else "replaced")
+                fresh = make_backend(kind, p)
+                assert_phase2_matches_reference(fresh, OracleHandle(fresh), x, d, seed)
+            else:
+                states.add("extended" if kept.extended else "built")
+            assert_phase2_matches_reference(group, oracle, x, d, seed)
+    assert states == {"none", "replaced", "built", "extended"}
+
+
+PHASE2_SPLITS = {
+    # d = 1: zm = 1, so every point of either walk is P's key; t = 0 at (u2, v2) = (0, 0)
+    "d-is-1": 1,
+    # d = 2: s2 = 1, so floor(s2/2) = 0 adds no key, and the G2 = 4 keys are zm^0 and zm^1
+    "d-is-2": 2,
+    # d = p - 1: m = 1 and j = 1; s2 = 10 and G2 = 12, so e = 100 and 110 repeat e = 0 and 10:
+    # 10 keys, and 10 more a half stride (5) below them once extended
+    "d-is-p-1": 100,
+}
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+@pytest.mark.parametrize("split", PHASE2_SPLITS)
+def test_phase2_matches_reference_on_named_divisors(kind, split):
+    p, d = 101, PHASE2_SPLITS[split]
+    group = make_backend(kind, p)
+    oracle = OracleHandle(group)
+    for seed in range(4):
+        for x in range(1, p):
+            kept = group._giant_tables.get((2, d))
+            t, u2, v2, _ = assert_phase2_matches_reference(group, oracle, x, d, seed)
+            giants = group._giant_tables[2, d]
+            assert giants.extended == (giants is kept)  # a build is plain, a reuse extends it
+            assert giants.plan[1][0].points == -(-d // isqrt(d)) + 2
+            if split == "d-is-1":
+                assert (t, u2, v2) == (0, 0, 0) and len(giants.table) == 1
+            elif split == "d-is-2":
+                assert len(giants.table) == 2
+            else:
+                assert len(giants.table) == (20 if giants.extended else 10)
+                assert phase2_inputs(group, x, d, seed)[1] == 1
+
+
 def count_encodes(group) -> list[int]:
     """Wrap this group instance's encode; the returned one-element list counts its calls."""
     calls, encode = [0], group.encode
@@ -756,44 +858,61 @@ def run_quietly(group, handle, x: int, d: int, seed: int):
         return reduce_dlog(group, handle, group.scalar_mul(x, group.generator), d, seed=seed)
 
 
-def baby_pulls(giants, j: int, m: int) -> int:
-    """Baby keys phase 1 pulls on giants: v = 0, 1, ... up to the first v = (e - j) mod m of a stored e."""
-    return 1 + min((e - j) % m for e in giants.table.values())
+PHASES = (1, 2)
 
 
-def hit_encodes(tr, giants) -> int:
-    """Keys a run encodes when its giant table is kept: its phase-1 baby keys
-    up to the first hit, then s2 + 1 baby and u2 + 1 giant keys in phase 2."""
-    m = (tr.p - 1) // tr.params.d
-    return baby_pulls(giants, tr.j, m) + (tr.params.s2 + 1) + (tr.u2 + 1)
+def baby_pulls(giants, r: int, n: int) -> int:
+    """Baby keys a search pulls on giants: v = 0, 1, ... up to the first v = (e - r) mod n of a
+    stored e. Phase 1's baby points are zeta^(j + v) (r = j, n = m), phase 2's zm^(t + v) (r = t, n = d)."""
+    return 1 + min((e - r) % n for e in giants.table.values())
 
 
-def table_state(group, d: int):
-    """(the group's kept table for d or None, whether it was extended), taken before a run."""
-    kept = group._giant_tables.get(d)
-    return kept, kept is not None and kept.extended
+def hit_encodes(tr, group) -> int:
+    """Keys a run encodes once its kept tables are in place: each phase's baby keys up to its first hit."""
+    d = tr.params.d
+    giants1, giants2 = (group._giant_tables[phase, d] for phase in PHASES)
+    return baby_pulls(giants1, tr.j, (tr.p - 1) // d) + baby_pulls(giants2, tr.t, d)
 
 
-def run_encodes(state, giants, tr) -> int:
-    """Keys a run encodes from the table state before it: G giant keys for a
-    build, G more when it is the first reuse (none when floor(d1/2) = 0), then its hit."""
-    kept, was_extended = state
-    built = giants is not kept
-    extends = not built and not was_extended and tr.params.d1 // 2 > 0
-    return (built + extends) * giants.plan[1][0].points + hit_encodes(tr, giants)
+def table_states(group, d: int) -> list:
+    """Per phase, (the group's kept table for d or None, whether it was extended), taken before a run."""
+    kept = [group._giant_tables.get((phase, d)) for phase in PHASES]
+    return [(table, table is not None and table.extended) for table in kept]
 
 
-def assert_giant_keys(group, giants, params) -> None:
-    """giants holds the keys of zeta^e * P for e = d1*u, and for e = d1*u - floor(d1/2)
-    once extended (u = 1..G), and no other, each mapped to one of its exponents."""
-    p, d1 = group.order, params.d1
+def run_encodes(states, group, tr) -> int:
+    """Keys a run encodes from the table states before it: per phase, G giant keys for a
+    build, G more when it is the first reuse (none when half the step is 0), then its hits."""
+    pulled = hit_encodes(tr, group)
+    for phase, (kept, was_extended), step in zip(PHASES, states, (tr.params.d1, tr.params.s2)):
+        giants = group._giant_tables[phase, tr.params.d]
+        built = giants is not kept
+        extends = not built and not was_extended and step // 2 > 0
+        pulled += (built + extends) * giants.plan[1][0].points
+    return pulled
+
+
+def search_of(p: int, params, phase: int) -> tuple[int, int, int]:
+    """A phase's (g, step, e0): phase 1 keeps zeta^e for e = d1*u, u = 1..G;
+    phase 2 keeps zm^e for e = s2*u, u = 0..G - 1."""
+    if phase == 1:
+        return params.zeta, params.d1, params.d1
+    return pow(params.zeta0, (p - 1) // params.d, p), params.s2, 0
+
+
+def assert_giant_keys(group, giants, params, phase: int) -> None:
+    """giants holds the keys of g^e * P for e = e0 + step*i, and for those e minus
+    floor(step/2) once extended (i < G), and no other, each mapped to one of its exponents."""
+    p = group.order
+    g, step, e0 = search_of(p, params, phase)
+    assert giants.g == g
     points = giants.plan[1][0].points
-    shifts = (0, d1 // 2) if giants.extended else (0,)
+    shifts = (0, step // 2) if giants.extended else (0,)
     want = {}
     for shift in shifts:
-        for u in range(1, points + 1):
-            e = d1 * u - shift
-            key = group.encode(group.scalar_mul(pow(params.zeta, e, p), group.generator))
+        for i in range(points):
+            e = e0 + step * i - shift
+            key = group.encode(group.scalar_mul(pow(g, e, p), group.generator))
             want.setdefault(key, set()).add(e)
     assert set(giants.table) == set(want)
     assert all(giants.table[key] in es for key, es in want.items())
@@ -806,30 +925,32 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind):
     oracle = OracleHandle(reused)
     reused_encodes = count_encodes(reused)
     rng = random.Random(1009)
-    first_runs_hit = 0
+    first_runs_hit = [0, 0]
     for d in (1, 4, 12, 63, 336, 1008):
         for x in rng.sample(range(1, 1009), 3):
             fresh = make_backend(kind, 1009)
             fresh_encodes = count_encodes(fresh)
             runs, encodes, builds = [], [], []
-            # reused, fresh, then reused again on the same seed, whose giant table is kept
+            # reused, fresh, then reused again on the same seed, whose giant tables are kept
             for group, handle, calls in (
                 (reused, oracle, reused_encodes),
                 (fresh, OracleHandle(fresh), fresh_encodes),
                 (reused, oracle, reused_encodes),
             ):
-                before, state = calls[0], table_state(group, d)
+                before, states = calls[0], table_states(group, d)
                 runs.append(run_quietly(group, handle, x, d, seed=x))
-                giants = group._giant_tables[d]
                 encodes.append(calls[0] - before)
-                builds.append(giants is not state[0])
-                assert encodes[-1] == run_encodes(state, giants, runs[-1])
-                assert giants.extended == (not builds[-1])  # every reuse finds it extended
+                assert encodes[-1] == run_encodes(states, group, runs[-1])
+                tables = [group._giant_tables[phase, d] for phase in PHASES]
+                builds.append(tuple(giants is not kept for giants, (kept, _) in zip(tables, states)))
+                # every reuse finds its table extended
+                assert [giants.extended for giants in tables] == [not b for b in builds[-1]]
             assert runs[0].to_dict() == runs[1].to_dict() == runs[2].to_dict()
-            assert builds[1:] == [True, False]  # a fresh group builds, a repeat hits
-            first_runs_hit += not builds[0]
+            assert builds[1:] == [(True, True), (False, False)]  # a fresh group builds, a repeat hits
+            first_runs_hit = [n + (not b) for n, b in zip(first_runs_hit, builds[0])]
     assert reused._generator_tables  # the giant walks took their fixed-base tables from the cache
-    assert first_runs_hit >= 3  # at d = p - 1 every seed gives the same walks
+    # every seed gives phase 1 the same walks at d = p - 1 (zeta = 1), and phase 2 at d = 1 (zm = 1)
+    assert min(first_runs_hit) >= 3
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
@@ -843,24 +964,29 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
         for run, x in enumerate(rng.sample(range(1, p), 4)):
             group = make_backend(kind, p)
             fresh = run_quietly(group, OracleHandle(group), x, d, seed=0)
-            before, state = encodes[0], table_state(reused, d)
+            before, states = encodes[0], table_states(reused, d)
             tr = run_quietly(reused, oracle, x, d, seed=0)
             assert tr.to_dict() == fresh.to_dict()
-            assert list(reused._giant_tables) == divisors[:n + 1]  # one more table per new d
-            giants = reused._giant_tables[d]
-            (baby, _), (giant, _) = giants.plan
-            # a build pulls every giant key, the first reuse every half-stride one, later runs
-            # none: the table extends exactly once
-            pulled = encodes[0] - before - hit_encodes(tr, giants)
-            assert pulled == [giant.points, giant.points * (tr.params.d1 > 1), 0, 0][run]
-            assert giants.extended == (run > 0)
+            # one more table per phase for each new d
+            assert list(reused._giant_tables) == [(ph, e) for e in divisors[:n + 1] for ph in PHASES]
+            tables = [reused._giant_tables[phase, d] for phase in PHASES]
+            # per phase, a build pulls every giant key, the first reuse every half-stride one,
+            # later runs none: each table extends exactly once
+            pulled = encodes[0] - before - hit_encodes(tr, reused)
+            sizes = [giants.plan[1][0].points for giants in tables]
+            steps = (tr.params.d1, tr.params.s2)
+            assert pulled == sum([G, G * (step > 1), 0, 0][run] for G, step in zip(sizes, steps))
+            assert [giants.extended for giants in tables] == [run > 0] * 2
             if run > 1:
-                assert giants is state[0]
+                assert all(giants is kept for giants, (kept, _) in zip(tables, states))
                 continue
-            assert_giant_keys(reused, giants, tr.params)
-            assert giants.baby_bill == formula_bill(p, baby, w_of(_plan(p, baby)))
+            for phase, giants in zip(PHASES, tables):
+                assert_giant_keys(reused, giants, tr.params, phase)
+                baby = giants.plan[0][0]
+                assert giants.baby_bill == formula_bill(p, baby, w_of(_plan(p, baby)))
+            giant = tables[0].plan[1][0]
             w = w_of(_plan(p, giant, giant=True))
-            assert giants.giant_bills == [
+            assert tables[0].giant_bills == [
                 formula_bill(p, giant._replace(points=u), w) for u in range(1, giant.points + 1)
             ]
 
@@ -873,10 +999,12 @@ def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds):
         group = make_backend(kind, p)
         encodes = count_encodes(group)
         tr = run_quietly(group, OracleHandle(group), x, d, seed)
-        giants = group._giant_tables[d]
-        assert not giants.extended
-        assert encodes[0] == giants.plan[1][0].points + hit_encodes(tr, giants)
-        assert_giant_keys(group, giants, tr.params)
+        tables = [group._giant_tables[phase, d] for phase in PHASES]
+        assert not any(giants.extended for giants in tables)
+        builds = sum(giants.plan[1][0].points for giants in tables)
+        assert encodes[0] == builds + hit_encodes(tr, group)
+        for phase, giants in zip(PHASES, tables):
+            assert_giant_keys(group, giants, tr.params, phase)
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
@@ -890,7 +1018,7 @@ def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
         for seed in (0, 1):
             for _ in range(2):  # build, then extend
                 run_quietly(group, oracle, rng.randrange(1, p), d, seed)
-            giants = group._giant_tables[d]
+            giants = group._giant_tables[1, d]
             assert giants.extended
             d1 = isqrt(m)
             for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
@@ -899,7 +1027,31 @@ def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
                 j, _, _, _ = phase1_find_j(group, oracle, q_pow_d, params)
                 assert encodes[0] - before == baby_pulls(giants, j, m) <= -(-d1 // 2) + 1
                 assert pow(params.zeta, j, p) == pow(x, d, p)
-            assert group._giant_tables[d] is giants
+            assert group._giant_tables[1, d] is giants
+
+
+@pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
+def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
+    group = make_backend(kind, p)
+    oracle = OracleHandle(group)
+    encodes = count_encodes(group)
+    rng = random.Random(f"half2:{kind}:{p}")
+    for d in ds or all_divisors(p):
+        s2 = isqrt(d)
+        for seed in (0, 1):
+            for _ in range(2):  # build, then extend
+                run_quietly(group, oracle, rng.randrange(1, p), d, seed)
+            giants = group._giant_tables[2, d]
+            assert giants.extended
+            for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
+                tr = run_quietly(group, oracle, x, d, seed)
+                oracle.attach_ledger(CostLedger())
+                Q = group.scalar_mul(x, group.generator)
+                before = encodes[0]
+                t, _, _, _ = phase2_find_t(group, oracle, Q, tr.j, tr.params, tr.plan[1][1])
+                assert encodes[0] - before == baby_pulls(giants, t, d) <= -(-s2 // 2) + 1
+                assert t == tr.t
+            assert group._giant_tables[2, d] is giants
 
 
 def kept_walks(giants) -> tuple[Walk, Walk]:
@@ -909,6 +1061,7 @@ def kept_walks(giants) -> tuple[Walk, Walk]:
 
 def test_giant_key_cache_is_bounded_by_the_group():
     p, ds = 1009, (4, 12, 28, 63)
+    keys = [(phase, d) for d in ds for phase in PHASES]
     group = make_backend("mult", p)
     oracle = OracleHandle(group)
     xs = random.Random(p).sample(range(1, p), 25)
@@ -918,20 +1071,29 @@ def test_giant_key_cache_is_bounded_by_the_group():
             for d in ds:
                 for x in xs:
                     run_quietly(group, oracle, x, d, seed)
-            assert list(group._giant_tables) == list(ds)  # one table per divisor
+            assert list(group._giant_tables) == keys  # one table per phase and divisor
             for d in ds:
-                giants = group._giant_tables[d]
-                # this seed's walks, not the other seed's, and no key past the giant walk
-                assert kept_walks(giants) == phase1_walks(p, phase1_inputs(group, 1, d, seed)[1])
-                assert giants.extended and giants.plan[1][0].points == len(giants.giant_bills)
-                assert len(giants.table) <= 2 * giants.plan[1][0].points
+                params = phase1_inputs(group, 1, d, seed)[1]
+                want = (phase1_walks(p, params), phase2_walks(p, params, 0))
+                for phase, walks in zip(PHASES, want):
+                    giants = group._giant_tables[phase, d]
+                    # this seed's walks, not the other seed's, and no key past the giant walk
+                    assert kept_walks(giants) == walks
+                    assert giants.extended
+                    assert len(giants.table) <= 2 * giants.plan[1][0].points
+                assert group._giant_tables[1, d].plan[1][0].points == len(
+                    group._giant_tables[1, d].giant_bills
+                )
             kept.append(dict(group._giant_tables))
         # more runs of the same (d, seed) keep the same tables
-        assert all(kept[-3][d] is kept[-2][d] is kept[-1][d] for d in ds)
-    # the second seed replaced every table with one on another stride
-    assert all(kept[2][d].plan[1][0].stride != kept[3][d].plan[1][0].stride for d in ds)
+        assert all(kept[-3][key] is kept[-2][key] is kept[-1][key] for key in keys)
+    # the second seed replaced every table with one on another generator; at d = 4 both of
+    # phase 2's generators of order 4 give the giant stride zm^2 = -1, so compare generators
+    assert all(kept[2][key].g != kept[3][key].g for key in keys)
+    assert all(kept[2][1, d].plan[1][0].stride != kept[3][1, d].plan[1][0].stride for d in ds)
     # tables are held per group instance
     other = make_backend("mult", p)
     run_quietly(other, OracleHandle(other), xs[0], ds[0], 1)
-    assert list(other._giant_tables) == [ds[0]] and other._giant_tables[ds[0]] is not kept[-1][ds[0]]
+    assert list(other._giant_tables) == keys[:2]
+    assert all(other._giant_tables[key] is not kept[-1][key] for key in keys[:2])
     assert group._giant_tables == kept[-1]
