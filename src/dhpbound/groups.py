@@ -120,9 +120,9 @@ class CyclicGroup:
         # (phase, divisor d) -> reduction.GiantTable: the keys of g^e * generator
         # over the phase's giant walk (g = zeta, e = d1*u for phase 1; g = zm,
         # e = s2*u for phase 2), plus the half-stride walk, each e less half
-        # the step, from the first reuse on, mapped to e, and the bills the
-        # search keeps, which no Q changes. One per phase and d, replaced when
-        # a run's g differs; runs probe it with their baby points.
+        # the step, from the first reuse on, mapped to e; no Q changes it, and
+        # it holds no bill. One per phase and d, replaced when a run's g
+        # differs; runs probe it with their baby points.
         self._giant_tables: dict = {}
 
     # -- raw laws supplied by the backend (operate on .data) --------------

@@ -22,41 +22,38 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
 Both phases are one collision search. Each side visits k * base for a base
 fixed per walk (x^d P, Q or P) and a multiplier k the walk knows, k <- k *
 stride mod p per step. _walk yields its encoded keys lazily, so
-groups.bsgs_probe evaluates only the points the search uses, and _charges
-gives the group ops of each point, so a search is billed the sum over the
-points the classic search pulls (see below). A walk runs on a fixed-base
-table in the manner of Kozaki-Kutsuma-Matsuo's refinement of Cheon's
-algorithm: columns 2^(wj) * base (on P the group's kept generator table,
-otherwise built with implicit_scalar), 2^w - 2 row multiples per column
-except the top one, whose row stops at the top w-bit digit of p - 1, then
-one addition per nonzero w-bit digit of k past the first. _plan picks w per
-walk from the points it is billed for: all of a baby side, the first half of
-a giant side, which is billed only through its match. w = 0 keeps the plain
-double-and-add walk when no table is cheaper. Both giant walks are on P, so
-phase 2's giant walk is offered phase 1's window with its table already paid
-for, and a run builds and bills at most one table on P. Each run is planned
-once: the transcript carries the four planned walks, and cost_report reads
-them. The ledger is charged exactly that, each table in full with the first
-point of the walk that owns it, also when the group reuses the generator's
-from an earlier run, whatever the backend does underneath.
-Each phase's giant side depends on p, d and its subgroup's generator g
-(zeta for phase 1, zm for phase 2), never on Q. So the group keeps one
-giant_table per phase and d: the search's planned walks, and the keys
-g^e * P of the giant walk, e = d1*u for u = 1..G1 in phase 1 and e = s2*u
-for u = 0..G2 - 1 in phase 2, each mapped to its exponent e. A run with
-another g replaces the table. The first run on a table builds it over the
-whole giant walk, which a one-shot run pays for and never more. The first
-run that reuses it adds the half-stride points e - floor(step/2) once, so
-later runs meet a stored e within about half a step of baby points. Each
-run streams its baby points into the table and stops at the first hit (v, e):
-phase 1's zeta^v * x^d P gives j = (e - v - 1) mod m + 1, and phase 2's
+groups.bsgs_probe evaluates only the points the search uses. A walk runs on
+a fixed-base table in the manner of Kozaki-Kutsuma-Matsuo's refinement of
+Cheon's algorithm: columns 2^(wj) * base (on P the group's kept generator
+table, otherwise built with implicit_scalar), 2^w - 2 row multiples per
+column except the top one, whose row stops at the top w-bit digit of p - 1,
+then one addition per nonzero w-bit digit of k past the first. w = 0 keeps
+the plain double-and-add walk.
+
+The bill is one pure section below. plan(p, params, j) gives the four walks
+on their windows: _plan picks w per walk from the points it is billed for,
+all of a baby side, the first half of a giant side. Both giant walks are on
+P, so phase 2's is offered phase 1's window with its table already paid
+for. bill(p, planned, u1, u2) prices the paper's classic search on those
+walks: each phase's whole baby walk, one table entry per baby point, and its
+giant walk through the match; _charges prices each point, each table in
+full with the first point of the walk that owns it, whatever the backend
+does underneath. reduce_dlog charges it once, after both matches. Oracle
+calls are charged as implicit_pow makes them.
+
+The searches only search, on plan(p, params, 0). A phase's giant side
+depends on p, d and its subgroup's generator g (zeta for phase 1, zm for
+phase 2), never on Q, so the group keeps one giant_table per phase and d:
+the keys g^e * P, e = d1*u for u = 1..G1 in phase 1 and e = s2*u for
+u = 0..G2 - 1 in phase 2, each mapped to e. A run with another g replaces
+it. Its first run builds it over the whole giant walk, and its first reuse
+adds the half-stride points e - floor(step/2) once. Each run streams its
+baby points into the table and stops at the first hit (v, e): phase 1's
+zeta^v * x^d P gives j = (e - v - 1) mod m + 1, and phase 2's
 zm^v * zeta0^-j Q gives t = (e - v) mod d, since g has order m or d. The
-run is still billed the classic search, a baby table probed in u order,
-whose first match the hit fixes: u1 = ceil(j/d1), v1 = u1*d1 - j and
-u2 = ceil(t/s2), v2 = u2*s2 - t. Each phase is billed its whole baby walk,
-whose bill the table keeps, and its table entries, then its giant walk
-through the match: phase 1's off the table's prefix bills, phase 2's from
-zeta0^j, planned per run.
+classic search's matches follow: u1 = ceil(j/d1), v1 = u1*d1 - j and
+u2 = ceil(t/s2), v2 = u2*s2 - t. Phase 2's giant walk from zeta0^j is billed,
+never run.
 The final verification is a self-check, not part of the algorithm, and is
 left off the books.
 """
@@ -179,6 +176,9 @@ def _sample_generator(p: int, primes: tuple[int, ...], seed: int) -> tuple[int, 
     )
 
 
+# ------------------------------------------------------------- the bill
+
+
 class Walk(NamedTuple):
     """One BSGS side: it visits k*base for k = k0*stride^i mod p, i = 0..points-1 at most."""
 
@@ -191,18 +191,13 @@ class Walk(NamedTuple):
 WALK_NAMES = ("phase1_baby", "phase1_giant", "phase2_baby", "phase2_giant")
 
 
-def phase1_walks(p: int, params: ReductionParams) -> tuple[Walk, Walk]:
-    """Phase 1's baby side (on x^d*P) and giant side (on P)."""
-    m = (p - 1) // params.d
-    giant = pow(params.zeta, params.d1, p)
-    return Walk(1, params.zeta, params.d1 + 1), Walk(giant, giant, -(-m // params.d1) + 1)
-
-
-def phase2_walks(p: int, params: ReductionParams, j: int) -> tuple[Walk, Walk]:
-    """Phase 2's baby side (on Q) and giant side (on P), once phase 1 has found j."""
-    d, s2 = params.d, params.s2
-    zm = pow(params.zeta0, (p - 1) // d, p)
-    return Walk(1, zm, s2 + 1), Walk(pow(params.zeta0, j, p), pow(zm, s2, p), -(-d // s2) + 2)
+def walks(p: int, d: int, zeta0: int) -> tuple[Walk, Walk, Walk, Walk]:
+    """A run's walks in WALK_NAMES order, on x^d*P, P, Q and P; plan moves the last to zeta0^j."""
+    m = (p - 1) // d
+    d1, s2 = math.isqrt(m), math.isqrt(d)
+    giant1, zm = pow(zeta0, d * d1, p), pow(zeta0, m, p)
+    return (Walk(1, pow(zeta0, d, p), d1 + 1), Walk(giant1, giant1, -(-m // d1) + 1),
+            Walk(1, zm, s2 + 1), Walk(1, pow(zm, s2, p), -(-d // s2) + 2))
 
 
 class Window(NamedTuple):
@@ -267,35 +262,72 @@ def _worst(walk: Walk, window: Window | None, points: int) -> int:
 Planned = tuple[Walk, Window | None]  # a walk and the window it runs on
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(p: int, walk: Walk, giant: bool = False, shared: Window | None = None) -> Window | None:
-    """The window walk runs on, the one that makes the points it is billed cheapest; None is the plain walk.
+def _prices(p: int, walk: Walk, giant: bool = False, shared: Window | None = None) -> tuple:
+    """(price, window) for each window walk may run on, in tie order: its _worst less k0's part.
 
-    A baby side is billed in full, so it is priced at all its points. A
-    giant side is billed only through its match, so it is priced at its
-    first ceil(points/2). shared is phase 1's giant window, whose table the
-    run already built and was billed for: it is offered with no table
-    charge and wins ties, so a run builds and bills at most one table on P.
-    Otherwise ties keep the plain walk, and among windows the first in
-    _windows' order. So no baby side costs more in the worst case than
-    without windows, and no giant side's first ceil(points/2) points do; a
-    giant side's later points may cost more than the plain walk's would.
-    Memoised: every run on one (p, d, seed) has the same phase-2 baby walk.
+    A baby side is priced at all its points, a giant side, billed only
+    through its match, at its first ceil(points/2). shared is phase 1's
+    giant window, whose table the run already built and was billed for: it
+    comes first, with no table charge, then the plain walk (None), then
+    _windows, cheapest first.
     """
     priced = -(-walk.points // 2) if giant else walk.points
-    best, choice = _worst(walk, None, priced), None
+    prices = [((priced - 1) * scalar_mul_cost(walk.stride), None)]
     if shared is not None:
         shared = shared._replace(bill=shared.bill - shared.table, table=0)
-        bill = _worst(walk, shared, priced)
-        if bill <= best:
-            best, choice = bill, shared
-    for window in _windows(p - 1, priced - 1):
-        if window.bill >= best:  # k0's digits only add to it, and later windows cost no less
-            break
-        bill = window.bill + _digits(walk.k0, window) - 1
-        if bill < best:
-            best, choice = bill, window
+        prices.insert(0, ((priced - 1) * (shared.cols - 1), shared))
+    return (*prices, *((window.bill, window) for window in _windows(p - 1, priced - 1)))
+
+
+def _cheapest(k0: int, prices: tuple) -> Window | None:
+    """The first window of prices at the lowest price once k0's part is added.
+
+    k0's part is scalar_mul_cost(k0) on the plain walk and k0's nonzero
+    digits - 1 on a window. So no baby side costs more in the worst case
+    than without windows, and no giant side's first ceil(points/2) points
+    do; a giant side's later points may cost more than the plain walk's.
+    """
+    best, choice = math.inf, None
+    for price, window in prices:
+        if window is None:
+            price += scalar_mul_cost(k0)
+        elif price >= best:
+            break  # k0's digits only add to it, and later windows cost no less
+        else:
+            price += _digits(k0, window) - 1
+        if price < best:
+            best, choice = price, window
     return choice
+
+
+def _plan(p: int, walk: Walk, giant: bool = False, shared: Window | None = None) -> Window | None:
+    """The window that makes the points walk is billed cheapest; None is the plain walk."""
+    return _cheapest(walk.k0, _prices(p, walk, giant, shared))
+
+
+@functools.lru_cache(maxsize=1024)
+def _run_plan(p: int, d: int, zeta0: int) -> tuple[tuple[Planned, ...], tuple]:
+    """plan(p, params, 0), and the _prices of phase 2's giant walk, which no j changes."""
+    baby1, giant1, baby2, giant2 = walks(p, d, zeta0)
+    shared = _plan(p, giant1, giant=True)
+    prices = _prices(p, giant2, giant=True, shared=shared)
+    planned = (baby1, _plan(p, baby1)), (giant1, shared), (baby2, _plan(p, baby2))
+    return (*planned, (giant2, _cheapest(giant2.k0, prices))), prices
+
+
+def plan(p: int, params: ReductionParams, j: int) -> tuple[Planned, ...]:
+    """The run's four walks on their windows, in WALK_NAMES order.
+
+    j moves only phase 2's giant walk, through its start zeta0^j and that
+    start's part of its prices; the rest is memoised on (p, d, zeta0).
+    plan(p, params, 0) gives the walks the searches run, since phase 2's
+    kept table is filled from zeta0^0 = 1.
+    """
+    planned, prices = _run_plan(p, params.d, params.zeta0)
+    if not j:
+        return planned
+    giant = Walk(pow(params.zeta0, j, p), *planned[3][0][1:])
+    return (*planned[:3], (giant, _cheapest(giant.k0, prices)))
 
 
 def _charges(p: int, walk: Walk, window: Window | None):
@@ -306,7 +338,7 @@ def _charges(p: int, walk: Walk, window: Window | None):
     window's table with the first point, also when the group reuses the
     generator's from an earlier run (none on a table phase 2 shares with
     phase 1), and each point its nonzero digits - 1, as the generic path
-    performs. A search is billed the sum over the points it pulled.
+    performs.
     """
     k, stride, points = walk
     if window is None:
@@ -317,6 +349,29 @@ def _charges(p: int, walk: Walk, window: Window | None):
     for i in range(points):
         yield (0 if i else table) + (((k & low) + low | k) & high).bit_count() - 1
         k = k * stride % p
+
+
+@functools.lru_cache(maxsize=1024)
+def _bills(p: int, walk: Walk, window: Window | None) -> tuple[int, ...]:
+    """Group ops of walk's first i + 1 points on window, for every i < walk.points."""
+    return tuple(itertools.accumulate(_charges(p, walk, window)))
+
+
+def bill(p: int, planned: tuple[Planned, ...], u1: int, u2: int) -> tuple[int, int]:
+    """(group ops, table entries) of the classic search on planned whose matches are u1 and u2.
+
+    Each phase stores every point of its baby walk, one table entry each,
+    and probes the table with its giant walk until the match: phase 1 with
+    its points u = 1..u1, phase 2 with u = 0..u2. Prefix bills are memoised
+    per walk and window, except on phase 2's giant walk, whose start zeta0^j
+    changes with nearly every run.
+    """
+    (baby1, window1), giant1, (baby2, window2), giant2 = planned
+    kept = _bills(p, baby1, window1)[-1] + _bills(p, *giant1)[u1 - 1] + _bills(p, baby2, window2)[-1]
+    return kept + sum(itertools.islice(_charges(p, *giant2), u2 + 1)), baby1.points + baby2.points
+
+
+# ---------------------------------------------------------- the searches
 
 
 def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Window | None):
@@ -350,124 +405,80 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
         k = k * stride % p
 
 
-def _bill(oracle: OracleHandle, group_ops: int, table_entries: int) -> None:
-    """Charge one search to the oracle's ledger; a detached oracle keeps no bill."""
-    if oracle.ledger is not None:
-        oracle.ledger.charge_group_ops(group_ops)
-        oracle.ledger.charge_table_entries(table_entries)
-
-
 @dataclass
 class GiantTable:
-    """One search's kept giant side for one (group, d, g), shared by every Q.
+    """One search's kept giant side for one (group, d, g), shared by every Q; it holds no bill.
 
     g generates the subgroup the search runs in: zeta for phase 1, zm =
-    zeta0^m for phase 2. plan is the search's (baby, giant) walks on their
-    windows, planned once when the table is built: both depend only on p, d
-    and g. table maps the encoded key of g^e * P to e. A build stores the
-    giant walk, e = e0 + step*i for i < G, G its points (e0 = step = d1 in
-    phase 1; e0 = 0, step = s2 in phase 2); extended marks that the
-    half-stride walk, each of those e minus floor(step/2), has been added
-    too, so the table holds at most 2G keys. baby_bill is the group ops of
-    the whole baby walk, giant_bills[i] those of the giant walk's first
-    i + 1 points, worked out on first use (phase 1 bills its giant side off
-    them; phase 2's billed giant walk starts elsewhere on every run).
+    zeta0^m for phase 2. table maps the encoded key of g^e * P to e. A build
+    stores the giant walk, e = e0 + step*i for i < G, G its points (e0 =
+    step = d1 in phase 1; e0 = 0, step = s2 in phase 2); extended marks that
+    the half-stride walk, each of those e minus floor(step/2), has been
+    added too, so the table holds at most 2G keys.
     """
 
-    p: int
     g: int
-    plan: tuple[Planned, Planned]
     table: dict
-    baby_bill: int
     extended: bool = False
-
-    @functools.cached_property
-    def giant_bills(self) -> list[int]:
-        walk, window = self.plan[1]
-        return list(itertools.accumulate(_charges(self.p, walk, window)))
 
 
 def _giant_keys(group: CyclicGroup, walk: Walk, window: Window | None, e0: int, step: int):
-    """(key, e) of g^e * P for e = e0 + step*i, i < walk.points, with walk visiting those points.
-
-    Pulls exactly walk.points keys.
-    """
+    """(key, e) of g^e * P for e = e0 + step*i, i < walk.points, pulling exactly those points of walk."""
     generator = ImplicitFieldElement(group.generator)
     keys = itertools.islice(_walk(group, generator, walk, window), walk.points)
     return zip(keys, range(e0, e0 + step * walk.points, step))
 
 
-def giant_table(
-    group: CyclicGroup, key: tuple, g: int, step: int, e0: int, walks, shared: Window | None = None
-) -> GiantTable:
+def giant_table(group: CyclicGroup, key: tuple, g: int, step: int, e0: int, giant: Planned) -> GiantTable:
     """The group's kept table under key for a search in the subgroup g generates.
 
-    walks() gives the search's (baby, giant) walks, the giant one visiting
-    g^e * P for e = e0 + step*i. The table is planned and built on first use:
-    the baby walk on its _plan, the giant walk priced as a giant side with
-    shared offered (phase 1's giant window, for phase 2), and every point of
-    the giant walk pulled. One table per key: a run with another g replaces
-    it. The first run that finds its g kept adds the half-stride walk once,
-    from g^(e0 - h) with h = floor(step/2) on the same stride and window
-    (nothing when h = 0). Neither is billed, and a one-shot run never
-    extends.
+    giant is the search's planned giant walk, visiting g^e * P for
+    e = e0 + step*i, all of whose points the first use pulls. A run with
+    another g replaces the table. The first run that finds its g kept adds
+    the half-stride walk once, from g^(e0 - h) with h = floor(step/2) on the
+    same stride and window (nothing when h = 0).
     """
-    p = group.order
+    walk, window = giant
     kept = group._giant_tables.get(key)
     if kept is None or kept.g != g:
-        baby, giant = walks()
-        baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True, shared=shared)
-        kept = group._giant_tables[key] = GiantTable(
-            p,
-            g,
-            ((baby, baby_window), (giant, giant_window)),
-            dict(_giant_keys(group, giant, giant_window, e0, step)),
-            sum(_charges(p, baby, baby_window)),
-        )
+        kept = group._giant_tables[key] = GiantTable(g, dict(_giant_keys(group, walk, window, e0, step)))
     elif not kept.extended:
         h = step // 2
         if h:
-            giant, giant_window = kept.plan[1]
-            half = giant._replace(k0=pow(g, e0 - h, p))
-            kept.table.update(_giant_keys(group, half, giant_window, e0 - h, step))
+            half = Walk(pow(g, e0 - h, group.order), walk.stride, walk.points)
+            kept.table.update(_giant_keys(group, half, window, e0 - h, step))
         kept.extended = True
     return kept
 
 
-def _first_hit(group: CyclicGroup, giants: GiantTable, base: ImplicitFieldElement, k0: int = 1):
-    """The first (v, e) at which the baby walk, started at k0*base, meets a key g^e * P of giants; or None.
-
-    The walk is giants' planned baby walk on its window, with its start
-    moved to k0. It pulls one key per v and stops at the hit.
-    """
-    baby, window = giants.plan[0]
-    babies = _walk(group, base, Walk(k0, baby.stride, baby.points), window)
-    return bsgs_probe(giants.table, babies, range(baby.points))
+def _first_hit(
+    group: CyclicGroup, giants: GiantTable, baby: Planned, base: ImplicitFieldElement, k0: int = 1
+):
+    """First (v, e) where baby, run from k0*base, meets a key g^e * P of giants; or None."""
+    walk, window = baby
+    babies = _walk(group, base, Walk(k0, walk.stride, walk.points), window)
+    return bsgs_probe(giants.table, babies, range(walk.points))
 
 
 def phase1_find_j(
-    group: CyclicGroup,
-    oracle: OracleHandle,
-    q_pow_d: ImplicitFieldElement,
-    params: ReductionParams,
-) -> tuple[int, int, int, tuple[Planned, Planned]]:
+    group: CyclicGroup, q_pow_d: ImplicitFieldElement, params: ReductionParams
+) -> tuple[int, int, int]:
     """Find j in [1, m] with x^d = zeta^j, m = (p-1)/d, by BSGS on implicit elements.
 
     The giant side is the group's giant_table of zeta^e * P, e = d1*u for
     u = 1..G; the baby side zeta^v * x^d for v = 0..d1 probes it, one point
     per v, and stops at the first hit. zeta has order exactly m, so a hit
     zeta^v * x^d = zeta^e gives j = (e - v - 1) mod m + 1, whichever stored
-    e it met, also in degenerate splits where exponents wrap. The run is
-    billed the search a baby table probed in u1 order would run, whose match
-    is u1 = ceil(j/d1), v1 = u1*d1 - j: the whole baby walk and its table
-    entries, the giant walk through u1. On an extended table the probe pulls
-    at most ceil(d1/2) + 1 baby points. Returns (j, u1, v1, the table's plan).
+    e it met, also in degenerate splits where exponents wrap. The match of
+    the classic search, a baby table probed in u1 order, follows: u1 =
+    ceil(j/d1), v1 = u1*d1 - j. On an extended table the probe pulls at most
+    ceil(d1/2) + 1 baby points. Returns (j, u1, v1).
     """
     p = group.order
-    m = (p - 1) // params.d
-    d1 = params.d1
-    giants = giant_table(group, (1, params.d), params.zeta, d1, d1, lambda: phase1_walks(p, params))
-    hit = _first_hit(group, giants, q_pow_d)
+    m, d1 = (p - 1) // params.d, params.d1
+    baby, giant = plan(p, params, 0)[:2]
+    giants = giant_table(group, (1, params.d), params.zeta, d1, d1, giant)
+    hit = _first_hit(group, giants, baby, q_pow_d)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
@@ -475,18 +486,12 @@ def phase1_find_j(
     v, e = hit
     j = (e - v - 1) % m + 1
     u1 = -(-j // d1)
-    _bill(oracle, giants.baby_bill + giants.giant_bills[u1 - 1], d1 + 1)
-    return j, u1, u1 * d1 - j, giants.plan
+    return j, u1, u1 * d1 - j
 
 
 def phase2_find_t(
-    group: CyclicGroup,
-    oracle: OracleHandle,
-    Q: GroupPoint,
-    j: int,
-    params: ReductionParams,
-    shared: Window | None,
-) -> tuple[int, int, int, tuple[Planned, Planned]]:
+    group: CyclicGroup, Q: GroupPoint, j: int, params: ReductionParams
+) -> tuple[int, int, int]:
     """Find t in [0, d) with x = zeta0^(m*t + j), by a second, oracle-free BSGS.
 
     zm = zeta0^m has order d and Q = zeta0^(m*t + j) * P, so
@@ -511,18 +516,13 @@ def phase2_find_t(
     same formulas give.
 
     Every scaling constant is an explicit field element, so no oracle calls
-    occur. The run is billed as that classic search runs: the whole baby
-    walk (its bill kept with the table) and its table entries, and the
-    giant walk from zeta0^j through u2, planned per run with shared, phase
-    1's giant window, offered with no table charge. Returns (t, u2, v2, the
-    planned walks).
+    occur. Returns (t, u2, v2).
     """
     p = group.order
     d, s2 = params.d, params.s2
-    zeta0 = params.zeta0
-    zm = pow(zeta0, (p - 1) // d, p)
-    giants = giant_table(group, (2, d), zm, s2, 0, lambda: phase2_walks(p, params, 0), shared)
-    hit = _first_hit(group, giants, ImplicitFieldElement(Q), pow(zeta0, -j, p))
+    baby, giant = plan(p, params, 0)[2:]
+    giants = giant_table(group, (2, d), baby[0].stride, s2, 0, giant)  # the baby stride is zm
+    hit = _first_hit(group, giants, baby, ImplicitFieldElement(Q), pow(params.zeta0, -j, p))
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"
@@ -530,12 +530,7 @@ def phase2_find_t(
     v, e = hit
     t = (e - v) % d
     u2 = -(-t // s2)
-    fill = giants.plan[1][0]
-    giant = Walk(pow(zeta0, j, p), fill.stride, fill.points)
-    giant_window = _plan(p, giant, giant=True, shared=shared)
-    bill = giants.baby_bill + sum(itertools.islice(_charges(p, giant, giant_window), u2 + 1))
-    _bill(oracle, bill, s2 + 1)
-    return t, u2, u2 * s2 - t, (giants.plan[0], (giant, giant_window))
+    return t, u2, u2 * s2 - t
 
 
 def reduce_dlog(
@@ -546,7 +541,8 @@ def reduce_dlog(
     Attaches a fresh ledger to the oracle for the duration of the run. The
     returned transcript carries the matches of both phases, the recombined
     exponent, the recovered x (verified to satisfy xP = Q), the ledger and
-    the four planned walks.
+    the four planned walks. The walks' bill is charged once, after both
+    matches.
     """
     p = group.order
     group._member(Q)
@@ -557,19 +553,16 @@ def reduce_dlog(
     ledger = CostLedger()
     oracle.attach_ledger(ledger)
     zeta0 = find_generator(p, factorize(p - 1), seed)
-    params = ReductionParams(
-        d=d,
-        d1=math.isqrt((p - 1) // d),
-        s2=math.isqrt(d),
-        zeta0=zeta0,
-        zeta=pow(zeta0, d, p),
-        seed=seed,
-    )
+    params = ReductionParams(d, math.isqrt((p - 1) // d), math.isqrt(d), zeta0, pow(zeta0, d, p), seed)
     Q_implicit = ImplicitFieldElement(Q)
     # for d = 1, x^d is already in hand: no oracle calls
     x_pow_d = Q_implicit if d == 1 else implicit_pow(oracle, Q_implicit, d)
-    j, u1, v1, plan1 = phase1_find_j(group, oracle, x_pow_d, params)
-    t, u2, v2, plan2 = phase2_find_t(group, oracle, Q, j, params, shared=plan1[1][1])
+    j, u1, v1 = phase1_find_j(group, x_pow_d, params)
+    t, u2, v2 = phase2_find_t(group, Q, j, params)
+    planned = plan(p, params, j)
+    group_ops, table_entries = bill(p, planned, u1, u2)
+    ledger.charge_group_ops(group_ops)
+    ledger.charge_table_entries(table_entries)
     i0 = ((p - 1) // d) * t + j
     x = pow(zeta0, i0, p)
     # self-check, off the books: the algorithm's answer must reproduce Q
@@ -578,7 +571,7 @@ def reduce_dlog(
     return ReductionTranscript(
         p=p, backend=group.backend,
         j=j, u1=u1, v1=v1, t=t, u2=u2, v2=v2,
-        i0=i0, x=x, ledger=ledger, params=params, plan=(*plan1, *plan2),
+        i0=i0, x=x, ledger=ledger, params=params, plan=planned,
     )
 
 

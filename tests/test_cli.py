@@ -1,8 +1,13 @@
 """CLI surface: exit codes, output formats, determinism, argument validation."""
 
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +271,48 @@ def test_reduce_ec_search_guard(capsys):
                        "--backend", "ec")
     assert code == 1
     assert "capped" in err
+
+
+# one reduce per backend and order scale, each in all three formats
+REDUCE_OUTPUT_CASES = (
+    ("--p", "101", "--d", "4", "--x", "77"),
+    ("--p", "1009", "--d", "28", "--x", "500", "--backend", "mult"),
+    ("--p", "16381", "--d", "2", "--x", "1234", "--backend", "ec"),
+    ("--p", "4294967291", "--d", "190", "--x", "123456789", "--backend", "mult"),
+    ("--p", "29", "--d", "28", "--x", "3", "--backend", "ec", "--seed", "5"),
+)
+# sha256 over (argv, exit code, stdout, stderr) of every case and format, in order
+REDUCE_OUTPUT_DIGEST = "f8943a755f1a3884f6af7b7329739700b7c81cd9c6f073991e16a6f68996e1cb"
+
+
+def test_reduce_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for case in REDUCE_OUTPUT_CASES:
+        for fmt in ("markdown", "json", "csv"):
+            argv = ("reduce", *case, "--format", fmt)
+            code, out, err = run(capsys, *argv)
+            assert code == 0, argv
+            digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == REDUCE_OUTPUT_DIGEST
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reduce_into_a_closed_pipe_exits_1_without_traceback(unbuffered):
+    # `dhpbound reduce ... | head -c 0`: the reader is gone before the first byte, so the
+    # write fails in print (unbuffered) or in the flush main makes before it returns
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["reduce", "--p", "101", "--d", "4", "--x", "77", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "dhpbound.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 # -------------------------------------------------------------- divisors

@@ -15,6 +15,7 @@ from math import isqrt
 import pytest
 
 from conftest import make_backend
+from dhpbound import reduction
 from dhpbound.groups import CyclicGroup, bsgs_probe, bsgs_table, make_zp_additive, scalar_mul_cost
 from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning
 from dhpbound.invariants import check_reduction
@@ -34,21 +35,23 @@ from dhpbound.reduction import (
     ReductionParams,
     Walk,
     ZeroDlogError,
+    _bills,
     _charges,
     _plan,
     _sample_generator,
     _walk,
     _windows,
     _worst,
+    bill,
     ceil_log2,
     cost_report,
     find_generator,
     generator_try_budget,
     phase1_find_j,
-    phase1_walks,
     phase2_find_t,
-    phase2_walks,
+    plan,
     reduce_dlog,
+    walks,
 )
 
 
@@ -278,12 +281,11 @@ def test_phase1_inconsistency_detected():
     # zeta0 = 1 is not a generator: zeta = 1, so no giant probe can hit x^d
     # unless x^d = 1; pick x with x^5 != 1 mod 101 and expect a clean failure.
     group = make_zp_additive(101)
-    oracle = OracleHandle(group)
     d = 5
     params = ReductionParams(d=d, d1=isqrt(100 // d), s2=isqrt(d), zeta0=1, zeta=1, seed=0)
     x_pow_d = ImplicitFieldElement(group.scalar_mul(pow(3, d, 101), group.generator))
     with pytest.raises(InternalInconsistencyError):
-        phase1_find_j(group, oracle, x_pow_d, params)
+        phase1_find_j(group, x_pow_d, params)
 
 
 # --------------------------------------------------------- cost accounting
@@ -502,8 +504,7 @@ def run_bill(p: int, tr, rep) -> int:
     1's window.
     """
     w = {name: rep[f"window_{name}"] for name in WALK_NAMES}
-    baby1, giant1 = phase1_walks(p, tr.params)
-    baby2, giant2 = phase2_walks(p, tr.params, tr.j)
+    baby1, giant1, baby2, giant2 = run_walks(p, tr.params, tr.j)
     shared = w["phase1_giant"] == w["phase2_giant"] > 0
     return (
         formula_bill(p, baby1, w["phase1_baby"])
@@ -536,12 +537,25 @@ def test_run_bill_equals_independent_formula(kind):
                 tr = run_quietly(group, oracle, x, d, seed=(31 * x + d) & 0xFFFF)
                 rep = cost_report(tr, p, d)
                 assert tr.ledger.group_ops == run_bill(p, tr, rep), (p, d, x)
-                giant2 = phase2_walks(p, tr.params, tr.j)[1]
+                entries = tr.params.d1 + tr.params.s2 + 2
+                assert bill(p, tr.plan, tr.u1, tr.u2) == (tr.ledger.group_ops, entries)
+                giant2 = run_walks(p, tr.params, tr.j)[3]
                 w1, own = rep["window_phase1_giant"], w_of(_plan(p, giant2, giant=True))
                 share = w1 > 0 and priced_worst(p, giant2, w1, False) <= priced_worst(p, giant2, own)
                 assert rep["window_phase2_giant"] == (w1 if share else own), (p, d, x)
                 shares.add((share, w1 == own))
     assert shares >= {(True, True), (True, False), (False, False)}
+
+
+def run_walks(p: int, params, j: int = 0) -> tuple[Walk, ...]:
+    """The four walks of a run on params, phase 2's giant walk started at zeta0^j."""
+    *fixed, giant = walks(p, params.d, params.zeta0)
+    return (*fixed, giant._replace(k0=pow(params.zeta0, j, p)))
+
+
+def giant_points(p: int, params, phase: int) -> int:
+    """G, the points of a phase's giant walk, which its kept table stores."""
+    return run_walks(p, params)[2 * phase - 1].points
 
 
 def run_params(p: int, d: int, seed: int) -> ReductionParams:
@@ -571,16 +585,40 @@ def test_shared_plan_matches_two_step_rule(p):
     for seed in (0, 1):
         for d in all_divisors(p):
             params = run_params(p, d, seed)
-            shared = _plan(p, phase1_walks(p, params)[1], giant=True)
+            shared = _plan(p, run_walks(p, params)[1], giant=True)
             js = range(1, (p - 1) // d + 1)
             if len(js) > 40:
                 js = random.Random(f"{p}:{d}:{seed}").sample(js, 20)
             for j in js:
-                giant = phase2_walks(p, params, j)[1]
+                giant = run_walks(p, params, j)[3]
                 got = _plan(p, giant, giant=True, shared=shared)
                 assert got == two_step_window(p, giant, shared), (p, d, seed, j)
+                assert plan(p, params, j)[3] == (giant, got)  # off the memoised prices
                 outcomes.add((shared is not None, got is not None and got.table == 0))
     assert outcomes >= {(True, True), (True, False), (False, False)}
+
+
+def test_plan_takes_the_first_cheapest_window():
+    # pricing each candidate in full picks what the k0-free prices plus k0's part pick: the
+    # lowest worst case, ties going to shared, then the plain walk, then _windows' order
+    rng = random.Random("ties")
+    ties = set()  # whether the plain walk won each tie
+    for p in (101, 1009, 16381):
+        for _ in range(400):
+            giant = rng.random() < 0.5
+            points = rng.choice((1, 2, 3, 6, isqrt(p) + 1))
+            walk = Walk(rng.choice([1, rng.randrange(1, p)]), rng.randrange(2, p), points)
+            shared = rng.choice([None, *_windows(p - 1, rng.randrange(4))])
+            priced = -(-points // 2) if giant else points
+            candidates = [None, *_windows(p - 1, priced - 1)]
+            if shared is not None:
+                candidates.insert(0, shared._replace(bill=shared.bill - shared.table, table=0))
+            costs = [_worst(walk, window, priced) for window in candidates]
+            best = candidates[costs.index(min(costs))]
+            assert _plan(p, walk, giant, shared) == best, (p, walk, giant, shared)
+            if costs.count(min(costs)) > 1:
+                ties.add(best is None)
+    assert ties == {True, False}
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
@@ -593,10 +631,13 @@ def test_cost_report_reads_the_plan_the_run_carries(kind):
     for d in all_divisors(101):
         tr = run_quietly(group, oracle, 77, d, seed=d)
         windowed += any(window is not None for _, window in tr.plan)
-        baby1, giant1 = phase1_walks(101, tr.params)
-        baby2, giant2 = phase2_walks(101, tr.params, tr.j)
+        baby1, giant1, baby2, giant2 = run_walks(101, tr.params, tr.j)
         assert [walk for walk, _ in tr.plan] == [baby1, giant1, baby2, giant2]
-        assert tr.plan[3][1] == _plan(101, giant2, giant=True, shared=tr.plan[1][1])
+        assert tr.plan == plan(101, tr.params, tr.j)
+        assert [window for _, window in tr.plan] == [
+            _plan(101, baby1), _plan(101, giant1, giant=True), _plan(101, baby2),
+            _plan(101, giant2, giant=True, shared=tr.plan[1][1]),
+        ]
         rep = cost_report(tr, 101, d)
         assert [rep[f"window_{name}"] for name in WALK_NAMES] == [w_of(w) for _, w in tr.plan]
         assert rep["walk_group_op_ceiling"] == sum(_worst(w, win, w.points) for w, win in tr.plan)
@@ -615,29 +656,34 @@ def test_cost_report_reads_the_plan_the_run_carries(kind):
 # -------------------------------------------------- phase 1's giant table
 
 
-def billed(ledger: CostLedger, p: int, keys, walk: Walk, window):
-    """The keys of walk, each point's group ops on window charged to ledger as it is pulled."""
-    for charge, key in zip(_charges(p, walk, window), keys):
+def executed(group, base, walk: Walk, window, ledger: CostLedger, fresh: bool = True):
+    """The keys of walk on window, each point's group ops charged to ledger as it is pulled.
+
+    With fresh, a walk on the generator builds its window's table again at the first pull,
+    as the ledger bills it, even where the group kept one; otherwise it reads the kept one.
+    A walk on any other base builds its own columns either way.
+    """
+    if fresh and window is not None and base.image.data == group.generator.data:
+        group._generator_tables.pop(window.w, None)
+    for charge, key in zip(_charges(group.order, walk, window), _walk(group, base, walk, window)):
         ledger.charge_group_ops(charge)
         yield key
 
 
-def reference_phase1(group, oracle, q_pow_d, params):
-    """Phase 1 as a table of every baby point probed by the giant walk in u1 order, billed per pull."""
+def reference_phase1(group, q_pow_d, params, ledger: CostLedger):
+    """Phase 1 as a table of every baby point probed by the giant walk in u1 order, billed
+    per pull to ledger: (j, u1, v1)."""
     p = group.order
     m, d1 = (p - 1) // params.d, params.d1
-    baby, giant = phase1_walks(p, params)
-    baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True)
-    ledger = CostLedger() if oracle.ledger is None else oracle.ledger
-    babies = _walk(group, q_pow_d, baby, baby_window)
-    table = bsgs_table(billed(ledger, p, babies, baby, baby_window), baby.points)
+    baby, giant = run_walks(p, params)[:2]
+    table = bsgs_table(executed(group, q_pow_d, baby, _plan(p, baby), ledger), baby.points)
     ledger.charge_table_entries(baby.points)
     generator = ImplicitFieldElement(group.generator)
-    giants = billed(ledger, p, _walk(group, generator, giant, giant_window), giant, giant_window)
+    giants = executed(group, generator, giant, _plan(p, giant, giant=True), ledger)
     u1, v1 = bsgs_probe(
         table, giants, range(1, giant.points + 1), lambda u1, v1: 1 <= u1 * d1 - v1 <= m
     )
-    return u1 * d1 - v1, u1, v1, ((baby, baby_window), (giant, giant_window))
+    return u1 * d1 - v1, u1, v1
 
 
 def phase1_inputs(group, x: int, d: int, seed: int):
@@ -646,25 +692,21 @@ def phase1_inputs(group, x: int, d: int, seed: int):
     return walk_base(group, pow(x, d, p)), run_params(p, d, seed)
 
 
-def assert_phase1_matches_reference(group, oracle, x: int, d: int, seed: int):
-    """phase1_find_j and reference_phase1 give one match and one bill; returns the match."""
+def assert_phase1_matches_reference(group, x: int, d: int, seed: int):
+    """phase1_find_j and reference_phase1 give one match; returns it."""
     q_pow_d, params = phase1_inputs(group, x, d, seed)
-    results = []
-    for find in (phase1_find_j, reference_phase1):
-        oracle.attach_ledger(CostLedger())
-        results.append((find(group, oracle, q_pow_d, params), oracle.ledger.as_dict()))
-    assert results[0] == results[1], (group.backend, x, d, seed)
-    return results[0][0]
+    found = phase1_find_j(group, q_pow_d, params)
+    assert found == reference_phase1(group, q_pow_d, params, CostLedger()), (group.backend, x, d)
+    return found
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
 @pytest.mark.parametrize("p", [29, 101])
 def test_phase1_matches_reference_on_every_x_and_divisor(kind, p):
     group = make_backend(kind, p)
-    oracle = OracleHandle(group)
     for d in all_divisors(p):
         for x in sorted(range(1, p), key=lambda x: x % 7):  # one build per seed, then hits
-            assert_phase1_matches_reference(group, oracle, x, d, seed=x % 7)
+            assert_phase1_matches_reference(group, x, d, seed=x % 7)
 
 
 SAMPLED_CASES = [(kind, 1009, None) for kind in ("zp", "mult", "ec")] + [("ec", 16381, (1, 2, 3, 4))]
@@ -674,11 +716,10 @@ SAMPLED_IDS = ["zp-1009", "mult-1009", "ec-1009", "ec-16381"]
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
 def test_phase1_matches_reference_sampled(kind, p, ds):
     group = make_backend(kind, p)
-    oracle = OracleHandle(group)
     rng = random.Random(f"reference:{kind}:{p}")
     for d in ds or all_divisors(p):
         for x in sorted({1, p - 1, *rng.sample(range(1, p), 10)}):
-            assert_phase1_matches_reference(group, oracle, x, d, seed=x % 3)
+            assert_phase1_matches_reference(group, x, d, seed=x % 3)
 
 
 DEGENERATE_SPLITS = {
@@ -700,12 +741,11 @@ def test_phase1_matches_reference_on_degenerate_splits(kind, split):
     p, d, xs = DEGENERATE_SPLITS[split]
     m = (p - 1) // d
     group = make_backend(kind, p)
-    oracle = OracleHandle(group)
     u1s = set()
     for seed in range(4):
         for x in xs:
             kept = group._giant_tables.get((1, d))
-            j, u1, v1, _ = assert_phase1_matches_reference(group, oracle, x, d, seed)
+            j, u1, v1 = assert_phase1_matches_reference(group, x, d, seed)
             u1s.add(u1)
             giants = group._giant_tables[1, d]
             assert giants.extended == (giants is kept)  # a build is plain, a reuse extends it
@@ -715,52 +755,73 @@ def test_phase1_matches_reference_on_degenerate_splits(kind, split):
             elif split == "m-square":
                 # 5 keys on the stride, 5 more a half stride (2) below them, of G = 6 points each
                 assert len(giants.table) == (10 if giants.extended else 5)
-                assert giants.plan[1][0].points == 6
+                assert giant_points(p, run_params(p, d, seed), 1) == 6
             else:
                 assert (j, u1, v1) == (m, 5, 0)
     if split == "m-square":
         assert 1 in u1s  # some runs matched on the repeated key
 
 
-def test_phase1_on_a_detached_oracle_matches_reference():
-    group = make_backend("mult", 1009)
-    oracle = OracleHandle(group)
-    rng = random.Random("detached")
-    for d in (1, 12, 63, 1008):
-        for x in rng.sample(range(1, 1009), 5):
-            q_pow_d, params = phase1_inputs(group, x, d, seed=x)
-            kept = CostLedger()
-            oracle.attach_ledger(kept)
-            want = reference_phase1(group, oracle, q_pow_d, params)
-            billed = kept.as_dict()
-            oracle.attach_ledger(None)
-            assert phase1_find_j(group, oracle, q_pow_d, params) == want
-            assert reference_phase1(group, oracle, q_pow_d, params) == want
-            assert oracle.ledger is None and kept.as_dict() == billed
+def test_run_charges_its_bill_once_after_both_matches(monkeypatch):
+    # the searches charge nothing; reduce_dlog charges the bill of both matches, once each
+    events = []
+
+    class Ledger(CostLedger):
+        def charge_group_ops(self, k):
+            events.append("group ops")
+            super().charge_group_ops(k)
+
+        def charge_table_entries(self, k):
+            events.append("table entries")
+            super().charge_table_entries(k)
+
+    def traced(name, find):
+        def run(*args):
+            found = find(*args)
+            events.append(name)
+            return found
+        return run
+
+    monkeypatch.setattr(reduction, "CostLedger", Ledger)
+    monkeypatch.setattr(reduction, "phase1_find_j", traced("phase 1", phase1_find_j))
+    monkeypatch.setattr(reduction, "phase2_find_t", traced("phase 2", phase2_find_t))
+    rng = random.Random("charged once")
+    for kind in ("zp", "mult", "ec"):
+        group = make_backend(kind, 1009)
+        oracle = OracleHandle(group)
+        for d in (1, 12, 63, 1008):
+            for x in rng.sample(range(1, 1009), 3):
+                events.clear()
+                tr = run_quietly(group, oracle, x, d, seed=x)
+                assert events == ["phase 1", "phase 2", "group ops", "table entries"]
+                billed = bill(1009, tr.plan, tr.u1, tr.u2)
+                assert (tr.ledger.group_ops, tr.ledger.bsgs_table_entries) == billed
 
 
 # -------------------------------------------------- phase 2's giant table
 
 
-def reference_phase2(group, oracle, Q, j, params, shared):
+def reference_phase2(group, Q, j, params, ledger: CostLedger):
     """Phase 2 as the classic search: a table of every baby point zm^v * Q, probed by the giant
-    walk from zeta0^j in u2 order with the 0 <= u2*s2 - v2 < d accept, billed per pull."""
+    walk from zeta0^j in u2 order with the 0 <= u2*s2 - v2 < d accept, billed per pull to
+    ledger: (t, u2, v2). The giant walk reads phase 1's giant table when it runs on its w."""
     p = group.order
     d, s2 = params.d, params.s2
-    baby, giant = phase2_walks(p, params, j)
-    baby_window, giant_window = _plan(p, baby), _plan(p, giant, giant=True, shared=shared)
-    ledger = CostLedger() if oracle.ledger is None else oracle.ledger
-    babies = _walk(group, ImplicitFieldElement(Q), baby, baby_window)
-    table = bsgs_table(billed(ledger, p, babies, baby, baby_window), baby.points)
+    _, giant1, baby, giant = run_walks(p, params, j)
+    shared = _plan(p, giant1, giant=True)
+    window = _plan(p, giant, giant=True, shared=shared)
+    babies = executed(group, ImplicitFieldElement(Q), baby, _plan(p, baby), ledger)
+    table = bsgs_table(babies, baby.points)
     ledger.charge_table_entries(baby.points)
     generator = ImplicitFieldElement(group.generator)
-    giants = billed(ledger, p, _walk(group, generator, giant, giant_window), giant, giant_window)
+    fresh = window is None or shared is None or window.w != shared.w
+    giants = executed(group, generator, giant, window, ledger, fresh)
     u2, v2 = bsgs_probe(table, giants, range(giant.points), lambda u2, v2: 0 <= u2 * s2 - v2 < d)
-    return u2 * s2 - v2, u2, v2, ((baby, baby_window), (giant, giant_window))
+    return u2 * s2 - v2, u2, v2
 
 
 def phase2_inputs(group, x: int, d: int, seed: int):
-    """(Q = xP, j, the run's params, phase 1's giant window), as reduce_dlog hands them to phase 2.
+    """(Q = xP, j, the run's params), as reduce_dlog hands them to phase 2.
 
     j is read off x = zeta0^i0 with i0 = m*t + j, j in [1, m], by a table of
     zeta0's powers, so no phase-1 table is touched.
@@ -769,19 +830,21 @@ def phase2_inputs(group, x: int, d: int, seed: int):
     params = run_params(p, d, seed)
     i0 = {pow(params.zeta0, i, p): i for i in range(p - 1)}[x]
     j = (i0 - 1) % ((p - 1) // d) + 1
-    shared = _plan(p, phase1_walks(p, params)[1], giant=True)
-    return group.scalar_mul(x, group.generator), j, params, shared
+    return group.scalar_mul(x, group.generator), j, params
 
 
-def assert_phase2_matches_reference(group, oracle, x: int, d: int, seed: int):
-    """phase2_find_t and reference_phase2 give one match, one plan and one bill; returns the match."""
-    inputs = phase2_inputs(group, x, d, seed)
-    results = []
-    for find in (phase2_find_t, reference_phase2):
-        oracle.attach_ledger(CostLedger())
-        results.append((find(group, oracle, *inputs), oracle.ledger.as_dict()))
-    assert results[0] == results[1], (group.backend, x, d, seed)
-    return results[0][0]
+def assert_phase2_matches_reference(group, x: int, d: int, seed: int):
+    """phase2_find_t and reference_phase2 give one match, and the references' ledger over
+    both phases is the run's bill; returns the match."""
+    p = group.order
+    Q, j, params = phase2_inputs(group, x, d, seed)
+    found = phase2_find_t(group, Q, j, params)
+    ledger = CostLedger()
+    _, u1, _ = reference_phase1(group, walk_base(group, pow(x, d, p)), params, ledger)
+    assert found == reference_phase2(group, Q, j, params, ledger), (group.backend, x, d, seed)
+    billed = bill(p, plan(p, params, j), u1, found[1])
+    assert (ledger.group_ops, ledger.bsgs_table_entries) == billed, (group.backend, x, d, seed)
+    return found
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
@@ -790,7 +853,6 @@ def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
     # each seed's first x builds the table (or replaces another seed's) and probes it, its
     # second extends it, the rest probe the extended table; every build also runs on a fresh group
     group = make_backend(kind, p)
-    oracle = OracleHandle(group)
     states = set()
     for d in all_divisors(p):
         for x in sorted(range(1, p), key=lambda x: x % 7):
@@ -799,11 +861,10 @@ def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
             kept = group._giant_tables.get((2, d))
             if kept is None or kept.g != zm:
                 states.add("none" if kept is None else "replaced")
-                fresh = make_backend(kind, p)
-                assert_phase2_matches_reference(fresh, OracleHandle(fresh), x, d, seed)
+                assert_phase2_matches_reference(make_backend(kind, p), x, d, seed)
             else:
                 states.add("extended" if kept.extended else "built")
-            assert_phase2_matches_reference(group, oracle, x, d, seed)
+            assert_phase2_matches_reference(group, x, d, seed)
     assert states == {"none", "replaced", "built", "extended"}
 
 
@@ -823,14 +884,13 @@ PHASE2_SPLITS = {
 def test_phase2_matches_reference_on_named_divisors(kind, split):
     p, d = 101, PHASE2_SPLITS[split]
     group = make_backend(kind, p)
-    oracle = OracleHandle(group)
     for seed in range(4):
         for x in range(1, p):
             kept = group._giant_tables.get((2, d))
-            t, u2, v2, _ = assert_phase2_matches_reference(group, oracle, x, d, seed)
+            t, u2, v2 = assert_phase2_matches_reference(group, x, d, seed)
             giants = group._giant_tables[2, d]
             assert giants.extended == (giants is kept)  # a build is plain, a reuse extends it
-            assert giants.plan[1][0].points == -(-d // isqrt(d)) + 2
+            assert giant_points(p, run_params(p, d, seed), 2) == -(-d // isqrt(d)) + 2
             if split == "d-is-1":
                 assert (t, u2, v2) == (0, 0, 0) and len(giants.table) == 1
             elif split == "d-is-2":
@@ -838,6 +898,49 @@ def test_phase2_matches_reference_on_named_divisors(kind, split):
             else:
                 assert len(giants.table) == (20 if giants.extended else 10)
                 assert phase2_inputs(group, x, d, seed)[1] == 1
+
+
+# ------------------------------------------------- the bill, counted
+
+
+def counted_point_adds(group) -> list[int]:
+    """Wrap this EC group's _raw_add; the returned one-element list counts the calls whose
+    operands are both points, neither the identity (None), which costs no group operation."""
+    adds, add = [0], group._raw_add
+
+    def counted(a, b):
+        adds[0] += a is not None and b is not None
+        return add(a, b)
+
+    group._raw_add = counted
+    return adds
+
+
+@pytest.mark.parametrize("p,sampled", [(101, None), (1009, 6)], ids=["101-every-x", "1009-sampled"])
+def test_bill_is_the_group_ops_the_classic_search_performs(p, sampled):
+    # both reference phases run on a fresh EC group's generic path, with x^d * P computed
+    # directly, so no oracle table is built there; the additions they perform are the
+    # bill reduce_dlog charges for the same matches, and the references' per-pull ledger
+    group, counted = make_backend("ec", p), make_backend("ec", p)
+    oracle = OracleHandle(group)
+    adds = counted_point_adds(counted)
+    rng = random.Random(f"counted:{p}")
+    runs = 0
+    for d in all_divisors(p):
+        for x in range(1, p) if sampled is None else rng.sample(range(1, p), sampled):
+            tr = run_quietly(group, oracle, x, d, seed=x % 7)
+            q_pow_d, params = phase1_inputs(counted, x, d, seed=x % 7)
+            Q = counted.scalar_mul(x, counted.generator)
+            ledger, before = CostLedger(), adds[0]
+            j, u1, _ = reference_phase1(counted, q_pow_d, params, ledger)
+            t, u2, _ = reference_phase2(counted, Q, j, params, ledger)
+            performed = adds[0] - before
+            assert (j, u1, t, u2) == (tr.j, tr.u1, tr.t, tr.u2)
+            assert bill(p, tr.plan, u1, u2) == (performed, ledger.bsgs_table_entries), (d, x)
+            assert performed == ledger.group_ops == tr.ledger.group_ops, (d, x)
+            runs += 1
+    assert runs == (900 if p == 101 else 180)
+    assert not counted._giant_tables  # the classic search keeps no giant table
 
 
 def count_encodes(group) -> list[int]:
@@ -888,7 +991,7 @@ def run_encodes(states, group, tr) -> int:
         giants = group._giant_tables[phase, tr.params.d]
         built = giants is not kept
         extends = not built and not was_extended and step // 2 > 0
-        pulled += (built + extends) * giants.plan[1][0].points
+        pulled += (built + extends) * giant_points(tr.p, tr.params, phase)
     return pulled
 
 
@@ -906,7 +1009,7 @@ def assert_giant_keys(group, giants, params, phase: int) -> None:
     p = group.order
     g, step, e0 = search_of(p, params, phase)
     assert giants.g == g
-    points = giants.plan[1][0].points
+    points = giant_points(p, params, phase)
     shifts = (0, step // 2) if giants.extended else (0,)
     want = {}
     for shift in shifts:
@@ -973,7 +1076,7 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
             # per phase, a build pulls every giant key, the first reuse every half-stride one,
             # later runs none: each table extends exactly once
             pulled = encodes[0] - before - hit_encodes(tr, reused)
-            sizes = [giants.plan[1][0].points for giants in tables]
+            sizes = [giant_points(p, tr.params, phase) for phase in PHASES]
             steps = (tr.params.d1, tr.params.s2)
             assert pulled == sum([G, G * (step > 1), 0, 0][run] for G, step in zip(sizes, steps))
             assert [giants.extended for giants in tables] == [run > 0] * 2
@@ -982,11 +1085,13 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
                 continue
             for phase, giants in zip(PHASES, tables):
                 assert_giant_keys(reused, giants, tr.params, phase)
-                baby = giants.plan[0][0]
-                assert giants.baby_bill == formula_bill(p, baby, w_of(_plan(p, baby)))
-            giant = tables[0].plan[1][0]
+            # the memoised bills of the walks plan gives the searches, from their digits
+            planned = plan(p, tr.params, 0)
+            for baby, window in planned[::2]:
+                assert _bills(p, baby, window)[-1] == formula_bill(p, baby, w_of(_plan(p, baby)))
+            giant = planned[1][0]
             w = w_of(_plan(p, giant, giant=True))
-            assert tables[0].giant_bills == [
+            assert list(_bills(p, *planned[1])) == [
                 formula_bill(p, giant._replace(points=u), w) for u in range(1, giant.points + 1)
             ]
 
@@ -1001,7 +1106,7 @@ def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds):
         tr = run_quietly(group, OracleHandle(group), x, d, seed)
         tables = [group._giant_tables[phase, d] for phase in PHASES]
         assert not any(giants.extended for giants in tables)
-        builds = sum(giants.plan[1][0].points for giants in tables)
+        builds = sum(giant_points(p, tr.params, phase) for phase in PHASES)
         assert encodes[0] == builds + hit_encodes(tr, group)
         for phase, giants in zip(PHASES, tables):
             assert_giant_keys(group, giants, tr.params, phase)
@@ -1024,7 +1129,7 @@ def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
             for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
                 q_pow_d, params = phase1_inputs(group, x, d, seed)
                 before = encodes[0]
-                j, _, _, _ = phase1_find_j(group, oracle, q_pow_d, params)
+                j, _, _ = phase1_find_j(group, q_pow_d, params)
                 assert encodes[0] - before == baby_pulls(giants, j, m) <= -(-d1 // 2) + 1
                 assert pow(params.zeta, j, p) == pow(x, d, p)
             assert group._giant_tables[1, d] is giants
@@ -1045,18 +1150,12 @@ def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds)
             assert giants.extended
             for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
                 tr = run_quietly(group, oracle, x, d, seed)
-                oracle.attach_ledger(CostLedger())
                 Q = group.scalar_mul(x, group.generator)
                 before = encodes[0]
-                t, _, _, _ = phase2_find_t(group, oracle, Q, tr.j, tr.params, tr.plan[1][1])
+                t, _, _ = phase2_find_t(group, Q, tr.j, tr.params)
                 assert encodes[0] - before == baby_pulls(giants, t, d) <= -(-s2 // 2) + 1
                 assert t == tr.t
             assert group._giant_tables[2, d] is giants
-
-
-def kept_walks(giants) -> tuple[Walk, Walk]:
-    """The (baby, giant) walks a kept giant table was planned for."""
-    return tuple(walk for walk, _ in giants.plan)
 
 
 def test_giant_key_cache_is_bounded_by_the_group():
@@ -1073,24 +1172,21 @@ def test_giant_key_cache_is_bounded_by_the_group():
                     run_quietly(group, oracle, x, d, seed)
             assert list(group._giant_tables) == keys  # one table per phase and divisor
             for d in ds:
-                params = phase1_inputs(group, 1, d, seed)[1]
-                want = (phase1_walks(p, params), phase2_walks(p, params, 0))
-                for phase, walks in zip(PHASES, want):
+                params = run_params(p, d, seed)
+                for phase in PHASES:
                     giants = group._giant_tables[phase, d]
-                    # this seed's walks, not the other seed's, and no key past the giant walk
-                    assert kept_walks(giants) == walks
+                    # this seed's keys, not the other seed's, and no key past the giant walk
+                    assert_giant_keys(group, giants, params, phase)
                     assert giants.extended
-                    assert len(giants.table) <= 2 * giants.plan[1][0].points
-                assert group._giant_tables[1, d].plan[1][0].points == len(
-                    group._giant_tables[1, d].giant_bills
-                )
+                    assert len(giants.table) <= 2 * giant_points(p, params, phase)
+                assert giant_points(p, params, 1) == len(_bills(p, *plan(p, params, 0)[1]))
             kept.append(dict(group._giant_tables))
         # more runs of the same (d, seed) keep the same tables
         assert all(kept[-3][key] is kept[-2][key] is kept[-1][key] for key in keys)
     # the second seed replaced every table with one on another generator; at d = 4 both of
     # phase 2's generators of order 4 give the giant stride zm^2 = -1, so compare generators
     assert all(kept[2][key].g != kept[3][key].g for key in keys)
-    assert all(kept[2][1, d].plan[1][0].stride != kept[3][1, d].plan[1][0].stride for d in ds)
+    assert all(kept[2][1, d].table != kept[3][1, d].table for d in ds)  # other exponents
     # tables are held per group instance
     other = make_backend("mult", p)
     run_quietly(other, OracleHandle(other), xs[0], ds[0], 1)
