@@ -20,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from math import isqrt
+from math import isfinite, isqrt
 
 from .modmath import (
     Factorization,
@@ -40,6 +40,10 @@ VERDICT_NO_DATA = "not available"
 
 MATCH_TOL = 0.02
 DISCREPANCY_TOL = 0.10
+
+
+# the reference table's four log2 columns, as CurveRecord names them
+LOG2_CELLS = ("expected_log2_sqrt_p", "expected_log2_M", "expected_log2_n", "expected_log2_TDH")
 
 
 class DatabaseError(ValueError):
@@ -223,11 +227,33 @@ def suggest_divisor(p: int, factors: Factorization, policy: str = "paper") -> in
     raise ValueError(f"unknown policy {policy!r}; expected 'paper' or 'min-n'")
 
 
+def _is_integer(value) -> bool:
+    """A JSON int or a decimal string for int() to read; never a bool or a float."""
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
+def _is_cell(value) -> bool:
+    """A reference log2 cell: a finite JSON number (never a bool, NaN or Infinity) or null."""
+    return value is None or isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
+
+
+# each record field -> (the check its JSON value must pass, what that value must be)
+_RECORD_FIELDS = {
+    "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "field_kind": (lambda v: v in ("prime", "binary"), "'prime' or 'binary'"),
+    "p": (_is_integer, "an integer or a decimal string"),
+    "d": (lambda v: v is None or _is_integer(v), "an integer, a decimal string or null"),
+    **{cell: (_is_cell, "a finite number or null") for cell in LOG2_CELLS},
+    "annotations": (lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v), "a list of strings"),
+}
+
+
 def load_database(path: str | None = None) -> list[CurveRecord]:
     """Parse the curve database: explicit path, else $DHP_DB, else the packaged file.
 
-    Every record is validated here (p an integer >= 3, d None or a divisor of
-    p-1, every field present); a bad shape or record raises DatabaseError.
+    Every record is validated here: each field present and of the type
+    _RECORD_FIELDS names (annotations may be left out), p >= 3, and d None or
+    a divisor of p-1. A bad shape or record raises DatabaseError.
     """
     if path is None:
         path = os.environ.get("DHP_DB") or None
@@ -243,6 +269,10 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
     records = []
     for i, raw in enumerate(raws):
         try:
+            raw = {"annotations": [], **raw}  # the one optional field
+            for key, (ok, want) in _RECORD_FIELDS.items():
+                if not ok(raw[key]):
+                    raise TypeError(f"{key}={raw[key]!r} is not {want}")
             p = int(raw["p"])
             d = int(raw["d"]) if raw["d"] is not None else None
             if p < 3:
@@ -255,11 +285,8 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
                     field_kind=raw["field_kind"],
                     p=p,
                     d=d,
-                    expected_log2_sqrt_p=raw["expected_log2_sqrt_p"],
-                    expected_log2_M=raw["expected_log2_M"],
-                    expected_log2_n=raw["expected_log2_n"],
-                    expected_log2_TDH=raw["expected_log2_TDH"],
-                    annotations=tuple(raw.get("annotations", ())),
+                    **{cell: raw[cell] for cell in LOG2_CELLS},
+                    annotations=tuple(raw["annotations"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

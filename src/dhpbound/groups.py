@@ -18,20 +18,22 @@ F_q^x and EC build and read that table; only Z_p hands back its
 one-operation product and builds none. _generator_table keeps one such table
 per w on the generator for the group's lifetime: the reduction's walks on P
 read it, billed as above, and so does the simulated oracle for its answers,
-unbilled.
+unbilled. A point's table key is its own data and costs no group operation.
 
 Baby-step giant-step runs on key iterators, one lazy key per point a side
-visits: bsgs_table pulls the keys it stores, bsgs_probe one per probe and
-none after an accepted match, so a walk billed per pull pays for exactly
-the points used. orbit is the lazy walk that builds the simulated oracle's
-baby table. The oracle's giant side, which nobody bills, runs on the raw
-hook _raw_probe instead: one loop over raw data that stops at the first
-stored point, generic on _raw_add and inlined on F_q^x. Z_p never probes.
+visits. Every search keys a point by its canonical data (an int residue, an
+(x, y) tuple, or None at infinity), the value eq compares: encode returns it
+for a GroupPoint, and the raw loops use it as it stands. bsgs_table pulls
+the keys it stores, bsgs_probe one per probe and none after an accepted
+match, so a walk billed per pull pays for exactly the points used. orbit is
+the lazy walk that builds the simulated oracle's baby table. The oracle's
+giant side, which nobody bills, runs on the raw hook _raw_probe instead: one
+loop over raw data that stops at the first stored point, generic on _raw_add
+and inlined on F_q^x. Z_p never probes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -135,11 +137,6 @@ class CyclicGroup:
 
     def _raw_identity(self):
         raise NotImplementedError
-
-    def _coord_bytes(self, a) -> bytes:
-        raise NotImplementedError
-
-    _tag: int = 0
 
     # -- public interface --------------------------------------------------
 
@@ -251,30 +248,16 @@ class CyclicGroup:
             point = add(point, stride)
         return None
 
-    def encode(self, a: GroupPoint) -> bytes:
-        """Canonical injective byte encoding: tag, identity flag, padded coordinates."""
+    def encode(self, a: GroupPoint):
+        """a's table key: its canonical data, the hashable value eq compares."""
         self._member(a)
-        if a.data == self._raw_identity():
-            return bytes([self._tag, 1]) + b"\x00" * self._width
-        return self._point_prefix + self._coord_bytes(a.data)
-
-    @functools.cached_property
-    def _point_prefix(self) -> bytes:
-        return bytes([self._tag, 0])
-
-    @functools.cached_property
-    def _width(self) -> int:
-        return self._coord_width()
-
-    def _coord_width(self) -> int:
-        raise NotImplementedError
+        return a.data
 
 
 class ZpAdditiveGroup(CyclicGroup):
     """Integers mod p under addition; generator 1. The transparent test backend."""
 
     backend = "zp-additive"
-    _tag = 0x01
 
     def __init__(self, p: int):
         super().__init__(p)
@@ -299,18 +282,11 @@ class ZpAdditiveGroup(CyclicGroup):
         base, p = columns[0], self.order
         return lambda k: k * base % p
 
-    def _coord_width(self) -> int:
-        return (self.order.bit_length() + 7) // 8
-
-    def _coord_bytes(self, a) -> bytes:
-        return a.to_bytes(self._width, "big")
-
 
 class MultSubgroup(CyclicGroup):
     """Order-p subgroup of F_q^x, written additively: add is modular multiplication."""
 
     backend = "fq-mult-subgroup"
-    _tag = 0x02
 
     def __init__(self, q: int, p: int, g: int):
         super().__init__(p)
@@ -364,18 +340,11 @@ class MultSubgroup(CyclicGroup):
             a = a * stride % q
         return None
 
-    def _coord_width(self) -> int:
-        return (self.q.bit_length() + 7) // 8
-
-    def _coord_bytes(self, a) -> bytes:
-        return a.to_bytes(self._width, "big")
-
 
 class EcGroup(CyclicGroup):
     """Order-p subgroup of y^2 = x^3 + Ax + B over F_q, affine chord-and-tangent."""
 
     backend = "ec-weierstrass"
-    _tag = 0x03
 
     def __init__(self, q: int, a: int, b: int, gx: int, gy: int, p: int):
         super().__init__(p)
@@ -418,14 +387,6 @@ class EcGroup(CyclicGroup):
 
     def _raw_identity(self):
         return None
-
-    def _coord_width(self) -> int:
-        return 2 * ((self.q.bit_length() + 7) // 8)
-
-    def _coord_bytes(self, a) -> bytes:
-        w = self._width // 2
-        x, y = a
-        return x.to_bytes(w, "big") + y.to_bytes(w, "big")
 
 
 def make_zp_additive(p: int) -> ZpAdditiveGroup:
@@ -490,7 +451,7 @@ def make_ec_group(q: int, a: int, b: int, gx: int, gy: int, p: int) -> EcGroup:
 
 
 def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:
-    """x in [0, p-1] with x*generator = Q, by baby-step giant-step.
+    """x in [0, p-1] with x*generator = Q, by baby-step giant-step keyed on encode.
 
     Independent check oracle for tests; refuses orders above 2^32. This is a
     one-shot solver (table rebuilt per call); the simulated DH oracle keeps its
@@ -597,14 +558,9 @@ def find_ec_group_params(
     raise RuntimeError(f"no toy curve found for p={p} with cofactors {cofactors}")
 
 
-def load_toy_curve(path: str | None = None) -> EcGroup:
-    """Construct the shipped (or a given) toy-curve fixture as an EC backend."""
-    if path is None:
-        text = resources.files("dhpbound.data").joinpath("toy_curve.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    data = json.loads(text)
+def load_toy_curve() -> EcGroup:
+    """Construct the shipped toy-curve fixture as an EC backend."""
+    data = json.loads(resources.files("dhpbound.data").joinpath("toy_curve.json").read_text())
     return make_ec_group(
         int(data["q"]), int(data["A"]), int(data["B"]),
         int(data["Gx"]), int(data["Gy"]), int(data["p"]),

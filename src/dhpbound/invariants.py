@@ -71,7 +71,7 @@ def check_group_laws(group: CyclicGroup, rng: random.Random, points: int, rounds
 
 
 def check_encode(group: CyclicGroup, rng: random.Random, pairs: int) -> None:
-    """encode is injective on the whole group and agrees with eq on sampled pairs."""
+    """encode, a point's canonical data, is injective on the whole group and agrees with eq on sampled pairs."""
     p = group.order
     pts = [group.scalar_mul(k, group.generator) for k in range(p)]
     where = f"on {group.backend} p={p}"

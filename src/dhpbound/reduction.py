@@ -21,14 +21,14 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
 
 Both phases are one collision search. Each side visits k * base for a base
 fixed per walk (x^d P, Q or P) and a multiplier k the walk knows, k <- k *
-stride mod p per step. _walk yields its encoded keys lazily, so
-groups.bsgs_probe evaluates only the points the search uses. A walk runs on
-a fixed-base table in the manner of Kozaki-Kutsuma-Matsuo's refinement of
-Cheon's algorithm: columns 2^(wj) * base (on P the group's kept generator
-table, otherwise built with implicit_scalar), 2^w - 2 row multiples per
-column except the top one, whose row stops at the top w-bit digit of p - 1,
-then one addition per nonzero w-bit digit of k past the first. w = 0 keeps
-the plain double-and-add walk.
+stride mod p per step. _walk yields its points' keys (group.encode, the
+canonical data) lazily, so groups.bsgs_probe evaluates only the points the
+search uses. A walk runs on a fixed-base table in the manner of
+Kozaki-Kutsuma-Matsuo's refinement of Cheon's algorithm: columns 2^(wj) *
+base (on P the group's kept generator table, otherwise built with
+implicit_scalar), 2^w - 2 row multiples per column except the top one, whose
+row stops at the top w-bit digit of p - 1, then one addition per nonzero
+w-bit digit of k past the first. w = 0 keeps the plain double-and-add walk.
 
 The bill is one pure section below. plan(p, params, j) gives the four walks
 on their windows: _plan picks w per walk from the points it is billed for,
@@ -375,7 +375,7 @@ def bill(p: int, planned: tuple[Planned, ...], u1: int, u2: int) -> tuple[int, i
 
 
 def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Window | None):
-    """Generator of the encoded keys of k*base, k = k0*stride^i mod p, one per pull.
+    """Generator of the keys (canonical data) of k*base, k = k0*stride^i mod p, one per pull.
 
     On the plain walk (None) each point is an implicit_scalar by the stride
     of the last (the first by k0 of base). Otherwise k*base is read off the
@@ -410,11 +410,11 @@ class GiantTable:
     """One search's kept giant side for one (group, d, g), shared by every Q; it holds no bill.
 
     g generates the subgroup the search runs in: zeta for phase 1, zm =
-    zeta0^m for phase 2. table maps the encoded key of g^e * P to e. A build
-    stores the giant walk, e = e0 + step*i for i < G, G its points (e0 =
-    step = d1 in phase 1; e0 = 0, step = s2 in phase 2); extended marks that
-    the half-stride walk, each of those e minus floor(step/2), has been
-    added too, so the table holds at most 2G keys.
+    zeta0^m for phase 2. table maps the key of g^e * P, its canonical data,
+    to e. A build stores the giant walk, e = e0 + step*i for i < G, G its
+    points (e0 = step = d1 in phase 1; e0 = 0, step = s2 in phase 2);
+    extended marks that the half-stride walk, each of those e minus
+    floor(step/2), has been added too, so the table holds at most 2G keys.
     """
 
     g: int

@@ -304,10 +304,29 @@ def test_load_database_rejects_invalid_record(tmp_path):
     missing = {k: v for k, v in good.items() if k != "expected_log2_M"}
     alt = tmp_path / "alt.json"
     for bad in ({**good, "d": "3"}, {**good, "p": "abc"}, {**good, "p": None},
-                {**good, "p": "0", "d": None}, missing):
+                {**good, "p": "0", "d": None}, missing,
+                {**good, "expected_log2_M": "4.32"}, {**good, "expected_log2_n": False},
+                {**good, "expected_log2_sqrt_p": float("nan")}, {**good, "expected_log2_M": float("inf")},
+                {**good, "name": None}, {**good, "name": ""},
+                {**good, "d": 2.0}, {**good, "d": True}, {**good, "p": 101.0}, {**good, "p": True},
+                {**good, "annotations": "abc"}, {**good, "annotations": ["ok", 1]},
+                {**good, "field_kind": "ternary"}, ["TINY", "prime"]):
         alt.write_text(json.dumps({"version": 1, "records": [good, bad]}))
         with pytest.raises(DatabaseError, match="^record 1: "):
             load_database(str(alt))
+
+
+def test_load_database_reads_json_ints_and_strings_alike(tmp_path):
+    as_strings = {
+        "name": "TINY", "field_kind": "binary", "p": "101", "d": "4",
+        "expected_log2_sqrt_p": 3.32, "expected_log2_M": None,
+        "expected_log2_n": 1.58, "expected_log2_TDH": 2, "annotations": ["a note"],
+    }
+    alt = tmp_path / "alt.json"
+    alt.write_text(json.dumps({"version": 1, "records": [as_strings, {**as_strings, "p": 101, "d": 4}]}))
+    first, second = load_database(str(alt))
+    assert first == second
+    assert (first.p, first.d, first.annotations) == (101, 4, ("a note",))
 
 
 @pytest.mark.parametrize("doc", [[], {"version": 1}, {"records": 5}])

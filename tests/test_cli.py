@@ -124,6 +124,14 @@ def _one_record_db(tmp_path, **fields):
         ({"p": "abc"}, "invalid literal"),
         ({"d": "3"}, "d=3 does not divide p-1=100"),
         ({"p": "1", "d": None}, "p=1 is below 3"),
+        ({"expected_log2_M": "4.32"}, "expected_log2_M='4.32' is not a finite number or null"),
+        ({"name": None}, "name=None is not a non-empty string"),
+        ({"d": 2.0}, "d=2.0 is not an integer, a decimal string or null"),
+        ({"d": True}, "d=True is not an integer, a decimal string or null"),
+        ({"p": 101.0}, "p=101.0 is not an integer or a decimal string"),
+        ({"annotations": "abc"}, "annotations='abc' is not a list of strings"),
+        ({"field_kind": "ternary"}, "field_kind='ternary' is not 'prime' or 'binary'"),
+        ({"expected_log2_sqrt_p": float("nan")}, "expected_log2_sqrt_p=nan is not a finite number or null"),
     ],
 )
 def test_tables_invalid_db_record(tmp_path, capsys, fields, message):

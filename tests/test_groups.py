@@ -102,16 +102,18 @@ def test_encode_injective_and_matches_eq(kind):
     check_encode(make_backend(kind, 101), random.Random(20103), pairs=300)
 
 
-def test_encode_layout():
-    g = make_zp_additive(101)
-    enc = g.encode(g.scalar_mul(77, g.generator))
-    assert enc == bytes([0x01, 0x00, 77])
-    assert g.encode(g.identity) == bytes([0x01, 0x01, 0x00])
-    tags = set()
+def test_encode_is_canonical_data():
+    identity_keys = []
     for kind in BACKENDS:
-        backend = make_backend(kind, 101)
-        tags.add(backend.encode(backend.identity)[0])
-    assert tags == {0x01, 0x02, 0x03}
+        g = make_backend(kind, 101)
+        for k in (0, 1, 77):
+            pt = g.scalar_mul(k, g.generator)
+            assert g.encode(pt) == pt.data
+        identity_keys.append(g.encode(g.identity))
+        for other in (make_backend(kind, 101), make_zp_additive(103)):
+            with pytest.raises(GroupMismatchError):
+                g.encode(other.generator)
+    assert identity_keys == [0, 1, None]
 
 
 def test_cross_group_mixing_rejected():
