@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from math import isfinite, isqrt
 
+from .implicit import oracle_calls_exact
 from .modmath import (
     Factorization,
     IncompleteFactorizationError,
@@ -29,7 +30,7 @@ from .modmath import (
     icbrt,
     log2_approx,
 )
-from .reduction import InvalidDivisorError, oracle_calls_exact, reduction_ops_bound
+from .reduction import InvalidDivisorError, reduction_ops_bound
 
 # row verdict tiers, in increasing severity
 VERDICT_OK = "ok"
@@ -232,6 +233,19 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
+def _to_int(key: str, value) -> int:
+    """A record's integer field as an int; a string must hold only ASCII decimal digits.
+
+    int() reads the string first, so "abc" still fails as an invalid
+    literal; what int() also takes (signs, spaces, underscores, non-ASCII
+    digits such as U+0663) is refused after it.
+    """
+    n = int(value)
+    if isinstance(value, str) and not (value.isascii() and value.isdigit()):
+        raise ValueError(f"{key}={value!r} is not a string of ASCII decimal digits")
+    return n
+
+
 def _is_cell(value) -> bool:
     """A reference log2 cell: a finite JSON number (never a bool, NaN or Infinity) or null."""
     return value is None or isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
@@ -252,8 +266,9 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
     """Parse the curve database: explicit path, else $DHP_DB, else the packaged file.
 
     Every record is validated here: each field present and of the type
-    _RECORD_FIELDS names (annotations may be left out), p >= 3, and d None or
-    a divisor of p-1. A bad shape or record raises DatabaseError.
+    _RECORD_FIELDS names (annotations may be left out), p and d plain ASCII
+    decimals when given as strings, p >= 3, and d None or a divisor of p-1.
+    A bad shape or record raises DatabaseError.
     """
     if path is None:
         path = os.environ.get("DHP_DB") or None
@@ -273,8 +288,8 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
             for key, (ok, want) in _RECORD_FIELDS.items():
                 if not ok(raw[key]):
                     raise TypeError(f"{key}={raw[key]!r} is not {want}")
-            p = int(raw["p"])
-            d = int(raw["d"]) if raw["d"] is not None else None
+            p = _to_int("p", raw["p"])
+            d = _to_int("d", raw["d"]) if raw["d"] is not None else None
             if p < 3:
                 raise ValueError(f"p={p} is below 3")
             if d is not None and (d < 1 or (p - 1) % d != 0):

@@ -20,16 +20,14 @@ per w on the generator for the group's lifetime: the reduction's walks on P
 read it, billed as above, and so does the simulated oracle for its answers,
 unbilled. A point's table key is its own data and costs no group operation.
 
-Baby-step giant-step runs on key iterators, one lazy key per point a side
-visits. Every search keys a point by its canonical data (an int residue, an
-(x, y) tuple, or None at infinity), the value eq compares: encode returns it
-for a GroupPoint, and the raw loops use it as it stands. bsgs_table pulls
-the keys it stores, bsgs_probe one per probe and none after an accepted
-match, so a walk billed per pull pays for exactly the points used. orbit is
-the lazy walk that builds the simulated oracle's baby table. The oracle's
-giant side, which nobody bills, runs on the raw hook _raw_probe instead: one
-loop over raw data that stops at the first stored point, generic on _raw_add
-and inlined on F_q^x. Z_p never probes.
+Every baby-step giant-step search keys a point by its canonical data (an
+int residue, an (x, y) tuple, or None at infinity), the value eq compares:
+encode returns it for a GroupPoint, and the raw loops use it as it stands.
+Each search is a plain loop in the module that runs it: the reduction's in
+reduction._search, brute_force_dlog's here. The simulated oracle builds its
+baby table with add, and its giant side, which nobody bills, runs on the
+raw hook _raw_probe: one loop over raw data that stops at the first stored
+point, generic on _raw_add and inlined on F_q^x. Z_p never probes.
 """
 
 from __future__ import annotations
@@ -119,13 +117,7 @@ class CyclicGroup:
     def __init__(self, order: int):
         self.order = order
         self._generator_tables: dict = {}  # window w -> _generator_table(w), built on first use
-        # (phase, divisor d) -> reduction.GiantTable: the keys of g^e * generator
-        # over the phase's giant walk (g = zeta, e = d1*u for phase 1; g = zm,
-        # e = s2*u for phase 2), plus the half-stride walk, each e less half
-        # the step, from the first reuse on, mapped to e; no Q changes it, and
-        # it holds no bill. One per phase and d, replaced when a run's g
-        # differs; runs probe it with their baby points.
-        self._giant_tables: dict = {}
+        self._giant_tables: dict = {}  # (phase, d) -> reduction.GiantTable, kept by reduction._search
 
     # -- raw laws supplied by the backend (operate on .data) --------------
 
@@ -236,10 +228,9 @@ class CyclicGroup:
     def _raw_probe(self, table: dict, start, stride, steps: int):
         """(u, table[key]) for the first u < steps whose key start + u*stride is in table, else None.
 
-        The raw giant side of a baby-step giant-step search: the same matches
-        bsgs_probe finds on orbit(_raw_add, start, stride) over range(steps),
-        without a generator, a zip or a bound lookup per step. F_q^x inlines
-        its group law.
+        The raw giant side of a baby-step giant-step search: it visits start,
+        start + stride, ... by _raw_add, one addition between lookups and none
+        after the hit. F_q^x inlines its group law.
         """
         add, point = self._raw_add, start
         for u in range(steps):
@@ -476,35 +467,6 @@ def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:
             return (i * m + r) % g.order
         probe = g.add(probe, giant)
     raise RuntimeError(f"BSGS failed on order {g.order}: generator does not generate Q")
-
-
-def orbit(add, point, stride):
-    """point, add(point, stride), ... lazily: n pulls make n - 1 additions."""
-    while True:
-        yield point
-        point = add(point, stride)
-
-
-def bsgs_table(keys, size: int) -> dict:
-    """Baby steps: the v-th key -> v for v < size, smallest v kept; pulls exactly size keys."""
-    table = {}
-    for v, key in zip(range(size), keys):  # range first: zip stops before pulling key size + 1
-        table.setdefault(key, v)
-    return table
-
-
-def bsgs_probe(table, keys, us, accept=lambda u, v: True):
-    """Giant steps: the first (u, v) with table[key at u] = v and accept(u, v), or None.
-
-    keys yields the giant side's key at us[0], us[1], ...; one is pulled per u,
-    and none after an accepted match or past the last u. By default every
-    match is accepted.
-    """
-    for u, key in zip(us, keys):  # us first: a miss pulls exactly len(us) keys
-        v = table.get(key)
-        if v is not None and accept(u, v):
-            return u, v
-    return None
 
 
 def find_ec_group_params(

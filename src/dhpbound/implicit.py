@@ -9,11 +9,12 @@ Call-counting convention for powering (fixed, and load-bearing for the bound
 tables): bits of the exponent are processed most significant first, the
 accumulator starts at image(1), the squaring on the first bit is skipped, and
 every squaring and every set bit -- the leading one included -- costs one
-call. Total calls for exponent e: floor(log2 e) + popcount(e). This is the
-unique convention reproducing the published per-curve oracle-call counts, and
-it exceeds the rounder 2*floor(log2 e) estimate by one exactly when the
-exponent is all ones in binary; that case is flagged with a warning, not an
-error.
+call. Total calls for exponent e: floor(log2 e) + popcount(e), which
+oracle_calls_exact gives (as 0 for e = 1, which a reduction skips). This is
+the unique convention reproducing the published per-curve oracle-call
+counts, and it exceeds the rounder 2*floor(log2 e) estimate by one exactly
+when the exponent is all ones in binary; that case is flagged with a
+warning, not an error.
 """
 
 from __future__ import annotations
@@ -95,6 +96,19 @@ def implicit_mul(
     return ImplicitFieldElement(o.dh(a.image, b.image))
 
 
+def oracle_calls_exact(d: int) -> int:
+    """DH-oracle calls a reduction spends on x^d: implicit_pow's floor(log2 d) + popcount(d), none for d = 1.
+
+    A reduction with d = 1 already holds x^d and skips implicit_pow, which
+    would spend one call on the single set bit.
+    """
+    if d < 1:
+        raise ValueError(f"divisor must be >= 1, got {d}")
+    if d == 1:
+        return 0
+    return (d.bit_length() - 1) + d.bit_count()
+
+
 def implicit_pow(o: OracleHandle, a: ImplicitFieldElement, e: int) -> ImplicitFieldElement:
     """(y**e)P by square-and-multiply; exactly floor(log2 e) + popcount(e) calls."""
     if e < 1:
@@ -102,7 +116,7 @@ def implicit_pow(o: OracleHandle, a: ImplicitFieldElement, e: int) -> ImplicitFi
     if e.bit_count() > e.bit_length() - 1:
         warnings.warn(
             f"exponent {e} is all ones in binary: exact call count "
-            f"{e.bit_length() - 1 + e.bit_count()} exceeds 2*floor(log2 e) = {2 * (e.bit_length() - 1)}",
+            f"{oracle_calls_exact(e) or 1} exceeds 2*floor(log2 e) = {2 * (e.bit_length() - 1)}",
             PowCallBoundWarning,
             stacklevel=2,
         )

@@ -6,9 +6,9 @@ included) without tracking any exponent bookkeeping that a real black box
 would not have. On Z_p the generator is 1, so a is the residue itself; on the
 other backends a private baby-step giant-step solver recovers it on the raw
 coordinates. Its baby table (r*P -> r for r < m = isqrt(p - 1) + 1) is built
-once per handle through orbit; each probe then runs the group's raw hook
-_raw_probe from aP with stride -m*P for at most m + 1 steps, and the first
-stored point u*m + r gives a. That private solver work is deliberately
+once per handle by m - 1 calls of add; each probe then runs the group's raw
+hook _raw_probe from aP with stride -m*P for at most m + 1 steps, and the
+first stored point u*m + r gives a. That private solver work is deliberately
 invisible to the caller: the attached ledger moves by exactly one oracle call
 per invocation and nothing else. The handle's own solver_steps counter shows
 it: m - 1 for the baby table, u + 1 per probe.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import isqrt
-from operator import attrgetter
 
 from .groups import (
     ORDER_GUARD,
@@ -45,8 +44,6 @@ from .groups import (
     GroupPoint,
     GuardRailError,
     ZpAdditiveGroup,
-    bsgs_table,
-    orbit,
 )
 
 
@@ -103,8 +100,11 @@ class OracleHandle:
         if known is not None:
             return known
         if self._baby_table is None:  # one baby table per handle, shared by every call
-            babies = map(attrgetter("data"), orbit(g.add, g.identity, g.generator))
-            self._baby_table = bsgs_table(babies, m)
+            point = g.identity
+            self._baby_table = table = {point.data: 0}
+            for r in range(1, m):  # m - 1 additions on the public group law
+                point = g.add(point, g.generator)
+                table.setdefault(point.data, r)
             self._giant_step = g.negate(g.scalar_mul(m, g.generator)).data
             self.solver_steps += m - 1
         # raw data is canonical and hashable; every match u*m + r is the dlog

@@ -22,13 +22,13 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
 Both phases are one collision search. Each side visits k * base for a base
 fixed per walk (x^d P, Q or P) and a multiplier k the walk knows, k <- k *
 stride mod p per step. _walk yields its points' keys (group.encode, the
-canonical data) lazily, so groups.bsgs_probe evaluates only the points the
-search uses. A walk runs on a fixed-base table in the manner of
-Kozaki-Kutsuma-Matsuo's refinement of Cheon's algorithm: columns 2^(wj) *
-base (on P the group's kept generator table, otherwise built with
-implicit_scalar), 2^w - 2 row multiples per column except the top one, whose
-row stops at the top w-bit digit of p - 1, then one addition per nonzero
-w-bit digit of k past the first. w = 0 keeps the plain double-and-add walk.
+canonical data) lazily, so _search evaluates only the points it pulls. A
+walk runs on a fixed-base table in the manner of Kozaki-Kutsuma-Matsuo's
+refinement of Cheon's algorithm: columns 2^(wj) * base (on P the group's
+kept generator table, otherwise built with implicit_scalar), 2^w - 2 row
+multiples per column except the top one, whose row stops at the top w-bit
+digit of p - 1, then one addition per nonzero w-bit digit of k past the
+first. w = 0 keeps the plain double-and-add walk.
 
 The bill is one pure section below. plan(p, params, j) gives the four walks
 on their windows: _plan picks w per walk from the points it is billed for,
@@ -43,17 +43,17 @@ calls are charged as implicit_pow makes them.
 
 The searches only search, on plan(p, params, 0). A phase's giant side
 depends on p, d and its subgroup's generator g (zeta for phase 1, zm for
-phase 2), never on Q, so the group keeps one giant_table per phase and d:
-the keys g^e * P, e = d1*u for u = 1..G1 in phase 1 and e = s2*u for
-u = 0..G2 - 1 in phase 2, each mapped to e. A run with another g replaces
-it. Its first run builds it over the whole giant walk, and its first reuse
-adds the half-stride points e - floor(step/2) once. Each run streams its
-baby points into the table and stops at the first hit (v, e): phase 1's
-zeta^v * x^d P gives j = (e - v - 1) mod m + 1, and phase 2's
+phase 2), never on Q, so _search keeps one GiantTable per phase and d on
+the group: the keys g^e * P, e = d1*u for u = 1..G1 in phase 1 and
+e = s2*u for u = 0..G2 - 1 in phase 2, each mapped to e. A run with another
+g replaces it. Its first run builds it over the whole giant walk, and its
+first reuse adds the half-stride points e - floor(step/2) once. Each run
+streams its baby points into the table and stops at the first hit (v, e):
+phase 1's zeta^v * x^d P gives j = (e - v - 1) mod m + 1, and phase 2's
 zm^v * zeta0^-j Q gives t = (e - v) mod d, since g has order m or d. The
 classic search's matches follow: u1 = ceil(j/d1), v1 = u1*d1 - j and
-u2 = ceil(t/s2), v2 = u2*s2 - t. Phase 2's giant walk from zeta0^j is billed,
-never run.
+u2 = ceil(t/s2), v2 = u2*s2 - t. Phase 2's giant walk from zeta0^j is
+billed, never run.
 The final verification is a self-check, not part of the algorithm, and is
 left off the books.
 """
@@ -67,8 +67,8 @@ import random
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .groups import CyclicGroup, GroupPoint, bsgs_probe, scalar_mul_cost
-from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar
+from .groups import CyclicGroup, GroupPoint, scalar_mul_cost
+from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar, oracle_calls_exact
 from .modmath import Factorization, IncompleteFactorizationError, factorize
 from .oracle import CostLedger, OracleHandle
 
@@ -422,42 +422,43 @@ class GiantTable:
     extended: bool = False
 
 
-def _giant_keys(group: CyclicGroup, walk: Walk, window: Window | None, e0: int, step: int):
-    """(key, e) of g^e * P for e = e0 + step*i, i < walk.points, pulling exactly those points of walk."""
-    generator = ImplicitFieldElement(group.generator)
-    keys = itertools.islice(_walk(group, generator, walk, window), walk.points)
-    return zip(keys, range(e0, e0 + step * walk.points, step))
-
-
-def giant_table(group: CyclicGroup, key: tuple, g: int, step: int, e0: int, giant: Planned) -> GiantTable:
-    """The group's kept table under key for a search in the subgroup g generates.
-
-    giant is the search's planned giant walk, visiting g^e * P for
-    e = e0 + step*i, all of whose points the first use pulls. A run with
-    another g replaces the table. The first run that finds its g kept adds
-    the half-stride walk once, from g^(e0 - h) with h = floor(step/2) on the
-    same stride and window (nothing when h = 0).
-    """
-    walk, window = giant
-    kept = group._giant_tables.get(key)
-    if kept is None or kept.g != g:
-        kept = group._giant_tables[key] = GiantTable(g, dict(_giant_keys(group, walk, window, e0, step)))
-    elif not kept.extended:
-        h = step // 2
-        if h:
-            half = Walk(pow(g, e0 - h, group.order), walk.stride, walk.points)
-            kept.table.update(_giant_keys(group, half, window, e0 - h, step))
-        kept.extended = True
-    return kept
-
-
-def _first_hit(
-    group: CyclicGroup, giants: GiantTable, baby: Planned, base: ImplicitFieldElement, k0: int = 1
+def _search(
+    group: CyclicGroup, planned: tuple[Planned, Planned], key: tuple, e0: int, step: int,
+    base: ImplicitFieldElement, k0: int = 1,
 ):
-    """First (v, e) where baby, run from k0*base, meets a key g^e * P of giants; or None."""
-    walk, window = baby
-    babies = _walk(group, base, Walk(k0, walk.stride, walk.points), window)
-    return bsgs_probe(giants.table, babies, range(walk.points))
+    """First (v, e) where the baby walk from k0*base meets the kept key of g^e * P; or None.
+
+    planned is a phase's (baby, giant) pair from plan(p, params, 0); g is the
+    baby stride, which generates the subgroup searched. The giant walk visits
+    g^e * P for e = e0 + step*i, i < G, G its points. The group's GiantTable
+    under key is built over all G of them, replaced when a run's g differs,
+    and on its first reuse extended once by the half-stride walk, the same G
+    exponents less h = floor(step/2), on the same stride and window (nothing
+    when h = 0). The baby walk then pulls one key per v < its points and
+    stops at the first stored one.
+    """
+    (baby, baby_window), (giant, giant_window) = planned
+    g = baby.stride
+    kept, walk = group._giant_tables.get(key), None
+    if kept is None or kept.g != g:  # build over the giant walk, which starts at g^e0
+        kept = group._giant_tables[key] = GiantTable(g, {})
+        walk, first = giant, e0
+    elif not kept.extended:  # first reuse: add the half-stride walk, once
+        kept.extended = True
+        if step > 1:
+            first = e0 - step // 2
+            walk = Walk(pow(g, first, group.order), giant.stride, giant.points)
+    if walk is not None:
+        generator = ImplicitFieldElement(group.generator)
+        keys = itertools.islice(_walk(group, generator, walk, giant_window), walk.points)  # G pulls, no more
+        kept.table.update(zip(keys, range(first, first + step * walk.points, step)))
+    table = kept.table
+    babies = _walk(group, base, Walk(k0, baby.stride, baby.points), baby_window)
+    for v, point in zip(range(baby.points), babies):
+        e = table.get(point)
+        if e is not None:
+            return v, e
+    return None
 
 
 def phase1_find_j(
@@ -465,7 +466,7 @@ def phase1_find_j(
 ) -> tuple[int, int, int]:
     """Find j in [1, m] with x^d = zeta^j, m = (p-1)/d, by BSGS on implicit elements.
 
-    The giant side is the group's giant_table of zeta^e * P, e = d1*u for
+    The giant side is the group's kept table of zeta^e * P, e = d1*u for
     u = 1..G; the baby side zeta^v * x^d for v = 0..d1 probes it, one point
     per v, and stops at the first hit. zeta has order exactly m, so a hit
     zeta^v * x^d = zeta^e gives j = (e - v - 1) mod m + 1, whichever stored
@@ -476,9 +477,7 @@ def phase1_find_j(
     """
     p = group.order
     m, d1 = (p - 1) // params.d, params.d1
-    baby, giant = plan(p, params, 0)[:2]
-    giants = giant_table(group, (1, params.d), params.zeta, d1, d1, giant)
-    hit = _first_hit(group, giants, baby, q_pow_d)
+    hit = _search(group, plan(p, params, 0)[:2], (1, params.d), d1, d1, q_pow_d)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
@@ -496,7 +495,7 @@ def phase2_find_t(
 
     zm = zeta0^m has order d and Q = zeta0^(m*t + j) * P, so
     zm^v * zeta0^(-j) * Q = zm^(t + v) * P. The giant side is the group's
-    giant_table of zm^e * P for e = s2*u, u = 0..G2 - 1, G2 = ceil(d/s2) + 2
+    kept table of zm^e * P for e = s2*u, u = 0..G2 - 1, G2 = ceil(d/s2) + 2
     the billed giant walk's length; like phase 1's it depends on p, d and zm,
     never on Q or j. The baby side is the planned baby walk on Q, started at
     k0 = zeta0^(-j): it visits zm^(t + v) * P for v = 0..s2 and stops at the
@@ -520,9 +519,8 @@ def phase2_find_t(
     """
     p = group.order
     d, s2 = params.d, params.s2
-    baby, giant = plan(p, params, 0)[2:]
-    giants = giant_table(group, (2, d), baby[0].stride, s2, 0, giant)  # the baby stride is zm
-    hit = _first_hit(group, giants, baby, ImplicitFieldElement(Q), pow(params.zeta0, -j, p))
+    k0 = pow(params.zeta0, -j, p)
+    hit = _search(group, plan(p, params, 0)[2:], (2, d), 0, s2, ImplicitFieldElement(Q), k0)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"
@@ -573,15 +571,6 @@ def reduce_dlog(
         j=j, u1=u1, v1=v1, t=t, u2=u2, v2=v2,
         i0=i0, x=x, ledger=ledger, params=params, plan=planned,
     )
-
-
-def oracle_calls_exact(d: int) -> int:
-    """DH-oracle calls consumed computing x^d: floor(log2 d) + popcount(d), none for d = 1."""
-    if d < 1:
-        raise ValueError(f"divisor must be >= 1, got {d}")
-    if d == 1:
-        return 0
-    return (d.bit_length() - 1) + d.bit_count()
 
 
 def reduction_ops_bound(p: int, d: int) -> int:

@@ -310,7 +310,9 @@ def test_load_database_rejects_invalid_record(tmp_path):
                 {**good, "name": None}, {**good, "name": ""},
                 {**good, "d": 2.0}, {**good, "d": True}, {**good, "p": 101.0}, {**good, "p": True},
                 {**good, "annotations": "abc"}, {**good, "annotations": ["ok", 1]},
-                {**good, "field_kind": "ternary"}, ["TINY", "prime"]):
+                {**good, "field_kind": "ternary"}, ["TINY", "prime"],
+                {**good, "p": " 1_01 "}, {**good, "d": "+4"}, {**good, "d": "\u0664"},
+                {**good, "p": "\u0661\u0660\u0661"}, {**good, "d": " 4"}):
         alt.write_text(json.dumps({"version": 1, "records": [good, bad]}))
         with pytest.raises(DatabaseError, match="^record 1: "):
             load_database(str(alt))

@@ -132,6 +132,9 @@ def _one_record_db(tmp_path, **fields):
         ({"annotations": "abc"}, "annotations='abc' is not a list of strings"),
         ({"field_kind": "ternary"}, "field_kind='ternary' is not 'prime' or 'binary'"),
         ({"expected_log2_sqrt_p": float("nan")}, "expected_log2_sqrt_p=nan is not a finite number or null"),
+        ({"p": " 1_01 "}, "p=' 1_01 ' is not a string of ASCII decimal digits"),
+        ({"d": "+4"}, "d='+4' is not a string of ASCII decimal digits"),
+        ({"d": "\u0664"}, "d='\u0664' is not a string of ASCII decimal digits"),
     ],
 )
 def test_tables_invalid_db_record(tmp_path, capsys, fields, message):

@@ -15,8 +15,9 @@ from math import isqrt
 import pytest
 
 from conftest import make_backend
+from test_bsgs_reference import bsgs_probe, bsgs_table
 from dhpbound import reduction
-from dhpbound.groups import CyclicGroup, bsgs_probe, bsgs_table, make_zp_additive, scalar_mul_cost
+from dhpbound.groups import CyclicGroup, make_zp_additive, scalar_mul_cost
 from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning
 from dhpbound.invariants import check_reduction
 from dhpbound.modmath import (
@@ -286,6 +287,22 @@ def test_phase1_inconsistency_detected():
     x_pow_d = ImplicitFieldElement(group.scalar_mul(pow(3, d, 101), group.generator))
     with pytest.raises(InternalInconsistencyError):
         phase1_find_j(group, x_pow_d, params)
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_phase2_inconsistency_detected(kind):
+    # with j off by one, zm^v * zeta0^-j * Q = zeta0^(m*(t + v) -+ 1) * P, and m = 25 does not
+    # divide 1, so no baby point is a kept zm^e * P: a clean failure on a fresh table and a kept one
+    group = make_backend(kind, 101)
+    Q = group.scalar_mul(37, group.generator)
+    for fresh in (True, False):
+        tr = reduce_dlog(group, OracleHandle(group), Q, 4, seed=3)
+        if fresh:
+            group._giant_tables.clear()
+        for j in (tr.j - 1, tr.j + 1):
+            with pytest.raises(InternalInconsistencyError, match="phase 2 found no t"):
+                phase2_find_t(group, Q, j, tr.params)
+        assert phase2_find_t(group, Q, tr.j, tr.params) == (tr.t, tr.u2, tr.v2)
 
 
 # --------------------------------------------------------- cost accounting
