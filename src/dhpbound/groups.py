@@ -21,8 +21,10 @@ read it, billed as above, and so does the simulated oracle for its answers,
 unbilled. A point's table key is its own data and costs no group operation.
 
 Every baby-step giant-step search keys a point by its canonical data (an
-int residue, an (x, y) tuple, or None at infinity), the value eq compares:
-encode returns it for a GroupPoint, and the raw loops use it as it stands.
+int residue, an (x, y) tuple, or None at infinity), the value eq compares.
+encode checks that a GroupPoint belongs to the group and returns that
+data: the reduction's walks call it once, on the base each walk is handed,
+and key every point they compute by its raw data, as the raw loops do.
 Each search is a plain loop in the module that runs it: the reduction's in
 reduction._search, brute_force_dlog's here. The simulated oracle builds its
 baby table with add, and its giant side, which nobody bills, runs on the

@@ -21,30 +21,36 @@ calls (zero when d = 1) plus a bounded number of plain group operations:
 
 Both phases are one collision search. Each side visits k * base for a base
 fixed per walk (x^d P, Q or P) and a multiplier k the walk knows, k <- k *
-stride mod p per step. _walk yields its points' keys (group.encode, the
-canonical data) lazily, so _search evaluates only the points it pulls. A
-walk runs on a fixed-base table in the manner of Kozaki-Kutsuma-Matsuo's
-refinement of Cheon's algorithm: columns 2^(wj) * base (on P the group's
-kept generator table, otherwise built with implicit_scalar), 2^w - 2 row
-multiples per column except the top one, whose row stops at the top w-bit
-digit of p - 1, then one addition per nonzero w-bit digit of k past the
-first. w = 0 keeps the plain double-and-add walk.
+stride mod p per step. _walk yields its points' keys, their canonical data,
+lazily, so _search evaluates only the points it pulls: group.encode checks
+the walk's base once, and every later key is raw data. A walk runs on a
+fixed-base table in the manner of Kozaki-Kutsuma-Matsuo's refinement of
+Cheon's algorithm: columns 2^(wj) * base (on P the group's kept generator
+table, otherwise built with implicit_scalar), 2^w - 2 row multiples per
+column except the top one, whose row stops at the top w-bit digit of p - 1,
+then one addition per nonzero w-bit digit of k past the first. w = 0 keeps
+the plain double-and-add walk. A key does not depend on the window it was
+computed on, so execution and billing are separate: a giant walk runs on
+its planned window, whose table on P the group keeps, and a baby walk on
+the window _pulled_window picks for the points it can pull before its
+first hit.
 
 The bill is one pure section below. plan(p, params, j) gives the four walks
-on their windows: _plan picks w per walk from the points it is billed for,
-all of a baby side, the first half of a giant side. Both giant walks are on
-P, so phase 2's is offered phase 1's window with its table already paid
-for. bill(p, planned, u1, u2) prices the paper's classic search on those
-walks: each phase's whole baby walk, one table entry per baby point, and its
+on their planned windows: _plan picks w per walk from the points it is
+billed for, all of a baby side, the first half of a giant side. Both giant
+walks are on P, so phase 2's is offered phase 1's window with its table
+already paid for. bill(p, planned, u1, u2) prices the paper's classic search
+on those walks and windows, whichever window a baby walk ran on: each
+phase's whole baby walk, one table entry per baby point, and its
 giant walk through the match; _charges prices each point, each table in
 full with the first point of the walk that owns it, whatever the backend
 does underneath. reduce_dlog charges it once, after both matches. Oracle
 calls are charged as implicit_pow makes them.
 
-The searches only search, on plan(p, params, 0). A phase's giant side
-depends on p, d and its subgroup's generator g (zeta for phase 1, zm for
-phase 2), never on Q, so _search keeps one GiantTable per phase and d on
-the group: the keys g^e * P, e = d1*u for u = 1..G1 in phase 1 and
+The searches only search, on the walks of plan(p, params, 0). A phase's
+giant side depends on p, d and its subgroup's generator g (zeta for phase
+1, zm for phase 2), never on Q, so _search keeps one GiantTable per phase
+and d on the group: the keys g^e * P, e = d1*u for u = 1..G1 in phase 1 and
 e = s2*u for u = 0..G2 - 1 in phase 2, each mapped to e. A run with another
 g replaces it. Its first run builds it over the whole giant walk, and its
 first reuse adds the half-stride points e - floor(step/2) once. Each run
@@ -315,6 +321,18 @@ def _run_plan(p: int, d: int, zeta0: int) -> tuple[tuple[Planned, ...], tuple]:
     return (*planned, (giant2, _cheapest(giant2.k0, prices))), prices
 
 
+@functools.lru_cache(maxsize=1024)
+def _pulled_window(p: int, stride: int, points: int) -> Window | None:
+    """The window a baby walk of points points on stride runs on: _plan's for the points it pulls.
+
+    A baby walk stops at its first hit, which on an extended kept table is
+    within its first min(points, ceil(points/2) + 1) points and on a fresh
+    one about that on average, so it runs on the window those points favour.
+    The bill, and the plan, keep the window planned for the whole walk.
+    """
+    return _plan(p, Walk(1, stride, min(points, -(-points // 2) + 1)))
+
+
 def plan(p: int, params: ReductionParams, j: int) -> tuple[Planned, ...]:
     """The run's four walks on their windows, in WALK_NAMES order.
 
@@ -377,31 +395,38 @@ def bill(p: int, planned: tuple[Planned, ...], u1: int, u2: int) -> tuple[int, i
 def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Window | None):
     """Generator of the keys (canonical data) of k*base, k = k0*stride^i mod p, one per pull.
 
-    On the plain walk (None) each point is an implicit_scalar by the stride
-    of the last (the first by k0 of base). Otherwise k*base is read off the
-    group's fixed-base hook: a walk on the generator reads the group's kept
-    table for its w, any other walk builds its columns with implicit_scalar
-    at the first pull.
+    base is the one point handed in: group.encode checks that it belongs to
+    the group and gives its data, and every later key is raw data computed
+    from it. On the plain walk (None) each point is an implicit_scalar by
+    the stride of the last (the first by k0 of base). Otherwise k*base is
+    read off the group's fixed-base hook: a walk on the generator reads the
+    group's kept table for its w, any other walk builds its columns with
+    implicit_scalar at the first pull.
+
+    Execution and billing are separate. A key does not depend on the window
+    it was computed on, so _search runs each baby walk on the window that
+    suits the points it can pull, while the ledger prices the paper's
+    classic search on the planned windows.
     """
     p = group.order
-    encode = group.encode
+    data = group.encode(base.image)
     if window is None:
         point = base if walk.k0 == 1 else implicit_scalar(walk.k0, base)
         while True:
-            yield encode(point.image)
+            yield point.image.data
             point = implicit_scalar(walk.stride, point)
     w = window.w
-    if base.image.data == group.generator.data:
+    if data == group.generator.data:
         times = group._generator_table(w)
     else:
-        column, columns = base, [base.image.data]
+        column, columns = base, [data]
         for _ in range(window.cols - 1):
             column = implicit_scalar(1 << w, column)
             columns.append(column.image.data)
         times = group._raw_fixed_base(columns, w)
     k, stride = walk.k0, walk.stride
     while True:
-        yield encode(GroupPoint(group, times(k)))
+        yield times(k)
         k = k * stride % p
 
 
@@ -434,10 +459,11 @@ def _search(
     under key is built over all G of them, replaced when a run's g differs,
     and on its first reuse extended once by the half-stride walk, the same G
     exponents less h = floor(step/2), on the same stride and window (nothing
-    when h = 0). The baby walk then pulls one key per v < its points and
-    stops at the first stored one.
+    when h = 0). The baby walk then pulls one key per v < its points, on
+    the window _pulled_window picks for it, and stops at the first stored
+    one.
     """
-    (baby, baby_window), (giant, giant_window) = planned
+    (baby, _), (giant, giant_window) = planned
     g = baby.stride
     kept, walk = group._giant_tables.get(key), None
     if kept is None or kept.g != g:  # build over the giant walk, which starts at g^e0
@@ -453,7 +479,8 @@ def _search(
         keys = itertools.islice(_walk(group, generator, walk, giant_window), walk.points)  # G pulls, no more
         kept.table.update(zip(keys, range(first, first + step * walk.points, step)))
     table = kept.table
-    babies = _walk(group, base, Walk(k0, baby.stride, baby.points), baby_window)
+    window = _pulled_window(group.order, g, baby.points)
+    babies = _walk(group, base, Walk(k0, g, baby.points), window)
     for v, point in zip(range(baby.points), babies):
         e = table.get(point)
         if e is not None:
@@ -594,9 +621,10 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     ceiling prices every step the implementation can possibly take at
     2*ceil(log2 p) operations, giant strides past the range boundary
     included. The walk ceiling is the exact worst case of the four walks in
-    tr.plan, on the windows the run used (tables included, the generator
-    table once, giant sides run to their last point), and window_<walk>
-    reports each walk's w from the same plan; nothing is planned again.
+    tr.plan, on the windows the run is billed for (tables included, the
+    generator table once, giant sides run to their last point), and
+    window_<walk> reports each walk's w from the same plan, not the window a
+    baby walk ran on; nothing is planned again.
     The planner prices a giant side at its first ceil(points/2) points, so
     the ceiling is not bounded by what the same walks cost without windows;
     what holds is that no baby side, and no giant side's priced prefix,

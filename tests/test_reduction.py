@@ -9,6 +9,7 @@ import dataclasses
 import json
 import random
 import warnings
+from collections import Counter
 from itertools import islice
 from math import isqrt
 
@@ -468,6 +469,47 @@ def test_walk_bill_equals_formula(kind, p):
             assert prefix == want_keys[:n]
             assert len(list(_charges(p, walk, window))) == points
     assert seen == {True, False}  # both the windowed and the plain walk ran
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+@pytest.mark.parametrize("p", [101, 1009])
+def test_walk_keys_do_not_depend_on_the_window(kind, p):
+    # what lets a walk run on another window than the one it is billed for
+    group = make_backend(kind, p)
+    rng = random.Random(f"window-free:{kind}:{p}")
+    windows = _windows(p - 1, 0)
+    assert sorted(window.w for window in windows) == list(range(1, (p - 1).bit_length()))
+    for trial in range(12):
+        base_x = 1 if trial % 3 == 0 else rng.randrange(2, p)  # 1: the group's kept generator tables
+        k0 = 1 if trial % 2 == 0 else rng.randrange(2, p)
+        walk = Walk(k0, rng.randrange(2, p), rng.choice((2, 5, isqrt(p) + 1)))
+        plain = list(islice(_walk(group, walk_base(group, base_x), walk, None), walk.points))
+        assert plain == [group.scalar_mul(k0 * pow(walk.stride, i, p) * base_x % p,
+                                          group.generator).data for i in range(walk.points)]
+        for window in windows:
+            keys = islice(_walk(group, walk_base(group, base_x), walk, window), walk.points)
+            assert list(keys) == plain, (walk, window.w)
+
+
+def test_baby_walk_executes_on_a_smaller_window_than_it_is_billed_for(monkeypatch):
+    # at 2^32 the plan gives phase 1's baby walk w = 11 for its d1 + 1 points; a run pulls far
+    # fewer, so it runs on the window those favour, while the bill and the report keep w = 11
+    p, d = 4294967291, 190
+    group = make_zp_additive(p)
+    ran, inner = [], reduction._walk
+
+    def recorded(group, base, walk, window):
+        ran.append((walk, window))
+        return inner(group, base, walk, window)
+
+    monkeypatch.setattr(reduction, "_walk", recorded)
+    tr = run_quietly(group, OracleHandle(group), 123456789, d, seed=0)
+    (baby1, planned1), (giant1, giant_window1) = tr.plan[:2]
+    executed1 = [window for walk, window in ran if walk == baby1]
+    assert len(executed1) == 1 and 0 < w_of(executed1[0]) < w_of(planned1) == 11
+    assert [window for walk, window in ran if walk == giant1] == [giant_window1]  # as planned
+    assert cost_report(tr, p, d)["window_phase1_baby"] == 11
+    assert tr.ledger.group_ops == bill(p, tr.plan, tr.u1, tr.u2)[0]
 
 
 @pytest.mark.parametrize("p", [101, 1009])
@@ -960,16 +1002,17 @@ def test_bill_is_the_group_ops_the_classic_search_performs(p, sampled):
     assert not counted._giant_tables  # the classic search keeps no giant table
 
 
-def count_encodes(group) -> list[int]:
-    """Wrap this group instance's encode; the returned one-element list counts its calls."""
-    calls, encode = [0], group.encode
+def count_keys(monkeypatch) -> Counter:
+    """Wrap reduction._walk; the returned Counter counts, per group, the keys its walks yield."""
+    pulled, walk = Counter(), reduction._walk
 
-    def counted(a):
-        calls[0] += 1
-        return encode(a)
+    def counted(group, *args):
+        for key in walk(group, *args):
+            pulled[group] += 1
+            yield key
 
-    group.encode = counted
-    return calls
+    monkeypatch.setattr(reduction, "_walk", counted)
+    return pulled
 
 
 def run_quietly(group, handle, x: int, d: int, seed: int):
@@ -987,8 +1030,8 @@ def baby_pulls(giants, r: int, n: int) -> int:
     return 1 + min((e - r) % n for e in giants.table.values())
 
 
-def hit_encodes(tr, group) -> int:
-    """Keys a run encodes once its kept tables are in place: each phase's baby keys up to its first hit."""
+def hit_keys(tr, group) -> int:
+    """Keys a run pulls once its kept tables are in place: each phase's baby keys up to its first hit."""
     d = tr.params.d
     giants1, giants2 = (group._giant_tables[phase, d] for phase in PHASES)
     return baby_pulls(giants1, tr.j, (tr.p - 1) // d) + baby_pulls(giants2, tr.t, d)
@@ -1000,10 +1043,10 @@ def table_states(group, d: int) -> list:
     return [(table, table is not None and table.extended) for table in kept]
 
 
-def run_encodes(states, group, tr) -> int:
-    """Keys a run encodes from the table states before it: per phase, G giant keys for a
+def run_keys(states, group, tr) -> int:
+    """Keys a run pulls from the table states before it: per phase, G giant keys for a
     build, G more when it is the first reuse (none when half the step is 0), then its hits."""
-    pulled = hit_encodes(tr, group)
+    pulled = hit_keys(tr, group)
     for phase, (kept, was_extended), step in zip(PHASES, states, (tr.params.d1, tr.params.s2)):
         giants = group._giant_tables[phase, tr.params.d]
         built = giants is not kept
@@ -1040,27 +1083,21 @@ def assert_giant_keys(group, giants, params, phase: int) -> None:
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
-def test_cached_generator_tables_bill_like_a_fresh_group(kind):
+def test_cached_generator_tables_bill_like_a_fresh_group(kind, monkeypatch):
     reused = make_backend(kind, 1009)
     oracle = OracleHandle(reused)
-    reused_encodes = count_encodes(reused)
+    keys = count_keys(monkeypatch)
     rng = random.Random(1009)
     first_runs_hit = [0, 0]
     for d in (1, 4, 12, 63, 336, 1008):
         for x in rng.sample(range(1, 1009), 3):
             fresh = make_backend(kind, 1009)
-            fresh_encodes = count_encodes(fresh)
-            runs, encodes, builds = [], [], []
+            runs, builds = [], []
             # reused, fresh, then reused again on the same seed, whose giant tables are kept
-            for group, handle, calls in (
-                (reused, oracle, reused_encodes),
-                (fresh, OracleHandle(fresh), fresh_encodes),
-                (reused, oracle, reused_encodes),
-            ):
-                before, states = calls[0], table_states(group, d)
+            for group, handle in ((reused, oracle), (fresh, OracleHandle(fresh)), (reused, oracle)):
+                before, states = keys[group], table_states(group, d)
                 runs.append(run_quietly(group, handle, x, d, seed=x))
-                encodes.append(calls[0] - before)
-                assert encodes[-1] == run_encodes(states, group, runs[-1])
+                assert keys[group] - before == run_keys(states, group, runs[-1])
                 tables = [group._giant_tables[phase, d] for phase in PHASES]
                 builds.append(tuple(giants is not kept for giants, (kept, _) in zip(tables, states)))
                 # every reuse finds its table extended
@@ -1074,17 +1111,17 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind):
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
-def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
+def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds, monkeypatch):
     reused = make_backend(kind, p)
     oracle = OracleHandle(reused)
-    encodes = count_encodes(reused)
+    keys = count_keys(monkeypatch)
     rng = random.Random(f"{kind}:{p}")
     divisors = list(ds or all_divisors(p))
     for n, d in enumerate(divisors):
         for run, x in enumerate(rng.sample(range(1, p), 4)):
             group = make_backend(kind, p)
             fresh = run_quietly(group, OracleHandle(group), x, d, seed=0)
-            before, states = encodes[0], table_states(reused, d)
+            before, states = keys[reused], table_states(reused, d)
             tr = run_quietly(reused, oracle, x, d, seed=0)
             assert tr.to_dict() == fresh.to_dict()
             # one more table per phase for each new d
@@ -1092,7 +1129,7 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
             tables = [reused._giant_tables[phase, d] for phase in PHASES]
             # per phase, a build pulls every giant key, the first reuse every half-stride one,
             # later runs none: each table extends exactly once
-            pulled = encodes[0] - before - hit_encodes(tr, reused)
+            pulled = keys[reused] - before - hit_keys(tr, reused)
             sizes = [giant_points(p, tr.params, phase) for phase in PHASES]
             steps = (tr.params.d1, tr.params.s2)
             assert pulled == sum([G, G * (step > 1), 0, 0][run] for G, step in zip(sizes, steps))
@@ -1114,26 +1151,26 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds):
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
-def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds):
+def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds, monkeypatch):
     rng = random.Random(f"one-shot:{kind}:{p}")
+    keys = count_keys(monkeypatch)
     for d in ds or all_divisors(p):
         x, seed = rng.randrange(1, p), rng.randrange(4)
         group = make_backend(kind, p)
-        encodes = count_encodes(group)
         tr = run_quietly(group, OracleHandle(group), x, d, seed)
         tables = [group._giant_tables[phase, d] for phase in PHASES]
         assert not any(giants.extended for giants in tables)
         builds = sum(giant_points(p, tr.params, phase) for phase in PHASES)
-        assert encodes[0] == builds + hit_encodes(tr, group)
+        assert keys[group] == builds + hit_keys(tr, group)
         for phase, giants in zip(PHASES, tables):
             assert_giant_keys(group, giants, tr.params, phase)
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
-def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
+def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds, monkeypatch):
     group = make_backend(kind, p)
     oracle = OracleHandle(group)
-    encodes = count_encodes(group)
+    keys = count_keys(monkeypatch)
     rng = random.Random(f"half:{kind}:{p}")
     for d in ds or all_divisors(p):
         m = (p - 1) // d
@@ -1145,18 +1182,18 @@ def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
             d1 = isqrt(m)
             for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
                 q_pow_d, params = phase1_inputs(group, x, d, seed)
-                before = encodes[0]
+                before = keys[group]
                 j, _, _ = phase1_find_j(group, q_pow_d, params)
-                assert encodes[0] - before == baby_pulls(giants, j, m) <= -(-d1 // 2) + 1
+                assert keys[group] - before == baby_pulls(giants, j, m) <= -(-d1 // 2) + 1
                 assert pow(params.zeta, j, p) == pow(x, d, p)
             assert group._giant_tables[1, d] is giants
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
-def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds):
+def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds, monkeypatch):
     group = make_backend(kind, p)
     oracle = OracleHandle(group)
-    encodes = count_encodes(group)
+    keys = count_keys(monkeypatch)
     rng = random.Random(f"half2:{kind}:{p}")
     for d in ds or all_divisors(p):
         s2 = isqrt(d)
@@ -1168,9 +1205,9 @@ def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds)
             for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
                 tr = run_quietly(group, oracle, x, d, seed)
                 Q = group.scalar_mul(x, group.generator)
-                before = encodes[0]
+                before = keys[group]
                 t, _, _ = phase2_find_t(group, Q, tr.j, tr.params)
-                assert encodes[0] - before == baby_pulls(giants, t, d) <= -(-s2 // 2) + 1
+                assert keys[group] - before == baby_pulls(giants, t, d) <= -(-s2 // 2) + 1
                 assert t == tr.t
             assert group._giant_tables[2, d] is giants
 
