@@ -15,7 +15,7 @@ Run: python demos/reduction_walkthrough.py
 
 import random
 
-from dhpbound.groups import find_mult_subgroup, make_ec_group, make_zp_additive
+from dhpbound.groups import make_group, make_zp_additive
 from dhpbound.modmath import divisors_in_range, factorize
 from dhpbound.oracle import OracleHandle
 from dhpbound.reduction import WALK_NAMES, cost_report, reduce_dlog
@@ -24,24 +24,12 @@ P = 101
 SECRET = 77
 DIVISOR = 20
 
-# frozen curve parameters for the order-101 ec backend
-EC_PARAMS = (83, 2, 28, 0, 32)  # q, A, B, Gx, Gy
-
 
 def banner(title):
     print()
     print("=" * 66)
     print(title)
     print("=" * 66)
-
-
-def backends():
-    q, a, b, gx, gy = EC_PARAMS
-    return {
-        "zp": make_zp_additive(P),
-        "mult": find_mult_subgroup(P),
-        "ec": make_ec_group(q, a, b, gx, gy, P),
-    }
 
 
 def main():
@@ -100,7 +88,8 @@ def main():
     # the same arithmetic on three unrelated element encodings
     banner("backend independence: zp additive, F_607 subgroup, curve over F_83")
     rows = []
-    for kind, g in backends().items():
+    for kind in ("zp", "mult", "ec"):
+        g = make_group(kind, P)
         o = OracleHandle(g)
         Qk = g.scalar_mul(SECRET, g.generator)
         trk = reduce_dlog(g, o, Qk, d, seed=0)

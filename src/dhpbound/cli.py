@@ -7,7 +7,6 @@ Exit codes are the machine contract: 0 success / clean match, 1 hard failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -21,10 +20,8 @@ from .groups import (
     ORDER_GUARD,
     CyclicGroup,
     GroupConstructionError,
-    find_ec_group_params,
-    find_mult_subgroup,
-    load_toy_curve,
-    make_ec_group,
+    GuardRailError,
+    make_group,
     make_zp_additive,
 )
 from .implicit import PowCallBoundWarning
@@ -38,7 +35,7 @@ from .reduction import (
     reduce_dlog,
 )
 
-EC_SEARCH_GUARD = 2**14  # curve search enumerates points; beyond this use zp or mult
+BACKENDS = ("zp", "mult", "ec")  # make_group's backends, as --backend names them
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,24 +139,6 @@ def cmd_tables(args) -> int:
 # --------------------------------------------------------------- reduce
 
 
-def _build_group(backend: str, p: int) -> CyclicGroup:
-    if backend == "zp":
-        return make_zp_additive(p)
-    if backend == "mult":
-        return find_mult_subgroup(p)
-    if backend == "ec":
-        if p == 16381:
-            return load_toy_curve()
-        if p > EC_SEARCH_GUARD:
-            raise CliError(
-                f"ec backend searches a curve by point counting, capped at p <= {EC_SEARCH_GUARD}; "
-                f"use --backend zp or mult for p={p}"
-            )
-        q, a, b, gx, gy, order = find_ec_group_params(p)
-        return make_ec_group(q, a, b, gx, gy, order)
-    raise CliError(f"unknown backend {backend!r}")
-
-
 def cmd_reduce(args) -> int:
     p, d = args.p, args.d
     try:
@@ -176,14 +155,14 @@ def cmd_reduce(args) -> int:
                 raise CliError(f"x={x} outside [1, p-1]")
         else:
             x = random.Random(args.seed).randrange(1, p)
-        group = _build_group(args.backend, p)
+        group = make_group(args.backend, p)
         oracle = OracleHandle(group)
         Q = group.scalar_mul(x, group.generator)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PowCallBoundWarning)
             tr = reduce_dlog(group, oracle, Q, d, seed=args.seed)
         report = cost_report(tr, p, d)
-    except (CliError, InvalidDivisorError, ZeroDlogError, GroupConstructionError) as exc:
+    except (CliError, InvalidDivisorError, ZeroDlogError, GroupConstructionError, GuardRailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     notes = [str(w.message) for w in caught if issubclass(w.category, PowCallBoundWarning)]
@@ -305,12 +284,6 @@ def cmd_divisors(args) -> int:
 # -------------------------------------------------------------- selftest
 
 
-@functools.lru_cache(maxsize=8)
-def _backends(p: int) -> tuple[CyclicGroup, ...]:
-    # curve search for the ec backend is the slow part; share instances across suites
-    return tuple(_build_group(kind, p) for kind in ("zp", "mult", "ec"))
-
-
 def _suite_modmath(rng: random.Random, deep: bool) -> None:
     invariants.check_factorize_sample(rng, 400 if deep else 150, 2**24 if deep else 2**20)
     invariants.check_is_prime_small(500)
@@ -318,14 +291,16 @@ def _suite_modmath(rng: random.Random, deep: bool) -> None:
 
 def _suite_groups(rng: random.Random, deep: bool) -> None:
     for p in (29, 101):
-        for group in _backends(p):
+        for kind in BACKENDS:
+            group = make_group(kind, p)
             invariants.check_group_laws(group, rng, 12, 300 if deep else 80)
             invariants.check_encode(group, rng, 300 if deep else 80)
 
 
 def _suite_oracle(rng: random.Random, deep: bool) -> None:
     for p in (29, 101):
-        for group in _backends(p):
+        for kind in BACKENDS:
+            group = make_group(kind, p)
             invariants.check_dh(group, OracleHandle(group), rng, 120 if deep else 40)
 
 
@@ -346,12 +321,17 @@ def _sweep(group: CyclicGroup, rng: random.Random, n: int | None) -> None:
 
 def _suite_reduction(rng: random.Random, deep: bool) -> None:
     for p in (29, 101, 1009) if deep else (29, 101):
-        zp, mult, ec = _backends(p)
-        _sweep(zp, rng, None)
-        for group in (mult, ec):
-            _sweep(group, rng, 200 if deep else 10)
+        _sweep(make_group("zp", p), rng, None)
+        for kind in ("mult", "ec"):
+            _sweep(make_group(kind, p), rng, 200 if deep else 10)
     if deep:
         _sweep(make_zp_additive(16381), rng, 30)
+        # the paper's setting at the 2^32 ceiling: the registry's curve, d = 2019 the smallest in
+        # its band [cbrt p, sqrt p]
+        group = make_group("ec", 4293896137)
+        oracle = OracleHandle(group)
+        for x in sorted(rng.randrange(1, group.order) for _ in range(2)):
+            invariants.check_reduction(group, oracle, x, 2019, seed=x)
 
 
 def _suite_bounds(rng: random.Random, deep: bool) -> None:
@@ -409,7 +389,7 @@ def build_parser() -> _Parser:
     x_group = p_reduce.add_mutually_exclusive_group(required=True)
     x_group.add_argument("--x", type=int, help="exponent to hide and recover")
     x_group.add_argument("--random", action="store_true", help="draw x from the seed")
-    p_reduce.add_argument("--backend", choices=("zp", "mult", "ec"), default="zp")
+    p_reduce.add_argument("--backend", choices=BACKENDS, default="zp")
     p_reduce.add_argument("--seed", type=int, default=0)
     p_reduce.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
     p_reduce.set_defaults(func=cmd_reduce)

@@ -30,6 +30,14 @@ reduction._search, brute_force_dlog's here. The simulated oracle builds its
 baby table with add, and its giant side, which nobody bills, runs on the
 raw hook _raw_probe: one loop over raw data that stops at the first stored
 point, generic on _raw_add and inlined on F_q^x. Z_p never probes.
+
+make_group(backend, p) is the one place that picks a group for (backend,
+p). Its ec groups come from the packaged registry data/curves.json, one
+record per order: the curves find_ec_group_params finds at 29, 101 and
+1009, the toy curve at 16381 and a cofactor-1 curve of order 4293896137
+near the 2^32 ceiling. For any other p it searches a curve by point
+counting, linear in q per candidate, and refuses by name with
+GuardRailError above EC_SEARCH_GUARD.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from math import isqrt
 from .modmath import is_prime
 
 ORDER_GUARD = 2**32  # largest group order for brute-force dlog, the oracle and reductions
+EC_SEARCH_GUARD = 2**14  # largest p make_group searches a curve for; larger curves ship as records
 
 
 class GroupConstructionError(ValueError):
@@ -77,7 +86,7 @@ class GroupMismatchError(ValueError):
 
 
 class GuardRailError(RuntimeError):
-    """A brute-force computation was refused because the group is too large."""
+    """A brute-force dlog, oracle or curve search was refused because the order is too large."""
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -166,12 +175,16 @@ class CyclicGroup:
         k %= self.order
         if k == 0:
             return self.identity
-        acc = a.data
+        return GroupPoint(self, self._raw_times(k, a.data))
+
+    def _raw_times(self, k: int, a):
+        """Raw k*a for k >= 1 by double-and-add, with no reduction of k mod the order."""
+        acc = a
         for i in range(k.bit_length() - 2, -1, -1):
             acc = self._raw_add(acc, acc)
             if (k >> i) & 1:
-                acc = self._raw_add(acc, a.data)
-        return GroupPoint(self, acc)
+                acc = self._raw_add(acc, a)
+        return acc
 
     def _row_tops(self, cols: int, w: int) -> list[int]:
         """The largest multiple each of cols w-bit columns must hold for every k < p.
@@ -433,12 +446,7 @@ def make_ec_group(q: int, a: int, b: int, gx: int, gy: int, p: int) -> EcGroup:
         raise OffCurveError(f"({gx}, {gy}) is not on the curve")
     # verify order without scalar_mul, whose mod-order reduction assumes what
     # is being checked here
-    acc = group.generator.data
-    for i in range(p.bit_length() - 2, -1, -1):
-        acc = group._raw_add(acc, acc)
-        if (p >> i) & 1:
-            acc = group._raw_add(acc, group.generator.data)
-    if group.generator.data is None or acc is not None:
+    if group._raw_times(p, group.generator.data) is not None:
         raise WrongOrderError(f"({gx}, {gy}) does not have order {p}")
     return group
 
@@ -522,10 +530,36 @@ def find_ec_group_params(
     raise RuntimeError(f"no toy curve found for p={p} with cofactors {cofactors}")
 
 
+def curve_records() -> list[dict]:
+    """The packaged curve registry: per record p, q, A, B, Gx, Gy and a note on how it was found."""
+    return json.loads(resources.files("dhpbound.data").joinpath("curves.json").read_text())["curves"]
+
+
+def make_group(backend: str, p: int) -> CyclicGroup:
+    """The order-p group on backend "zp", "mult" or "ec": the one place a (backend, p) picks a group.
+
+    zp is the additive group of Z_p and mult find_mult_subgroup's subgroup.
+    ec builds the registry's curve of order p when one ships, checked by
+    make_ec_group; otherwise it searches one with find_ec_group_params, which
+    counts points and is refused by name above EC_SEARCH_GUARD.
+    """
+    if backend == "zp":
+        return make_zp_additive(p)
+    if backend == "mult":
+        return find_mult_subgroup(p)
+    if backend != "ec":
+        raise ValueError(f"unknown backend {backend!r}")
+    for rec in curve_records():
+        if rec["p"] == p:
+            return make_ec_group(rec["q"], rec["A"], rec["B"], rec["Gx"], rec["Gy"], p)
+    if p > EC_SEARCH_GUARD:
+        raise GuardRailError(
+            f"ec backend searches a curve by point counting, capped at p <= {EC_SEARCH_GUARD}; "
+            f"use --backend zp or mult for p={p}"
+        )
+    return make_ec_group(*find_ec_group_params(p))
+
+
 def load_toy_curve() -> EcGroup:
-    """Construct the shipped toy-curve fixture as an EC backend."""
-    data = json.loads(resources.files("dhpbound.data").joinpath("toy_curve.json").read_text())
-    return make_ec_group(
-        int(data["q"]), int(data["A"]), int(data["B"]),
-        int(data["Gx"]), int(data["Gy"]), int(data["p"]),
-    )
+    """The registry's toy curve, of order 16381."""
+    return make_group("ec", 16381)

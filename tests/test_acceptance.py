@@ -12,10 +12,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import ACCEPTANCE_LINES, make_backend
+from conftest import ACCEPTANCE_LINES
 from dhpbound import bounds, invariants
 from dhpbound.cli import _markdown_table
-from dhpbound.groups import make_zp_additive
+from dhpbound.groups import make_group, make_zp_additive
 from dhpbound.implicit import PowCallBoundWarning
 from dhpbound.invariants import InvariantFailure
 from dhpbound.modmath import divisors_in_range, factorize, log2_approx
@@ -115,7 +115,7 @@ def sweep():
     for p in (29, 101, 1009):
         divisors = divisors_in_range(factorize(p - 1), 1, p - 1)
         for kind in ("zp", "mult", "ec"):
-            group = make_backend(kind, p)
+            group = make_group(kind, p)
             oracle = OracleHandle(group)
             for d in divisors:
                 if kind == "zp" or p - 1 <= 200:

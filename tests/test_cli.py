@@ -277,11 +277,19 @@ def test_reduce_rejections(capsys):
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
+def test_reduce_ec_at_2_32_from_the_registry(capsys):
+    # past the search guard, the packaged curve of order 4293896137 and d = 2019 in the paper's band
+    code, out, _ = run(capsys, "reduce", "--backend", "ec", "--p", "4293896137", "--d", "2019",
+                       "--x", "123456789")
+    assert code == 0
+    assert "requested 123456789, match: True" in out and "group_ops=9236 " in out
+
+
 def test_reduce_ec_search_guard(capsys):
-    code, _, err = run(capsys, "reduce", "--p", "65537", "--d", "2", "--x", "3",
-                       "--backend", "ec")
-    assert code == 1
-    assert "capped" in err
+    for p in ("65537", "4294967291"):  # no packaged curve, above the point-counting cap
+        code, out, err = run(capsys, "reduce", "--p", p, "--d", "2", "--x", "3", "--backend", "ec")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "capped" in err and err.count("\n") == 1, p
 
 
 # one reduce per backend and order scale, each in all three formats

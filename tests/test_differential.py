@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_backend
+from dhpbound.groups import curve_records, make_group
 from dhpbound.implicit import PowCallBoundWarning
 from dhpbound.modmath import _MR_DETERMINISTIC_BOUND, divisors_in_range, factorize, is_prime
 from dhpbound.oracle import OracleHandle
@@ -77,6 +77,11 @@ def test_is_prime_matches_isprime_near_deterministic_bound():
     assert [n for n in window if is_prime(n)] == [n for n in window if sympy.isprime(n)]
 
 
+def test_curve_records_have_prime_field_and_order():
+    for rec in curve_records():
+        assert sympy.isprime(rec["q"]) and sympy.isprime(rec["p"]), rec
+
+
 @fixed(300)
 @given(st.integers(min_value=-10, max_value=2**100))
 def test_is_prime_matches_isprime(n):
@@ -91,7 +96,7 @@ def test_find_generator_is_primitive_root(p, seed):
 
 def check_against_discrete_log(kind: str, p: int, d: int, x: int) -> None:
     """reduce_dlog's x against sympy: mult solves g^x = Q in F_q^x; on Z_p the residue is x."""
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     Q = group.scalar_mul(x, group.generator)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PowCallBoundWarning)

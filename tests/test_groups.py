@@ -1,10 +1,9 @@
-"""Tests for the three group backends, canonical encoding, and brute-force dlog."""
+"""Tests for the three group backends, the curve registry, canonical encoding, and brute-force dlog."""
 
 import random
 
 import pytest
 
-from conftest import TOY_CURVES, make_backend
 from dhpbound.groups import (
     BadGeneratorError,
     CyclicGroup,
@@ -17,10 +16,12 @@ from dhpbound.groups import (
     SingularCurveError,
     WrongOrderError,
     brute_force_dlog,
+    curve_records,
     find_ec_group_params,
     find_mult_subgroup,
     load_toy_curve,
     make_ec_group,
+    make_group,
     make_mult_subgroup,
     make_zp_additive,
     scalar_mul_cost,
@@ -55,15 +56,14 @@ def test_mult_subgroup_basics():
 
 
 def test_ec_construction_and_law():
-    q, a, b, gx, gy = TOY_CURVES[101]
-    g = make_ec_group(q, a, b, gx, gy, 101)
+    g = make_group("ec", 101)
     doubled = g.add(g.generator, g.generator)
     assert g.eq(g.add(doubled, g.generator), g.scalar_mul(3, g.generator))
     assert g.eq(g.add(g.scalar_mul(100, g.generator), g.generator), g.identity)
 
 
 def test_ec_construction_errors():
-    q, a, b, gx, gy = TOY_CURVES[101]
+    q, a, b, gx, gy, _ = ec_params(make_group("ec", 101))
     with pytest.raises(SingularCurveError):
         make_ec_group(23, 0, 0, 1, 1, 11)
     with pytest.raises(OffCurveError):
@@ -76,12 +76,12 @@ def test_ec_construction_errors():
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_group_axioms_sampled(kind):
-    check_group_laws(make_backend(kind, 101), random.Random(20101), points=40, rounds=1000)
+    check_group_laws(make_group(kind, 101), random.Random(20101), points=40, rounds=1000)
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_scalar_mul_distributes(kind):
-    g = make_backend(kind, 101)
+    g = make_group(kind, 101)
     rng = random.Random(20102)
     for _ in range(300):
         k1 = rng.randrange(0, 101)
@@ -95,18 +95,18 @@ def test_scalar_mul_distributes(kind):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_encode_injective_and_matches_eq(kind):
-    check_encode(make_backend(kind, 101), random.Random(20103), pairs=300)
+    check_encode(make_group(kind, 101), random.Random(20103), pairs=300)
 
 
 def test_encode_is_canonical_data():
     identity_keys = []
     for kind in BACKENDS:
-        g = make_backend(kind, 101)
+        g = make_group(kind, 101)
         for k in (0, 1, 77):
             pt = g.scalar_mul(k, g.generator)
             assert g.encode(pt) == pt.data
         identity_keys.append(g.encode(g.identity))
-        for other in (make_backend(kind, 101), make_zp_additive(103)):
+        for other in (make_group(kind, 101), make_zp_additive(103)):
             with pytest.raises(GroupMismatchError):
                 g.encode(other.generator)
     assert identity_keys == [0, 1, None]
@@ -123,7 +123,7 @@ def test_cross_group_mixing_rejected():
 
 
 def test_ec_intermediates_stay_on_curve():
-    g = make_backend("ec", 1009)
+    g = make_group("ec", 1009)
     rng = random.Random(20104)
     for _ in range(1000):
         k = rng.randrange(2, 1009)
@@ -138,7 +138,7 @@ def test_ec_intermediates_stay_on_curve():
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_brute_force_dlog_round_trip(kind):
-    g = make_backend(kind, 1009)
+    g = make_group(kind, 1009)
     assert brute_force_dlog(g, g.identity) == 0
     assert brute_force_dlog(g, g.generator) == 1
     rng = random.Random(20105)
@@ -166,11 +166,32 @@ def test_scalar_mul_cost_values():
         scalar_mul_cost(-1)
 
 
-def test_find_ec_group_params_matches_frozen():
-    # drift guard: the deterministic search must keep producing the frozen fixtures
-    for p, frozen in TOY_CURVES.items():
-        q, a, b, gx, gy, pp = find_ec_group_params(p)
-        assert (q, a, b, gx, gy) == frozen and pp == p
+def ec_params(g) -> tuple[int, ...]:
+    """A built curve's (q, A, B, Gx, Gy, p), as find_ec_group_params returns them."""
+    return (g.q, g.curve_a, g.curve_b, *g.generator.data, g.order)
+
+
+def test_registry_matches_the_search_and_builds():
+    # drift guard: the search keeps finding the packaged sweep curves; every record has its own
+    # p, passes make_ec_group's checks and is the curve make_group builds for that p
+    records = curve_records()
+    assert [rec["p"] for rec in records] == [29, 101, 1009, 16381, 4293896137]
+    for rec in records:
+        params = tuple(rec[key] for key in ("q", "A", "B", "Gx", "Gy", "p"))
+        assert rec["note"]
+        assert ec_params(make_group("ec", rec["p"])) == ec_params(make_ec_group(*params)) == params
+        if rec["p"] in (29, 101, 1009):
+            assert find_ec_group_params(rec["p"]) == params
+
+
+def test_make_group_refuses_the_ec_search_by_name():
+    for p in (16411, 65537, 4294967291):  # primes above the guard with no record
+        with pytest.raises(GuardRailError, match="capped at p <= 16384"):
+            make_group("ec", p)
+    # no record, under the guard: found on the spot
+    assert ec_params(make_group("ec", 257)) == find_ec_group_params(257)
+    with pytest.raises(ValueError, match="unknown backend"):
+        make_group("ed25519", 101)
 
 
 def test_find_mult_subgroup_matches_frozen():
@@ -185,8 +206,7 @@ def test_find_mult_subgroup_matches_frozen():
 
 def test_load_toy_curve_fixture():
     g = load_toy_curve()
-    assert g.order == 16381
-    assert g.q == 65029
+    assert ec_params(g) == (65029, 16, 23, 33820, 7864, 16381)
     assert g.on_curve(g.generator)
     assert g.eq(g.scalar_mul(16381, g.generator), g.identity)
 
@@ -200,7 +220,7 @@ def fixed_base_hooks(group, base, w):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_fixed_base_hook_matches_scalar_mul_every_k(kind):
-    g = make_backend(kind, 101)
+    g = make_group(kind, 101)
     for base in (g.generator, g.scalar_mul(37, g.generator)):
         for w in range(1, 8):
             want = [g.scalar_mul(k, base).data for k in range(101)]
@@ -210,9 +230,10 @@ def test_fixed_base_hook_matches_scalar_mul_every_k(kind):
 
 @pytest.mark.parametrize("kind, p", [
     ("zp", 16381), ("mult", 16381), ("ec", 16381), ("zp", 4294967291), ("mult", 4294967291),
+    ("ec", 4293896137),
 ])
 def test_fixed_base_hook_matches_scalar_mul_random_k(kind, p):
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     rng = random.Random(p)
     base = g.scalar_mul(rng.randrange(1, p), g.generator)
     for w in (1, 3, 5, 8, 11):
@@ -223,19 +244,12 @@ def test_fixed_base_hook_matches_scalar_mul_random_k(kind, p):
             assert [times(k) for k in ks] == want
 
 
-def trim_backend(kind: str, p: int):
-    """make_backend, with the curves of order 17 and 257 found on the spot."""
-    if kind == "ec" and p in (17, 257):
-        return make_ec_group(*find_ec_group_params(p))
-    return make_backend(kind, p)
-
-
 @pytest.mark.parametrize("kind", BACKENDS)
 @pytest.mark.parametrize("p", [17, 257, 1009])
 def test_trimmed_tables_give_every_multiple(kind, p):
     # the top column's row stops at the top digit of p - 1, which is one bit at 17 and 257,
     # where p - 1 is a power of two; every w, every k < p, and the oracle's w = 4 table
-    g = trim_backend(kind, p)
+    g = make_group(kind, p)
     base = g.scalar_mul(3, g.generator)
     want = [g.scalar_mul(k, base).data for k in range(p)]
     for w in range(1, (p - 1).bit_length()):

@@ -5,8 +5,7 @@ import warnings
 
 import pytest
 
-from conftest import make_backend
-from dhpbound.groups import brute_force_dlog, scalar_mul_cost
+from dhpbound.groups import brute_force_dlog, make_group, scalar_mul_cost
 from dhpbound.implicit import (
     ImplicitFieldElement,
     NonInvertibleError,
@@ -30,7 +29,7 @@ def value_of(elem: ImplicitFieldElement) -> int:
 
 
 def test_eq_examples():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     a = embed(g, 17)
     assert implicit_eq(a, a)
     assert not implicit_eq(embed(g, 1), embed(g, 2))
@@ -40,7 +39,7 @@ def test_eq_examples():
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_linear_ops_match_field_arithmetic(kind):
     p = 101
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     rng = random.Random(40100)
     for _ in range(300):
         y, z = rng.randrange(0, p), rng.randrange(0, p)
@@ -52,7 +51,7 @@ def test_linear_ops_match_field_arithmetic(kind):
 
 def test_linear_op_ledger_charges():
     p = 101
-    g = make_backend("zp", p)
+    g = make_group("zp", p)
     a, b = embed(g, 40), embed(g, 70)
     ledger = CostLedger()
     implicit_add(a, b, ledger)
@@ -67,7 +66,7 @@ def test_linear_op_ledger_charges():
 
 
 def test_scalar_range_checked():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     with pytest.raises(ValueError):
         implicit_scalar(101, embed(g, 5))
     with pytest.raises(ValueError):
@@ -77,7 +76,7 @@ def test_scalar_range_checked():
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_mul_matches_field_and_charges_one_call(kind):
     p = 101
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     oracle = OracleHandle(g)
     ledger = CostLedger()
     oracle.attach_ledger(ledger)
@@ -93,14 +92,14 @@ def test_mul_matches_field_and_charges_one_call(kind):
 
 
 def test_pow_rejects_zero_exponent():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     oracle = OracleHandle(g)
     with pytest.raises(ValueError):
         implicit_pow(oracle, embed(g, 5), 0)
 
 
 def test_pow_exponent_one():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     oracle = OracleHandle(g)
     ledger = CostLedger()
     oracle.attach_ledger(ledger)
@@ -112,7 +111,7 @@ def test_pow_exponent_one():
 
 def test_pow_matches_field_arithmetic():
     p = 101
-    g = make_backend("zp", p)
+    g = make_group("zp", p)
     oracle = OracleHandle(g)
     rng = random.Random(40102)
     for _ in range(300):
@@ -122,7 +121,7 @@ def test_pow_matches_field_arithmetic():
 
 
 def test_pow_exact_call_counts_on_grid():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     oracle = OracleHandle(g)
     ledger = CostLedger()
     oracle.attach_ledger(ledger)
@@ -138,7 +137,7 @@ def test_pow_exact_call_counts_on_grid():
 
 def test_pow_table_anchor_exponents():
     # the two divisors whose binary expansions are hand-checkable
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     oracle = OracleHandle(g)
     ledger = CostLedger()
     oracle.attach_ledger(ledger)
@@ -151,7 +150,7 @@ def test_pow_table_anchor_exponents():
 
 
 def test_pow_all_ones_exponent_warns():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     oracle = OracleHandle(g)
     for e in (1, 3, 7, 15, 255):  # e = 1 counts: 1 call > 2*floor(log2 1) = 0
         with pytest.warns(PowCallBoundWarning):
@@ -164,7 +163,7 @@ def test_pow_all_ones_exponent_warns():
 
 def test_pow_fermat():
     p = 101
-    g = make_backend("zp", p)
+    g = make_group("zp", p)
     oracle = OracleHandle(g)
     rng = random.Random(40104)
     one = embed(g, 1)
@@ -178,7 +177,7 @@ def test_pow_fermat():
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_inv(kind):
     p = 101
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     oracle = OracleHandle(g)
     one = embed(g, 1)
     assert implicit_eq(implicit_inv(oracle, one), one)
@@ -193,7 +192,7 @@ def test_inv(kind):
 
 
 def test_inv_of_zero_rejected():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     oracle = OracleHandle(g)
     with pytest.raises(NonInvertibleError):
         implicit_inv(oracle, embed(g, 0))
@@ -201,7 +200,7 @@ def test_inv_of_zero_rejected():
 
 def test_inv_call_count():
     p = 101
-    g = make_backend("zp", p)
+    g = make_group("zp", p)
     oracle = OracleHandle(g)
     ledger = CostLedger()
     oracle.attach_ledger(ledger)
@@ -211,7 +210,7 @@ def test_inv_call_count():
 
 
 def test_pow_of_zero():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     oracle = OracleHandle(g)
     with pytest.warns(PowCallBoundWarning):  # 1 is all ones in binary
         assert value_of(implicit_pow(oracle, embed(g, 0), 1)) == 0

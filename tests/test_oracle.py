@@ -6,7 +6,6 @@ from math import isqrt
 
 import pytest
 
-from conftest import make_backend
 from test_bsgs_reference import bsgs_probe, orbit
 from dhpbound.groups import (
     CyclicGroup,
@@ -14,6 +13,7 @@ from dhpbound.groups import (
     GroupPoint,
     GuardRailError,
     brute_force_dlog,
+    make_group,
     make_zp_additive,
 )
 from dhpbound.implicit import PowCallBoundWarning
@@ -38,7 +38,7 @@ def test_ledger_starts_at_zero_and_charges():
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_dh_trivial_identities(kind):
-    g = make_backend(kind, 101)
+    g = make_group(kind, 101)
     oracle = OracleHandle(g)
     B = g.scalar_mul(42, g.generator)
     assert g.eq(oracle.dh(g.generator, B), B)  # a = 1
@@ -49,12 +49,12 @@ def test_dh_trivial_identities(kind):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_dh_random_products(kind):
-    g = make_backend(kind, 101)
+    g = make_group(kind, 101)
     check_dh(g, OracleHandle(g), random.Random(30100 + len(kind)), samples=1000)
 
 
 def test_dh_charges_exactly_one_call_and_nothing_else():
-    g = make_backend("mult", 1009)
+    g = make_group("mult", 1009)
     oracle = OracleHandle(g)
     ledger = CostLedger()
     oracle.attach_ledger(ledger)
@@ -73,7 +73,7 @@ def test_dh_charges_exactly_one_call_and_nothing_else():
 
 
 def test_dh_counts_without_ledger():
-    g = make_backend("zp", 29)
+    g = make_group("zp", 29)
     oracle = OracleHandle(g)
     oracle.dh(g.generator, g.generator)
     assert oracle.call_count == 1  # handle counter advances even with no ledger attached
@@ -81,7 +81,7 @@ def test_dh_counts_without_ledger():
 
 def test_dh_accepts_mid_computation_points():
     # squaring pattern dh(Y, Y) on a point that was itself an oracle output
-    g = make_backend("ec", 101)
+    g = make_group("ec", 101)
     oracle = OracleHandle(g)
     y = g.scalar_mul(7, g.generator)
     y2 = oracle.dh(y, y)
@@ -96,15 +96,15 @@ def test_oracle_guard_rail():
 
 
 def test_oracle_rejects_cross_group_points():
-    g1 = make_backend("zp", 101)
-    g2 = make_backend("zp", 103)
+    g1 = make_group("zp", 101)
+    g2 = make_group("zp", 103)
     oracle = OracleHandle(g1)
     with pytest.raises(GroupMismatchError):
         oracle.dh(g1.generator, g2.generator)
 
 
 def test_ledger_swap_between_runs():
-    g = make_backend("zp", 101)
+    g = make_group("zp", 101)
     oracle = OracleHandle(g)
     first, second = CostLedger(), CostLedger()
     oracle.attach_ledger(first)
@@ -123,7 +123,7 @@ SOLVER_GROUPS = [(kind, p) for kind in BACKENDS for p in (101, 1009)] + [("ec", 
 @pytest.mark.parametrize("kind, p", SOLVER_GROUPS)
 def test_private_solver_matches_brute_force(kind, p):
     # dh(A, P) = aP: the solver's answer, cross-checked against the independent BSGS
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     assert g.identity.data == {"zp": 0, "mult": 1, "ec": None}[kind]
     oracle = OracleHandle(g)
     rng = random.Random(32000 + p + len(kind))
@@ -138,7 +138,7 @@ def test_private_solver_matches_brute_force(kind, p):
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_solver_table_built_once_and_steps_counted(kind, monkeypatch):
     # the baby table is built on the public add, m - 1 calls on the first dh and none after
-    g = make_backend(kind, 1009)
+    g = make_group(kind, 1009)
     adds, add = [], g.add
     monkeypatch.setattr(g, "add", lambda a, b: adds.append((a, b)) or add(a, b))
     oracle = OracleHandle(g)
@@ -165,7 +165,7 @@ def test_solver_table_built_once_and_steps_counted(kind, monkeypatch):
 @pytest.mark.parametrize("p", (101, 1009))
 def test_solver_baby_table_holds_raw_multiples(kind, p):
     # the solver's baby table, built on raw data, maps (r*P).data to r for every r < m
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     oracle = OracleHandle(g)
     oracle.dh(g.scalar_mul(5, g.generator), g.generator)
     m = isqrt(p - 1) + 1
@@ -178,7 +178,7 @@ MEMO_GROUPS = [(kind, p) for kind in ("mult", "ec") for p in (101, 1009)] + [("e
 @pytest.mark.parametrize("kind, p", MEMO_GROUPS)
 def test_reduction_probes_at_most_twice_per_run(kind, p, monkeypatch):
     # the first squaring dh(Q, Q) solves Q; every later point implicit_pow hands in is a memo hit
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     probes = []
     real = g._raw_probe
     monkeypatch.setattr(g, "_raw_probe", lambda *a: probes.append(a) or real(*a))
@@ -203,7 +203,7 @@ PROBE_GROUPS += [("ec", 16381, 20), ("mult", 4294967291, 20)]
 def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled):
     # _raw_probe finds what the reference bsgs_probe finds on orbit over the same steps, and the
     # oracle's solver_steps move by the same u + 1; every point, or `sampled` seeded ones
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     oracle = OracleHandle(g)
     oracle.dh(g.generator, g.generator)  # builds the baby table
     table, step, m = oracle._baby_table, oracle._giant_step, oracle._table_span
@@ -227,7 +227,7 @@ def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled):
 @pytest.mark.parametrize("p", (101, 4294967291))
 def test_raw_probe_outside_the_subgroup_fails_by_name(p):
     # q - 1 has order 2 in F_q^x, so no giant step meets the table: no match, no steps billed
-    g = make_backend("mult", p)
+    g = make_group("mult", p)
     oracle = OracleHandle(g)
     oracle.dh(g.generator, g.generator)
     outside = GroupPoint(g, g.q - 1)
@@ -245,7 +245,7 @@ def test_raw_probe_outside_the_subgroup_fails_by_name(p):
 def test_generator_table_answers_like_scalar_mul(kind, p):
     # dh with b known answers scalar_mul(a, B) off the group's w = 4 generator table, and
     # every k < p off that table is k*P
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     oracle = OracleHandle(g)
     rng = random.Random(40000 + p + len(kind))
     known_b = 0
@@ -270,7 +270,7 @@ def test_generator_table_answers_like_scalar_mul(kind, p):
 
 def test_ec_dh_with_known_b_never_calls_scalar_mul(monkeypatch):
     # both exponents known: the answer comes off the generator table, never a double-and-add
-    g = make_backend("ec", 1009)
+    g = make_group("ec", 1009)
     oracle = OracleHandle(g)
     rng = random.Random(41009)
     A, B = (g.scalar_mul(rng.randrange(1, 1009), g.generator) for _ in range(2))
@@ -286,7 +286,7 @@ def test_ec_dh_with_known_b_never_calls_scalar_mul(monkeypatch):
 
 @pytest.mark.parametrize("kind, p", MEMO_GROUPS)
 def test_repeated_dh_is_free_and_answers_as_fresh(kind, p):
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     oracle = OracleHandle(g)
     rng = random.Random(36000 + p + len(kind))
     A, B = (g.scalar_mul(rng.randrange(1, p), g.generator) for _ in range(2))
@@ -304,7 +304,7 @@ def test_repeated_dh_is_free_and_answers_as_fresh(kind, p):
 
 @pytest.mark.parametrize("kind, p", MEMO_GROUPS)
 def test_attach_ledger_empties_memo(kind, p):
-    g = make_backend(kind, p)
+    g = make_group(kind, p)
     oracle = OracleHandle(g)
     rng = random.Random(37000 + p + len(kind))
     points = [g.scalar_mul(rng.randrange(p), g.generator) for _ in range(10)]
@@ -322,7 +322,7 @@ def test_attach_ledger_empties_memo(kind, p):
 
 
 def test_zp_handle_never_writes_memo():
-    g = make_backend("zp", 1009)
+    g = make_group("zp", 1009)
     oracle = OracleHandle(g)
     rng = random.Random(38009)
     for d in divisors_in_range(factorize(1008), 1, 1008):

@@ -15,10 +15,10 @@ from math import isqrt
 
 import pytest
 
-from conftest import make_backend
 from test_bsgs_reference import bsgs_probe, bsgs_table
 from dhpbound import reduction
-from dhpbound.groups import CyclicGroup, make_zp_additive, scalar_mul_cost
+from dhpbound.bounds import paper_band
+from dhpbound.groups import CyclicGroup, brute_force_dlog, make_group, make_zp_additive, scalar_mul_cost
 from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning
 from dhpbound.invariants import check_reduction
 from dhpbound.modmath import (
@@ -162,7 +162,7 @@ def test_generator_try_budget_scales():
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
 @pytest.mark.parametrize("p", [29, 101])
 def test_exhaustive_all_divisors_all_exponents(kind, p):
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     oracle = OracleHandle(group)
     for d in all_divisors(p):
         for x in range(1, p):
@@ -208,6 +208,25 @@ def test_p3_edge_orders():
             assert tr.params.zeta0 == 2
 
 
+EC_2_32 = 4293896137  # the registry's cofactor-1 curve near the 2^32 ceiling
+
+
+def test_ec_at_2_32_with_a_divisor_in_the_paper_band():
+    # the paper's own setting: an elliptic curve of order near 2^32 and d in [cbrt p, sqrt p]
+    p, d, f = EC_2_32, 2019, factorize(EC_2_32 - 1)
+    assert f.factors == ((2, 3), (3, 1), (29, 1), (89, 1), (103, 1), (673, 1))
+    band = divisors_in_range(f, *paper_band(p))
+    assert len(band) == 32 and band[0] == d
+    group = make_group("ec", p)
+    oracle = OracleHandle(group)
+    for x, group_ops in ((123456789, 9236), (987654321, 9074)):
+        tr = check_reduction(group, oracle, x, d, seed=0)
+        rep = cost_report(tr, p, d)
+        assert tr.ledger.group_ops == group_ops, x
+        assert (rep["walk_group_op_ceiling"], rep["kkm_group_op_bound"]) == (11426, 3004)
+    assert brute_force_dlog(group, group.scalar_mul(123456789, group.generator)) == 123456789
+
+
 # ------------------------------------------------------------- transcripts
 
 
@@ -220,7 +239,7 @@ def test_backend_independence_of_transcript():
     for p, d, x, seed in cases:
         results = []
         for kind in ("zp", "mult", "ec"):
-            group = make_backend(kind, p)
+            group = make_group(kind, p)
             oracle = OracleHandle(group)
             Q = group.scalar_mul(x, group.generator)
             with warnings.catch_warnings():
@@ -294,7 +313,7 @@ def test_phase1_inconsistency_detected():
 def test_phase2_inconsistency_detected(kind):
     # with j off by one, zm^v * zeta0^-j * Q = zeta0^(m*(t + v) -+ 1) * P, and m = 25 does not
     # divide 1, so no baby point is a kept zm^e * P: a clean failure on a fresh table and a kept one
-    group = make_backend(kind, 101)
+    group = make_group(kind, 101)
     Q = group.scalar_mul(37, group.generator)
     for fresh in (True, False):
         tr = reduce_dlog(group, OracleHandle(group), Q, 4, seed=3)
@@ -310,7 +329,7 @@ def test_phase2_inconsistency_detected(kind):
 
 
 def test_d1_uses_zero_oracle_calls():
-    group = make_backend("mult", 101)
+    group = make_group("mult", 101)
     oracle = OracleHandle(group)
     before = oracle.call_count
     Q = group.scalar_mul(31, group.generator)
@@ -441,7 +460,7 @@ def formula_bill(p: int, walk: Walk, w: int, table: bool = True) -> int:
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
 @pytest.mark.parametrize("p", [101, 1009, 16381])
 def test_walk_bill_equals_formula(kind, p):
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     rng = random.Random(p)
     seen = set()
     for points in (2, 3, 6, 13, isqrt(p) + 1):
@@ -475,7 +494,7 @@ def test_walk_bill_equals_formula(kind, p):
 @pytest.mark.parametrize("p", [101, 1009])
 def test_walk_keys_do_not_depend_on_the_window(kind, p):
     # what lets a walk run on another window than the one it is billed for
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     rng = random.Random(f"window-free:{kind}:{p}")
     windows = _windows(p - 1, 0)
     assert sorted(window.w for window in windows) == list(range(1, (p - 1).bit_length()))
@@ -589,7 +608,7 @@ def test_run_bill_equals_independent_formula(kind):
     rng = random.Random(f"run-bill:{kind}")
     shares = set()
     for p in (29, 101, 1009):
-        group = make_backend(kind, p)
+        group = make_group(kind, p)
         oracle = OracleHandle(group)
         for d in all_divisors(p):
             for x in rng.sample(range(1, p), 4):
@@ -684,7 +703,7 @@ def test_plan_takes_the_first_cheapest_window():
 def test_cost_report_reads_the_plan_the_run_carries(kind):
     # the run's plan holds the four walks it ran on their windows; cost_report prices the walk
     # ceiling and reports every window_* from that plan, and exports leave the plan out
-    group = make_backend(kind, 101)
+    group = make_group(kind, 101)
     oracle = OracleHandle(group)
     windowed = 0
     for d in all_divisors(101):
@@ -762,7 +781,7 @@ def assert_phase1_matches_reference(group, x: int, d: int, seed: int):
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
 @pytest.mark.parametrize("p", [29, 101])
 def test_phase1_matches_reference_on_every_x_and_divisor(kind, p):
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     for d in all_divisors(p):
         for x in sorted(range(1, p), key=lambda x: x % 7):  # one build per seed, then hits
             assert_phase1_matches_reference(group, x, d, seed=x % 7)
@@ -774,7 +793,7 @@ SAMPLED_IDS = ["zp-1009", "mult-1009", "ec-1009", "ec-16381"]
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
 def test_phase1_matches_reference_sampled(kind, p, ds):
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     rng = random.Random(f"reference:{kind}:{p}")
     for d in ds or all_divisors(p):
         for x in sorted({1, p - 1, *rng.sample(range(1, p), 10)}):
@@ -799,7 +818,7 @@ DEGENERATE_SPLITS = {
 def test_phase1_matches_reference_on_degenerate_splits(kind, split):
     p, d, xs = DEGENERATE_SPLITS[split]
     m = (p - 1) // d
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     u1s = set()
     for seed in range(4):
         for x in xs:
@@ -846,7 +865,7 @@ def test_run_charges_its_bill_once_after_both_matches(monkeypatch):
     monkeypatch.setattr(reduction, "phase2_find_t", traced("phase 2", phase2_find_t))
     rng = random.Random("charged once")
     for kind in ("zp", "mult", "ec"):
-        group = make_backend(kind, 1009)
+        group = make_group(kind, 1009)
         oracle = OracleHandle(group)
         for d in (1, 12, 63, 1008):
             for x in rng.sample(range(1, 1009), 3):
@@ -911,7 +930,7 @@ def assert_phase2_matches_reference(group, x: int, d: int, seed: int):
 def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
     # each seed's first x builds the table (or replaces another seed's) and probes it, its
     # second extends it, the rest probe the extended table; every build also runs on a fresh group
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     states = set()
     for d in all_divisors(p):
         for x in sorted(range(1, p), key=lambda x: x % 7):
@@ -920,7 +939,7 @@ def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
             kept = group._giant_tables.get((2, d))
             if kept is None or kept.g != zm:
                 states.add("none" if kept is None else "replaced")
-                assert_phase2_matches_reference(make_backend(kind, p), x, d, seed)
+                assert_phase2_matches_reference(make_group(kind, p), x, d, seed)
             else:
                 states.add("extended" if kept.extended else "built")
             assert_phase2_matches_reference(group, x, d, seed)
@@ -942,7 +961,7 @@ PHASE2_SPLITS = {
 @pytest.mark.parametrize("split", PHASE2_SPLITS)
 def test_phase2_matches_reference_on_named_divisors(kind, split):
     p, d = 101, PHASE2_SPLITS[split]
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     for seed in range(4):
         for x in range(1, p):
             kept = group._giant_tables.get((2, d))
@@ -975,17 +994,18 @@ def counted_point_adds(group) -> list[int]:
     return adds
 
 
-@pytest.mark.parametrize("p,sampled", [(101, None), (1009, 6)], ids=["101-every-x", "1009-sampled"])
-def test_bill_is_the_group_ops_the_classic_search_performs(p, sampled):
+@pytest.mark.parametrize("p,ds,sampled", [(101, None, None), (1009, None, 6), (EC_2_32, (2019,), 1)],
+                         ids=["101-every-x", "1009-sampled", "2_32-one-run"])
+def test_bill_is_the_group_ops_the_classic_search_performs(p, ds, sampled):
     # both reference phases run on a fresh EC group's generic path, with x^d * P computed
     # directly, so no oracle table is built there; the additions they perform are the
     # bill reduce_dlog charges for the same matches, and the references' per-pull ledger
-    group, counted = make_backend("ec", p), make_backend("ec", p)
+    group, counted = make_group("ec", p), make_group("ec", p)
     oracle = OracleHandle(group)
     adds = counted_point_adds(counted)
     rng = random.Random(f"counted:{p}")
     runs = 0
-    for d in all_divisors(p):
+    for d in ds or all_divisors(p):
         for x in range(1, p) if sampled is None else rng.sample(range(1, p), sampled):
             tr = run_quietly(group, oracle, x, d, seed=x % 7)
             q_pow_d, params = phase1_inputs(counted, x, d, seed=x % 7)
@@ -998,7 +1018,7 @@ def test_bill_is_the_group_ops_the_classic_search_performs(p, sampled):
             assert bill(p, tr.plan, u1, u2) == (performed, ledger.bsgs_table_entries), (d, x)
             assert performed == ledger.group_ops == tr.ledger.group_ops, (d, x)
             runs += 1
-    assert runs == (900 if p == 101 else 180)
+    assert runs == {101: 900, 1009: 180, EC_2_32: 1}[p]
     assert not counted._giant_tables  # the classic search keeps no giant table
 
 
@@ -1084,14 +1104,14 @@ def assert_giant_keys(group, giants, params, phase: int) -> None:
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
 def test_cached_generator_tables_bill_like_a_fresh_group(kind, monkeypatch):
-    reused = make_backend(kind, 1009)
+    reused = make_group(kind, 1009)
     oracle = OracleHandle(reused)
     keys = count_keys(monkeypatch)
     rng = random.Random(1009)
     first_runs_hit = [0, 0]
     for d in (1, 4, 12, 63, 336, 1008):
         for x in rng.sample(range(1, 1009), 3):
-            fresh = make_backend(kind, 1009)
+            fresh = make_group(kind, 1009)
             runs, builds = [], []
             # reused, fresh, then reused again on the same seed, whose giant tables are kept
             for group, handle in ((reused, oracle), (fresh, OracleHandle(fresh)), (reused, oracle)):
@@ -1112,14 +1132,14 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
 def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds, monkeypatch):
-    reused = make_backend(kind, p)
+    reused = make_group(kind, p)
     oracle = OracleHandle(reused)
     keys = count_keys(monkeypatch)
     rng = random.Random(f"{kind}:{p}")
     divisors = list(ds or all_divisors(p))
     for n, d in enumerate(divisors):
         for run, x in enumerate(rng.sample(range(1, p), 4)):
-            group = make_backend(kind, p)
+            group = make_group(kind, p)
             fresh = run_quietly(group, OracleHandle(group), x, d, seed=0)
             before, states = keys[reused], table_states(reused, d)
             tr = run_quietly(reused, oracle, x, d, seed=0)
@@ -1156,7 +1176,7 @@ def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds, monkeypatch):
     keys = count_keys(monkeypatch)
     for d in ds or all_divisors(p):
         x, seed = rng.randrange(1, p), rng.randrange(4)
-        group = make_backend(kind, p)
+        group = make_group(kind, p)
         tr = run_quietly(group, OracleHandle(group), x, d, seed)
         tables = [group._giant_tables[phase, d] for phase in PHASES]
         assert not any(giants.extended for giants in tables)
@@ -1168,7 +1188,7 @@ def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds, monkeypatch):
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
 def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds, monkeypatch):
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     oracle = OracleHandle(group)
     keys = count_keys(monkeypatch)
     rng = random.Random(f"half:{kind}:{p}")
@@ -1191,7 +1211,7 @@ def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds, monkey
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
 def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds, monkeypatch):
-    group = make_backend(kind, p)
+    group = make_group(kind, p)
     oracle = OracleHandle(group)
     keys = count_keys(monkeypatch)
     rng = random.Random(f"half2:{kind}:{p}")
@@ -1215,7 +1235,7 @@ def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds,
 def test_giant_key_cache_is_bounded_by_the_group():
     p, ds = 1009, (4, 12, 28, 63)
     keys = [(phase, d) for d in ds for phase in PHASES]
-    group = make_backend("mult", p)
+    group = make_group("mult", p)
     oracle = OracleHandle(group)
     xs = random.Random(p).sample(range(1, p), 25)
     kept = []
@@ -1242,7 +1262,7 @@ def test_giant_key_cache_is_bounded_by_the_group():
     assert all(kept[2][key].g != kept[3][key].g for key in keys)
     assert all(kept[2][1, d].table != kept[3][1, d].table for d in ds)  # other exponents
     # tables are held per group instance
-    other = make_backend("mult", p)
+    other = make_group("mult", p)
     run_quietly(other, OracleHandle(other), xs[0], ds[0], 1)
     assert list(other._giant_tables) == keys[:2]
     assert all(other._giant_tables[key] is not kept[-1][key] for key in keys[:2])
