@@ -184,6 +184,14 @@ def test_registry_matches_the_search_and_builds():
             assert find_ec_group_params(rec["p"]) == params
 
 
+def test_find_ec_group_params_matches_frozen():
+    # drift guard: the deterministic search must keep producing these curves, whatever the
+    # registry holds, so a search and a registry that drift together still show
+    frozen = {29: (23, 1, 4, 0, 2), 101: (83, 2, 28, 0, 32), 1009: (953, 5, 19, 1, 5)}
+    for p, (q, a, b, gx, gy) in frozen.items():
+        assert find_ec_group_params(p) == (q, a, b, gx, gy, p)
+
+
 def test_make_group_refuses_the_ec_search_by_name():
     for p in (16411, 65537, 4294967291):  # primes above the guard with no record
         with pytest.raises(GuardRailError, match="capped at p <= 16384"):
