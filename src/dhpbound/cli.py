@@ -290,11 +290,11 @@ def _suite_modmath(rng: random.Random, deep: bool) -> None:
 
 
 def _suite_groups(rng: random.Random, deep: bool) -> None:
-    for p in (29, 101):
-        for kind in BACKENDS:
-            group = make_group(kind, p)
-            invariants.check_group_laws(group, rng, 12, 300 if deep else 80)
-            invariants.check_encode(group, rng, 300 if deep else 80)
+    # every (p, backend) pair, then a curve with no packaged record, which find_ec_group_params finds
+    groups = [make_group(kind, p) for p in (29, 101) for kind in BACKENDS] + [make_group("ec", 257)]
+    for group in groups:
+        invariants.check_group_laws(group, rng, 12, 300 if deep else 80)
+        invariants.check_encode(group, rng, 300 if deep else 80)
 
 
 def _suite_oracle(rng: random.Random, deep: bool) -> None:

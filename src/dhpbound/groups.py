@@ -35,9 +35,11 @@ make_group(backend, p) is the one place that picks a group for (backend,
 p). Its ec groups come from the packaged registry data/curves.json, one
 record per order: the curves find_ec_group_params finds at 29, 101 and
 1009, the toy curve at 16381 and a cofactor-1 curve of order 4293896137
-near the 2^32 ceiling. For any other p it searches a curve by point
-counting, linear in q per candidate, and refuses by name with
-GuardRailError above EC_SEARCH_GUARD.
+near the 2^32 ceiling. For any other p it searches a curve: each
+candidate is screened with one n*P, n the target curve order, and only a
+curve that passes is counted in full. Above EC_SEARCH_GUARD it refuses by
+name with GuardRailError; the guard stays at 2^14 because its refusals at
+16411 and 65537 are part of the tested contract, not because of cost.
 """
 
 from __future__ import annotations
@@ -485,10 +487,14 @@ def find_ec_group_params(
     """Deterministically search for curve parameters with an order-p subgroup.
 
     Tries the given cofactors h in order, looking for a prime field size q
-    admitting a curve of order exactly h*p (exhaustive point count per
-    candidate), then scales the first rational point down to the order-p
-    subgroup. Returns (q, A, B, Gx, Gy, p). Intended for desk-scale p; the
-    point count is linear in q per candidate curve.
+    admitting a curve of order exactly n = h*p, then scales the first
+    rational point down to the order-p subgroup. Returns (q, A, B, Gx, Gy, p).
+    Each candidate is first screened with one n*P on its first affine point,
+    O(log q) group operations: a curve of order n sends every point to
+    infinity, so the screen never rejects one. Only a curve that passes is
+    counted in full, linear in q, and the count decides; in practice only
+    the curve returned gets that far. The first curve accepted is the one an
+    exhaustive count of every candidate would accept.
     """
     if not is_prime(p) or p <= 3:
         raise InvalidOrderError(f"subgroup order {p} must be a prime > 3")
@@ -506,6 +512,13 @@ def find_ec_group_params(
                 for b in range(1, min(q, 64)):
                     if (4 * a * a * a + 27 * b * b) % q == 0:
                         continue
+                    group = EcGroup(q, a, b, 0, 1, p)  # placeholder generator
+                    # screen: n*P is at infinity for every point P of a curve of order n
+                    # (Lagrange), so one n*P on the first affine point, which exists for
+                    # q >= 5 by Hasse, rejects most candidates in O(log q) operations
+                    x = next(x for x in range(q) if (x * x * x + a * x + b) % q in roots)
+                    if group._raw_times(n, (x, roots[(x * x * x + a * x + b) % q])) is not None:
+                        continue
                     count = 1  # point at infinity
                     for x in range(q):
                         rhs = (x * x * x + a * x + b) % q
@@ -515,7 +528,6 @@ def find_ec_group_params(
                             count += 2
                     if count != n:
                         continue
-                    group = EcGroup(q, a, b, 0, 1, p)  # placeholder generator
                     for x in range(q):
                         rhs = (x * x * x + a * x + b) % q
                         y = roots.get(rhs)
@@ -541,7 +553,7 @@ def make_group(backend: str, p: int) -> CyclicGroup:
     zp is the additive group of Z_p and mult find_mult_subgroup's subgroup.
     ec builds the registry's curve of order p when one ships, checked by
     make_ec_group; otherwise it searches one with find_ec_group_params, which
-    counts points and is refused by name above EC_SEARCH_GUARD.
+    is refused by name above EC_SEARCH_GUARD.
     """
     if backend == "zp":
         return make_zp_additive(p)

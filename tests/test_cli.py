@@ -255,6 +255,16 @@ def test_reduce_ec_fixture_order(capsys):
     assert "requested 12345, match: True" in out
 
 
+def test_reduce_ec_on_a_searched_curve_at_the_top_of_the_guard(capsys):
+    # 16369 is the largest prime under EC_SEARCH_GUARD with no packaged curve, so make_group
+    # runs find_ec_group_params for it
+    code, out, err = run(
+        capsys, "reduce", "--p", "16369", "--d", "2", "--x", "12345", "--backend", "ec"
+    )
+    assert code == 0 and err == ""
+    assert out.count("requested 12345, match: True") == 1
+
+
 def test_reduce_all_ones_divisor_flagged_not_failed(capsys):
     code, out, _ = run(capsys, "reduce", "--p", "29", "--d", "7", "--x", "5")
     assert code == 0

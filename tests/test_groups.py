@@ -1,12 +1,14 @@
 """Tests for the three group backends, the curve registry, canonical encoding, and brute-force dlog."""
 
 import random
+from math import isqrt
 
 import pytest
 
 from dhpbound.groups import (
     BadGeneratorError,
     CyclicGroup,
+    EcGroup,
     GroupMismatchError,
     GroupPoint,
     GuardRailError,
@@ -27,6 +29,7 @@ from dhpbound.groups import (
     scalar_mul_cost,
 )
 from dhpbound.invariants import check_encode, check_group_laws
+from dhpbound.modmath import is_prime
 
 BACKENDS = ("zp", "mult", "ec")
 
@@ -187,9 +190,58 @@ def test_registry_matches_the_search_and_builds():
 def test_find_ec_group_params_matches_frozen():
     # drift guard: the deterministic search must keep producing these curves, whatever the
     # registry holds, so a search and a registry that drift together still show
-    frozen = {29: (23, 1, 4, 0, 2), 101: (83, 2, 28, 0, 32), 1009: (953, 5, 19, 1, 5)}
+    frozen = {
+        29: (23, 1, 4, 0, 2),
+        101: (83, 2, 28, 0, 32),
+        257: (227, 16, 37, 2, 109),
+        1009: (953, 5, 19, 1, 5),
+        4099: (3989, 2, 35, 1, 1525),
+        16369: (16127, 17, 17, 4, 1350),  # the largest prime under EC_SEARCH_GUARD with no record
+    }
     for p, (q, a, b, gx, gy) in frozen.items():
         assert find_ec_group_params(p) == (q, a, b, gx, gy, p)
+
+
+def exhaustive_ec_search(p, cofactors=(1, 2, 3, 4, 5, 6, 7, 8)):
+    """Reference for find_ec_group_params: count the points of every candidate curve in turn.
+
+    The first (q, A, B) whose full point count is h*p wins, and its generator is h times
+    the first rational point, in x order, that h does not send to infinity.
+    """
+    for h in cofactors:
+        n = h * p
+        for q in range(max(n - 2 * isqrt(n) - 1, 5), n + 2 * isqrt(n) + 2):
+            if not is_prime(q) or abs(q + 1 - n) > 2 * isqrt(q):
+                continue
+            roots = {}
+            for y in range(q // 2 + 1):
+                roots.setdefault(y * y % q, y)
+            for a in range(min(q, 32)):
+                for b in range(1, min(q, 64)):
+                    if (4 * a**3 + 27 * b * b) % q == 0:
+                        continue
+                    points = [(x, roots[r]) for x in range(q) if (r := (x**3 + a * x + b) % q) in roots]
+                    count = 1 + sum(1 if y == 0 else 2 for _, y in points)
+                    if count != n:
+                        continue
+                    group = EcGroup(q, a, b, 0, 1, p)
+                    for pt in points:
+                        g = group.scalar_mul(h, GroupPoint(group, pt)).data
+                        if g is not None:
+                            return (q, a, b, *g, p)
+    raise RuntimeError(f"no curve for p={p}")
+
+
+def test_find_ec_group_params_matches_the_exhaustive_search():
+    # the n*P screen only skips curves whose order is not n, so the first curve accepted and
+    # its generator stay those of counting every candidate; cofactors 2 and 4 make n even,
+    # where the first point, and so the screened one, can be a 2-torsion point (x, 0)
+    primes = [p for p in range(5, 200) if is_prime(p)]
+    for p in primes:
+        assert find_ec_group_params(p) == exhaustive_ec_search(p), p
+    for cofactors in ((2,), (4,)):
+        for p in primes[:12]:
+            assert find_ec_group_params(p, cofactors) == exhaustive_ec_search(p, cofactors), (p, cofactors)
 
 
 def test_make_group_refuses_the_ec_search_by_name():
