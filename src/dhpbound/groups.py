@@ -6,6 +6,13 @@ Weierstrass curve over a small prime field. The reduction engine only ever sees
 the abstract interface, so a correctness claim established on one backend
 transfers to the others by construction.
 
+A GroupPoint is immutable: two slots, group and data, and no __dict__;
+equality and hashing are by identity, and eq compares data. add makes one
+identity test of both operands' group, calling _member only to raise
+GroupMismatchError, and builds its result without running __init__, because
+the simulated oracle's baby table takes up to 65,535 sums through it; every
+other place that makes a point calls GroupPoint(group, data).
+
 Cost convention: one "group operation" is one point addition or doubling.
 scalar_mul_cost(k) is the double-and-add operation count charged for a scalar
 multiplication by k, even on backends where the whole product is a single
@@ -45,7 +52,6 @@ name with GuardRailError; the guard stays at 2^14 because its refusals at
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from math import isqrt
 
@@ -91,22 +97,42 @@ class GuardRailError(RuntimeError):
     """A brute-force dlog, oracle or curve search was refused because the order is too large."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class GroupPoint:
-    """Opaque element of one concrete group; compare via the group's eq()."""
+    """Opaque element of one concrete group; compare via the group's eq().
+
+    Immutable, with two slots and no __dict__: group, the instance it belongs
+    to, and data, its canonical coordinates (an int residue, an (x, y) tuple,
+    or None for the point at infinity). Setting or deleting either raises
+    AttributeError. Equality and hashing are by identity; eq compares data.
+    """
+
+    __slots__ = ("group", "data")
 
     group: "CyclicGroup"
-    data: object  # int residue, (x, y) tuple, or None for the point at infinity
+    data: object
 
     def __init__(self, group: "CyclicGroup", data: object):
-        # straight into the instance dict: the frozen __setattr__ path costs
-        # about a third of each construction, and every walk point makes one
-        fields = self.__dict__
-        fields["group"] = group
-        fields["data"] = data
+        _set_group(self, group)
+        _set_data(self, data)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupPoint")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable GroupPoint")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; their default slot restore would setattr
+        return GroupPoint, (self.group, self.data)
 
     def __repr__(self) -> str:
         return f"<{self.group.backend} point {self.data!r}>"
+
+
+# the slot descriptors' setters, the only writers of a point's fields, and object.__new__
+# under a module name, so that add reaches each of the three with one global lookup
+_set_group, _set_data = GroupPoint.group.__set__, GroupPoint.data.__set__
+_allocate = object.__new__
 
 
 def scalar_mul_cost(k: int) -> int:
@@ -156,9 +182,14 @@ class CyclicGroup:
             )
 
     def add(self, a: GroupPoint, b: GroupPoint) -> GroupPoint:
-        self._member(a)
-        self._member(b)
-        return GroupPoint(self, self._raw_add(a.data, b.data))
+        if a.group is not self or b.group is not self:
+            self._member(a)
+            self._member(b)
+        # built without an __init__ frame: the oracle's baby table makes up to 65,535 sums
+        point = _allocate(GroupPoint)
+        _set_group(point, self)
+        _set_data(point, self._raw_add(a.data, b.data))
+        return point
 
     def negate(self, a: GroupPoint) -> GroupPoint:
         self._member(a)
@@ -533,11 +564,11 @@ def find_ec_group_params(
                         y = roots.get(rhs)
                         if y is None and rhs != 0:
                             continue
-                        pt = GroupPoint(group, (x, 0 if rhs == 0 else y))
-                        g_sub = group.scalar_mul(h, pt)
-                        if g_sub.data is None:
+                        # raw h*P: scalar_mul would reduce h mod p, wrong for a cofactor h >= p
+                        g_sub = group._raw_times(h, (x, 0 if rhs == 0 else y))
+                        if g_sub is None:
                             continue
-                        gx, gy = g_sub.data
+                        gx, gy = g_sub
                         return q, a, b, gx, gy, p
     raise RuntimeError(f"no toy curve found for p={p} with cofactors {cofactors}")
 

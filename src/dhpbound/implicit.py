@@ -41,7 +41,7 @@ class ImplicitFieldElement:
     image: GroupPoint
 
     def __init__(self, image: GroupPoint):
-        self.__dict__["image"] = image  # as GroupPoint.__init__: skip the frozen __setattr__
+        self.__dict__["image"] = image  # skip the frozen __setattr__
 
     @property
     def group(self) -> CyclicGroup:

@@ -6,12 +6,15 @@ included) without tracking any exponent bookkeeping that a real black box
 would not have. On Z_p the generator is 1, so a is the residue itself; on the
 other backends a private baby-step giant-step solver recovers it on the raw
 coordinates. Its baby table (r*P -> r for r < m = isqrt(p - 1) + 1) is built
-once per handle by m - 1 calls of add; each probe then runs the group's raw
-hook _raw_probe from aP with stride -m*P for at most m + 1 steps, and the
-first stored point u*m + r gives a. That private solver work is deliberately
-invisible to the caller: the attached ledger moves by exactly one oracle call
-per invocation and nothing else. The handle's own solver_steps counter shows
-it: m - 1 for the baby table, u + 1 per probe.
+once per handle by m - 1 calls of the public add, bound once before the
+loop: one identity test and one slotted point per step, and each multiple
+stored by plain assignment, since r*P for r < m <= p are distinct. Each
+probe then runs the group's raw hook _raw_probe from aP with stride -m*P for
+at most m + 1 steps, and the first stored point u*m + r gives a. That
+private solver work is deliberately invisible to the caller: the attached
+ledger moves by exactly one oracle call per invocation and nothing else. The
+handle's own solver_steps counter shows it: m - 1 for the baby table, u + 1
+per probe.
 
 Within one run (from one attach_ledger to the next) the solver remembers what
 it has already solved: the exponent of every point it probed, and the exponent
@@ -100,11 +103,11 @@ class OracleHandle:
         if known is not None:
             return known
         if self._baby_table is None:  # one baby table per handle, shared by every call
-            point = g.identity
+            add, generator, point = g.add, g.generator, g.identity
             self._baby_table = table = {point.data: 0}
             for r in range(1, m):  # m - 1 additions on the public group law
-                point = g.add(point, g.generator)
-                table.setdefault(point.data, r)
+                point = add(point, generator)
+                table[point.data] = r  # r*P for r < m <= p are distinct: no key repeats
             self._giant_step = g.negate(g.scalar_mul(m, g.generator)).data
             self.solver_steps += m - 1
         # raw data is canonical and hashable; every match u*m + r is the dlog

@@ -52,3 +52,33 @@ def test_summary_counts_wins_by_direction_and_checks_the_parent_iqr():
 def test_summary_is_not_clean_when_any_run_failed(bad):
     pairs = [(result(100, 3.0), result(120, 1.5)), (result(100, 3.0), result(120, 1.5, **bad))]
     assert not bench_pairs.summarise(pairs, DECLARED)["clean"]
+
+
+def test_verdict_is_worse_beyond_the_bound_unresolved_in_a_wide_parent_spread_else_ok():
+    steady = [100.0, 101.0, 99.0, 100.0, 100.0]
+    verdict = bench_pairs.verdict
+    # throughput (higher is better, bound 0.21): 25% down is beyond the bound, 15% down is not
+    assert verdict(steady, [75.0, 76.0, 74.0, 75.0, 75.0], 1, 0.21) == "worse"
+    assert verdict(steady, [85.0, 86.0, 84.0, 85.0, 85.0], 1, 0.21) == "ok"
+    # latency (lower is better, bound 0.23): 30% up is worse, a faster change is ok
+    assert verdict(steady, [130.0, 131.0, 129.0, 130.0, 130.0], -1, 0.23) == "worse"
+    assert verdict(steady, [60.0, 61.0, 59.0, 60.0, 60.0], -1, 0.23) == "ok"
+    # the parent's quartiles 70 and 130 lie 60 apart, wider than 0.21 * 100 = 21
+    wide = [40.0, 70.0, 100.0, 130.0, 160.0]
+    assert verdict(wide, [95.0, 100.0, 105.0, 110.0, 120.0], 1, 0.21) == "unresolved"
+    # unless every change run beats every parent run
+    assert verdict(wide, [170.0, 180.0, 190.0, 200.0, 210.0], 1, 0.21) == "ok"
+    assert verdict(wide, [10.0, 20.0, 30.0, 35.0, 39.0], -1, 0.21) == "ok"
+    # the bound sets the line: quartiles 22 apart exceed 0.21 * 100, quartiles 20 apart do not
+    change = [96.0, 98.0, 100.0, 102.0, 104.0]
+    assert verdict([75.0, 90.0, 100.0, 112.0, 125.0], change, 1, 0.21) == "unresolved"
+    assert verdict([80.0, 90.0, 100.0, 110.0, 120.0], change, 1, 0.21) == "ok"
+    # a median worse by more than the bound is worse even in a wide spread
+    assert verdict(wide, [50.0, 60.0, 70.0, 75.0, 80.0], 1, 0.21) == "worse"
+
+
+def test_summary_carries_each_metric_verdict():
+    pairs = [(result(100 + i, 3.0), result(70 + i, 3.0)) for i in range(4)]
+    metrics = bench_pairs.summarise(pairs, DECLARED)["metrics"]
+    assert metrics["throughput"]["verdict"] == "worse"
+    assert metrics["latency_ms.p50"]["verdict"] == "ok"  # tied on every pair

@@ -1,5 +1,6 @@
 """Tests for the three group backends, the curve registry, canonical encoding, and brute-force dlog."""
 
+import copy
 import random
 from math import isqrt
 
@@ -123,6 +124,31 @@ def test_cross_group_mixing_rejected():
     g3 = make_zp_additive(101)  # same parameters, distinct instance
     with pytest.raises(GroupMismatchError):
         g1.eq(g1.generator, g3.generator)
+    mult = make_group("mult", 101)
+    foreign = "backend 'fq-mult-subgroup' used in 'zp-additive' group"
+    for a, b in ((mult.generator, g1.generator), (g1.generator, mult.generator)):  # foreign first, then second
+        with pytest.raises(GroupMismatchError, match=foreign):
+            g1.add(a, b)
+
+
+def test_points_are_immutable_slotted_and_compared_by_identity():
+    g = make_group("ec", 101)
+    pt = g.add(g.generator, g.generator)
+    for made in (pt, GroupPoint(g, pt.data)):
+        assert not hasattr(made, "__dict__")
+        for field in ("group", "data"):
+            with pytest.raises(AttributeError):
+                setattr(made, field, None)
+            with pytest.raises(AttributeError):
+                delattr(made, field)
+        with pytest.raises(AttributeError):
+            made.extra = 1
+        assert made.group is g and made.data == pt.data
+    twin = GroupPoint(g, pt.data)
+    assert twin != pt and len({twin, pt}) == 2 and g.eq(twin, pt)
+    copied = copy.copy(pt)
+    assert copied is not pt and copied.group is g and copied.data == pt.data
+    assert repr(pt) == f"<ec-weierstrass point {pt.data!r}>"
 
 
 def test_ec_intermediates_stay_on_curve():
@@ -226,7 +252,7 @@ def exhaustive_ec_search(p, cofactors=(1, 2, 3, 4, 5, 6, 7, 8)):
                         continue
                     group = EcGroup(q, a, b, 0, 1, p)
                     for pt in points:
-                        g = group.scalar_mul(h, GroupPoint(group, pt)).data
+                        g = group._raw_times(h, pt)  # not scalar_mul, which reduces h mod p
                         if g is not None:
                             return (q, a, b, *g, p)
     raise RuntimeError(f"no curve for p={p}")
@@ -242,6 +268,15 @@ def test_find_ec_group_params_matches_the_exhaustive_search():
     for cofactors in ((2,), (4,)):
         for p in primes[:12]:
             assert find_ec_group_params(p, cofactors) == exhaustive_ec_search(p, cofactors), (p, cofactors)
+
+
+def test_find_ec_group_params_with_a_cofactor_at_least_p():
+    # h*P with h >= p: reduced mod p it would be the wrong multiple, and the group would fail
+    # make_ec_group's order check with WrongOrderError
+    for p, cofactors in ((5, (6,)), (5, (7,)), (5, (8,)), (7, (8,))):
+        params = find_ec_group_params(p, cofactors)
+        assert params == exhaustive_ec_search(p, cofactors), (p, cofactors)
+        assert make_ec_group(*params).order == p
 
 
 def test_make_group_refuses_the_ec_search_by_name():

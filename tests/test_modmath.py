@@ -8,6 +8,7 @@ import pytest
 from dhpbound.modmath import (
     Factorization,
     IncompleteFactorizationError,
+    _small_primes,
     divisors_in_range,
     factorize,
     icbrt,
@@ -43,6 +44,16 @@ def test_is_prime_large_probabilistic_path():
     assert not is_prime(p * (2**61 - 1))
     with pytest.raises(ValueError):
         is_prime(p, rounds=0)
+
+
+def test_small_primes_match_a_plain_reference():
+    primes = _small_primes()
+    assert primes.typecode == "I"
+    assert len(primes) == 78_498  # pi(10^6)
+    assert primes[0] == 2 and primes[-1] == 999_983  # the largest prime below 10^6
+    reference = [n for n in range(2, 10**4) if all(n % k for k in range(2, math.isqrt(n) + 1))]
+    assert primes[: len(reference)].tolist() == reference
+    assert primes[len(reference)] > 10**4
 
 
 def test_factorize_small_complete():

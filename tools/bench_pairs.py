@@ -9,9 +9,10 @@ Pair i runs `perfbench/run.py --seed <seed + i> --trace 0` once in each
 checkout, one process at a time; even pairs run the parent first, odd pairs
 the change. For every end-to-end metric of the change's BENCHMARK.json it
 prints each side's median and quartiles, the pairs the change won and
-those it tied (a ledger count tied on every pair did not move), and
-whether the change's median is better than the parent's by more than the
-parent's quartile distance. The last line of standard output is the same
+those it tied (a ledger count tied on every pair did not move), whether
+the change's median is better than the parent's by more than the
+parent's quartile distance, and a regression verdict against the metric's
+bound (see verdict). The last line of standard output is the same
 summary as one JSON object. The exit code is 0 when every run was correct
 with no failed item, 1 otherwise.
 """
@@ -36,6 +37,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """The regression rule for one metric, sign +1 when higher is better and -1 when lower is.
+
+    "worse" when the change's median is worse than the parent's by more than
+    bound times the parent's median; else "unresolved" when the parent's
+    quartile distance exceeds that margin and not every change run beats
+    every parent run; else "ok".
+    """
+    q1, median, q3 = quartiles(parent)
+    margin = bound * abs(median)
+    if sign * (quartiles(change)[1] - median) < -margin:
+        return "worse"
+    if q3 - q1 > margin and min(sign * v for v in change) <= max(sign * v for v in parent):
+        return "unresolved"
+    return "ok"
+
+
 def summarise(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
     """Compare (parent, change) run results, each the JSON object run.py prints last.
 
@@ -43,7 +61,7 @@ def summarise(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
     change's value is strictly better than the parent's in the metric's
     better-direction, and tied when the two are equal. beyond_iqr holds when
     the change's median is better than the parent's by more than the
-    parent's quartile distance.
+    parent's quartile distance. verdict applies the metric's declared bound.
     """
     metrics = {}
     for spec in declared:
@@ -57,6 +75,7 @@ def summarise(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
             "won": sum(sign * (new - old) > 0 for old, new in zip(values["parent"], values["change"])),
             "tied": sum(new == old for old, new in zip(values["parent"], values["change"])),
             "beyond_iqr": gain > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "verdict": verdict(values["parent"], values["change"], sign, spec["bound"]),
         }
     clean = all(run["correct"] and run["failed"] == 0 for pair in pairs for run in pair)
     return {"pairs": len(pairs), "clean": clean, "metrics": metrics}
@@ -98,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         parent, change = m["parent"], m["change"]
         print(f"  {name:<30} parent {parent['median']:.6g} [{parent['q1']:.6g}, {parent['q3']:.6g}]"
               f"  change {change['median']:.6g} [{change['q1']:.6g}, {change['q3']:.6g}]"
-              f"  won {m['won']}/{len(pairs)} tied {m['tied']}"
+              f"  won {m['won']}/{len(pairs)} tied {m['tied']}  {m['verdict']}"
               f"{'  beyond parent IQR' if m['beyond_iqr'] else ''}")
     print(json.dumps({"workload": args.workload, "seconds": args.seconds, "seed": args.seed, **summary}))
     return 0 if summary["clean"] else 1
