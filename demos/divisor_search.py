@@ -15,12 +15,8 @@ Run: python demos/divisor_search.py
 
 from math import isqrt
 
-from dhpbound.bounds import (
-    load_database,
-    oracle_calls_exact,
-    reduction_ops_bound,
-    suggest_divisor,
-)
+from dhpbound.bounds import load_database, suggest_divisor
+from dhpbound.cost import oracle_calls_exact, reduction_ops_bound
 from dhpbound.modmath import (
     divisors_in_range,
     factorize,

@@ -15,10 +15,11 @@ Run: python demos/reduction_walkthrough.py
 
 import random
 
+from dhpbound.cost import WALK_NAMES
 from dhpbound.groups import make_group, make_zp_additive
 from dhpbound.modmath import divisors_in_range, factorize
 from dhpbound.oracle import OracleHandle
-from dhpbound.reduction import WALK_NAMES, cost_report, reduce_dlog
+from dhpbound.reduction import cost_report, reduce_dlog
 
 P = 101
 SECRET = 77

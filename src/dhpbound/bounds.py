@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from math import isfinite, isqrt
 
-from .implicit import oracle_calls_exact
+from .cost import divisor_split, oracle_calls_exact, reduction_ops_bound
 from .modmath import (
     Factorization,
     IncompleteFactorizationError,
@@ -30,7 +30,6 @@ from .modmath import (
     icbrt,
     log2_approx,
 )
-from .reduction import InvalidDivisorError, reduction_ops_bound
 
 # row verdict tiers, in increasing severity
 VERDICT_OK = "ok"
@@ -102,8 +101,8 @@ def _row_flags(rec: CurveRecord, log2_sqrt_p: float, log2_M: float) -> tuple[str
     # M ~ sqrt(p) would make the bound vacuous; warn when within 8 bits
     if log2_M > log2_sqrt_p - 8:
         flags.append("m-large")
-    # d**3 >= p and d*d <= p is the integer form of cbrt(p) <= d <= sqrt(p)
-    if not (rec.d**3 >= rec.p and rec.d * rec.d <= rec.p):
+    lo, hi = paper_band(rec.p)
+    if not lo <= rec.d <= hi:
         flags.append("policy-mismatch")
     if rec.annotations:
         flags.append("annotated")
@@ -198,21 +197,18 @@ def suggest_divisor(p: int, factors: Factorization, policy: str = "paper") -> in
     those with reduction_ops_bound at most 2^(log2(sqrt p) - 8), i.e. M at
     least 8 bits below the plain BSGS cost (compared in log2 to keep huge p
     exact); ties break toward the smaller divisor; None when no divisor
-    qualifies.
+    qualifies. Like divisors_in_range, it sees only the modmath.DIVISOR_CAP
+    (10^6) smallest divisors of p-1.
     """
     if not factors.complete:
         raise IncompleteFactorizationError("divisor suggestion needs p-1 fully factored")
     if policy == "paper":
         lo, hi = paper_band(p)
-        if lo <= hi:
-            in_range = divisors_in_range(factors, lo, hi)
-            if in_range:
-                return in_range[0]
-        if lo - 1 >= 2:
-            below = divisors_in_range(factors, 2, lo - 1)
-            if below:
-                return below[-1]
-        return None
+        smallest = divisors_in_range(factors, lo, hi, cap=1) if lo <= hi else []
+        if smallest:
+            return smallest[0]
+        below = divisors_in_range(factors, 2, lo - 1) if lo - 1 >= 2 else []
+        return below[-1] if below else None
     if policy == "min-n":
         budget = 0.5 * log2_approx(p) - 8
         best = None
@@ -292,8 +288,8 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
             d = _to_int("d", raw["d"]) if raw["d"] is not None else None
             if p < 3:
                 raise ValueError(f"p={p} is below 3")
-            if d is not None and (d < 1 or (p - 1) % d != 0):
-                raise InvalidDivisorError(f"d={d} does not divide p-1={p - 1}")
+            if d is not None:
+                divisor_split(p, d)  # raises InvalidDivisorError unless d divides p-1
             records.append(
                 CurveRecord(
                     name=raw["name"],

@@ -13,9 +13,11 @@ import random
 import sys
 import time
 import warnings
+from collections import Counter
 from dataclasses import asdict
 
 from . import bounds, invariants
+from .cost import WALK_NAMES, InvalidDivisorError, oracle_calls_exact, reduction_ops_bound
 from .groups import (
     ORDER_GUARD,
     CyclicGroup,
@@ -25,15 +27,9 @@ from .groups import (
     make_zp_additive,
 )
 from .implicit import PowCallBoundWarning
-from .modmath import factorize, is_prime, log2_approx
+from .modmath import DIVISOR_CAP, factorize, is_prime, log2_approx
 from .oracle import OracleHandle
-from .reduction import (
-    WALK_NAMES,
-    InvalidDivisorError,
-    ZeroDlogError,
-    cost_report,
-    reduce_dlog,
-)
+from .reduction import ZeroDlogError, cost_report, reduce_dlog
 
 BACKENDS = ("zp", "mult", "ec")  # make_group's backends, as --backend names them
 
@@ -125,9 +121,7 @@ def cmd_tables(args) -> int:
         print("\n".join(_markdown_table(prime_rows, args.diff)))
         print("\n## binary-field curves\n")
         print("\n".join(_markdown_table(binary_rows, args.diff)))
-        counts: dict[str, int] = {}
-        for r in rows:
-            counts[r.verdict] = counts.get(r.verdict, 0) + 1
+        counts = Counter(r.verdict for r in rows)
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
         print(f"\nsummary: {summary}")
         for r in rows:
@@ -253,14 +247,15 @@ def cmd_divisors(args) -> int:
     if f.complete:
         band = bounds.divisors_in_range(f, lo, hi) if lo <= hi else []
         shown = ", ".join(str(d) for d in band[:32]) or "(none)"
-        more = f" ... and {len(band) - 32} more" if len(band) > 32 else ""
+        floor = "at least " if len(band) == DIVISOR_CAP else ""
+        more = f" ... and {floor}{len(band) - 32} more" if len(band) > 32 else ""
         print(f"divisors in [{lo}, {hi}]: {shown}{more}")
         suggestion = bounds.suggest_divisor(p, f, args.policy)
         if suggestion is None:
             print(f"policy suggestion ({args.policy}): none (no divisor satisfies the policy)")
         else:
-            n = bounds.oracle_calls_exact(suggestion)
-            m_log = log2_approx(bounds.reduction_ops_bound(p, suggestion))
+            n = oracle_calls_exact(suggestion)
+            m_log = log2_approx(reduction_ops_bound(p, suggestion))
             print(
                 f"policy suggestion ({args.policy}): d={suggestion} "
                 f"(n={n}, log2 M={m_log:.2f})"

@@ -13,19 +13,10 @@ GroupMismatchError, and builds its result without running __init__, because
 the simulated oracle's baby table takes up to 65,535 sums through it; every
 other place that makes a point calls GroupPoint(group, data).
 
-Cost convention: one "group operation" is one point addition or doubling.
-scalar_mul_cost(k) is the double-and-add operation count charged for a scalar
-multiplication by k, even on backends where the whole product is a single
-machine operation; this keeps instrumentation comparable across backends.
-The fixed-base hook (_raw_fixed_base) follows the same rule: a caller bills
-what the generic windowed path performs -- the table, then one addition per
-nonzero window digit of k past the first. The table serves every k < p, so
-its top column's row holds multiples only up to the top digit of p - 1.
-F_q^x and EC build and read that table; only Z_p hands back its
-one-operation product and builds none. _generator_table keeps one such table
-per w on the generator for the group's lifetime: the reduction's walks on P
-read it, billed as above, and so does the simulated oracle for its answers,
-unbilled. A point's table key is its own data and costs no group operation.
+No group charges a cost: cost.py prices every operation, reads of the
+fixed-base hook _raw_fixed_base included (see its cost convention).
+_generator_table keeps one fixed-base table per w on the generator for
+the group's lifetime.
 
 Every baby-step giant-step search keys a point by its canonical data (an
 int residue, an (x, y) tuple, or None at infinity), the value eq compares.
@@ -133,19 +124,6 @@ class GroupPoint:
 # under a module name, so that add reaches each of the three with one global lookup
 _set_group, _set_data = GroupPoint.group.__set__, GroupPoint.data.__set__
 _allocate = object.__new__
-
-
-def scalar_mul_cost(k: int) -> int:
-    """Double-and-add operation count for scalar k: floor(log2 k) + popcount(k) - 1.
-
-    Zero for k in {0, 1} (no additions or doublings needed). Always at most
-    2*ceil(log2 k) for k >= 2.
-    """
-    if k < 0:
-        raise ValueError(f"negative scalar {k}")
-    if k <= 1:
-        return 0
-    return (k.bit_length() - 1) + k.bit_count() - 1
 
 
 class CyclicGroup:

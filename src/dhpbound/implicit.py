@@ -10,7 +10,7 @@ tables): bits of the exponent are processed most significant first, the
 accumulator starts at image(1), the squaring on the first bit is skipped, and
 every squaring and every set bit -- the leading one included -- costs one
 call. Total calls for exponent e: floor(log2 e) + popcount(e), which
-oracle_calls_exact gives (as 0 for e = 1, which a reduction skips). This is
+cost.oracle_calls_exact gives (as 0 for e = 1, which a reduction skips). This is
 the unique convention reproducing the published per-curve oracle-call
 counts, and it exceeds the rounder 2*floor(log2 e) estimate by one exactly
 when the exponent is all ones in binary; that case is flagged with a
@@ -22,7 +22,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .groups import CyclicGroup, GroupPoint, scalar_mul_cost
+from .cost import oracle_calls_exact, scalar_mul_cost
+from .groups import CyclicGroup, GroupPoint
 from .oracle import CostLedger, OracleHandle
 
 
@@ -94,19 +95,6 @@ def implicit_mul(
 ) -> ImplicitFieldElement:
     """(y*z)P by one oracle call."""
     return ImplicitFieldElement(o.dh(a.image, b.image))
-
-
-def oracle_calls_exact(d: int) -> int:
-    """DH-oracle calls a reduction spends on x^d: implicit_pow's floor(log2 d) + popcount(d), none for d = 1.
-
-    A reduction with d = 1 already holds x^d and skips implicit_pow, which
-    would spend one call on the single set bit.
-    """
-    if d < 1:
-        raise ValueError(f"divisor must be >= 1, got {d}")
-    if d == 1:
-        return 0
-    return (d.bit_length() - 1) + d.bit_count()
 
 
 def implicit_pow(o: OracleHandle, a: ImplicitFieldElement, e: int) -> ImplicitFieldElement:

@@ -181,7 +181,7 @@ def check_database(db: list[bounds.CurveRecord]) -> None:
     annotated, full-table exit code 2)."""
     _check(len(db) == 33, "database does not hold 33 records")
     for rec in db:
-        _check(is_prime(rec.p, rounds=64), f"database p not prime: {rec.name}")
+        _check(is_prime(rec.p), f"database p not prime: {rec.name}")
         if rec.d is not None:
             _check((rec.p - 1) % rec.d == 0, f"database d does not divide p-1: {rec.name}")
     rows = bounds.table_rows(db)

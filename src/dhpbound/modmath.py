@@ -20,7 +20,11 @@ from dataclasses import dataclass
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+_MR_ROUNDS = 64  # random-base rounds above _MR_DETERMINISTIC_BOUND: error probability <= 4**-64
+
 _TRIAL_DIVISION_LIMIT = 1_000_000
+
+DIVISOR_CAP = 10**6  # divisors_in_range returns at most this many, the smallest in range
 
 
 class IncompleteFactorizationError(ValueError):
@@ -51,15 +55,13 @@ class Factorization:
         return tuple(prime for prime, _ in self.factors)
 
 
-def is_prime(n: int, rounds: int = 64) -> bool:
+def is_prime(n: int) -> bool:
     """Miller-Rabin primality verdict.
 
     Deterministic (fixed witness set) for n below ~3.3e24; for larger n runs
-    `rounds` random-base rounds with error probability <= 4**(-rounds). Bases
+    _MR_ROUNDS = 64 random-base rounds with error probability <= 4**-64. Bases
     are drawn from an RNG seeded by n, so the verdict is reproducible.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -74,7 +76,7 @@ def is_prime(n: int, rounds: int = 64) -> bool:
         bases = [w for w in _MR_WITNESSES if w < n - 1]
     else:
         rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        bases = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS)]
     for a in bases:
         x = pow(a, s, n)
         if x == 1 or x == n - 1:
@@ -219,11 +221,13 @@ def log2_approx(n: int) -> float:
     return (k - 64) + math.log2(n >> (k - 64))
 
 
-def divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = 10**6) -> list[int]:
-    """Ascending divisors of the factored integer lying in [lo, hi], at most cap of them.
+def divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = DIVISOR_CAP) -> list[int]:
+    """The cap smallest divisors of the factored integer lying in [lo, hi], ascending.
 
-    Depth-first over exponent vectors, pruning any branch whose partial product
-    already exceeds hi, so smooth inputs cannot blow up the enumeration.
+    Depth-first over exponent vectors, pruning any branch whose partial
+    product already exceeds the bound, hi at first. Once 2*cap hits are
+    held, only the cap smallest are kept and the bound drops to the largest
+    of them, so smooth inputs cannot blow up the enumeration.
     """
     if not f.complete:
         raise IncompleteFactorizationError(
@@ -232,24 +236,23 @@ def divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = 10**6) -> l
     if lo > hi:
         raise ValueError(f"empty range: lo {lo} > hi {hi}")
     out: list[int] = []
-    entries = f.factors
+    entries, bound = f.factors, hi
 
     def walk(idx: int, acc: int) -> None:
-        if len(out) >= cap:
-            return
+        nonlocal bound
         if idx == len(entries):
-            if lo <= acc <= hi:
+            if lo <= acc <= bound:
                 out.append(acc)
+                if len(out) == 2 * cap:
+                    out[:] = sorted(out)[:cap]
+                    bound = out[-1]
             return
         prime, exp = entries[idx]
-        value = acc
         for _ in range(exp + 1):
-            if value > hi:
+            if acc > bound:
                 break
-            walk(idx + 1, value)
-            value *= prime
-
+            walk(idx + 1, acc)
+            acc *= prime
 
     walk(0, 1)
-    out.sort()
-    return out[:cap]
+    return sorted(out)[:cap]

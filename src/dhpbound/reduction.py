@@ -35,19 +35,10 @@ its planned window, whose table on P the group keeps, and a baby walk on
 the window _pulled_window picks for the points it can pull before its
 first hit.
 
-The bill is one pure section below. plan(p, params, j) gives the four walks
-on their planned windows: _plan picks w per walk from the points it is
-billed for, all of a baby side, the first half of a giant side. Both giant
-walks are on P, so phase 2's is offered phase 1's window with its table
-already paid for. bill(p, planned, u1, u2) prices the paper's classic search
-on those walks and windows, whichever window a baby walk ran on: each
-phase's whole baby walk, one table entry per baby point, and its
-giant walk through the match; _charges prices each point, each table in
-full with the first point of the walk that owns it, whatever the backend
-does underneath. reduce_dlog charges it once, after both matches. Oracle
-calls are charged as implicit_pow makes them.
+Every price comes from cost.py: plan gives the walks and their windows,
+and reduce_dlog charges bill's price of both matches once, after them.
 
-The searches only search, on the walks of plan(p, params, 0). A phase's
+The searches only search, on the walks of plan(p, d, zeta0, 0). A phase's
 giant side depends on p, d and its subgroup's generator g (zeta for phase
 1, zm for phase 2), never on Q, so _search keeps one GiantTable per phase
 and d on the group: the keys g^e * P, e = d1*u for u = 1..G1 in phase 1 and
@@ -71,20 +62,19 @@ import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
-from .groups import CyclicGroup, GroupPoint, scalar_mul_cost
-from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar, oracle_calls_exact
+from .cost import (
+    WALK_NAMES, Planned, Walk, Window, _pulled_window, _worst, bill, divisor_split, oracle_calls_exact, plan,
+    reduction_ops_bound,
+)
+from .groups import CyclicGroup, GroupPoint
+from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar
 from .modmath import Factorization, IncompleteFactorizationError, factorize
 from .oracle import CostLedger, OracleHandle
 
 
 class ZeroDlogError(ValueError):
     """Q is the identity: x = 0 is outside the x in [1, p-1] contract."""
-
-
-class InvalidDivisorError(ValueError):
-    """The requested d does not divide p-1."""
 
 
 class ImprobableFailureError(RuntimeError):
@@ -182,213 +172,6 @@ def _sample_generator(p: int, primes: tuple[int, ...], seed: int) -> tuple[int, 
     )
 
 
-# ------------------------------------------------------------- the bill
-
-
-class Walk(NamedTuple):
-    """One BSGS side: it visits k*base for k = k0*stride^i mod p, i = 0..points-1 at most."""
-
-    k0: int
-    stride: int
-    points: int
-
-
-# a run's four walks in order, as cost_report names their windows
-WALK_NAMES = ("phase1_baby", "phase1_giant", "phase2_baby", "phase2_giant")
-
-
-def walks(p: int, d: int, zeta0: int) -> tuple[Walk, Walk, Walk, Walk]:
-    """A run's walks in WALK_NAMES order, on x^d*P, P, Q and P; plan moves the last to zeta0^j."""
-    m = (p - 1) // d
-    d1, s2 = math.isqrt(m), math.isqrt(d)
-    giant1, zm = pow(zeta0, d * d1, p), pow(zeta0, m, p)
-    return (Walk(1, pow(zeta0, d, p), d1 + 1), Walk(giant1, giant1, -(-m // d1) + 1),
-            Walk(1, zm, s2 + 1), Walk(1, pow(zm, s2, p), -(-d // s2) + 2))
-
-
-class Window(NamedTuple):
-    """A w-bit fixed-base table as the planner prices it.
-
-    bill is table plus cols - 1 for every priced point past the first, the
-    key _windows sorts by. The table has cols = ceil(bits/w) columns
-    2^(wj)*base, cols - 1 of them built with w doublings each, and costs
-    table group ops. low and high hold the low w-1 bits and the top bit of
-    every digit: k has (((k & low) + low | k) & high).bit_count() nonzero
-    w-bit digits, since adding low carries into a digit's top bit exactly
-    when its low bits are not all zero.
-    """
-
-    bill: int
-    w: int
-    cols: int
-    table: int
-    low: int
-    high: int
-
-
-@functools.lru_cache(maxsize=1024)
-def _windows(n: int, later: int) -> tuple[Window, ...]:
-    """Windows 1 <= w < bits of n for multipliers k <= n and a walk priced at later + 1 points, cheapest first.
-
-    Every row but the top column's holds 2^w - 2 multiples at one addition
-    each. The top column's row holds them only up to top = n >> (w*(cols - 1)),
-    the largest top digit of any k <= n, at max(top - 1, 0) additions. Every
-    point after the first costs at most cols - 1 additions.
-    """
-    bits = n.bit_length()
-    out = []
-    for w in range(1, bits):
-        cols = -(-bits // w)
-        unit = ((1 << (w * cols)) - 1) // ((1 << w) - 1)  # lowest bit of every digit
-        top = n >> (w * (cols - 1))
-        table = (cols - 1) * w + (cols - 1) * ((1 << w) - 2) + max(top - 1, 0)
-        low, high = unit * ((1 << (w - 1)) - 1), unit << (w - 1)
-        out.append(Window(table + later * (cols - 1), w, cols, table, low, high))
-    return tuple(sorted(out))
-
-
-def _digits(k: int, window: Window) -> int:
-    """Nonzero w-bit digits of k."""
-    return (((k & window.low) + window.low | k) & window.high).bit_count()
-
-
-def _worst(walk: Walk, window: Window | None, points: int) -> int:
-    """Worst-case group ops of walk's first points points on window; None is the plain walk.
-
-    The plain walk pays a double-and-add by k0 to reach its start and one by
-    the stride per later point. A window pays its table, then one addition
-    per nonzero digit of k past the first: exactly that for k0, at most
-    cols - 1 for every later point.
-    """
-    if window is None:
-        return scalar_mul_cost(walk.k0) + (points - 1) * scalar_mul_cost(walk.stride)
-    return window.table + _digits(walk.k0, window) - 1 + (points - 1) * (window.cols - 1)
-
-
-Planned = tuple[Walk, Window | None]  # a walk and the window it runs on
-
-
-def _prices(p: int, walk: Walk, giant: bool = False, shared: Window | None = None) -> tuple:
-    """(price, window) for each window walk may run on, in tie order: its _worst less k0's part.
-
-    A baby side is priced at all its points, a giant side, billed only
-    through its match, at its first ceil(points/2). shared is phase 1's
-    giant window, whose table the run already built and was billed for: it
-    comes first, with no table charge, then the plain walk (None), then
-    _windows, cheapest first.
-    """
-    priced = -(-walk.points // 2) if giant else walk.points
-    prices = [((priced - 1) * scalar_mul_cost(walk.stride), None)]
-    if shared is not None:
-        shared = shared._replace(bill=shared.bill - shared.table, table=0)
-        prices.insert(0, ((priced - 1) * (shared.cols - 1), shared))
-    return (*prices, *((window.bill, window) for window in _windows(p - 1, priced - 1)))
-
-
-def _cheapest(k0: int, prices: tuple) -> Window | None:
-    """The first window of prices at the lowest price once k0's part is added.
-
-    k0's part is scalar_mul_cost(k0) on the plain walk and k0's nonzero
-    digits - 1 on a window. So no baby side costs more in the worst case
-    than without windows, and no giant side's first ceil(points/2) points
-    do; a giant side's later points may cost more than the plain walk's.
-    """
-    best, choice = math.inf, None
-    for price, window in prices:
-        if window is None:
-            price += scalar_mul_cost(k0)
-        elif price >= best:
-            break  # k0's digits only add to it, and later windows cost no less
-        else:
-            price += _digits(k0, window) - 1
-        if price < best:
-            best, choice = price, window
-    return choice
-
-
-def _plan(p: int, walk: Walk, giant: bool = False, shared: Window | None = None) -> Window | None:
-    """The window that makes the points walk is billed cheapest; None is the plain walk."""
-    return _cheapest(walk.k0, _prices(p, walk, giant, shared))
-
-
-@functools.lru_cache(maxsize=1024)
-def _run_plan(p: int, d: int, zeta0: int) -> tuple[tuple[Planned, ...], tuple]:
-    """plan(p, params, 0), and the _prices of phase 2's giant walk, which no j changes."""
-    baby1, giant1, baby2, giant2 = walks(p, d, zeta0)
-    shared = _plan(p, giant1, giant=True)
-    prices = _prices(p, giant2, giant=True, shared=shared)
-    planned = (baby1, _plan(p, baby1)), (giant1, shared), (baby2, _plan(p, baby2))
-    return (*planned, (giant2, _cheapest(giant2.k0, prices))), prices
-
-
-@functools.lru_cache(maxsize=1024)
-def _pulled_window(p: int, stride: int, points: int) -> Window | None:
-    """The window a baby walk of points points on stride runs on: _plan's for the points it pulls.
-
-    A baby walk stops at its first hit, which on an extended kept table is
-    within its first min(points, ceil(points/2) + 1) points and on a fresh
-    one about that on average, so it runs on the window those points favour.
-    The bill, and the plan, keep the window planned for the whole walk.
-    """
-    return _plan(p, Walk(1, stride, min(points, -(-points // 2) + 1)))
-
-
-def plan(p: int, params: ReductionParams, j: int) -> tuple[Planned, ...]:
-    """The run's four walks on their windows, in WALK_NAMES order.
-
-    j moves only phase 2's giant walk, through its start zeta0^j and that
-    start's part of its prices; the rest is memoised on (p, d, zeta0).
-    plan(p, params, 0) gives the walks the searches run, since phase 2's
-    kept table is filled from zeta0^0 = 1.
-    """
-    planned, prices = _run_plan(p, params.d, params.zeta0)
-    if not j:
-        return planned
-    giant = Walk(pow(params.zeta0, j, p), *planned[3][0][1:])
-    return (*planned[:3], (giant, _cheapest(giant.k0, prices)))
-
-
-def _charges(p: int, walk: Walk, window: Window | None):
-    """Group ops of each point of walk in turn, as _walk evaluates it on window.
-
-    The plain walk (None) pays a double-and-add by k0 for its first point
-    and one by the stride for each later one. A windowed walk pays the
-    window's table with the first point, also when the group reuses the
-    generator's from an earlier run (none on a table phase 2 shares with
-    phase 1), and each point its nonzero digits - 1, as the generic path
-    performs.
-    """
-    k, stride, points = walk
-    if window is None:
-        yield scalar_mul_cost(k)
-        yield from itertools.repeat(scalar_mul_cost(stride), points - 1)
-        return
-    table, low, high = window.table, window.low, window.high
-    for i in range(points):
-        yield (0 if i else table) + (((k & low) + low | k) & high).bit_count() - 1
-        k = k * stride % p
-
-
-@functools.lru_cache(maxsize=1024)
-def _bills(p: int, walk: Walk, window: Window | None) -> tuple[int, ...]:
-    """Group ops of walk's first i + 1 points on window, for every i < walk.points."""
-    return tuple(itertools.accumulate(_charges(p, walk, window)))
-
-
-def bill(p: int, planned: tuple[Planned, ...], u1: int, u2: int) -> tuple[int, int]:
-    """(group ops, table entries) of the classic search on planned whose matches are u1 and u2.
-
-    Each phase stores every point of its baby walk, one table entry each,
-    and probes the table with its giant walk until the match: phase 1 with
-    its points u = 1..u1, phase 2 with u = 0..u2. Prefix bills are memoised
-    per walk and window, except on phase 2's giant walk, whose start zeta0^j
-    changes with nearly every run.
-    """
-    (baby1, window1), giant1, (baby2, window2), giant2 = planned
-    kept = _bills(p, baby1, window1)[-1] + _bills(p, *giant1)[u1 - 1] + _bills(p, baby2, window2)[-1]
-    return kept + sum(itertools.islice(_charges(p, *giant2), u2 + 1)), baby1.points + baby2.points
-
-
 # ---------------------------------------------------------- the searches
 
 
@@ -453,7 +236,7 @@ def _search(
 ):
     """First (v, e) where the baby walk from k0*base meets the kept key of g^e * P; or None.
 
-    planned is a phase's (baby, giant) pair from plan(p, params, 0); g is the
+    planned is a phase's (baby, giant) pair from plan(p, d, zeta0, 0); g is the
     baby stride, which generates the subgroup searched. The giant walk visits
     g^e * P for e = e0 + step*i, i < G, G its points. The group's GiantTable
     under key is built over all G of them, replaced when a run's g differs,
@@ -504,7 +287,7 @@ def phase1_find_j(
     """
     p = group.order
     m, d1 = (p - 1) // params.d, params.d1
-    hit = _search(group, plan(p, params, 0)[:2], (1, params.d), d1, d1, q_pow_d)
+    hit = _search(group, plan(p, params.d, params.zeta0, 0)[:2], (1, params.d), d1, d1, q_pow_d)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
@@ -547,7 +330,7 @@ def phase2_find_t(
     p = group.order
     d, s2 = params.d, params.s2
     k0 = pow(params.zeta0, -j, p)
-    hit = _search(group, plan(p, params, 0)[2:], (2, d), 0, s2, ImplicitFieldElement(Q), k0)
+    hit = _search(group, plan(p, d, params.zeta0, 0)[2:], (2, d), 0, s2, ImplicitFieldElement(Q), k0)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"
@@ -571,24 +354,23 @@ def reduce_dlog(
     """
     p = group.order
     group._member(Q)
-    if d < 1 or (p - 1) % d != 0:
-        raise InvalidDivisorError(f"d={d} does not divide p-1={p - 1}")
+    m, d1, s2 = divisor_split(p, d)
     if group.eq(Q, group.identity):
         raise ZeroDlogError("Q is the identity: its exponent 0 is outside [1, p-1]")
     ledger = CostLedger()
     oracle.attach_ledger(ledger)
     zeta0 = find_generator(p, factorize(p - 1), seed)
-    params = ReductionParams(d, math.isqrt((p - 1) // d), math.isqrt(d), zeta0, pow(zeta0, d, p), seed)
+    params = ReductionParams(d, d1, s2, zeta0, pow(zeta0, d, p), seed)
     Q_implicit = ImplicitFieldElement(Q)
     # for d = 1, x^d is already in hand: no oracle calls
     x_pow_d = Q_implicit if d == 1 else implicit_pow(oracle, Q_implicit, d)
     j, u1, v1 = phase1_find_j(group, x_pow_d, params)
     t, u2, v2 = phase2_find_t(group, Q, j, params)
-    planned = plan(p, params, j)
+    planned = plan(p, d, zeta0, j)
     group_ops, table_entries = bill(p, planned, u1, u2)
     ledger.charge_group_ops(group_ops)
     ledger.charge_table_entries(table_entries)
-    i0 = ((p - 1) // d) * t + j
+    i0 = m * t + j
     x = pow(zeta0, i0, p)
     # self-check, off the books: the algorithm's answer must reproduce Q
     if not group.eq(group.scalar_mul(x, group.generator), Q):
@@ -598,13 +380,6 @@ def reduce_dlog(
         j=j, u1=u1, v1=v1, t=t, u2=u2, v2=v2,
         i0=i0, x=x, ledger=ledger, params=params, plan=planned,
     )
-
-
-def reduction_ops_bound(p: int, d: int) -> int:
-    """Group operations for the two BSGS walks: M = 2*(isqrt((p-1)/d) + isqrt(d))."""
-    if d < 1 or (p - 1) % d != 0:
-        raise InvalidDivisorError(f"d={d} does not divide p-1={p - 1}")
-    return 2 * (math.isqrt((p - 1) // d) + math.isqrt(d))
 
 
 def ceil_log2(n: int) -> int:
@@ -638,8 +413,7 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     reported but unenforced, and the walk ceiling, the worst case of the
     walks as planned, is the bound every run is held to.
     """
-    d1, s2 = tr.params.d1, tr.params.s2
-    m = (p - 1) // d
+    m, d1, s2 = divisor_split(p, d)
     calls_formula = oracle_calls_exact(d)
     lemma_call_bound = 0 if d == 1 else 2 * (d.bit_length() - 1)
     sweep_steps = (-(-m // d1) + 1) + (-(-d // s2) + 1) + d1 + s2

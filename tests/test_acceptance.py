@@ -15,6 +15,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from dhpbound import bounds, invariants
 from dhpbound.cli import _markdown_table
+from dhpbound.cost import oracle_calls_exact
 from dhpbound.groups import make_group, make_zp_additive
 from dhpbound.implicit import PowCallBoundWarning
 from dhpbound.invariants import InvariantFailure
@@ -160,9 +161,9 @@ def sweep():
 
 
 def test_criterion_3_exact_call_calibration(sweep):
-    ok = bounds.oracle_calls_exact(140876) == 24
+    ok = oracle_calls_exact(140876) == 24
     ok = ok and abs(log2_approx(24) - 4.59) <= 0.02
-    ok = ok and bounds.oracle_calls_exact(23348) == 22
+    ok = ok and oracle_calls_exact(23348) == 22
     ok = ok and abs(log2_approx(22) - 4.46) <= 0.02
     mismatched = sum(1 for r in sweep.runs if r["calls"] != r["formula"])
     ok = ok and mismatched == 0

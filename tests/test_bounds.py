@@ -12,14 +12,15 @@ from dhpbound.bounds import (
     VERDICT_OK,
     CurveRecord,
     DatabaseError,
+    _row_flags,
     load_database,
-    oracle_calls_exact,
-    reduction_ops_bound,
+    paper_band,
     rows_exit_code,
     suggest_divisor,
     t_dh,
     table_rows,
 )
+from dhpbound.cost import InvalidDivisorError, oracle_calls_exact, reduction_ops_bound
 from dhpbound.invariants import check_database
 from dhpbound.modmath import (
     Factorization,
@@ -28,7 +29,11 @@ from dhpbound.modmath import (
     is_prime,
     log2_approx,
 )
-from dhpbound.reduction import InvalidDivisorError
+
+
+# 6 times the product of the primes up to 73, plus 1: a 98-bit prime whose p-1 has
+# 2,027,857 divisors in the paper band, more than divisors_in_range's cap
+P98 = 244378083595494144903727940821
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +200,18 @@ def test_policy_mismatch_flag_matches_direct_check(db, rows):
     assert "policy-mismatch" in named["SECP112R1"].flags
 
 
+def test_policy_mismatch_flag_at_the_band_edges():
+    # paper_band's ends against the integer form of cbrt(p) <= d <= sqrt(p), on exact cubes
+    # and squares too: each end is inside, its outer neighbour outside
+    for p in (101, 1000, 1001, 1024, 1025, P98):
+        lo, hi = paper_band(p)
+        for d in (lo - 1, lo, hi, hi + 1):
+            inside = d**3 >= p and d * d <= p
+            assert inside == (d in (lo, hi)), (p, d)
+            rec = CurveRecord("X", "prime", p, d, None, None, None, None)
+            assert ("policy-mismatch" in _row_flags(rec, 0.0, -100.0)) == (not inside), (p, d)
+
+
 def test_no_d_marker_flags(rows):
     row = {r.name: r for r in rows}["SECP224K1"]
     assert not row.available
@@ -223,6 +240,15 @@ def test_exit_codes(db, rows):
 def test_suggest_divisor_paper_examples():
     assert suggest_divisor(101, factorize(100), "paper") == 5
     assert suggest_divisor(29, factorize(28), "paper") == 4
+
+
+def test_suggest_divisor_paper_on_a_smooth_98_bit_prime():
+    f = factorize(P98 - 1)
+    assert f.factors == ((2, 2), (3, 2), *((q, 1) for q in range(5, 74) if is_prime(q)))
+    d = suggest_divisor(P98, f, "paper")
+    assert d == 6252260916 and (P98 - 1) % d == 0
+    lo, hi = paper_band(P98)
+    assert lo <= d <= hi and all((P98 - 1) % k for k in range(lo, d))
 
 
 def test_suggest_divisor_paper_fallback_two():

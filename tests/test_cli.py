@@ -12,14 +12,9 @@ from pathlib import Path
 import pytest
 
 from dhpbound import invariants
-from dhpbound.bounds import (
-    log2_approx,
-    oracle_calls_exact,
-    reduction_ops_bound,
-    t_dh,
-)
+from dhpbound.bounds import log2_approx, t_dh
 from dhpbound.cli import main
-from dhpbound.reduction import WALK_NAMES
+from dhpbound.cost import WALK_NAMES, oracle_calls_exact, reduction_ops_bound
 
 
 def run(capsys, *argv):
@@ -353,6 +348,16 @@ def test_divisors_p101(capsys):
     assert "complete" in out
     assert "divisors in [5, 10]: 5, 10" in out
     assert "policy suggestion (paper): d=5" in out
+
+
+def test_divisors_listing_says_at_least_when_the_cap_is_reached(capsys):
+    # p - 1 = 6 * (the product of the primes up to 73) has 2,027,857 divisors in the band;
+    # the listing holds the cap's 10^6 smallest, so the count of the rest is a floor
+    code, out, _ = run(capsys, "divisors", "--p", "244378083595494144903727940821")
+    assert code == 0
+    assert "divisors in [6252025657, 494346117204832]: 6252260916, " in out
+    assert " ... and at least 999968 more\n" in out
+    assert "policy suggestion (paper): d=6252260916 " in out
 
 
 def test_divisors_p29(capsys):

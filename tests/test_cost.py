@@ -1,0 +1,133 @@
+"""Pricing from (p, d) alone: the divisor rule, the walk planner and the split from the engine.
+
+Nothing here builds a group. cost.py is the one home of every price, so
+the bound tables load it, and modmath, and nothing of the reduction.
+"""
+
+import ast
+import os
+import random
+import subprocess
+import sys
+from itertools import islice
+from math import isqrt
+from pathlib import Path
+
+import pytest
+
+from test_reduction import all_divisors, run_params, run_walks
+from dhpbound import cost
+from dhpbound.cost import (
+    InvalidDivisorError,
+    Walk,
+    _charges,
+    _plan,
+    _windows,
+    _worst,
+    divisor_split,
+    plan,
+    reduction_ops_bound,
+    scalar_mul_cost,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The dhpbound modules a fresh interpreter holds after running statement."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = f"{statement}; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'dhpbound'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_bound_tables_load_no_group_oracle_or_search():
+    assert loaded_after("import dhpbound.bounds") == [
+        "dhpbound", "dhpbound.bounds", "dhpbound.cost", "dhpbound.modmath",
+    ]
+    assert loaded_after("import dhpbound.cost") == ["dhpbound", "dhpbound.cost"]
+    # the benchmark's tracer rebinds these by module, so a binding in cost would escape its spans
+    assert not {"factorize", "is_prime", "divisors_in_range"} & set(vars(cost))
+
+
+def test_divisor_split_is_the_one_divisor_rule():
+    for p in (3, 29, 101, 1009):
+        for d in range(-2, p + 2):
+            if d >= 1 and (p - 1) % d == 0:
+                m = (p - 1) // d
+                assert divisor_split(p, d) == (m, isqrt(m), isqrt(d))
+                assert reduction_ops_bound(p, d) == 2 * (isqrt(m) + isqrt(d))
+                continue
+            for price in (divisor_split, reduction_ops_bound):
+                with pytest.raises(InvalidDivisorError) as caught:
+                    price(p, d)
+                assert str(caught.value) == f"d={d} does not divide p-1={p - 1}"
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_giant_side_billed_prefix_never_above_plain_walk(p):
+    # a giant side is priced at its first ceil(points/2) points, so those cost no more than plain
+    rng = random.Random(f"giant:{p}")
+    for _ in range(400):
+        points = rng.choice((2, 3, 5, isqrt(p) + 1, 2 * isqrt(p)))
+        walk = Walk(rng.randrange(1, p), rng.randrange(2, p), points)
+        half = -(-points // 2)
+        billed = sum(islice(_charges(p, walk, _plan(p, walk, giant=True)), half))
+        assert billed <= scalar_mul_cost(walk.k0) + (half - 1) * scalar_mul_cost(walk.stride), walk
+
+
+def two_step_window(p: int, walk: Walk, shared):
+    """Phase 2's giant window by the two-step sharing rule: the walk's own plan, then phase 1's
+    window with no table charge if its worst case over ceil(points/2) is no higher."""
+    own = _plan(p, walk, giant=True)
+    if shared is None:
+        return own
+    built = shared._replace(bill=shared.bill - shared.table, table=0)
+    half = -(-walk.points // 2)
+    return built if _worst(walk, built, half) <= _worst(walk, own, half) else own
+
+
+@pytest.mark.parametrize("p", [29, 101, 1009])
+def test_shared_plan_matches_two_step_rule(p):
+    # one window search with phase 1's window offered table-free, winning ties, decides
+    # exactly as planning the walk alone and then sharing when no dearer
+    outcomes = set()
+    for seed in (0, 1):
+        for d in all_divisors(p):
+            params = run_params(p, d, seed)
+            shared = _plan(p, run_walks(p, params)[1], giant=True)
+            js = range(1, (p - 1) // d + 1)
+            if len(js) > 40:
+                js = random.Random(f"{p}:{d}:{seed}").sample(js, 20)
+            for j in js:
+                giant = run_walks(p, params, j)[3]
+                got = _plan(p, giant, giant=True, shared=shared)
+                assert got == two_step_window(p, giant, shared), (p, d, seed, j)
+                assert plan(p, params.d, params.zeta0, j)[3] == (giant, got)  # off the memoised prices
+                outcomes.add((shared is not None, got is not None and got.table == 0))
+    assert outcomes >= {(True, True), (True, False), (False, False)}
+
+
+def test_plan_takes_the_first_cheapest_window():
+    # pricing each candidate in full picks what the k0-free prices plus k0's part pick: the
+    # lowest worst case, ties going to shared, then the plain walk, then _windows' order
+    rng = random.Random("ties")
+    ties = set()  # whether the plain walk won each tie
+    for p in (101, 1009, 16381):
+        for _ in range(400):
+            giant = rng.random() < 0.5
+            points = rng.choice((1, 2, 3, 6, isqrt(p) + 1))
+            walk = Walk(rng.choice([1, rng.randrange(1, p)]), rng.randrange(2, p), points)
+            shared = rng.choice([None, *_windows(p - 1, rng.randrange(4))])
+            priced = -(-points // 2) if giant else points
+            candidates = [None, *_windows(p - 1, priced - 1)]
+            if shared is not None:
+                candidates.insert(0, shared._replace(bill=shared.bill - shared.table, table=0))
+            costs = [_worst(walk, window, priced) for window in candidates]
+            best = candidates[costs.index(min(costs))]
+            assert _plan(p, walk, giant, shared) == best, (p, walk, giant, shared)
+            if costs.count(min(costs)) > 1:
+                ties.add(best is None)
+    assert ties == {True, False}

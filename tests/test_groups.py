@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+from dhpbound.cost import scalar_mul_cost
 from dhpbound.groups import (
     BadGeneratorError,
     CyclicGroup,
@@ -27,7 +28,6 @@ from dhpbound.groups import (
     make_group,
     make_mult_subgroup,
     make_zp_additive,
-    scalar_mul_cost,
 )
 from dhpbound.invariants import check_encode, check_group_laws
 from dhpbound.modmath import is_prime

@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from dhpbound.groups import brute_force_dlog, make_group, scalar_mul_cost
+from dhpbound.cost import scalar_mul_cost
+from dhpbound.groups import brute_force_dlog, make_group
 from dhpbound.implicit import (
     ImplicitFieldElement,
     NonInvertibleError,

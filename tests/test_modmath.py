@@ -42,8 +42,6 @@ def test_is_prime_large_probabilistic_path():
     assert p > 3_317_044_064_679_887_385_961_981
     assert is_prime(p)
     assert not is_prime(p * (2**61 - 1))
-    with pytest.raises(ValueError):
-        is_prime(p, rounds=0)
 
 
 def test_small_primes_match_a_plain_reference():
@@ -152,6 +150,15 @@ def test_divisors_in_range_requires_complete():
 def test_divisors_in_range_cap():
     f = factorize(2**20)
     assert divisors_in_range(f, 1, 2**20, cap=5) == [1, 2, 4, 8, 16]
+
+
+def test_divisors_in_range_cap_keeps_the_smallest():
+    # 54 = 2 * 3^3: the first three hits depth first are 1, 3 and 9
+    assert divisors_in_range(factorize(54), 1, 54, cap=3) == [1, 2, 3]
+    f = factorize(2**4 * 3**3 * 5**2 * 7 * 11)
+    band = [k for k in range(10, 5001) if f.value % k == 0]
+    for cap in (1, 2, 3, 7, 50, len(band) - 1, len(band), len(band) + 1):
+        assert divisors_in_range(f, 10, 5000, cap=cap) == band[:cap], cap
 
 
 def test_divisors_in_range_against_brute_force_40bit():

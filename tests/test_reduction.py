@@ -18,7 +18,21 @@ import pytest
 from test_bsgs_reference import bsgs_probe, bsgs_table
 from dhpbound import reduction
 from dhpbound.bounds import paper_band
-from dhpbound.groups import CyclicGroup, brute_force_dlog, make_group, make_zp_additive, scalar_mul_cost
+from dhpbound.cost import (
+    WALK_NAMES,
+    InvalidDivisorError,
+    Walk,
+    _bills,
+    _charges,
+    _plan,
+    _windows,
+    _worst,
+    bill,
+    plan,
+    scalar_mul_cost,
+    walks,
+)
+from dhpbound.groups import CyclicGroup, brute_force_dlog, make_group, make_zp_additive
 from dhpbound.implicit import ImplicitFieldElement, PowCallBoundWarning
 from dhpbound.invariants import check_reduction
 from dhpbound.modmath import (
@@ -30,30 +44,19 @@ from dhpbound.modmath import (
 )
 from dhpbound.oracle import CostLedger, OracleHandle
 from dhpbound.reduction import (
-    WALK_NAMES,
     ImprobableFailureError,
     InternalInconsistencyError,
-    InvalidDivisorError,
     ReductionParams,
-    Walk,
     ZeroDlogError,
-    _bills,
-    _charges,
-    _plan,
     _sample_generator,
     _walk,
-    _windows,
-    _worst,
-    bill,
     ceil_log2,
     cost_report,
     find_generator,
     generator_try_budget,
     phase1_find_j,
     phase2_find_t,
-    plan,
     reduce_dlog,
-    walks,
 )
 
 
@@ -542,18 +545,6 @@ def test_baby_side_never_billed_above_plain_walk(p):
             assert bill <= (points - 1) * scalar_mul_cost(stride), (stride, points)
 
 
-@pytest.mark.parametrize("p", [101, 1009])
-def test_giant_side_billed_prefix_never_above_plain_walk(p):
-    # a giant side is priced at its first ceil(points/2) points, so those cost no more than plain
-    rng = random.Random(f"giant:{p}")
-    for _ in range(400):
-        points = rng.choice((2, 3, 5, isqrt(p) + 1, 2 * isqrt(p)))
-        walk = Walk(rng.randrange(1, p), rng.randrange(2, p), points)
-        half = -(-points // 2)
-        billed = sum(islice(_charges(p, walk, _plan(p, walk, giant=True)), half))
-        assert billed <= scalar_mul_cost(walk.k0) + (half - 1) * scalar_mul_cost(walk.stride), walk
-
-
 @pytest.mark.parametrize("p", [17, 29, 101, 257, 1009, 16381])
 def test_table_is_built_at_its_billed_size(p):
     # the generic path's row additions plus (cols - 1)*w column doublings equal table_bill,
@@ -644,61 +635,6 @@ def run_params(p: int, d: int, seed: int) -> ReductionParams:
     )
 
 
-def two_step_window(p: int, walk: Walk, shared):
-    """Phase 2's giant window by the two-step sharing rule: the walk's own plan, then phase 1's
-    window with no table charge if its worst case over ceil(points/2) is no higher."""
-    own = _plan(p, walk, giant=True)
-    if shared is None:
-        return own
-    built = shared._replace(bill=shared.bill - shared.table, table=0)
-    half = -(-walk.points // 2)
-    return built if _worst(walk, built, half) <= _worst(walk, own, half) else own
-
-
-@pytest.mark.parametrize("p", [29, 101, 1009])
-def test_shared_plan_matches_two_step_rule(p):
-    # one window search with phase 1's window offered table-free, winning ties, decides
-    # exactly as planning the walk alone and then sharing when no dearer
-    outcomes = set()
-    for seed in (0, 1):
-        for d in all_divisors(p):
-            params = run_params(p, d, seed)
-            shared = _plan(p, run_walks(p, params)[1], giant=True)
-            js = range(1, (p - 1) // d + 1)
-            if len(js) > 40:
-                js = random.Random(f"{p}:{d}:{seed}").sample(js, 20)
-            for j in js:
-                giant = run_walks(p, params, j)[3]
-                got = _plan(p, giant, giant=True, shared=shared)
-                assert got == two_step_window(p, giant, shared), (p, d, seed, j)
-                assert plan(p, params, j)[3] == (giant, got)  # off the memoised prices
-                outcomes.add((shared is not None, got is not None and got.table == 0))
-    assert outcomes >= {(True, True), (True, False), (False, False)}
-
-
-def test_plan_takes_the_first_cheapest_window():
-    # pricing each candidate in full picks what the k0-free prices plus k0's part pick: the
-    # lowest worst case, ties going to shared, then the plain walk, then _windows' order
-    rng = random.Random("ties")
-    ties = set()  # whether the plain walk won each tie
-    for p in (101, 1009, 16381):
-        for _ in range(400):
-            giant = rng.random() < 0.5
-            points = rng.choice((1, 2, 3, 6, isqrt(p) + 1))
-            walk = Walk(rng.choice([1, rng.randrange(1, p)]), rng.randrange(2, p), points)
-            shared = rng.choice([None, *_windows(p - 1, rng.randrange(4))])
-            priced = -(-points // 2) if giant else points
-            candidates = [None, *_windows(p - 1, priced - 1)]
-            if shared is not None:
-                candidates.insert(0, shared._replace(bill=shared.bill - shared.table, table=0))
-            costs = [_worst(walk, window, priced) for window in candidates]
-            best = candidates[costs.index(min(costs))]
-            assert _plan(p, walk, giant, shared) == best, (p, walk, giant, shared)
-            if costs.count(min(costs)) > 1:
-                ties.add(best is None)
-    assert ties == {True, False}
-
-
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
 def test_cost_report_reads_the_plan_the_run_carries(kind):
     # the run's plan holds the four walks it ran on their windows; cost_report prices the walk
@@ -711,7 +647,7 @@ def test_cost_report_reads_the_plan_the_run_carries(kind):
         windowed += any(window is not None for _, window in tr.plan)
         baby1, giant1, baby2, giant2 = run_walks(101, tr.params, tr.j)
         assert [walk for walk, _ in tr.plan] == [baby1, giant1, baby2, giant2]
-        assert tr.plan == plan(101, tr.params, tr.j)
+        assert tr.plan == plan(101, d, tr.params.zeta0, tr.j)
         assert [window for _, window in tr.plan] == [
             _plan(101, baby1), _plan(101, giant1, giant=True), _plan(101, baby2),
             _plan(101, giant2, giant=True, shared=tr.plan[1][1]),
@@ -920,7 +856,7 @@ def assert_phase2_matches_reference(group, x: int, d: int, seed: int):
     ledger = CostLedger()
     _, u1, _ = reference_phase1(group, walk_base(group, pow(x, d, p)), params, ledger)
     assert found == reference_phase2(group, Q, j, params, ledger), (group.backend, x, d, seed)
-    billed = bill(p, plan(p, params, j), u1, found[1])
+    billed = bill(p, plan(p, d, params.zeta0, j), u1, found[1])
     assert (ledger.group_ops, ledger.bsgs_table_entries) == billed, (group.backend, x, d, seed)
     return found
 
@@ -1160,7 +1096,7 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds, 
             for phase, giants in zip(PHASES, tables):
                 assert_giant_keys(reused, giants, tr.params, phase)
             # the memoised bills of the walks plan gives the searches, from their digits
-            planned = plan(p, tr.params, 0)
+            planned = plan(p, d, tr.params.zeta0, 0)
             for baby, window in planned[::2]:
                 assert _bills(p, baby, window)[-1] == formula_bill(p, baby, w_of(_plan(p, baby)))
             giant = planned[1][0]
@@ -1253,7 +1189,7 @@ def test_giant_key_cache_is_bounded_by_the_group():
                     assert_giant_keys(group, giants, params, phase)
                     assert giants.extended
                     assert len(giants.table) <= 2 * giant_points(p, params, phase)
-                assert giant_points(p, params, 1) == len(_bills(p, *plan(p, params, 0)[1]))
+                assert giant_points(p, params, 1) == len(_bills(p, *plan(p, d, params.zeta0, 0)[1]))
             kept.append(dict(group._giant_tables))
         # more runs of the same (d, seed) keep the same tables
         assert all(kept[-3][key] is kept[-2][key] is kept[-1][key] for key in keys)
