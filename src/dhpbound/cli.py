@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict
 
 from . import bounds, invariants
-from .cost import WALK_NAMES, InvalidDivisorError, oracle_calls_exact, reduction_ops_bound
+from .cost import WALK_NAMES, InvalidDivisorError, divisor_split, oracle_calls_exact, reduction_ops_bound
 from .groups import (
     ORDER_GUARD,
     CyclicGroup,
@@ -27,7 +27,7 @@ from .groups import (
     make_zp_additive,
 )
 from .implicit import PowCallBoundWarning
-from .modmath import DIVISOR_CAP, factorize, is_prime, log2_approx
+from .modmath import DIVISOR_CAP, count_divisors_in_range, factorize, is_prime, log2_approx
 from .oracle import OracleHandle
 from .reduction import ZeroDlogError, cost_report, reduce_dlog
 
@@ -139,8 +139,7 @@ def cmd_reduce(args) -> int:
         _require_prime(p)
         if p > ORDER_GUARD:
             raise CliError(f"desk-scale guard: p must be <= 2^32, got {p}")
-        if d < 1 or (p - 1) % d != 0:
-            raise CliError(f"invalid divisor: d={d} does not divide p-1={p - 1}")
+        divisor_split(p, d)
         if args.x is not None:
             x = args.x
             if x == 0:
@@ -245,10 +244,11 @@ def cmd_divisors(args) -> int:
         print(f"  unfactored composite cofactor: {f.cofactor} ({f.cofactor.bit_length()} bits)")
     lo, hi = bounds.paper_band(p)
     if f.complete:
-        band = bounds.divisors_in_range(f, lo, hi) if lo <= hi else []
-        shown = ", ".join(str(d) for d in band[:32]) or "(none)"
-        floor = "at least " if len(band) == DIVISOR_CAP else ""
-        more = f" ... and {floor}{len(band) - 32} more" if len(band) > 32 else ""
+        listed = bounds.divisors_in_range(f, lo, hi, cap=32) if lo <= hi else []  # the 32 smallest
+        count = count_divisors_in_range(f, lo, hi) if len(listed) == 32 else len(listed)  # up to the cap
+        shown = ", ".join(map(str, listed)) or "(none)"
+        floor = "at least " if count == DIVISOR_CAP else ""
+        more = f" ... and {floor}{count - 32} more" if count > 32 else ""
         print(f"divisors in [{lo}, {hi}]: {shown}{more}")
         suggestion = bounds.suggest_divisor(p, f, args.policy)
         if suggestion is None:

@@ -224,15 +224,20 @@ def _run_plan(p: int, d: int, zeta0: int) -> tuple[tuple[Planned, ...], tuple]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _pulled_window(p: int, stride: int, points: int) -> Window | None:
+def _pulled_window(p: int, stride: int, points: int, pulls: int) -> Window | None:
     """The window a baby walk of points points on stride runs on: _plan's for the points it pulls.
 
-    A baby walk stops at its first hit, which on an extended kept table is
-    within its first min(points, ceil(points/2) + 1) points and on a fresh
-    one about that on average, so it runs on the window those points favour.
-    The bill, and the plan, keep the window planned for the whole walk.
+    pulls is the kept giant table's pull bound, which reduction._search
+    passes: the widest gap between the offsets of its stored layers, plus
+    1, since a baby walk meets a stored key within that gap. It is step +
+    1, the whole baby walk, on a table just built, ceil(step/2) + 1 once
+    the half-stride layer is in, and about step/2^k + 1 once phase 1's
+    table holds 2^k layers. On a table just built the first hit falls on
+    average about halfway, so the walk runs on the window that suits the
+    fewer of pulls and ceil(points/2) + 1 points. The bill, and the plan,
+    keep the window planned for the whole walk.
     """
-    return _plan(p, Walk(1, stride, min(points, -(-points // 2) + 1)))
+    return _plan(p, Walk(1, stride, min(pulls, -(-points // 2) + 1)))
 
 
 def plan(p: int, d: int, zeta0: int, j: int) -> tuple[Planned, ...]:

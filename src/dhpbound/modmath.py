@@ -256,3 +256,47 @@ def divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = DIVISOR_CAP
 
     walk(0, 1)
     return sorted(out)[:cap]
+
+
+def count_divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = DIVISOR_CAP) -> int:
+    """How many divisors of the factored integer lie in [lo, hi], counted up to cap; none is kept.
+
+    Depth-first over exponent vectors like divisors_in_range, pruning any
+    branch whose partial product already exceeds hi or can no longer reach
+    lo, and stopping once cap divisors are counted. So the count is
+    min(cap, len(divisors_in_range(f, lo, hi, cap))) in memory that grows
+    only with the number of distinct primes.
+    """
+    if not f.complete:
+        raise IncompleteFactorizationError(
+            "divisor enumeration requires a complete factorization"
+        )
+    if lo > hi:
+        raise ValueError(f"empty range: lo {lo} > hi {hi}")
+    entries = f.factors
+    reach = [1] * (len(entries) + 1)  # reach[i]: the largest product of entries[i:]
+    for i in range(len(entries) - 1, -1, -1):
+        prime, exp = entries[i]
+        reach[i] = reach[i + 1] * prime**exp
+    count, last = 0, len(entries) - 1
+
+    def walk(idx: int, acc: int) -> bool:
+        """Count the divisors acc * (a divisor of entries[idx:]) in range; True once cap are counted."""
+        nonlocal count
+        prime, exp = entries[idx]
+        rest = reach[idx + 1]
+        for _ in range(exp + 1):
+            if acc > hi:
+                break
+            if acc * rest >= lo:
+                if idx == last:
+                    count += 1
+                elif walk(idx + 1, acc):
+                    return True
+            acc *= prime
+        return count >= cap
+
+    if not entries:
+        return min(int(lo <= 1 <= hi), cap)
+    walk(0, 1)
+    return min(count, cap)

@@ -33,7 +33,7 @@ the plain double-and-add walk. A key does not depend on the window it was
 computed on, so execution and billing are separate: a giant walk runs on
 its planned window, whose table on P the group keeps, and a baby walk on
 the window _pulled_window picks for the points it can pull before its
-first hit.
+first hit on the kept table (below).
 
 Every price comes from cost.py: plan gives the walks and their windows,
 and reduce_dlog charges bill's price of both matches once, after them.
@@ -43,25 +43,36 @@ giant side depends on p, d and its subgroup's generator g (zeta for phase
 1, zm for phase 2), never on Q, so _search keeps one GiantTable per phase
 and d on the group: the keys g^e * P, e = d1*u for u = 1..G1 in phase 1 and
 e = s2*u for u = 0..G2 - 1 in phase 2, each mapped to e. A run with another
-g replaces it. Its first run builds it over the whole giant walk, and its
-first reuse adds the half-stride points e - floor(step/2) once. Each run
-streams its baby points into the table and stops at the first hit (v, e):
-phase 1's zeta^v * x^d P gives j = (e - v - 1) mod m + 1, and phase 2's
-zm^v * zeta0^-j Q gives t = (e - v) mod d, since g has order m or d. The
-classic search's matches follow: u1 = ceil(j/d1), v1 = u1*d1 - j and
-u2 = ceil(t/s2), v2 = u2*s2 - t. Phase 2's giant walk from zeta0^j is
-billed, never run.
+g replaces it. Its first run builds it over the whole giant walk, one
+layer. Each reuse may add one more layer, the same G exponents shifted
+down by an offset o in [0, step) that halves the widest gap left between
+the stored offsets: floor(step/2), then the quarters, then the odd eighths
+and so on, G keys each, so no run pays for more than one layer. The first
+reuse always adds the half-stride layer (when step > 1). Later reuses grow
+phase 1's table while it holds fewer than KEPT_TABLE_KEYS = 2^10 keys and
+its widest gap is above 1; phase 2's stops at the half-stride layer, since
+its baby walk is short and its cost is the first point, k0 * Q. Each run
+streams its baby points into the table and stops at the first hit (v, e),
+within the widest gap's width of pulls; the baby walk runs on the window
+_pulled_window gives for the table's pull bound, that width plus 1. Phase 1's
+zeta^v * x^d P gives j = (e - v - 1) mod m + 1, and phase 2's
+zm^v * zeta0^-j Q gives t = (e - v) mod d, whichever stored e was hit, since
+g has order m or d. The classic search's matches follow: u1 = ceil(j/d1),
+v1 = u1*d1 - j and u2 = ceil(t/s2), v2 = u2*s2 - t. So the ledger does not
+see the layers: it prices the classic search, not the table a run probes.
+Phase 2's giant walk from zeta0^j is billed, never run.
 The final verification is a self-check, not part of the algorithm, and is
 left off the books.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .cost import (
     WALK_NAMES, Planned, Walk, Window, _pulled_window, _worst, bill, divisor_split, oracle_calls_exact, plan,
@@ -213,25 +224,52 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
         k = k * stride % p
 
 
+KEPT_TABLE_KEYS = 1 << 10  # phase 1's kept table adds layers past its second while it holds fewer keys
+
+
 @dataclass
 class GiantTable:
     """One search's kept giant side for one (group, d, g), shared by every Q; it holds no bill.
 
     g generates the subgroup the search runs in: zeta for phase 1, zm =
     zeta0^m for phase 2. table maps the key of g^e * P, its canonical data,
-    to e. A build stores the giant walk, e = e0 + step*i for i < G, G its
-    points (e0 = step = d1 in phase 1; e0 = 0, step = s2 in phase 2);
-    extended marks that the half-stride walk, each of those e minus
-    floor(step/2), has been added too, so the table holds at most 2G keys.
+    to e. It is stored in layers, each the giant walk's exponents e = e0 +
+    step*i, i < G, G its points (e0 = step = d1 in phase 1; e0 = 0, step =
+    s2 in phase 2), less one offset o in [0, step). A build stores o = 0,
+    and each later layer the o that halves the widest gap between the
+    stored offsets, taken cyclically mod step, the first widest on ties: so
+    floor(step/2), then the quarters, then the odd eighths and so on, and
+    no offset twice. A baby walk meets a stored key within the widest
+    gap's width of pulls, so pulls, that width plus 1, is step + 1, the
+    whole baby walk, on a build and about step/2^k + 1 once 2^k layers are
+    stored.
     """
 
     g: int
-    table: dict
-    extended: bool = False
+    step: int
+    table: dict = field(default_factory=dict)
+    offsets: list = field(default_factory=lambda: [0])  # sorted; layer o stores the exponents e - o
+    pulls: int = field(init=False)  # the widest gap between offsets plus 1
+
+    def __post_init__(self):
+        self.pulls = self.step + 1
+
+    def _widest(self) -> tuple[int, int]:
+        """(width, start) of the widest gap between stored offsets, cyclic mod step; the first on ties."""
+        ends = self.offsets[1:] + [self.step]
+        return max(((end - start, start) for start, end in zip(self.offsets, ends)), key=lambda gap: gap[0])
+
+    def grow(self) -> int:
+        """Store the offset that halves the widest gap and update pulls; returns the offset."""
+        width, start = self._widest()
+        offset = start + width // 2
+        bisect.insort(self.offsets, offset)
+        self.pulls = self._widest()[0] + 1
+        return offset
 
 
 def _search(
-    group: CyclicGroup, planned: tuple[Planned, Planned], key: tuple, e0: int, step: int,
+    group: CyclicGroup, planned: tuple[Planned, Planned], key: tuple, e0: int, step: int, budget: int,
     base: ImplicitFieldElement, k0: int = 1,
 ):
     """First (v, e) where the baby walk from k0*base meets the kept key of g^e * P; or None.
@@ -240,29 +278,31 @@ def _search(
     baby stride, which generates the subgroup searched. The giant walk visits
     g^e * P for e = e0 + step*i, i < G, G its points. The group's GiantTable
     under key is built over all G of them, replaced when a run's g differs,
-    and on its first reuse extended once by the half-stride walk, the same G
-    exponents less h = floor(step/2), on the same stride and window (nothing
-    when h = 0). The baby walk then pulls one key per v < its points, on
-    the window _pulled_window picks for it, and stops at the first stored
-    one.
+    and grows by one layer per reuse: the same G exponents less the next
+    offset, on the same stride and window. The first reuse adds the
+    half-stride layer; later ones add a layer while the table holds fewer
+    than budget keys (KEPT_TABLE_KEYS in phase 1, 0 in phase 2); none is
+    added once the widest gap is 1, so a table with step 1 never grows. The
+    baby walk then pulls one key per v < its points, on the window
+    _pulled_window picks for the table's pull bound, and stops at the first
+    stored one.
     """
     (baby, _), (giant, giant_window) = planned
     g = baby.stride
-    kept, walk = group._giant_tables.get(key), None
+    kept, offset = group._giant_tables.get(key), None
     if kept is None or kept.g != g:  # build over the giant walk, which starts at g^e0
-        kept = group._giant_tables[key] = GiantTable(g, {})
-        walk, first = giant, e0
-    elif not kept.extended:  # first reuse: add the half-stride walk, once
-        kept.extended = True
-        if step > 1:
-            first = e0 - step // 2
-            walk = Walk(pow(g, first, group.order), giant.stride, giant.points)
-    if walk is not None:
+        kept = group._giant_tables[key] = GiantTable(g, step)
+        offset = 0
+    elif kept.pulls > 2 and (len(kept.offsets) == 1 or len(kept.table) < budget):
+        offset = kept.grow()
+    if offset is not None:
+        first = e0 - offset
+        walk = giant._replace(k0=pow(g, first, group.order))
         generator = ImplicitFieldElement(group.generator)
         keys = itertools.islice(_walk(group, generator, walk, giant_window), walk.points)  # G pulls, no more
         kept.table.update(zip(keys, range(first, first + step * walk.points, step)))
     table = kept.table
-    window = _pulled_window(group.order, g, baby.points)
+    window = _pulled_window(group.order, g, baby.points, kept.pulls)
     babies = _walk(group, base, Walk(k0, g, baby.points), window)
     for v, point in zip(range(baby.points), babies):
         e = table.get(point)
@@ -282,12 +322,14 @@ def phase1_find_j(
     zeta^v * x^d = zeta^e gives j = (e - v - 1) mod m + 1, whichever stored
     e it met, also in degenerate splits where exponents wrap. The match of
     the classic search, a baby table probed in u1 order, follows: u1 =
-    ceil(j/d1), v1 = u1*d1 - j. On an extended table the probe pulls at most
-    ceil(d1/2) + 1 baby points. Returns (j, u1, v1).
+    ceil(j/d1), v1 = u1*d1 - j. The probe pulls at most the widest gap
+    between the table's layer offsets: d1 on a build, ceil(d1/2) once the
+    half-stride layer is in, fewer as the table grows. Returns (j, u1, v1).
     """
     p = group.order
     m, d1 = (p - 1) // params.d, params.d1
-    hit = _search(group, plan(p, params.d, params.zeta0, 0)[:2], (1, params.d), d1, d1, q_pow_d)
+    planned = plan(p, params.d, params.zeta0, 0)[:2]
+    hit = _search(group, planned, (1, params.d), d1, d1, KEPT_TABLE_KEYS, q_pow_d)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
@@ -330,7 +372,7 @@ def phase2_find_t(
     p = group.order
     d, s2 = params.d, params.s2
     k0 = pow(params.zeta0, -j, p)
-    hit = _search(group, plan(p, d, params.zeta0, 0)[2:], (2, d), 0, s2, ImplicitFieldElement(Q), k0)
+    hit = _search(group, plan(p, d, params.zeta0, 0)[2:], (2, d), 0, s2, 0, ImplicitFieldElement(Q), k0)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"

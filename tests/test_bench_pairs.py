@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary of alternating benchmark pairs, on made-up run results."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,10 @@ DECLARED = [
 ]
 
 
-def result(throughput: float, p50: float, correct: bool = True, failed: int = 0) -> dict:
+def result(throughput: float, p50: float, correct: bool = True, failed: int = 0,
+           attempted: int = 100) -> dict:
     """A run's last line as run.py prints it, reduced to the declared metrics."""
-    return {"correct": correct, "attempted": 100, "failed": failed, "metrics": {
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {
         "throughput": {"value": throughput, "unit": "items/s"},
         "latency_ms.p50": {"value": p50, "unit": "ms"},
     }}
@@ -82,3 +84,28 @@ def test_summary_carries_each_metric_verdict():
     metrics = bench_pairs.summarise(pairs, DECLARED)["metrics"]
     assert metrics["throughput"]["verdict"] == "worse"
     assert metrics["latency_ms.p50"]["verdict"] == "ok"  # tied on every pair
+
+
+def test_peak_rss_is_printed_next_to_each_sides_median_item_count(tmp_path, monkeypatch, capsys):
+    declared = [*DECLARED, {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": declared}))
+    # in run order: parent, change; change, parent; parent, change
+    runs = iter([(100, 20.0, 1000), (120, 21.0, 1200), (118, 21.2, 1180), (104, 20.2, 1040),
+                 (102, 20.1, 1020), (122, 21.4, 1220)])
+
+    def run_once(checkout, workload, seed, seconds):
+        throughput, rss, attempted = next(runs)
+        run = result(throughput, 3.0, attempted=attempted)
+        run["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+        return run
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "walk", "--pairs", "3",
+            "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rss = next(line for line in lines if line.lstrip().startswith("peak_rss_mb"))
+    assert rss.endswith("  attempted parent 1020 change 1200")
+    assert not any("attempted" in line for line in lines[:-1] if line is not rss)
+    assert json.loads(lines[-1])["attempted"] == {"parent": 1020, "change": 1200}
+

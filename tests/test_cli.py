@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from dhpbound import invariants
-from dhpbound.bounds import log2_approx, t_dh
+from dhpbound.bounds import load_database, log2_approx, paper_band, t_dh
 from dhpbound.cli import main
 from dhpbound.cost import WALK_NAMES, oracle_calls_exact, reduction_ops_bound
+from dhpbound.modmath import divisors_in_range, factorize
 
 
 def run(capsys, *argv):
@@ -282,6 +283,13 @@ def test_reduce_rejections(capsys):
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
+def test_reduce_rejects_a_non_divisor_by_the_one_divisor_rule(capsys):
+    # cost.divisor_split's message, as every other command reports a bad divisor
+    for d in ("3", "0", "-4", "200"):
+        code, out, err = run(capsys, "reduce", "--p", "101", "--d", d, "--x", "3")
+        assert (code, out, err) == (1, "", f"error: d={d} does not divide p-1=100\n")
+
+
 def test_reduce_ec_at_2_32_from_the_registry(capsys):
     # past the search guard, the packaged curve of order 4293896137 and d = 2019 in the paper's band
     code, out, _ = run(capsys, "reduce", "--backend", "ec", "--p", "4293896137", "--d", "2019",
@@ -358,6 +366,27 @@ def test_divisors_listing_says_at_least_when_the_cap_is_reached(capsys):
     assert "divisors in [6252025657, 494346117204832]: 6252260916, " in out
     assert " ... and at least 999968 more\n" in out
     assert "policy suggestion (paper): d=6252260916 " in out
+
+
+def test_divisors_listing_matches_the_whole_band_on_every_record(capsys):
+    # the listing takes the 32 smallest band divisors and counts the rest without keeping them;
+    # on every database record its line is the one the whole band list gives; at --budget 10^4
+    # nine records factor, two with band divisors, one of them with more than 32
+    listed = 0
+    for rec in load_database():
+        code, out, _ = run(capsys, "divisors", "--p", str(rec.p), "--budget", "10000")
+        assert code == 0
+        f = factorize(rec.p - 1, effort_budget=10**4)
+        lo, hi = paper_band(rec.p)
+        line = next(line for line in out.splitlines() if line.startswith("divisors in ["))
+        if not f.complete:
+            assert line.endswith(": enumeration unavailable (incomplete factorization)"), rec.name
+            continue
+        band = divisors_in_range(f, lo, hi) if lo <= hi else []
+        more = f" ... and {len(band) - 32} more" if len(band) > 32 else ""
+        assert line == f"divisors in [{lo}, {hi}]: {', '.join(map(str, band[:32])) or '(none)'}{more}"
+        listed += len(band) > 32
+    assert listed == 1
 
 
 def test_divisors_p29(capsys):

@@ -9,6 +9,7 @@ from dhpbound.modmath import (
     Factorization,
     IncompleteFactorizationError,
     _small_primes,
+    count_divisors_in_range,
     divisors_in_range,
     factorize,
     icbrt,
@@ -170,3 +171,33 @@ def test_divisors_in_range_against_brute_force_40bit():
     lo, hi = icbrt(p), math.isqrt(p)
     brute = [k for k in range(lo, hi + 1) if n % k == 0]
     assert divisors_in_range(f, lo, hi) == brute
+
+
+def test_count_divisors_in_range_counts_up_to_the_cap():
+    rng = random.Random("count")
+    for n in [720720, 2**10 * 3**4, 2, 97, *rng.sample(range(2, 20000), 60)]:
+        f = factorize(n)
+        divisors = [k for k in range(1, n + 1) if n % k == 0]
+        for _ in range(8):
+            lo = rng.randrange(0, n + 2)
+            hi = rng.randrange(lo, n + 3)
+            inside = sum(lo <= k <= hi for k in divisors)
+            for cap in (1, 2, 7, inside, inside + 1, 10**6):
+                if cap >= 1:
+                    assert count_divisors_in_range(f, lo, hi, cap) == min(inside, cap), (n, lo, hi, cap)
+    assert count_divisors_in_range(Factorization((), True), 1, 1) == 1  # the empty product, 1
+    with pytest.raises(IncompleteFactorizationError):
+        count_divisors_in_range(Factorization(((2, 1),), False, cofactor=91), 1, 10)
+    with pytest.raises(ValueError, match="empty range"):
+        count_divisors_in_range(factorize(12), 5, 4)
+
+
+def test_count_divisors_in_range_on_a_smooth_98_bit_p_minus_1():
+    # p - 1 = 6 * (the primes up to 73 multiplied), whose band holds 2,027,857 divisors: a count
+    # stops at its cap, and a narrow band is counted in full
+    p = 244378083595494144903727940821
+    f = factorize(p - 1)
+    lo, hi = icbrt(p) + 1, math.isqrt(p)
+    assert count_divisors_in_range(f, lo, hi, cap=100) == 100
+    narrow = (lo, lo + 10**8)
+    assert count_divisors_in_range(f, *narrow) == len(divisors_in_range(f, *narrow)) == 1349

@@ -25,6 +25,7 @@ from dhpbound.cost import (
     _bills,
     _charges,
     _plan,
+    _pulled_window,
     _windows,
     _worst,
     bill,
@@ -44,6 +45,7 @@ from dhpbound.modmath import (
 )
 from dhpbound.oracle import CostLedger, OracleHandle
 from dhpbound.reduction import (
+    KEPT_TABLE_KEYS,
     ImprobableFailureError,
     InternalInconsistencyError,
     ReductionParams,
@@ -759,16 +761,23 @@ def test_phase1_matches_reference_on_degenerate_splits(kind, split):
     for seed in range(4):
         for x in xs:
             kept = group._giant_tables.get((1, d))
+            layers = len(kept.offsets) if kept else 0
             j, u1, v1 = assert_phase1_matches_reference(group, x, d, seed)
             u1s.add(u1)
             giants = group._giant_tables[1, d]
-            assert giants.extended == (giants is kept)  # a build is plain, a reuse extends it
             if split == "m-is-1":
-                # d1 = 1: the half stride floor(d1/2) = 0 adds no key
+                # d1 = 1: the one offset leaves no gap above 1, so the table never grows
                 assert (j, u1, v1) == (1, 1, 0) and len(giants.table) == 1
-            elif split == "m-square":
-                # 5 keys on the stride, 5 more a half stride (2) below them, of G = 6 points each
-                assert len(giants.table) == (10 if giants.extended else 5)
+                assert (giants.offsets, giants.pulls) == ([0], 2)
+                continue
+            # d1 = 5: a build is one layer, each reuse adds one until all five offsets are in,
+            # at 0, 2, 3, 1 and 4, the widest gap (the pull bound less 1) going 5, 3, 2, 2, 1
+            layers = 1 if giants is not kept else min(layers + 1, 5)
+            assert giants.offsets == sorted([0, 2, 3, 1, 4][:layers])
+            assert giants.pulls == {1: 6, 2: 4, 3: 3, 4: 3, 5: 2}[layers]
+            if split == "m-square":
+                # 5 keys a layer, of G = 6 points each: u = 6 repeats u = 1 mod m
+                assert len(giants.table) == 5 * layers
                 assert giant_points(p, run_params(p, d, seed), 1) == 6
             else:
                 assert (j, u1, v1) == (m, 5, 0)
@@ -865,7 +874,8 @@ def assert_phase2_matches_reference(group, x: int, d: int, seed: int):
 @pytest.mark.parametrize("p", [29, 101])
 def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
     # each seed's first x builds the table (or replaces another seed's) and probes it, its
-    # second extends it, the rest probe the extended table; every build also runs on a fresh group
+    # second adds the half-stride layer, the rest probe that table; every build also runs on a
+    # fresh group
     group = make_group(kind, p)
     states = set()
     for d in all_divisors(p):
@@ -877,7 +887,7 @@ def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
                 states.add("none" if kept is None else "replaced")
                 assert_phase2_matches_reference(make_group(kind, p), x, d, seed)
             else:
-                states.add("extended" if kept.extended else "built")
+                states.add("extended" if len(kept.offsets) > 1 else "built")
             assert_phase2_matches_reference(group, x, d, seed)
     assert states == {"none", "replaced", "built", "extended"}
 
@@ -885,10 +895,10 @@ def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
 PHASE2_SPLITS = {
     # d = 1: zm = 1, so every point of either walk is P's key; t = 0 at (u2, v2) = (0, 0)
     "d-is-1": 1,
-    # d = 2: s2 = 1, so floor(s2/2) = 0 adds no key, and the G2 = 4 keys are zm^0 and zm^1
+    # d = 2: s2 = 1, so the one offset leaves no gap above 1, and the G2 = 4 keys are zm^0 and zm^1
     "d-is-2": 2,
     # d = p - 1: m = 1 and j = 1; s2 = 10 and G2 = 12, so e = 100 and 110 repeat e = 0 and 10:
-    # 10 keys, and 10 more a half stride (5) below them once extended
+    # 10 keys, and 10 more a half stride (5) below them from the first reuse on
     "d-is-p-1": 100,
 }
 
@@ -903,14 +913,18 @@ def test_phase2_matches_reference_on_named_divisors(kind, split):
             kept = group._giant_tables.get((2, d))
             t, u2, v2 = assert_phase2_matches_reference(group, x, d, seed)
             giants = group._giant_tables[2, d]
-            assert giants.extended == (giants is kept)  # a build is plain, a reuse extends it
             assert giant_points(p, run_params(p, d, seed), 2) == -(-d // isqrt(d)) + 2
             if split == "d-is-1":
                 assert (t, u2, v2) == (0, 0, 0) and len(giants.table) == 1
+                assert (giants.offsets, giants.pulls) == ([0], 2)
             elif split == "d-is-2":
                 assert len(giants.table) == 2
+                assert (giants.offsets, giants.pulls) == ([0], 2)
             else:
-                assert len(giants.table) == (20 if giants.extended else 10)
+                # a build is one layer; every reuse keeps or adds the half-stride one, and no more
+                grown = giants is kept
+                assert (giants.offsets, giants.pulls) == (([0, 5], 6) if grown else ([0], 11))
+                assert len(giants.table) == (20 if grown else 10)
                 assert phase2_inputs(group, x, d, seed)[1] == 1
 
 
@@ -978,6 +992,7 @@ def run_quietly(group, handle, x: int, d: int, seed: int):
 
 
 PHASES = (1, 2)
+BUDGETS = {1: KEPT_TABLE_KEYS, 2: 0}  # phase 2's table stops at its half-stride layer
 
 
 def baby_pulls(giants, r: int, n: int) -> int:
@@ -993,21 +1008,60 @@ def hit_keys(tr, group) -> int:
     return baby_pulls(giants1, tr.j, (tr.p - 1) // d) + baby_pulls(giants2, tr.t, d)
 
 
+def layer_offsets(step: int, layers: int) -> list[int]:
+    """A kept table's first layers offsets, in the order they are added: 0, then each one halving
+    the widest gap between those before it, taken cyclically mod step, the first widest on ties."""
+    offsets = [0]
+    while len(offsets) < layers:
+        ordered = sorted(offsets) + [step]
+        gaps = [(ordered[i + 1] - ordered[i], ordered[i]) for i in range(len(offsets))]
+        width = max(gap for gap, _ in gaps)
+        start = next(start for gap, start in gaps if gap == width)
+        offsets.append(start + width // 2)
+    return offsets
+
+
+def pull_bound(step: int, offsets) -> int:
+    """The widest gap between offsets, cyclically mod step, plus 1."""
+    ordered = sorted(offsets) + [step]
+    return 1 + max(b - a for a, b in zip(ordered, ordered[1:]))
+
+
 def table_states(group, d: int) -> list:
-    """Per phase, (the group's kept table for d or None, whether it was extended), taken before a run."""
-    kept = [group._giant_tables.get((phase, d)) for phase in PHASES]
-    return [(table, table is not None and table.extended) for table in kept]
+    """Per phase, (the group's kept table for d or None, its layers, keys and pull bound), taken
+    before a run."""
+    states = []
+    for phase in PHASES:
+        kept = group._giant_tables.get((phase, d))
+        if kept is None:
+            states.append((None, 0, 0, 0))
+        else:
+            states.append((kept, len(kept.offsets), len(kept.table), kept.pulls))
+    return states
+
+
+def layers_added(state, giants, phase: int) -> int:
+    """Layers a run added to giants, its phase's table after it, from the state before it: 1 for a
+    build; on a reuse 1 while the widest gap is above 1 (a pull bound above 2), on the first reuse
+    always and on later ones while the table holds fewer keys than the phase's budget; else 0."""
+    kept, layers, size, pulls = state
+    if giants is not kept:
+        return 1
+    return int(pulls > 2 and (layers == 1 or size < BUDGETS[phase]))
+
+
+def layers_after(state, giants, phase: int) -> int:
+    """The layers giants holds after a run, from the state before it."""
+    return (state[1] if giants is state[0] else 0) + layers_added(state, giants, phase)
 
 
 def run_keys(states, group, tr) -> int:
-    """Keys a run pulls from the table states before it: per phase, G giant keys for a
-    build, G more when it is the first reuse (none when half the step is 0), then its hits."""
+    """Keys a run pulls from the table states before it: per phase, G giant keys for each layer it
+    added, then its hits."""
     pulled = hit_keys(tr, group)
-    for phase, (kept, was_extended), step in zip(PHASES, states, (tr.params.d1, tr.params.s2)):
+    for phase, state in zip(PHASES, states):
         giants = group._giant_tables[phase, tr.params.d]
-        built = giants is not kept
-        extends = not built and not was_extended and step // 2 > 0
-        pulled += (built + extends) * giant_points(tr.p, tr.params, phase)
+        pulled += layers_added(state, giants, phase) * giant_points(tr.p, tr.params, phase)
     return pulled
 
 
@@ -1019,23 +1073,32 @@ def search_of(p: int, params, phase: int) -> tuple[int, int, int]:
     return pow(params.zeta0, (p - 1) // params.d, p), params.s2, 0
 
 
-def assert_giant_keys(group, giants, params, phase: int) -> None:
-    """giants holds the keys of g^e * P for e = e0 + step*i, and for those e minus
-    floor(step/2) once extended (i < G), and no other, each mapped to one of its exponents."""
+def layer_keys(group, params, phase: int, offsets) -> dict:
+    """The layers at offsets: each key of g^e * P, e = e0 + step*i - o for i < G and o in offsets,
+    mapped to the set of its exponents."""
     p = group.order
     g, step, e0 = search_of(p, params, phase)
-    assert giants.g == g
-    points = giant_points(p, params, phase)
-    shifts = (0, step // 2) if giants.extended else (0,)
     want = {}
-    for shift in shifts:
-        for i in range(points):
-            e = e0 + step * i - shift
+    for offset in offsets:
+        for i in range(giant_points(p, params, phase)):
+            e = e0 + step * i - offset
             key = group.encode(group.scalar_mul(pow(g, e, p), group.generator))
             want.setdefault(key, set()).add(e)
+    return want
+
+
+def assert_giant_keys(group, giants, params, phase: int, layers: int) -> None:
+    """giants holds exactly the keys of its first layers layers, each mapped to one of its
+    exponents, and the pull bound of their offsets."""
+    p = group.order
+    g, step, _ = search_of(p, params, phase)
+    offsets = layer_offsets(step, layers)
+    assert giants.g == g
+    assert giants.offsets == sorted(offsets)
+    assert giants.pulls == pull_bound(step, offsets)
+    want = layer_keys(group, params, phase, offsets)
     assert set(giants.table) == set(want)
     assert all(giants.table[key] in es for key, es in want.items())
-    assert len(giants.table) <= len(shifts) * points
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
@@ -1055,9 +1118,10 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind, monkeypatch):
                 runs.append(run_quietly(group, handle, x, d, seed=x))
                 assert keys[group] - before == run_keys(states, group, runs[-1])
                 tables = [group._giant_tables[phase, d] for phase in PHASES]
-                builds.append(tuple(giants is not kept for giants, (kept, _) in zip(tables, states)))
-                # every reuse finds its table extended
-                assert [giants.extended for giants in tables] == [not b for b in builds[-1]]
+                builds.append(tuple(giants is not state[0] for giants, state in zip(tables, states)))
+                # a build holds one layer, and every reuse adds the layer the rule gives
+                for phase, giants, state in zip(PHASES, tables, states):
+                    assert_giant_keys(group, giants, runs[-1].params, phase, layers_after(state, giants, phase))
             assert runs[0].to_dict() == runs[1].to_dict() == runs[2].to_dict()
             assert builds[1:] == [(True, True), (False, False)]  # a fresh group builds, a repeat hits
             first_runs_hit = [n + (not b) for n, b in zip(first_runs_hit, builds[0])]
@@ -1083,18 +1147,22 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds, 
             # one more table per phase for each new d
             assert list(reused._giant_tables) == [(ph, e) for e in divisors[:n + 1] for ph in PHASES]
             tables = [reused._giant_tables[phase, d] for phase in PHASES]
-            # per phase, a build pulls every giant key, the first reuse every half-stride one,
-            # later runs none: each table extends exactly once
-            pulled = keys[reused] - before - hit_keys(tr, reused)
+            # run r leaves phase 1 r + 1 layers, until every offset below d1 is stored (four
+            # layers stay under the key budget here), and phase 2 at most two
+            d1, s2 = tr.params.d1, tr.params.s2
+            layers = [min(run + 1, d1), min(run + 1, 2, s2)]
+            was = [state[1] for state in states]
+            assert [len(giants.offsets) for giants in tables] == layers
+            # per phase, a build pulls every giant key and each added layer as many again
             sizes = [giant_points(p, tr.params, phase) for phase in PHASES]
-            steps = (tr.params.d1, tr.params.s2)
-            assert pulled == sum([G, G * (step > 1), 0, 0][run] for G, step in zip(sizes, steps))
-            assert [giants.extended for giants in tables] == [run > 0] * 2
+            pulled = keys[reused] - before - hit_keys(tr, reused)
+            assert pulled == sum(G * (new - old) for G, new, old in zip(sizes, layers, was))
+            if run > 0:
+                assert all(giants is state[0] for giants, state in zip(tables, states))
+            for phase, giants, count in zip(PHASES, tables, layers):
+                assert_giant_keys(reused, giants, tr.params, phase, count)
             if run > 1:
-                assert all(giants is kept for giants, (kept, _) in zip(tables, states))
                 continue
-            for phase, giants in zip(PHASES, tables):
-                assert_giant_keys(reused, giants, tr.params, phase)
             # the memoised bills of the walks plan gives the searches, from their digits
             planned = plan(p, d, tr.params.zeta0, 0)
             for baby, window in planned[::2]:
@@ -1115,34 +1183,45 @@ def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds, monkeypatch):
         group = make_group(kind, p)
         tr = run_quietly(group, OracleHandle(group), x, d, seed)
         tables = [group._giant_tables[phase, d] for phase in PHASES]
-        assert not any(giants.extended for giants in tables)
+        # one layer each, so the pull bound is the whole baby walk, d1 + 1 or s2 + 1 points
+        assert [(giants.offsets, giants.pulls) for giants in tables] == [
+            ([0], tr.params.d1 + 1), ([0], tr.params.s2 + 1)
+        ]
         builds = sum(giant_points(p, tr.params, phase) for phase in PHASES)
         assert keys[group] == builds + hit_keys(tr, group)
         for phase, giants in zip(PHASES, tables):
-            assert_giant_keys(group, giants, tr.params, phase)
+            assert_giant_keys(group, giants, tr.params, phase, 1)
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
 def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds, monkeypatch):
+    # after a build and its half-stride layer, phase 1 pulls at most ceil(d1/2) keys, and each
+    # later search adds a layer and pulls at most the widest gap of the layers it then holds
     group = make_group(kind, p)
     oracle = OracleHandle(group)
     keys = count_keys(monkeypatch)
     rng = random.Random(f"half:{kind}:{p}")
     for d in ds or all_divisors(p):
         m = (p - 1) // d
+        d1 = isqrt(m)
         for seed in (0, 1):
-            for _ in range(2):  # build, then extend
+            for _ in range(2):  # build, then the half-stride layer
                 run_quietly(group, oracle, rng.randrange(1, p), d, seed)
             giants = group._giant_tables[1, d]
-            assert giants.extended
-            d1 = isqrt(m)
-            for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
+            assert len(giants.offsets) == min(2, d1)
+            assert giants.pulls == (-(-d1 // 2) + 1 if d1 > 1 else 2)
+            xs = {1, p - 1, *rng.sample(range(1, p), 4)}
+            for x in xs:
                 q_pow_d, params = phase1_inputs(group, x, d, seed)
-                before = keys[group]
+                before, state = keys[group], table_states(group, d)[0]
                 j, _, _ = phase1_find_j(group, q_pow_d, params)
-                assert keys[group] - before == baby_pulls(giants, j, m) <= -(-d1 // 2) + 1
+                added = layers_added(state, giants, 1) * giant_points(p, params, 1)
+                assert keys[group] - before - added == baby_pulls(giants, j, m) <= giants.pulls - 1
+                assert giants.pulls - 1 <= -(-d1 // 2)
                 assert pow(params.zeta, j, p) == pow(x, d, p)
             assert group._giant_tables[1, d] is giants
+            # no table here reaches the key budget: one more layer per search, up to d1 layers
+            assert_giant_keys(group, giants, params, 1, min(2 + len(xs), d1))
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
@@ -1154,18 +1233,21 @@ def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds,
     for d in ds or all_divisors(p):
         s2 = isqrt(d)
         for seed in (0, 1):
-            for _ in range(2):  # build, then extend
+            for _ in range(2):  # build, then the half-stride layer
                 run_quietly(group, oracle, rng.randrange(1, p), d, seed)
             giants = group._giant_tables[2, d]
-            assert giants.extended
+            # phase 2's table never grows past its half-stride layer
+            offsets, pulls = ([0, s2 // 2], -(-s2 // 2) + 1) if s2 > 1 else ([0], 2)
             for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
                 tr = run_quietly(group, oracle, x, d, seed)
                 Q = group.scalar_mul(x, group.generator)
                 before = keys[group]
                 t, _, _ = phase2_find_t(group, Q, tr.j, tr.params)
-                assert keys[group] - before == baby_pulls(giants, t, d) <= -(-s2 // 2) + 1
+                assert (giants.offsets, giants.pulls) == (offsets, pulls)
+                assert keys[group] - before == baby_pulls(giants, t, d) <= pulls - 1
                 assert t == tr.t
             assert group._giant_tables[2, d] is giants
+            assert_giant_keys(group, giants, tr.params, 2, len(offsets))
 
 
 def test_giant_key_cache_is_bounded_by_the_group():
@@ -1183,12 +1265,14 @@ def test_giant_key_cache_is_bounded_by_the_group():
             assert list(group._giant_tables) == keys  # one table per phase and divisor
             for d in ds:
                 params = run_params(p, d, seed)
-                for phase in PHASES:
-                    giants = group._giant_tables[phase, d]
-                    # this seed's keys, not the other seed's, and no key past the giant walk
-                    assert_giant_keys(group, giants, params, phase)
-                    assert giants.extended
-                    assert len(giants.table) <= 2 * giant_points(p, params, phase)
+                m = (p - 1) // d
+                # this seed's keys, not the other seed's, and no key past the giant walk; after
+                # 25 runs phase 1 holds all d1 offsets, which cover the whole subgroup of order m
+                # in fewer than the budget's keys, and phase 2 its build and half-stride layer
+                for phase, layers in zip(PHASES, (params.d1, 2)):
+                    assert_giant_keys(group, group._giant_tables[phase, d], params, phase, layers)
+                assert len(group._giant_tables[1, d].table) == m < KEPT_TABLE_KEYS
+                assert group._giant_tables[1, d].pulls == 2
                 assert giant_points(p, params, 1) == len(_bills(p, *plan(p, d, params.zeta0, 0)[1]))
             kept.append(dict(group._giant_tables))
         # more runs of the same (d, seed) keep the same tables
@@ -1196,10 +1280,116 @@ def test_giant_key_cache_is_bounded_by_the_group():
     # the second seed replaced every table with one on another generator; at d = 4 both of
     # phase 2's generators of order 4 give the giant stride zm^2 = -1, so compare generators
     assert all(kept[2][key].g != kept[3][key].g for key in keys)
-    assert all(kept[2][1, d].table != kept[3][1, d].table for d in ds)  # other exponents
+    # phase 1's full tables hold the same keys, each mapped to its exponent under another zeta
+    assert all(kept[2][1, d].table != kept[3][1, d].table for d in ds)
     # tables are held per group instance
     other = make_group("mult", p)
     run_quietly(other, OracleHandle(other), xs[0], ds[0], 1)
     assert list(other._giant_tables) == keys[:2]
     assert all(other._giant_tables[key] is not kept[-1][key] for key in keys[:2])
     assert group._giant_tables == kept[-1]
+
+
+@pytest.mark.parametrize("d,layers,size,pulls", [(1, 8, 1040, 17), (2, 12, 1092, 12), (3, 14, 1064, 10),
+                                                 (4, 16, 1040, 5)])
+def test_kept_table_holds_its_first_k_plus_1_layers_up_to_the_key_budget(d, layers, size, pulls):
+    # on the toy curve at p = 16381, after k reuses phase 1's table holds exactly the keys of its
+    # first k + 1 layers, until a layer takes it to KEPT_TABLE_KEYS keys or more; then it stops
+    p = 16381
+    group = make_group("ec", p)
+    oracle = OracleHandle(group)
+    rng = random.Random(f"layers:{d}")
+    params = run_params(p, d, 0)
+    offsets, want = layer_offsets(params.d1, layers), {}
+    for k in range(layers + 3):
+        run_quietly(group, oracle, rng.randrange(1, p), d, seed=0)
+        giants = group._giant_tables[1, d]
+        count = min(k + 1, layers)
+        if k < layers:
+            for key, es in layer_keys(group, params, 1, offsets[k:k + 1]).items():
+                want.setdefault(key, set()).update(es)
+        assert giants.offsets == sorted(offsets[:count])
+        assert giants.pulls == pull_bound(params.d1, offsets[:count])
+        assert set(giants.table) == set(want)
+        assert all(giants.table[key] in es for key, es in want.items())
+        # every layer past the second is added while the table holds fewer keys than the budget
+        assert (len(giants.table) < KEPT_TABLE_KEYS) == (count < layers)
+    assert (len(giants.table), giants.pulls) == (size, pulls)
+    if d == 1:  # d1 = 127: the odd eighths, so a hit pulls at most 16 keys of the 128 the walk has
+        assert giants.offsets == [0, 15, 31, 47, 63, 79, 95, 111]
+        # and the baby walk runs at w = 3, where a built or half-stride table's runs at w = 5
+        windows = [_pulled_window(p, params.zeta, params.d1 + 1, bound) for bound in (128, 65, pulls)]
+        assert [w_of(window) for window in windows] == [5, 5, 3]
+
+
+@pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
+def test_every_stored_key_is_g_to_its_e_times_p(kind, p, ds):
+    group = make_group(kind, p)
+    oracle = OracleHandle(group)
+    rng = random.Random(f"stored:{kind}:{p}")
+    for d in ds or all_divisors(p):
+        for _ in range(12):
+            run_quietly(group, oracle, rng.randrange(1, p), d, seed=0)
+    grown = 0
+    for (phase, d), giants in group._giant_tables.items():
+        grown += len(giants.offsets) > 2
+        for key, e in giants.table.items():
+            assert key == group.encode(group.scalar_mul(pow(giants.g, e, p), group.generator)), (phase, d, e)
+    assert grown >= (4 if ds else 10)  # phase 1's tables grew past the half-stride layer
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_every_hit_falls_within_the_pull_bound(kind, monkeypatch):
+    # every search, on a built, replaced or grown table, hits within the widest gap between its
+    # offsets (its pull bound less 1), and its baby walk runs on the window _pulled_window gives
+    p = 1009
+    group = make_group(kind, p)
+    oracle = OracleHandle(group)
+    search, walk = reduction._search, reduction._walk
+    ran, pulled, tight = [], [], Counter()
+
+    def recorded_walk(group, base, walk_, window):
+        ran.append((walk_, window))
+        return walk(group, base, walk_, window)
+
+    def recorded_search(group, planned, key, *args):
+        ran.clear()
+        v, e = search(group, planned, key, *args)
+        giants = group._giant_tables[key]
+        baby_walk, window = ran[-1]
+        assert baby_walk.stride == giants.g
+        assert window == _pulled_window(p, giants.g, baby_walk.points, giants.pulls)
+        assert window == _plan(p, Walk(1, giants.g, min(giants.pulls, -(-baby_walk.points // 2) + 1)))
+        assert v + 1 <= giants.pulls - 1, (key, v, giants.offsets)
+        tight[key[0]] += v + 1 == giants.pulls - 1
+        pulled.append(v + 1)
+        return v, e
+
+    monkeypatch.setattr(reduction, "_walk", recorded_walk)
+    monkeypatch.setattr(reduction, "_search", recorded_search)
+    rng = random.Random(f"bound:{kind}")
+    divisors = all_divisors(p)
+    for d in divisors:
+        for seed in (0, 1, 0):  # builds, reuses, a replacement and a rebuild
+            for _ in range(8):
+                run_quietly(group, oracle, rng.randrange(1, p), d, seed)
+    assert len(pulled) == 2 * len(divisors) * 24
+    assert min(tight.values()) >= 10  # the bound is met exactly in both phases
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+@pytest.mark.parametrize("p,sampled", [(101, None), (1009, 10), (16381, 6)],
+                         ids=["101-every-x", "1009", "16381"])
+def test_one_long_lived_group_gives_fresh_group_transcripts(kind, p, sampled):
+    # one group for every run, on one seed so its tables keep growing, against a fresh group
+    # per run, whose tables are built for that run alone
+    group = make_group(kind, p)
+    oracle = OracleHandle(group)
+    rng = random.Random(f"long-lived:{kind}:{p}")
+    for d in all_divisors(p):
+        for x in range(1, p) if sampled is None else rng.sample(range(1, p), sampled):
+            fresh = make_group(kind, p)
+            tr = run_quietly(group, oracle, x, d, seed=0)
+            assert tr.to_dict() == run_quietly(fresh, OracleHandle(fresh), x, d, seed=0).to_dict(), (d, x)
+    layers = [len(giants.offsets) for (phase, _), giants in group._giant_tables.items() if phase == 1]
+    assert max(layers) == {101: 10, 1009: 10, 16381: 6}[p]  # grown past the half-stride layer

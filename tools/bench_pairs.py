@@ -12,9 +12,11 @@ prints each side's median and quartiles, the pairs the change won and
 those it tied (a ledger count tied on every pair did not move), whether
 the change's median is better than the parent's by more than the
 parent's quartile distance, and a regression verdict against the metric's
-bound (see verdict). The last line of standard output is the same
-summary as one JSON object. The exit code is 0 when every run was correct
-with no failed item, 1 otherwise.
+bound (see verdict). Next to peak_rss_mb it prints each side's median item
+count (attempted), since a run's peak RSS grows with the items it holds.
+The last line of standard output is the same summary as one JSON object.
+The exit code is 0 when every run was correct with no failed item, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ def summarise(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
     better-direction, and tied when the two are equal. beyond_iqr holds when
     the change's median is better than the parent's by more than the
     parent's quartile distance. verdict applies the metric's declared bound.
+    attempted is each side's median item count, against which a peak RSS
+    that grows with the items a run holds can be read.
     """
     metrics = {}
     for spec in declared:
@@ -78,7 +82,9 @@ def summarise(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
             "verdict": verdict(values["parent"], values["change"], sign, spec["bound"]),
         }
     clean = all(run["correct"] and run["failed"] == 0 for pair in pairs for run in pair)
-    return {"pairs": len(pairs), "clean": clean, "metrics": metrics}
+    attempted = {side: statistics.median(run["attempted"] for run in runs)
+                 for side, runs in zip(SIDES, zip(*pairs))}
+    return {"pairs": len(pairs), "clean": clean, "attempted": attempted, "metrics": metrics}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -113,12 +119,13 @@ def main(argv: list[str] | None = None) -> int:
     summary = summarise(pairs, declared)
     print(f"{args.workload}: {len(pairs)} pairs at --seconds {args.seconds:g}, "
           f"every run correct with 0 failed: {summary['clean']}")
+    counts = f"  attempted parent {summary['attempted']['parent']:g} change {summary['attempted']['change']:g}"
     for name, m in summary["metrics"].items():
         parent, change = m["parent"], m["change"]
         print(f"  {name:<30} parent {parent['median']:.6g} [{parent['q1']:.6g}, {parent['q3']:.6g}]"
               f"  change {change['median']:.6g} [{change['q1']:.6g}, {change['q3']:.6g}]"
               f"  won {m['won']}/{len(pairs)} tied {m['tied']}  {m['verdict']}"
-              f"{'  beyond parent IQR' if m['beyond_iqr'] else ''}")
+              f"{'  beyond parent IQR' if m['beyond_iqr'] else ''}{counts if name == 'peak_rss_mb' else ''}")
     print(json.dumps({"workload": args.workload, "seconds": args.seconds, "seed": args.seed, **summary}))
     return 0 if summary["clean"] else 1
 
