@@ -14,13 +14,17 @@ multiplication by k, even on backends where the whole product is a single
 machine operation; this keeps instrumentation comparable across backends.
 The groups' fixed-base hook (_raw_fixed_base) follows the same rule: a
 caller bills what the generic windowed path performs -- the table, then one
-addition per nonzero window digit of k past the first. The table serves
-every k < p, so its top column's row holds multiples only up to the top
-digit of p - 1. F_q^x and EC build and read that table; only Z_p hands back
-its one-operation product and builds none. A group keeps one such table
-per w on its generator for its lifetime: the reduction's walks on P read
-it, billed as above, and so does the simulated oracle for its answers,
-unbilled. A point's table key is its own data and costs no group operation.
+addition per nonzero window digit of k past the first. The digits are
+signed (signed_layout): a negative digit is one subtraction, which is one
+group operation in the generic model, and negating a point is free on the
+paper's curves, so each lower row builds only the multiples up to 2^(w-1)
+and stores their negatives at no charge. The table serves every k < p, so
+its top column's row holds multiples only up to the largest top digit.
+F_q^x and EC build and read that table; F_q^x pays one inversion per
+column for its negative half, off the bill like Z_p's one-operation
+product, and Z_p builds none. A group keeps one such table per w on its
+generator for its lifetime: the reduction's walks on P read it, billed as
+above, and so does the simulated oracle for its answers, unbilled. A point's table key is its own data and costs no group operation.
 
 The bill: plan(p, d, zeta0, j) gives a run's four walks on their planned
 windows: _plan picks w per walk from the points it is billed for, all of a
@@ -108,16 +112,34 @@ def walks(p: int, d: int, zeta0: int) -> tuple[Walk, Walk, Walk, Walk]:
             Walk(1, zm, s2 + 1), Walk(1, pow(zm, s2, p), -(-d // s2) + 2))
 
 
+def signed_layout(n: int, w: int) -> tuple[int, int, int]:
+    """(cols, offset, top): the w-bit signed digits of every 0 <= k <= n.
+
+    k has cols = ceil(bits(n)/w) digits. Each of the lower cols - 1 is the
+    w-bit digit of k + offset less the bias 2^(w-1) - 1, so it lies in
+    -bias..2^(w-1); offset holds the bias at the lowest bit of each lower
+    digit. The top digit, (k + offset) >> w*(cols - 1), takes what is left
+    and carries no bias: at most top, which may be 2^w after a carry.
+    """
+    cols = -(-n.bit_length() // w)
+    shift = w * (cols - 1)
+    offset = ((1 << shift) - 1) // ((1 << w) - 1) * ((1 << (w - 1)) - 1)
+    return cols, offset, (n + offset) >> shift
+
+
 class Window(NamedTuple):
-    """A w-bit fixed-base table as the planner prices it.
+    """A w-bit signed-digit fixed-base table as the planner prices it.
 
     bill is table plus cols - 1 for every priced point past the first, the
     key _windows sorts by. The table has cols = ceil(bits/w) columns
     2^(wj)*base, cols - 1 of them built with w doublings each, and costs
-    table group ops. low and high hold the low w-1 bits and the top bit of
-    every digit: k has (((k & low) + low | k) & high).bit_count() nonzero
-    w-bit digits, since adding low carries into a digit's top bit exactly
-    when its low bits are not all zero.
+    table group ops. low is signed_layout's offset, the low w - 1 bits of
+    every lower digit, and high the top bit of every lower digit. A digit
+    of u = (k + low) ^ low is zero exactly when k's signed digit there is,
+    so k has (((u & low) + low | u) & high).bit_count() nonzero lower
+    digits, since adding low carries into a digit's top bit exactly when
+    its low bits are not all zero, and a nonzero top digit when u >> shift
+    is not 0.
     """
 
     bill: int
@@ -126,32 +148,33 @@ class Window(NamedTuple):
     table: int
     low: int
     high: int
+    shift: int
 
 
 @functools.lru_cache(maxsize=1024)
 def _windows(n: int, later: int) -> tuple[Window, ...]:
     """Windows 1 <= w < bits of n for multipliers k <= n and a walk priced at later + 1 points, cheapest first.
 
-    Every row but the top column's holds 2^w - 2 multiples at one addition
-    each. The top column's row holds them only up to top = n >> (w*(cols - 1)),
-    the largest top digit of any k <= n, at max(top - 1, 0) additions. Every
-    point after the first costs at most cols - 1 additions.
+    Every lower row holds the multiples 2..2^(w-1) at one addition each;
+    its negatives cost nothing. The top column's row holds them up to
+    signed_layout's top at max(top - 1, 0) additions. Every point after
+    the first costs at most cols - 1 additions.
     """
-    bits = n.bit_length()
     out = []
-    for w in range(1, bits):
-        cols = -(-bits // w)
-        unit = ((1 << (w * cols)) - 1) // ((1 << w) - 1)  # lowest bit of every digit
-        top = n >> (w * (cols - 1))
-        table = (cols - 1) * w + (cols - 1) * ((1 << w) - 2) + max(top - 1, 0)
-        low, high = unit * ((1 << (w - 1)) - 1), unit << (w - 1)
-        out.append(Window(table + later * (cols - 1), w, cols, table, low, high))
+    for w in range(1, n.bit_length()):
+        cols, low, top = signed_layout(n, w)
+        shift = w * (cols - 1)
+        table = (cols - 1) * (w + (1 << (w - 1)) - 1) + max(top - 1, 0)
+        high = low + ((1 << shift) - 1) // ((1 << w) - 1)  # low plus the lowest bit of each lower digit
+        out.append(Window(table + later * (cols - 1), w, cols, table, low, high, shift))
     return tuple(sorted(out))
 
 
 def _digits(k: int, window: Window) -> int:
-    """Nonzero w-bit digits of k."""
-    return (((k & window.low) + window.low | k) & window.high).bit_count()
+    """Nonzero signed w-bit digits of k."""
+    low = window.low
+    u = (k + low) ^ low
+    return (((u & low) + low | u) & window.high).bit_count() + (u >> window.shift != 0)
 
 
 def _worst(walk: Walk, window: Window | None, points: int) -> int:
@@ -270,9 +293,10 @@ def _charges(p: int, walk: Walk, window: Window | None):
         yield scalar_mul_cost(k)
         yield from itertools.repeat(scalar_mul_cost(stride), points - 1)
         return
-    table, low, high = window.table, window.low, window.high
+    table, low, high, shift = window.table, window.low, window.high, window.shift
     for i in range(points):
-        yield (0 if i else table) + (((k & low) + low | k) & high).bit_count() - 1
+        u = (k + low) ^ low
+        yield (0 if i else table) + (((u & low) + low | u) & high).bit_count() + (u >> shift != 0) - 1
         k = k * stride % p
 
 

@@ -46,6 +46,7 @@ import json
 from importlib import resources
 from math import isqrt
 
+from .cost import signed_layout
 from .modmath import is_prime
 
 ORDER_GUARD = 2**32  # largest group order for brute-force dlog, the oracle and reductions
@@ -197,40 +198,51 @@ class CyclicGroup:
                 acc = self._raw_add(acc, a)
         return acc
 
-    def _row_tops(self, cols: int, w: int) -> list[int]:
-        """The largest multiple each of cols w-bit columns must hold for every k < p.
+    def _signed_rows(self, columns: list, w: int) -> tuple[int, list, list]:
+        """(offset, lower, top_row) of cost.signed_layout's table on columns, built by _raw_add.
 
-        2^w - 1 for every column but the last; the last holds only the top
-        digit of p - 1, top = (p - 1) >> (w*(cols - 1)), the largest top
-        w-bit digit of any k < p.
+        lower[j][i] = i*columns[j] for 0 <= i <= 2^(w-1), 2^(w-1) - 1
+        additions per lower column; top_row goes up to the top digit of
+        every k < p, at top - 1 additions.
         """
-        return [(1 << w) - 1] * (cols - 1) + [(self.order - 1) >> (w * (cols - 1))]
+        add, identity = self._raw_add, self._raw_identity()
+        _, offset, top = signed_layout(self.order - 1, w)
+        rows = []
+        for col, size in zip(columns, [1 << (w - 1)] * (len(columns) - 1) + [top]):
+            row = [identity, col]
+            for _ in range(size - 1):
+                row.append(add(row[-1], col))
+            rows.append(row)
+        return offset, rows[:-1], rows[-1]
 
     def _raw_fixed_base(self, columns: list, w: int):
         """Function k -> raw k*base for 0 <= k < p, given columns[j] = raw 2^(wj)*base covering p - 1.
 
-        The generic path builds rows[j][i] = i*columns[j] for i up to the
-        column's _row_tops entry: 2^w - 2 additions per row, and top - 1 on
-        the last, whose row is trimmed to the top digit of p - 1. It sums one
-        entry per nonzero w-bit digit of k. F_q^x builds the same rows with
-        the group law inlined; Z_p, whose scalar multiplication is one
-        machine operation, returns that product instead and builds nothing.
+        The table is on k's signed digits (cost.signed_layout): lower row
+        j is indexed by the raw w-bit digit r of k + offset and holds
+        (r - bias)*columns[j], bias = 2^(w-1) - 1, so a reader does no
+        arithmetic on a digit. The generic path builds the multiples up to
+        2^(w-1) with _signed_rows and their negatives with _raw_negate,
+        which is not a group operation; the top column's row stops at the
+        top digit. It sums one entry per nonzero signed digit of k. F_q^x
+        reads the same rows with the group law inlined and builds their
+        negative half from one inversion per column; Z_p, whose scalar
+        multiplication is one machine operation, returns that product
+        instead and builds nothing.
         """
-        add, identity, mask = self._raw_add, self._raw_identity(), (1 << w) - 1
-        rows = []
-        for col, top in zip(columns, self._row_tops(len(columns), w)):
-            row = [identity, col]
-            for _ in range(top - 1):
-                row.append(add(row[-1], col))
-            rows.append(row)
+        add, identity, mask, bias = self._raw_add, self._raw_identity(), (1 << w) - 1, (1 << (w - 1)) - 1
+        offset, lower, top = self._signed_rows(columns, w)
+        rows = [[self._raw_negate(entry) for entry in row[-2:0:-1]] + row for row in lower]
 
         def times(k):
+            k += offset
             acc = identity
             for row in rows:
-                if k & mask:
-                    acc = add(acc, row[k & mask])
+                r = k & mask
+                if r != bias:
+                    acc = add(acc, row[r])
                 k >>= w
-            return acc
+            return add(acc, top[k]) if k else acc
 
         return times
 
@@ -326,24 +338,23 @@ class MultSubgroup(CyclicGroup):
         return GroupPoint(self, pow(a.data, k, self.q))
 
     def _raw_fixed_base(self, columns: list, w: int):
-        # the billed table with the group law inlined, because the generic
-        # path's per-digit _raw_add calls slow the short walks at p ~ 1009:
-        # rows[j][i] = columns[j]^i mod q up to the same trimmed tops, and
-        # entry 0 is 1, so no digit branches
+        # the billed table read with the group law inlined, because the
+        # generic path's per-digit _raw_add calls slow the short walks at
+        # p ~ 1009: _signed_rows' rows, each lower one's negative half from
+        # one inversion of its last entry, and entry bias is 1, so no digit
+        # branches
         q, mask = self.q, (1 << w) - 1
-        rows = []
-        for col, top in zip(columns, self._row_tops(len(columns), w)):
-            row = [1, col]
-            for _ in range(top - 1):
-                row.append(row[-1] * col % q)
-            rows.append(row)
+        offset, lower, top = self._signed_rows(columns, w)
+        inverses = [pow(row[-1], -1, q) for row in lower]  # columns[j]^-(2^(w-1))
+        rows = [[inv * entry % q for entry in row[1:-1]] + row for row, inv in zip(lower, inverses)]
 
         def times(k):
+            k += offset
             acc = 1
             for row in rows:
                 acc = acc * row[k & mask] % q
                 k >>= w
-            return acc
+            return acc * top[k] % q
 
         return times
 

@@ -32,7 +32,7 @@ on every call of a reduction after its first, both exponents are known and
 the answer is (ab mod p)*P, read off the group's fixed-base table on the
 generator (_generator_table(4), built on first use and kept with the group,
 which the reduction's w = 4 walks on P share): at most one addition per
-nonzero 4-bit digit of ab, where a double-and-add by a costs about
+nonzero signed 4-bit digit of ab, where a double-and-add by a costs about
 1.5 log2 p. Both give the same point, and neither reaches the ledger.
 """
 
@@ -131,7 +131,7 @@ class OracleHandle:
             result = g.scalar_mul(a, B)
         else:
             ab = a * b % g.order
-            result = GroupPoint(g, g._generator_table(4)(ab))  # at 2^32, 8 columns of 16 multiples
+            result = GroupPoint(g, g._generator_table(4)(ab))  # at 2^32: 7 signed rows of 16, a top row of 17
             self._known[result.data] = ab
         self.call_count += 1
         if self.ledger is not None:

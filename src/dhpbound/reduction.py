@@ -26,14 +26,14 @@ lazily, so _search evaluates only the points it pulls: group.encode checks
 the walk's base once, and every later key is raw data. A walk runs on a
 fixed-base table in the manner of Kozaki-Kutsuma-Matsuo's refinement of
 Cheon's algorithm: columns 2^(wj) * base (on P the group's kept generator
-table, otherwise built with implicit_scalar), 2^w - 2 row multiples per
-column except the top one, whose row stops at the top w-bit digit of p - 1,
-then one addition per nonzero w-bit digit of k past the first. w = 0 keeps
-the plain double-and-add walk. A key does not depend on the window it was
-computed on, so execution and billing are separate: a giant walk runs on
-its planned window, whose table on P the group keeps, and a baby walk on
-the window _pulled_window picks for the points it can pull before its
-first hit on the kept table (below).
+table, otherwise built with implicit_scalar), a row of signed multiples
+per column, 2^(w-1) - 1 additions but the top one's, which stops at the top
+digit of p - 1 (cost.signed_layout), then one addition per nonzero signed
+digit of k past the first. w = 0 keeps the plain double-and-add walk. A
+key does not depend on the window it was computed on, so execution and
+billing are separate: a giant walk runs on its planned window, whose table
+on P the group keeps, and a baby walk on the window _pulled_window picks
+for the points it can pull before its first hit on the kept table (below).
 
 Every price comes from cost.py: plan gives the walks and their windows,
 and reduce_dlog charges bill's price of both matches once, after them.

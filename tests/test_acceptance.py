@@ -26,7 +26,7 @@ from dhpbound.reduction import cost_report, reduce_dlog
 
 # sha256 over the sweep's per-run (j, u1, v1, t, u2, v2, i0, x, ledger) tuples;
 # any change to a match position, a recovered value or a ledger count moves it
-SWEEP_TRANSCRIPT_DIGEST = "4d1cc2d8e18922053298e713e07282e32d3b2ace1a1a682326d1b50dfd464974"
+SWEEP_TRANSCRIPT_DIGEST = "07856f4a89aa4758c3d1b152fc8eaf34caa7d3420401e71226ce117f3141ff83"
 # the same tuples without group_ops: what the walks find and what the oracle and
 # the tables cost, which a change to how each step is priced must leave alone
 SWEEP_MATCH_DIGEST = "01f852fc480d3fa5dc27a23482183cfdc88ca64a17be5296d5d05c62dfa3d45c"

@@ -157,14 +157,14 @@ def test_reduce_recovers_specified_x(capsys):
     assert "requested 37, match: True" in out
     assert "oracle_calls=3" in out
     # where the group ops went: the walk ceiling beside the M bound, and each walk's window.
-    # Seed 0 gives test_cost_report_shapes_and_values' phase 1 (27 + 38 on w = 2 and 1) and
-    # phase 2 baby (18 on w = 1). Here j = 19, so phase 2's giant walk starts at
-    # zeta0^19 = 67 = 0b1000011: its own w = 1 plan costs 6 + 2 + 6 = 14 over its
-    # first 2 points, phase 1's w = 1 table 2 + 6 = 8, so it shares that table,
-    # at 2 + 3*6 = 20 over all 4 points: 27 + 38 + 18 + 20 = 103.
-    assert "walk ceiling 103 (within: True), M bound (not enforced) 14" in out
+    # Seed 0 gives test_cost_report_shapes_and_values' phase 1 (21 + 26 on w = 4 and 2) and
+    # phase 2 baby (15 on w = 2). Here j = 19, so phase 2's giant walk starts at
+    # zeta0^19 = 67, whose signed base-4 digits are -1, 1, 0, 1: its own w = 1 plan costs
+    # 6 + 2 + 6 = 14 over its first 2 points, phase 1's w = 2 table 2 + 3 = 5, so it shares
+    # that table, at 2 + 3*3 = 11 over all 4 points: 21 + 26 + 15 + 11 = 73.
+    assert "walk ceiling 73 (within: True), M bound (not enforced) 14" in out
     assert ("walk windows (0 = plain double-and-add): "
-            "phase1_baby=2, phase1_giant=1, phase2_baby=1, phase2_giant=1\n") in out
+            "phase1_baby=4, phase1_giant=2, phase2_baby=2, phase2_giant=2\n") in out
 
 
 def test_reduce_random_seed_deterministic(capsys):
@@ -197,13 +197,15 @@ def test_reduce_csv_format(capsys):
     assert kv["x"] == "11" and kv["recovered"] == "True"
     assert kv["cost_report.within_sweep_ceiling"] == "True"
     assert kv["cost_report.within_walk_ceiling"] == "True"
-    # 28 = 0b11100: tables cost 4 (w = 1), 8 (w = 2, top digit 1), 11 (w = 3, top digit 3).
-    # The baby walks (1, 20, 3) and (1, 12, 3) stay plain at 2*5 and 2*4. Phase 1's giant
-    # walk (23, 23, 5), priced at its first 3 points, takes w = 2 at 8 + 2*2 + 2 = 14 over
-    # the plain 21. Phase 2's (14^3 = 18, 28, 4) shares it, at 1 + 2 = 3 over 2 points
-    # against its own w = 1 at 4 + 4 + 1 = 9.
-    assert [kv[f"cost_report.window_{name}"] for name in WALK_NAMES] == ["0", "2", "0", "2"]
-    assert kv["cost_report.walk_group_op_ceiling"] == str(10 + 18 + 8 + 7)
+    # 28 = 0b11100: signed tables cost 4 (w = 1), 7 (w = 2, top digit 2), 8 (w = 3, top
+    # digit 3). The baby walks (1, 20, 3) and (1, 12, 3) stay plain at 2*5 and 2*4; w = 3
+    # ties the first at 8 + 2, and a tie keeps the plain walk. Phase 1's giant walk (23, 23, 5),
+    # priced at its first 3 points, takes w = 3 at 8 + 1 + 2*1 = 11 over the plain 21 (23's
+    # signed base-8 digits are -1, 3), and costs 8 + 1 + 4*1 = 13 over all 5. Phase 2's
+    # (14^3 = 18, 28, 4) shares it, at 1 + 1 = 2 over 2 points against its own w = 1 at
+    # 4 + 1 + 4 = 9, and costs 1 + 3*1 = 4 over all 4.
+    assert [kv[f"cost_report.window_{name}"] for name in WALK_NAMES] == ["0", "3", "0", "3"]
+    assert kv["cost_report.walk_group_op_ceiling"] == str(10 + 13 + 8 + 4)
 
 
 @pytest.mark.parametrize("backend", ["zp", "ec"])
@@ -295,7 +297,7 @@ def test_reduce_ec_at_2_32_from_the_registry(capsys):
     code, out, _ = run(capsys, "reduce", "--backend", "ec", "--p", "4293896137", "--d", "2019",
                        "--x", "123456789")
     assert code == 0
-    assert "requested 123456789, match: True" in out and "group_ops=9236 " in out
+    assert "requested 123456789, match: True" in out and "group_ops=8432 " in out
 
 
 def test_reduce_ec_search_guard(capsys):
@@ -314,7 +316,7 @@ REDUCE_OUTPUT_CASES = (
     ("--p", "29", "--d", "28", "--x", "3", "--backend", "ec", "--seed", "5"),
 )
 # sha256 over (argv, exit code, stdout, stderr) of every case and format, in order
-REDUCE_OUTPUT_DIGEST = "f8943a755f1a3884f6af7b7329739700b7c81cd9c6f073991e16a6f68996e1cb"
+REDUCE_OUTPUT_DIGEST = "b315131fe5eaa4510cc4ed9dead31893f882871cd8483b92ff9f90bfed61f547"
 
 
 def test_reduce_output_is_pinned(capsys):

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from test_reduction import all_divisors, run_params, run_walks
+from test_reduction import all_divisors, run_params, run_walks, signed_digits
 from dhpbound import cost
 from dhpbound.cost import (
     InvalidDivisorError,
     Walk,
     _charges,
+    _digits,
     _plan,
     _windows,
     _worst,
@@ -64,6 +65,31 @@ def test_divisor_split_is_the_one_divisor_rule():
                 with pytest.raises(InvalidDivisorError) as caught:
                     price(p, d)
                 assert str(caught.value) == f"d={d} does not divide p-1={p - 1}"
+
+
+def assert_digits_are_recoded_digits(p: int, ks) -> None:
+    """_digits against test_reduction's digit-at-a-time recoding, for every k in ks and every w."""
+    for window in _windows(p - 1, 0):
+        w = window.w
+        for k in ks:
+            digits = signed_digits(k, w, p)
+            assert sum(digit * 2 ** (w * i) for i, digit in enumerate(digits)) == k
+            assert all(-(2 ** (w - 1)) < digit <= 2 ** (w - 1) for digit in digits[:-1])
+            assert _digits(k, window) == sum(digit != 0 for digit in digits), (k, w)
+
+
+@pytest.mark.parametrize("p", [101, 1009, 16381])
+def test_digits_count_the_recoded_signed_digits_of_every_k(p):
+    # and the top digit never falls as k grows, so p - 1's is the top row's largest
+    assert_digits_are_recoded_digits(p, range(p))
+    for w in range(1, (p - 1).bit_length()):
+        tops = [signed_digits(k, w, p)[-1] for k in range(p)]
+        assert tops == sorted(tops), w
+
+
+def test_digits_count_the_recoded_signed_digits_of_sampled_k_at_2_32():
+    p, rng = 4294967291, random.Random("digits:2^32")
+    assert_digits_are_recoded_digits(p, [rng.randrange(p) for _ in range(2000)] + [p - 1])
 
 
 @pytest.mark.parametrize("p", [101, 1009])

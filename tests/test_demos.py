@@ -46,4 +46,4 @@ def test_readme_quick_taste_prints_what_its_comments_state():
     printed_x, ledger = proc.stdout.splitlines()
     assert printed_x == x == "77"
     ledger = ast.literal_eval(ledger)
-    assert (ledger["oracle_calls"], ledger["group_ops"]) == (int(calls), int(ops)) == (6, 64)
+    assert (ledger["oracle_calls"], ledger["group_ops"]) == (int(calls), int(ops)) == (6, 58)

@@ -355,3 +355,37 @@ def test_trimmed_tables_give_every_multiple(kind, p):
     assert [times(k) for k in range(p)] == want
 
 
+def double_and_add(g, ks, base):
+    """raw k*base for each k by the generic double-and-add _raw_times, the identity at k = 0."""
+    return [CyclicGroup._raw_times(g, k, base.data) if k else g._raw_identity() for k in ks]
+
+
+def assert_tables_match_double_and_add(g, ks, ws):
+    """Every w's hook, generic table and generator table give double-and-add's k*base for every k."""
+    base = g.scalar_mul(3, g.generator)
+    want, want_generator = double_and_add(g, ks, base), double_and_add(g, ks, g.generator)
+    for w in ws:
+        for times in fixed_base_hooks(g, base, w):
+            assert [times(k) for k in ks] == want, w
+        times = g._generator_table(w)
+        assert [times(k) for k in ks] == want_generator, w
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("p", [101, 1009])
+def test_signed_tables_match_double_and_add_every_k(kind, p):
+    # every w a plan can pick, every k < p, against an implementation that shares no table
+    # code; at p = 1009, w = 2, k = 939 = 4*4^4 - (4^3 + 4^2 + 4 + 1) has signed digits
+    # -1, -1, -1, -1 and a carry into the top digit 4 = 2^w, one past 1008 >> 8 = 3
+    assert 939 == 4 * 4**4 - (4**3 + 4**2 + 4 + 1) and (1008 >> 8) == 3
+    assert_tables_match_double_and_add(make_group(kind, p), range(p), range(1, (p - 1).bit_length()))
+
+
+def test_signed_tables_match_double_and_add_on_the_2_32_curve():
+    # 2,000 seeded k and p - 1, on every w whose lower rows hold at most 2^11 multiples
+    g = make_group("ec", 4293896137)
+    rng = random.Random(2**32)
+    ks = [rng.randrange(1, g.order) for _ in range(2000)] + [g.order - 1]
+    assert_tables_match_double_and_add(g, ks, range(1, 13))
+
+

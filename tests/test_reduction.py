@@ -224,11 +224,11 @@ def test_ec_at_2_32_with_a_divisor_in_the_paper_band():
     assert len(band) == 32 and band[0] == d
     group = make_group("ec", p)
     oracle = OracleHandle(group)
-    for x, group_ops in ((123456789, 9236), (987654321, 9074)):
+    for x, group_ops in ((123456789, 8432), (987654321, 8271)):
         tr = check_reduction(group, oracle, x, d, seed=0)
         rep = cost_report(tr, p, d)
         assert tr.ledger.group_ops == group_ops, x
-        assert (rep["walk_group_op_ceiling"], rep["kkm_group_op_bound"]) == (11426, 3004)
+        assert (rep["walk_group_op_ceiling"], rep["kkm_group_op_bound"]) == (10605, 3004)
     assert brute_force_dlog(group, group.scalar_mul(123456789, group.generator)) == 123456789
 
 
@@ -382,21 +382,21 @@ def test_cost_report_shapes_and_values():
     assert rep["within_sweep_ceiling"] is True
     assert rep["measured_group_ops"] == tr.ledger.group_ops > 0
     assert rep["bsgs_table_entries"] == (5 + 1) + (2 + 1)
-    # 100 = 0b1100100 has 7 bits, and its top digit is 1 for w = 1, 2, 3, so
-    # those tables cost (cols - 1)*w + (cols - 1)*(2^w - 2): 6, 12 and 18 ops;
-    # w = 4 costs 4 + 14 + (6 - 1) = 23. Phase 1 baby (k0 1, stride 19, 6
-    # points, priced at all 6): w = 2 costs 12 + 5*3 = 27, under the plain
-    # 5*6 and w = 3's 18 + 5*2. Phase 1 giant (84, 84, 6), priced at its
-    # first 3 points against the plain 3*8: w = 1 and w = 2 both cost 20
-    # (6 + 2*6 + popcount 3 - 1; 12 + 2*3 + three base-4 digits - 1), and
-    # the tie keeps w = 1; over all 6 points it costs 6 + 2 + 5*6 = 38.
-    # Phase 2 baby (1, 91, 3): w = 1 costs 6 + 2*6 = 18, under the plain
-    # 2*10. Phase 2 giant (zeta0^3 = 38, 100, 4): its own plan, w = 1 at
-    # 6 + 2 + 6 = 14 over 2 points, loses to phase 1's w = 1 table at
-    # 2 + 6 = 8, so it shares that table and costs 2 + 3*6 = 20 over all 4.
+    # 100 = 0b1100100 has 7 bits. Its signed digits (lowest first, a lower digit above 2^(w-1)
+    # less 2^w, carrying 1) have top digit 1 for w = 1, 2, 3 and 6 for w = 4, so the tables
+    # cost (cols - 1)*w + (cols - 1)*(2^(w-1) - 1) + max(top - 1, 0): 6, 9, 12 and 4 + 7 + 5
+    # = 16 ops. Phase 1 baby (k0 1, stride 19, 6 points, priced at all 6): w = 4 costs
+    # 16 + 5*1 = 21, under w = 3's 12 + 5*2 and the plain 5*6. Phase 1 giant (84, 84, 6),
+    # priced at its first 3 points against the plain 8 + 2*8 = 24: 84's base-4 digits are
+    # 0, 1, 1, 1, none recoded, so w = 2 costs 9 + 2 + 2*3 = 17, under w = 1's 6 + 2 + 2*6
+    # and w = 3's 12 + 2 + 2*2; over all 6 points it costs 9 + 2 + 5*3 = 26. Phase 2 baby
+    # (1, 91, 3): w = 2 costs 9 + 2*3 = 15, under the plain 2*10 and w = 3's 12 + 2*2.
+    # Phase 2 giant (zeta0^3 = 38, 100, 4): its own plan, w = 1 at 6 + 2 + 6 = 14 over 2
+    # points, loses to phase 1's w = 2 table at 2 + 3 = 5 (38's digits 2, 1, 2, 0), so it
+    # shares that table and costs 2 + 3*3 = 11 over all 4.
     assert tr.j == 3
-    assert [rep[f"window_{name}"] for name in WALK_NAMES] == [2, 1, 1, 1]
-    assert rep["walk_group_op_ceiling"] == 27 + 38 + 18 + 20
+    assert [rep[f"window_{name}"] for name in WALK_NAMES] == [4, 2, 2, 2]
+    assert rep["walk_group_op_ceiling"] == 21 + 26 + 15 + 11
     assert rep["within_walk_ceiling"] is True
 
 
@@ -413,13 +413,26 @@ def test_ceil_log2():
 # ------------------------------------------------------- fixed-base walks
 
 
-def nonzero_digits(k: int, w: int) -> int:
-    """Nonzero w-bit digits of k, counted one at a time."""
-    count = 0
-    while k:
-        count += k % (1 << w) != 0
-        k >>= w
-    return count
+def signed_digits(k: int, w: int, p: int) -> list[int]:
+    """k's w-bit signed digits on a table that serves every k < p, recoded one digit at a time.
+
+    ceil(bits(p - 1)/w) digits, lowest first: each lower digit above 2^(w-1)
+    becomes itself - 2^w and carries 1 into the next; the top digit keeps
+    what is left, carry included.
+    """
+    digits = []
+    for _ in range(-(-(p - 1).bit_length() // w) - 1):
+        digit = k % 2**w
+        if digit > 2 ** (w - 1):
+            digit -= 2**w
+        digits.append(digit)
+        k = (k - digit) // 2**w
+    return digits + [k]
+
+
+def nonzero_digits(k: int, w: int, p: int) -> int:
+    """Nonzero w-bit signed digits of k < p."""
+    return sum(digit != 0 for digit in signed_digits(k, w, p))
 
 
 def run_walk(group, base_x: int, walk: Walk, giant: bool = False):
@@ -439,27 +452,23 @@ def walk_base(group, base_x: int) -> ImplicitFieldElement:
 
 
 def table_bill(p: int, w: int) -> int:
-    """Group ops of a w-bit table for every k < p, from the base-2^w digits of p - 1.
+    """Group ops of a w-bit signed-digit table for every k < p, from the signed digits of p - 1.
 
-    One column per digit, each but the first reached by w doublings; a row of
-    2^w - 2 additions per column, except the top one, which stops at the top
-    digit of p - 1.
+    One column per digit, each but the first reached by w doublings. Each
+    lower row holds the multiples 0..2^(w-1) at 2^(w-1) - 1 additions, and
+    their negatives, which cost none. The top row stops at the top digit of
+    p - 1, the largest of any k < p, since the top digit never falls as k grows.
     """
-    digits = []
-    n = p - 1
-    while n:
-        digits.append(n % 2**w)
-        n //= 2**w
-    cols, top = len(digits), digits[-1]
-    return (cols - 1) * w + (cols - 1) * (2**w - 2) + max(top - 1, 0)
+    *lower, top = signed_digits(p - 1, w, p)
+    return len(lower) * w + len(lower) * (2 ** (w - 1) - 1) + max(top - 1, 0)
 
 
 def formula_bill(p: int, walk: Walk, w: int, table: bool = True) -> int:
-    """The plain walk's double-and-add bill, or a w-bit table (unless shared) plus (digits - 1) per point."""
+    """The plain walk's bill, or a w-bit signed table (unless shared) plus (nonzero digits - 1) per point."""
     if w == 0:
         return scalar_mul_cost(walk.k0) + (walk.points - 1) * scalar_mul_cost(walk.stride)
     ks = [walk.k0 * pow(walk.stride, i, p) % p for i in range(walk.points)]
-    return table * table_bill(p, w) + sum(nonzero_digits(k, w) - 1 for k in ks)
+    return table * table_bill(p, w) + sum(nonzero_digits(k, w, p) - 1 for k in ks)
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
@@ -567,6 +576,20 @@ def test_table_is_built_at_its_billed_size(p):
         assert adds[0] - before + (cols - 1) * w == table_bill(p, w) == billed[w], w
 
 
+@pytest.mark.parametrize("p", [29, 101, 1009, 16381, EC_2_32])
+def test_signed_table_is_built_at_its_billed_size_on_ec(p):
+    # a fresh curve's generator table, counted as the classic-search bill test counts additions:
+    # its column doublings and row additions are Window.table and table_bill, and the lower
+    # rows' negatives, from _raw_negate, cost none; at 2^32 every w up to 12
+    group = make_group("ec", p)
+    adds = counted_point_adds(group)
+    for window in _windows(p - 1, 0):
+        if window.w <= 12:
+            before = adds[0]
+            group._generator_table(window.w)
+            assert adds[0] - before == window.table == table_bill(p, window.w), window.w
+
+
 def run_bill(p: int, tr, rep) -> int:
     """A run's group ops from (params, j, u1, u2) and its windows, with the generator table counted once.
 
@@ -591,7 +614,7 @@ def priced_worst(p: int, walk: Walk, w: int, table: bool = True) -> int:
     if w == 0:
         return scalar_mul_cost(walk.k0) + (half - 1) * scalar_mul_cost(walk.stride)
     cols = -(-(p - 1).bit_length() // w)
-    return table * table_bill(p, w) + nonzero_digits(walk.k0, w) - 1 + (half - 1) * (cols - 1)
+    return table * table_bill(p, w) + nonzero_digits(walk.k0, w, p) - 1 + (half - 1) * (cols - 1)
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
@@ -1317,9 +1340,9 @@ def test_kept_table_holds_its_first_k_plus_1_layers_up_to_the_key_budget(d, laye
     assert (len(giants.table), giants.pulls) == (size, pulls)
     if d == 1:  # d1 = 127: the odd eighths, so a hit pulls at most 16 keys of the 128 the walk has
         assert giants.offsets == [0, 15, 31, 47, 63, 79, 95, 111]
-        # and the baby walk runs at w = 3, where a built or half-stride table's runs at w = 5
+        # and the baby walk runs at w = 4, where a built or half-stride table's runs at w = 5
         windows = [_pulled_window(p, params.zeta, params.d1 + 1, bound) for bound in (128, 65, pulls)]
-        assert [w_of(window) for window in windows] == [5, 5, 3]
+        assert [w_of(window) for window in windows] == [5, 5, 4]
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
