@@ -264,16 +264,18 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
     Every record is validated here: each field present and of the type
     _RECORD_FIELDS names (annotations may be left out), p and d plain ASCII
     decimals when given as strings, p >= 3, and d None or a divisor of p-1.
-    A bad shape or record raises DatabaseError.
+    A file that cannot be opened raises OSError. A file that does not decode
+    (not UTF-8, not JSON, nested past the recursion limit, an integer past
+    Python's digit limit), a bad shape or a bad record raises DatabaseError.
     """
     if path is None:
         path = os.environ.get("DHP_DB") or None
-    if path is None:
-        blob = resources.files("dhpbound.data").joinpath("secg_curves.json").read_text()
-    else:
-        with open(path) as fh:
-            blob = fh.read()
-    doc = json.loads(blob)
+    packaged = resources.files("dhpbound.data").joinpath("secg_curves.json")
+    try:
+        with packaged.open() if path is None else open(path) as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError included
+        raise DatabaseError(str(exc)) from None
     raws = doc.get("records") if isinstance(doc, dict) else None
     if not isinstance(raws, list):
         raise DatabaseError("the top level must be an object holding a 'records' list")

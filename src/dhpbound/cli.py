@@ -98,7 +98,7 @@ def _markdown_table(rows: list[bounds.BoundRow], diff: bool) -> list[str]:
 def cmd_tables(args) -> int:
     try:
         db = bounds.load_database(args.db)
-    except (OSError, json.JSONDecodeError, bounds.DatabaseError) as exc:
+    except (OSError, bounds.DatabaseError) as exc:
         print(f"error: cannot load curve database: {exc}", file=sys.stderr)
         return 1
     rows = bounds.table_rows(db)
@@ -265,7 +265,7 @@ def cmd_divisors(args) -> int:
         print(f"policy suggestion ({args.policy}): unavailable (incomplete factorization)")
     try:
         db = bounds.load_database(args.db)
-    except (OSError, json.JSONDecodeError, bounds.DatabaseError) as exc:
+    except (OSError, bounds.DatabaseError) as exc:
         source = args.db or os.environ.get("DHP_DB") or "(packaged)"
         print(f"warning: database {source}: {exc}; cross-reference skipped", file=sys.stderr)
         db = []

@@ -10,8 +10,8 @@ A GroupPoint is immutable: two slots, group and data, and no __dict__;
 equality and hashing are by identity, and eq compares data. add makes one
 identity test of both operands' group, calling _member only to raise
 GroupMismatchError, and builds its result without running __init__, because
-the simulated oracle's baby table takes up to 65,535 sums through it; every
-other place that makes a point calls GroupPoint(group, data).
+DlogSolver's baby table takes up to 65,535 sums through it; every other
+place that makes a point calls GroupPoint(group, data).
 
 No group charges a cost: cost.py prices every operation, reads of the
 fixed-base hook _raw_fixed_base included (see its cost convention).
@@ -22,12 +22,15 @@ Every baby-step giant-step search keys a point by its canonical data (an
 int residue, an (x, y) tuple, or None at infinity), the value eq compares.
 encode checks that a GroupPoint belongs to the group and returns that
 data: the reduction's walks call it once, on the base each walk is handed,
-and key every point they compute by its raw data, as the raw loops do.
-Each search is a plain loop in the module that runs it: the reduction's in
-reduction._search, brute_force_dlog's here. The simulated oracle builds its
-baby table with add, and its giant side, which nobody bills, runs on the
-raw hook _raw_probe: one loop over raw data that stops at the first stored
-point, generic on _raw_add and inlined on F_q^x. Z_p never probes.
+and key every point they compute by its raw data. There are two searches.
+The reduction's, which the ledger bills, is reduction._search. The other
+is DlogSolver, the one private dlog solver, which nobody bills: it backs
+both brute_force_dlog, with a fresh solver per call, and the simulated
+oracle, whose handle owns one solver and so one baby table. The solver
+builds that table on its first solve with add, and runs its giant side on
+the raw hook _raw_probe: one loop over raw data that stops at the first
+stored point, generic on _raw_add and inlined on F_q^x. The table belongs
+to the solver, never to the group, so it is freed with its owner.
 
 make_group(backend, p) is the one place that picks a group for (backend,
 p). Its ec groups come from the packaged registry data/curves.json, one
@@ -164,7 +167,7 @@ class CyclicGroup:
         if a.group is not self or b.group is not self:
             self._member(a)
             self._member(b)
-        # built without an __init__ frame: the oracle's baby table makes up to 65,535 sums
+        # built without an __init__ frame: DlogSolver's baby table makes up to 65,535 sums
         point = _allocate(GroupPoint)
         _set_group(point, self)
         _set_data(point, self._raw_add(a.data, b.data))
@@ -473,32 +476,50 @@ def make_ec_group(q: int, a: int, b: int, gx: int, gy: int, p: int) -> EcGroup:
     return group
 
 
-def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:
-    """x in [0, p-1] with x*generator = Q, by baby-step giant-step keyed on encode.
+class DlogSolver:
+    """Baby-step giant-step dlog to the base of the group's generator P: the one private solver.
 
-    Independent check oracle for tests; refuses orders above 2^32. This is a
-    one-shot solver (table rebuilt per call); the simulated DH oracle keeps its
-    own cached solver.
+    table maps (r*P).data to r for r < m = isqrt(p - 1) + 1; the first
+    solve builds it with m - 1 calls of the public add, bound once before
+    the loop, and stores each multiple by plain assignment, since r*P for
+    r < m <= p are distinct. stride is the raw data of -m*P. A solve then
+    runs the group's _raw_probe from the point for at most m + 1 steps,
+    and the first stored point u*m + r gives its dlog. steps counts the
+    work: m - 1 for the table, then u + 1 per solve that finds its point.
     """
+
+    def __init__(self, group: CyclicGroup):
+        self.group, self.span = group, isqrt(group.order - 1) + 1  # span is m
+        self.table: dict[object, int] | None = None
+        self.stride, self.steps = None, 0
+
+    def solve(self, raw) -> int | None:
+        """x in [0, p-1] with x*P of data raw, or None when no giant step meets the table."""
+        g, m = self.group, self.span
+        if self.table is None:
+            add, generator, point = g.add, g.generator, g.identity
+            self.table = table = {point.data: 0}
+            for r in range(1, m):
+                point = add(point, generator)
+                table[point.data] = r
+            self.stride = g.negate(g.scalar_mul(m, generator)).data
+            self.steps += m - 1
+        hit = g._raw_probe(self.table, raw, self.stride, m + 1)
+        if hit is None:
+            return None
+        self.steps += hit[0] + 1
+        return (hit[0] * m + hit[1]) % g.order
+
+
+def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:
+    """x in [0, p-1] with x*generator = Q, by a fresh DlogSolver; refuses orders above 2^32."""
     g._member(Q)
     if g.order > ORDER_GUARD:
         raise GuardRailError(f"order {g.order} exceeds the brute-force guard {ORDER_GUARD}")
-    if g.eq(Q, g.identity):
-        return 0
-    m = isqrt(g.order - 1) + 1
-    table = {}
-    step = g.identity
-    for r in range(m):  # table: r*P -> r
-        table.setdefault(g.encode(step), r)
-        step = g.add(step, g.generator)
-    giant = g.negate(g.scalar_mul(m, g.generator))  # -m*P
-    probe = Q
-    for i in range(m + 1):
-        r = table.get(g.encode(probe))
-        if r is not None:
-            return (i * m + r) % g.order
-        probe = g.add(probe, giant)
-    raise RuntimeError(f"BSGS failed on order {g.order}: generator does not generate Q")
+    x = DlogSolver(g).solve(Q.data)
+    if x is None:
+        raise RuntimeError(f"BSGS failed on order {g.order}: generator does not generate Q")
+    return x
 
 
 def find_ec_group_params(

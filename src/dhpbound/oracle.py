@@ -4,19 +4,18 @@ The oracle answers dh(aP, bP) = abP. It recovers a from aP at call time, so
 it accepts arbitrary points produced mid-computation (squarings dh(Y, Y)
 included) without tracking any exponent bookkeeping that a real black box
 would not have. On Z_p the generator is 1, so a is the residue itself; on the
-other backends a private baby-step giant-step solver recovers it on the raw
-coordinates. Its baby table (r*P -> r for r < m = isqrt(p - 1) + 1) is built
-once per handle by m - 1 calls of the public add, bound once before the
-loop: one identity test and one slotted point per step, and each multiple
-stored by plain assignment, since r*P for r < m <= p are distinct. Each
-probe then runs the group's raw hook _raw_probe from aP with stride -m*P for
-at most m + 1 steps, and the first stored point u*m + r gives a. That
-private solver work is deliberately invisible to the caller: the attached
-ledger moves by exactly one oracle call per invocation and nothing else. The
-handle's own solver_steps counter shows it: m - 1 for the baby table, u + 1
-per probe.
+other backends the handle's own groups.DlogSolver, the package's one private
+dlog solver, recovers it on the raw coordinates. The handle owns that solver,
+and so its baby table (r*P -> r for r < m = isqrt(p - 1) + 1): the table is
+built on the handle's first probe, by m - 1 calls of the public add, and
+every later probe of the handle reuses it. A probe runs the group's raw hook
+_raw_probe from aP with stride -m*P for at most m + 1 steps. That private
+solver work is deliberately invisible to the caller: the attached ledger
+moves by exactly one oracle call per invocation and nothing else. The
+handle's solver_steps, the solver's step count, shows it: m - 1 for the baby
+table, u + 1 per probe.
 
-Within one run (from one attach_ledger to the next) the solver remembers what
+Within one run (from one attach_ledger to the next) the handle remembers what
 it has already solved: the exponent of every point it probed, and the exponent
 ab of every answer abP whose b it knew. It is keyed only on points the calls
 carried in or out, never on the caller's own secrets, so it uses nothing a
@@ -39,11 +38,11 @@ nonzero signed 4-bit digit of ab, where a double-and-add by a costs about
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import isqrt
 
 from .groups import (
     ORDER_GUARD,
     CyclicGroup,
+    DlogSolver,
     GroupPoint,
     GuardRailError,
     ZpAdditiveGroup,
@@ -83,10 +82,7 @@ class OracleHandle:
         self.group = group
         self.call_count = 0
         self.ledger: CostLedger | None = None
-        self.solver_steps = 0  # private solver work: baby steps, then giant probes per memo miss
-        self._baby_table: dict[object, int] | None = None  # point data -> baby index
-        self._giant_step = None  # raw data of -m*P
-        self._table_span = isqrt(group.order - 1) + 1 if group.order > 1 else 1
+        self._solver = DlogSolver(group)  # its table is built on the first memo miss
         self._known: dict[object, int] = {}  # point data -> dlog, for the current run only
 
     def attach_ledger(self, ledger: CostLedger | None) -> None:
@@ -94,30 +90,25 @@ class OracleHandle:
         self.ledger = ledger
         self._known.clear()
 
+    @property
+    def solver_steps(self) -> int:
+        """Private solver work: baby steps, then giant probes per memo miss."""
+        return self._solver.steps
+
     def _private_dlog(self, A: GroupPoint) -> int:
-        """Exponent of A, off the caller's ledger: the Z_p residue, else the memo or a BSGS probe."""
-        g, m = self.group, self._table_span
+        """Exponent of A, off the caller's ledger: the Z_p residue, else the memo or a solver probe."""
+        g = self.group
         if isinstance(g, ZpAdditiveGroup):  # generator 1: the residue is the dlog
             return A.data
         known = self._known.get(A.data)
         if known is not None:
             return known
-        if self._baby_table is None:  # one baby table per handle, shared by every call
-            add, generator, point = g.add, g.generator, g.identity
-            self._baby_table = table = {point.data: 0}
-            for r in range(1, m):  # m - 1 additions on the public group law
-                point = add(point, generator)
-                table[point.data] = r  # r*P for r < m <= p are distinct: no key repeats
-            self._giant_step = g.negate(g.scalar_mul(m, g.generator)).data
-            self.solver_steps += m - 1
-        # raw data is canonical and hashable; every match u*m + r is the dlog
-        hit = g._raw_probe(self._baby_table, A.data, self._giant_step, m + 1)
-        if hit is None:
+        a = self._solver.solve(A.data)
+        if a is None:
             raise RuntimeError(
                 f"oracle dlog failed on order {g.order}: point not generated by the group generator"
             )
-        self.solver_steps += hit[0] + 1
-        a = self._known[A.data] = (hit[0] * m + hit[1]) % g.order
+        self._known[A.data] = a
         return a
 
     def dh(self, A: GroupPoint, B: GroupPoint) -> GroupPoint:

@@ -1,10 +1,12 @@
 """Key-iterator baby-step giant-step, kept as a reference for the package's searches.
 
-The package runs every search as a plain loop (reduction._search, the
-oracle's baby table and _raw_probe, brute_force_dlog). These helpers are the
-same searches written on lazy key iterators, one key per point a side visits;
-the tests below pin how many keys each one pulls, and test_reduction.py and
-test_oracle.py check the package's loops against them.
+The package runs two searches as plain loops: the reduction's billed
+reduction._search, and groups.DlogSolver, the one private dlog solver
+behind both the simulated oracle and brute_force_dlog, whose baby table
+lives on the solver and whose giant side is the group's _raw_probe. These
+helpers are the same searches written on lazy key iterators, one key per
+point a side visits; the tests below pin how many keys each one pulls, and
+test_reduction.py and test_oracle.py check the package's loops against them.
 """
 
 import random

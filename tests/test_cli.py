@@ -140,6 +140,30 @@ def test_tables_invalid_db_record(tmp_path, capsys, fields, message):
     assert message in err and err.count("\n") == 1
 
 
+def _undecodable_dbs(tmp_path) -> dict[str, str]:
+    """Database files that fail to decode, each -> a phrase of the one-line reason."""
+    files = {
+        "not_utf8.json": (b"\xff{}", "can't decode byte 0xff"),
+        "deep.json": (b"[" * 100_000, "maximum recursion depth exceeded"),
+        "long_int.json": (b'{"records": ' + b"1" * 5000 + b"}", "4300 digits"),
+    }
+    for name, (blob, _) in files.items():
+        (tmp_path / name).write_bytes(blob)
+    return {str(tmp_path / name): reason for name, (_, reason) in files.items()}
+
+
+def test_tables_undecodable_db(tmp_path, capsys, monkeypatch):
+    # through --db and through $DHP_DB: exit 1 and one stderr line, never a traceback
+    for path, reason in _undecodable_dbs(tmp_path).items():
+        code, _, err = run(capsys, "tables", "--db", path)
+        assert code == 1
+        assert err.startswith("error: cannot load curve database: ") and reason in err
+        assert err.count("\n") == 1
+        monkeypatch.setenv("DHP_DB", path)
+        assert run(capsys, "tables") == (code, "", err)
+        monkeypatch.delenv("DHP_DB")
+
+
 def test_tables_db_without_records_list(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")
@@ -452,6 +476,7 @@ def test_divisors_skips_invalid_db(tmp_path, capsys):
         str(tmp_path / "absent.json"): "No such file or directory",
         str(tmp_path / "broken.json"): "line 1 column 2",
         _one_record_db(tmp_path, d="3"): "d=3 does not divide p-1=100",
+        **_undecodable_dbs(tmp_path),
     }
     _, plain_out, _ = run(capsys, "divisors", "--p", "101")  # no packaged record has p = 101
     for path, reason in reasons.items():

@@ -33,12 +33,13 @@ SUBCOMMANDS = ["tables"] * 4 + ["reduce"] * 10 + ["divisors"] * 6 + ["selftest",
 
 @pytest.fixture(scope="module")
 def db_paths(tmp_path_factory):
-    """A missing file, a file that is not JSON, and a one-record database whose d is wrong."""
+    """A missing file, files that are not JSON or not UTF-8, and a one-record database whose d is wrong."""
     root = tmp_path_factory.mktemp("fuzz_db")
     (root / "bad.json").write_text("{not json")
+    (root / "not_utf8.json").write_bytes(b"\xff{}")
     (root / "wrong_d.json").write_text(json.dumps({"version": 1, "records": [
         {"name": "TINY", "field_kind": "prime", "p": "101", "d": "3"}]}))
-    return [str(root / "missing.json"), str(root / "bad.json"), str(root / "wrong_d.json")]
+    return [str(root / name) for name in ("missing.json", "bad.json", "not_utf8.json", "wrong_d.json")]
 
 
 @st.composite

@@ -182,6 +182,14 @@ def test_brute_force_dlog_guard_rail():
         brute_force_dlog(g, g.generator)
 
 
+@pytest.mark.parametrize("p", (101, 1009))
+def test_brute_force_dlog_outside_the_subgroup_fails_by_name(p):
+    # q - 1 has order 2 in F_q^x, so it is no multiple of the order-p generator
+    g = make_group("mult", p)
+    with pytest.raises(RuntimeError, match=f"^BSGS failed on order {p}: generator does not generate Q$"):
+        brute_force_dlog(g, GroupPoint(g, g.q - 1))
+
+
 def test_scalar_mul_cost_values():
     assert scalar_mul_cost(0) == 0
     assert scalar_mul_cost(1) == 0

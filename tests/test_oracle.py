@@ -6,9 +6,10 @@ from math import isqrt
 
 import pytest
 
-from test_bsgs_reference import bsgs_probe, orbit
+from test_bsgs_reference import bsgs_probe, bsgs_table, orbit
 from dhpbound.groups import (
     CyclicGroup,
+    DlogSolver,
     GroupMismatchError,
     GroupPoint,
     GuardRailError,
@@ -169,7 +170,7 @@ def test_solver_baby_table_holds_raw_multiples(kind, p):
     oracle = OracleHandle(g)
     oracle.dh(g.scalar_mul(5, g.generator), g.generator)
     m = isqrt(p - 1) + 1
-    assert oracle._baby_table == {g.scalar_mul(r, g.generator).data: r for r in range(m)}
+    assert oracle._solver.table == {g.scalar_mul(r, g.generator).data: r for r in range(m)}
 
 
 MEMO_GROUPS = [(kind, p) for kind in ("mult", "ec") for p in (101, 1009)] + [("ec", 16381)]
@@ -201,12 +202,17 @@ PROBE_GROUPS += [("ec", 16381, 20), ("mult", 4294967291, 20)]
 
 @pytest.mark.parametrize("kind, p, sampled", PROBE_GROUPS)
 def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled):
-    # _raw_probe finds what the reference bsgs_probe finds on orbit over the same steps, and the
-    # oracle's solver_steps move by the same u + 1; every point, or `sampled` seeded ones
+    # the reference bsgs_table is the handle's baby table; _raw_probe finds what the reference
+    # bsgs_probe finds on orbit over the same steps; a fresh DlogSolver and brute_force_dlog
+    # answer what the reference answers, the solver's first solve counting (m - 1) + (u + 1)
+    # steps, and the oracle's solver_steps move by u + 1; every point, or `sampled` seeded ones
     g = make_group(kind, p)
+    m = isqrt(p - 1) + 1
+    table = bsgs_table(orbit(g._raw_add, g.identity.data, g.generator.data), m)
+    step = g.negate(g.scalar_mul(m, g.generator)).data
     oracle = OracleHandle(g)
-    oracle.dh(g.generator, g.generator)  # builds the baby table
-    table, step, m = oracle._baby_table, oracle._giant_step, oracle._table_span
+    oracle.dh(g.generator, g.generator)  # builds the handle's baby table
+    assert (oracle._solver.table, oracle._solver.stride, oracle._solver.span) == (table, step, m)
     if sampled is None:
         xs = range(p)
     else:
@@ -218,6 +224,9 @@ def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled):
         assert g._raw_probe(table, A.data, step, m + 1) == want
         assert want is not None and (want[0] * m + want[1]) % p == x
         assert g._raw_probe(table, A.data, step, want[0]) is None  # one step short of the first hit
+        solver = DlogSolver(g)
+        assert solver.solve(A.data) == brute_force_dlog(g, A) == x
+        assert solver.steps == (m - 1) + (want[0] + 1)
         oracle.attach_ledger(None)  # forget the memo, so the point is probed again
         before = oracle.solver_steps
         assert oracle._private_dlog(A) == x
@@ -231,7 +240,7 @@ def test_raw_probe_outside_the_subgroup_fails_by_name(p):
     oracle = OracleHandle(g)
     oracle.dh(g.generator, g.generator)
     outside = GroupPoint(g, g.q - 1)
-    table, step, m = oracle._baby_table, oracle._giant_step, oracle._table_span
+    table, step, m = oracle._solver.table, oracle._solver.stride, oracle._solver.span
     assert g._raw_probe(table, outside.data, step, m + 1) is None
     assert bsgs_probe(table, orbit(g._raw_add, outside.data, step), range(m + 1)) is None
     steps = oracle.solver_steps
