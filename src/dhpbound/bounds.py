@@ -191,13 +191,14 @@ def suggest_divisor(p: int, factors: Factorization, policy: str = "paper") -> in
 
     policy "paper": the smallest divisor of p-1 in [cbrt(p), sqrt(p)]; if that
     range holds none, the largest divisor below cbrt(p) exceeding 1; None when
-    only d = 1 exists below the range.
+    only d = 1 exists below the range. That divisor is (p-1)/D for the
+    smallest divisor D of p-1 at or above (p-1)/(lo-1), lo the band's floor.
 
     policy "min-n": the divisor minimizing the exact oracle-call count among
     those with reduction_ops_bound at most 2^(log2(sqrt p) - 8), i.e. M at
     least 8 bits below the plain BSGS cost (compared in log2 to keep huge p
     exact); ties break toward the smaller divisor; None when no divisor
-    qualifies. Like divisors_in_range, it sees only the modmath.DIVISOR_CAP
+    qualifies. Like divisors_in_range, min-n sees only the modmath.DIVISOR_CAP
     (10^6) smallest divisors of p-1.
     """
     if not factors.complete:
@@ -207,8 +208,8 @@ def suggest_divisor(p: int, factors: Factorization, policy: str = "paper") -> in
         smallest = divisors_in_range(factors, lo, hi, cap=1) if lo <= hi else []
         if smallest:
             return smallest[0]
-        below = divisors_in_range(factors, 2, lo - 1) if lo - 1 >= 2 else []
-        return below[-1] if below else None
+        below = (p - 1) // divisors_in_range(factors, -(-(p - 1) // (lo - 1)), p - 1, cap=1)[0]
+        return below if below >= 2 else None
     if policy == "min-n":
         budget = 0.5 * log2_approx(p) - 8
         best = None

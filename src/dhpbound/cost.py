@@ -254,10 +254,10 @@ def _pulled_window(p: int, stride: int, points: int, pulls: int) -> Window | Non
     passes: the widest gap between the offsets of its stored layers, plus
     1, since a baby walk meets a stored key within that gap. It is step +
     1, the whole baby walk, on a table just built, ceil(step/2) + 1 once
-    the half-stride layer is in, and about step/2^k + 1 once phase 1's
-    table holds 2^k layers. On a table just built the first hit falls on
-    average about halfway, so the walk runs on the window that suits the
-    fewer of pulls and ceil(points/2) + 1 points. The bill, and the plan,
+    the half-stride layer is in, and about step/2^k + 1 once the table,
+    of either phase, holds 2^k layers. On a table just built the first hit
+    falls on average about halfway, so the walk runs on the window that
+    suits the fewer of pulls and ceil(points/2) + 1 points. The bill, and the plan,
     keep the window planned for the whole walk.
     """
     return _plan(p, Walk(1, stride, min(pulls, -(-points // 2) + 1)))

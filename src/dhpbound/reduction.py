@@ -47,14 +47,14 @@ g replaces it. Its first run builds it over the whole giant walk, one
 layer. Each reuse may add one more layer, the same G exponents shifted
 down by an offset o in [0, step) that halves the widest gap left between
 the stored offsets: floor(step/2), then the quarters, then the odd eighths
-and so on, G keys each, so no run pays for more than one layer. The first
-reuse always adds the half-stride layer (when step > 1). Later reuses grow
-phase 1's table while it holds fewer than KEPT_TABLE_KEYS = 2^10 keys and
-its widest gap is above 1; phase 2's stops at the half-stride layer, since
-its baby walk is short and its cost is the first point, k0 * Q. Each run
-streams its baby points into the table and stops at the first hit (v, e),
-within the widest gap's width of pulls; the baby walk runs on the window
-_pulled_window gives for the table's pull bound, that width plus 1. Phase 1's
+and so on, G keys each, so no run pays for more than one layer. One rule
+grows both phases' tables: the first reuse adds the half-stride layer, and
+later reuses add one layer while the table holds fewer than
+KEPT_TABLE_KEYS = 2^10 keys, each only while the widest gap is above 1
+(so a table with step 1 never grows). Each run streams its baby points
+into the table and stops at the first hit (v, e), within the widest gap's
+width of pulls; the baby walk runs on the window _pulled_window gives for
+the table's pull bound, that width plus 1. Phase 1's
 zeta^v * x^d P gives j = (e - v - 1) mod m + 1, and phase 2's
 zm^v * zeta0^-j Q gives t = (e - v) mod d, whichever stored e was hit, since
 g has order m or d. The classic search's matches follow: u1 = ceil(j/d1),
@@ -224,7 +224,7 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
         k = k * stride % p
 
 
-KEPT_TABLE_KEYS = 1 << 10  # phase 1's kept table adds layers past its second while it holds fewer keys
+KEPT_TABLE_KEYS = 1 << 10  # a kept table adds layers past its second while it holds fewer keys
 
 
 @dataclass
@@ -239,10 +239,11 @@ class GiantTable:
     and each later layer the o that halves the widest gap between the
     stored offsets, taken cyclically mod step, the first widest on ties: so
     floor(step/2), then the quarters, then the odd eighths and so on, and
-    no offset twice. A baby walk meets a stored key within the widest
-    gap's width of pulls, so pulls, that width plus 1, is step + 1, the
-    whole baby walk, on a build and about step/2^k + 1 once 2^k layers are
-    stored.
+    no offset twice. Both phases' tables grow by _search's one rule, up to
+    KEPT_TABLE_KEYS keys past the half-stride layer. A baby walk meets a
+    stored key within the widest gap's width of pulls, so pulls, that width
+    plus 1, is step + 1, the whole baby walk, on a build and about
+    step/2^k + 1 once 2^k layers are stored.
     """
 
     g: int
@@ -269,7 +270,7 @@ class GiantTable:
 
 
 def _search(
-    group: CyclicGroup, planned: tuple[Planned, Planned], key: tuple, e0: int, step: int, budget: int,
+    group: CyclicGroup, planned: tuple[Planned, Planned], key: tuple, e0: int, step: int,
     base: ImplicitFieldElement, k0: int = 1,
 ):
     """First (v, e) where the baby walk from k0*base meets the kept key of g^e * P; or None.
@@ -279,10 +280,11 @@ def _search(
     g^e * P for e = e0 + step*i, i < G, G its points. The group's GiantTable
     under key is built over all G of them, replaced when a run's g differs,
     and grows by one layer per reuse: the same G exponents less the next
-    offset, on the same stride and window. The first reuse adds the
-    half-stride layer; later ones add a layer while the table holds fewer
-    than budget keys (KEPT_TABLE_KEYS in phase 1, 0 in phase 2); none is
-    added once the widest gap is 1, so a table with step 1 never grows. The
+    offset, on the same stride and window. Both phases follow one rule: the
+    first reuse adds the half-stride layer, even to a build of
+    KEPT_TABLE_KEYS keys or more; later ones add a layer while the table
+    holds fewer than KEPT_TABLE_KEYS keys; none is added once the widest
+    gap is 1, so a table with step 1 never grows. The
     baby walk then pulls one key per v < its points, on the window
     _pulled_window picks for the table's pull bound, and stops at the first
     stored one.
@@ -293,7 +295,7 @@ def _search(
     if kept is None or kept.g != g:  # build over the giant walk, which starts at g^e0
         kept = group._giant_tables[key] = GiantTable(g, step)
         offset = 0
-    elif kept.pulls > 2 and (len(kept.offsets) == 1 or len(kept.table) < budget):
+    elif kept.pulls > 2 and (len(kept.offsets) == 1 or len(kept.table) < KEPT_TABLE_KEYS):
         offset = kept.grow()
     if offset is not None:
         first = e0 - offset
@@ -329,7 +331,7 @@ def phase1_find_j(
     p = group.order
     m, d1 = (p - 1) // params.d, params.d1
     planned = plan(p, params.d, params.zeta0, 0)[:2]
-    hit = _search(group, planned, (1, params.d), d1, d1, KEPT_TABLE_KEYS, q_pow_d)
+    hit = _search(group, planned, (1, params.d), d1, d1, q_pow_d)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 1 found no j in [1, {m}] for d={params.d}: oracle or generator is broken"
@@ -349,11 +351,12 @@ def phase2_find_t(
     zm^v * zeta0^(-j) * Q = zm^(t + v) * P. The giant side is the group's
     kept table of zm^e * P for e = s2*u, u = 0..G2 - 1, G2 = ceil(d/s2) + 2
     the billed giant walk's length; like phase 1's it depends on p, d and zm,
-    never on Q or j. The baby side is the planned baby walk on Q, started at
+    never on Q or j, and grows by the same rule (_search). The baby side is the planned baby walk on Q, started at
     k0 = zeta0^(-j): it visits zm^(t + v) * P for v = 0..s2 and stops at the
     first hit (v, e), where t + v = e (mod d), so t = (e - v) mod d whatever
     stored e it met. One exists: v = s2*ceil(t/s2) - t < s2 meets
-    e = s2*ceil(t/s2), whose u is at most G2 - 1.
+    e = s2*ceil(t/s2), whose u is at most G2 - 1, and the probe pulls at
+    most the widest gap between the table's layer offsets, as in phase 1.
 
     This is the classic search's first accepted match: a table of
     zm^v * Q, v = 0..s2, probed by zeta0^j * zm^(s2*u) * P for u = 0, 1, ...,
@@ -372,7 +375,7 @@ def phase2_find_t(
     p = group.order
     d, s2 = params.d, params.s2
     k0 = pow(params.zeta0, -j, p)
-    hit = _search(group, plan(p, d, params.zeta0, 0)[2:], (2, d), 0, s2, 0, ImplicitFieldElement(Q), k0)
+    hit = _search(group, plan(p, d, params.zeta0, 0)[2:], (2, d), 0, s2, ImplicitFieldElement(Q), k0)
     if hit is None:
         raise InternalInconsistencyError(
             f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"

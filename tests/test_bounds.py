@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from dhpbound import bounds
 from dhpbound.bounds import (
     VERDICT_ANNOTATED,
     VERDICT_FAILURE,
@@ -255,6 +256,37 @@ def test_suggest_divisor_paper_fallback_two():
     # p - 1 = 2q with q prime above sqrt(p): nothing in band, 2 is the fallback
     p = 59  # 58 = 2 * 29, sqrt(59) < 8 < 29
     assert suggest_divisor(p, factorize(58), "paper") == 2
+
+
+# the records whose paper band holds no divisor of p - 1, with the largest divisor below the band
+PAPER_FALLBACKS = {
+    "SECP112R1": 140876, "SECP128R2": 3101689558, "SECP192K1": 43818996, "SECP224K1": 6,
+    "SECP224R1": 533642580, "SECT131R1": 23348, "SECT163R2": 859825042,
+    "SECT233K1": 11064269030135607689238,
+}
+
+
+def test_suggest_divisor_paper_fallback_is_the_largest_divisor_below_the_band(monkeypatch):
+    # with divisors_in_range's default cap cut to 4, a fallback that lists the divisors below the
+    # band keeps only the 4 smallest; the fallback must still give the largest on every record
+    records = {rec.name: rec for rec in load_database()}
+    real = bounds.divisors_in_range
+    monkeypatch.setattr(bounds, "divisors_in_range", lambda f, lo, hi, cap=4: real(f, lo, hi, cap))
+    for name, want in PAPER_FALLBACKS.items():
+        p = records[name].p
+        f = factorize(p - 1, 10**6)
+        lo, hi = paper_band(p)
+        below = real(f, 2, lo - 1)
+        assert len(below) > 4 or name == "SECP224K1"
+        assert not real(f, lo, hi) and below[-1] == want
+        assert suggest_divisor(p, f, "paper") == want, name
+    # and on every prime below 20,000 whose band is empty
+    for p in filter(is_prime, range(3, 20000)):
+        f = factorize(p - 1)
+        lo, hi = paper_band(p)
+        if lo > hi or not real(f, lo, hi):
+            below = real(f, 2, lo - 1) if lo > 2 else []
+            assert suggest_divisor(p, f, "paper") == (below[-1] if below else None), p
 
 
 def test_suggest_divisor_paper_none_when_trivial():

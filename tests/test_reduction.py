@@ -921,7 +921,8 @@ PHASE2_SPLITS = {
     # d = 2: s2 = 1, so the one offset leaves no gap above 1, and the G2 = 4 keys are zm^0 and zm^1
     "d-is-2": 2,
     # d = p - 1: m = 1 and j = 1; s2 = 10 and G2 = 12, so e = 100 and 110 repeat e = 0 and 10:
-    # 10 keys, and 10 more a half stride (5) below them from the first reuse on
+    # 10 keys per layer, each reuse a layer below them, the half stride (5) first, until the ten
+    # offsets below s2 hold the whole subgroup of order 100
     "d-is-p-1": 100,
 }
 
@@ -931,8 +932,9 @@ PHASE2_SPLITS = {
 def test_phase2_matches_reference_on_named_divisors(kind, split):
     p, d = 101, PHASE2_SPLITS[split]
     group = make_group(kind, p)
+    assert layer_offsets(10, 10) == [0, 5, 2, 7, 3, 8, 1, 4, 6, 9]
     for seed in range(4):
-        for x in range(1, p):
+        for runs, x in enumerate(range(1, p), start=1):
             kept = group._giant_tables.get((2, d))
             t, u2, v2 = assert_phase2_matches_reference(group, x, d, seed)
             giants = group._giant_tables[2, d]
@@ -944,10 +946,13 @@ def test_phase2_matches_reference_on_named_divisors(kind, split):
                 assert len(giants.table) == 2
                 assert (giants.offsets, giants.pulls) == ([0], 2)
             else:
-                # a build is one layer; every reuse keeps or adds the half-stride one, and no more
-                grown = giants is kept
-                assert (giants.offsets, giants.pulls) == (([0, 5], 6) if grown else ([0], 11))
-                assert len(giants.table) == (20 if grown else 10)
+                # run r on a seed's table leaves its first min(r, 10) layers: each reuse adds one,
+                # the ten keys zm^(s2*u - o), until every offset o below s2 is stored
+                assert (giants is kept) == (runs > 1)
+                offsets = layer_offsets(10, min(runs, 10))
+                assert (giants.offsets, giants.pulls) == (sorted(offsets), pull_bound(10, offsets))
+                assert giants.pulls == [11, 6, 6, 4, 4, 3, 3, 3, 3, 2][min(runs, 10) - 1]
+                assert len(giants.table) == 10 * len(offsets)
                 assert phase2_inputs(group, x, d, seed)[1] == 1
 
 
@@ -1015,7 +1020,6 @@ def run_quietly(group, handle, x: int, d: int, seed: int):
 
 
 PHASES = (1, 2)
-BUDGETS = {1: KEPT_TABLE_KEYS, 2: 0}  # phase 2's table stops at its half-stride layer
 
 
 def baby_pulls(giants, r: int, n: int) -> int:
@@ -1063,19 +1067,20 @@ def table_states(group, d: int) -> list:
     return states
 
 
-def layers_added(state, giants, phase: int) -> int:
-    """Layers a run added to giants, its phase's table after it, from the state before it: 1 for a
+def layers_added(state, giants) -> int:
+    """Layers a run added to giants, a phase's table after it, from the state before it: 1 for a
     build; on a reuse 1 while the widest gap is above 1 (a pull bound above 2), on the first reuse
-    always and on later ones while the table holds fewer keys than the phase's budget; else 0."""
+    always and on later ones while the table holds fewer than KEPT_TABLE_KEYS keys; else 0. One
+    rule for both phases."""
     kept, layers, size, pulls = state
     if giants is not kept:
         return 1
-    return int(pulls > 2 and (layers == 1 or size < BUDGETS[phase]))
+    return int(pulls > 2 and (layers == 1 or size < KEPT_TABLE_KEYS))
 
 
-def layers_after(state, giants, phase: int) -> int:
+def layers_after(state, giants) -> int:
     """The layers giants holds after a run, from the state before it."""
-    return (state[1] if giants is state[0] else 0) + layers_added(state, giants, phase)
+    return (state[1] if giants is state[0] else 0) + layers_added(state, giants)
 
 
 def run_keys(states, group, tr) -> int:
@@ -1084,7 +1089,7 @@ def run_keys(states, group, tr) -> int:
     pulled = hit_keys(tr, group)
     for phase, state in zip(PHASES, states):
         giants = group._giant_tables[phase, tr.params.d]
-        pulled += layers_added(state, giants, phase) * giant_points(tr.p, tr.params, phase)
+        pulled += layers_added(state, giants) * giant_points(tr.p, tr.params, phase)
     return pulled
 
 
@@ -1144,7 +1149,7 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind, monkeypatch):
                 builds.append(tuple(giants is not state[0] for giants, state in zip(tables, states)))
                 # a build holds one layer, and every reuse adds the layer the rule gives
                 for phase, giants, state in zip(PHASES, tables, states):
-                    assert_giant_keys(group, giants, runs[-1].params, phase, layers_after(state, giants, phase))
+                    assert_giant_keys(group, giants, runs[-1].params, phase, layers_after(state, giants))
             assert runs[0].to_dict() == runs[1].to_dict() == runs[2].to_dict()
             assert builds[1:] == [(True, True), (False, False)]  # a fresh group builds, a repeat hits
             first_runs_hit = [n + (not b) for n, b in zip(first_runs_hit, builds[0])]
@@ -1170,10 +1175,9 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds, 
             # one more table per phase for each new d
             assert list(reused._giant_tables) == [(ph, e) for e in divisors[:n + 1] for ph in PHASES]
             tables = [reused._giant_tables[phase, d] for phase in PHASES]
-            # run r leaves phase 1 r + 1 layers, until every offset below d1 is stored (four
-            # layers stay under the key budget here), and phase 2 at most two
-            d1, s2 = tr.params.d1, tr.params.s2
-            layers = [min(run + 1, d1), min(run + 1, 2, s2)]
+            # run r leaves each phase's table r + 1 layers, until every offset below its step (d1
+            # or s2) is stored; four layers stay under the key budget here
+            layers = [min(run + 1, tr.params.d1), min(run + 1, tr.params.s2)]
             was = [state[1] for state in states]
             assert [len(giants.offsets) for giants in tables] == layers
             # per phase, a build pulls every giant key and each added layer as many again
@@ -1216,61 +1220,46 @@ def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds, monkeypatch):
             assert_giant_keys(group, giants, tr.params, phase, 1)
 
 
-@pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
-def test_extended_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds, monkeypatch):
-    # after a build and its half-stride layer, phase 1 pulls at most ceil(d1/2) keys, and each
-    # later search adds a layer and pulls at most the widest gap of the layers it then holds
+# phase 1's cases keep their ids; phase 2's are prefixed
+PHASE_CASES = [(1, *case) for case in SAMPLED_CASES] + [(2, *case) for case in SAMPLED_CASES]
+PHASE_IDS = SAMPLED_IDS + [f"phase2-{case}" for case in SAMPLED_IDS]
+
+
+@pytest.mark.parametrize("phase,kind,p,ds", PHASE_CASES, ids=PHASE_IDS)
+def test_extended_table_hit_pulls_at_most_half_the_baby_walk(phase, kind, p, ds, monkeypatch):
+    # after a build and its half-stride layer, a phase's search pulls at most ceil(step/2) keys
+    # (step d1 or s2), and each later search adds a layer and pulls at most the widest gap of the
+    # layers it then holds
     group = make_group(kind, p)
     oracle = OracleHandle(group)
     keys = count_keys(monkeypatch)
-    rng = random.Random(f"half:{kind}:{p}")
+    rng = random.Random(f"half{phase}:{kind}:{p}")
     for d in ds or all_divisors(p):
-        m = (p - 1) // d
-        d1 = isqrt(m)
+        order = (p - 1) // d if phase == 1 else d  # of the subgroup the phase searches
         for seed in (0, 1):
             for _ in range(2):  # build, then the half-stride layer
                 run_quietly(group, oracle, rng.randrange(1, p), d, seed)
-            giants = group._giant_tables[1, d]
-            assert len(giants.offsets) == min(2, d1)
-            assert giants.pulls == (-(-d1 // 2) + 1 if d1 > 1 else 2)
+            params = run_params(p, d, seed)
+            step = search_of(p, params, phase)[1]
+            giants = group._giant_tables[phase, d]
+            assert len(giants.offsets) == min(2, step)
+            assert giants.pulls == -(-step // 2) + 1
             xs = {1, p - 1, *rng.sample(range(1, p), 4)}
             for x in xs:
-                q_pow_d, params = phase1_inputs(group, x, d, seed)
-                before, state = keys[group], table_states(group, d)[0]
-                j, _, _ = phase1_find_j(group, q_pow_d, params)
-                added = layers_added(state, giants, 1) * giant_points(p, params, 1)
-                assert keys[group] - before - added == baby_pulls(giants, j, m) <= giants.pulls - 1
-                assert giants.pulls - 1 <= -(-d1 // 2)
-                assert pow(params.zeta, j, p) == pow(x, d, p)
-            assert group._giant_tables[1, d] is giants
-            # no table here reaches the key budget: one more layer per search, up to d1 layers
-            assert_giant_keys(group, giants, params, 1, min(2 + len(xs), d1))
-
-
-@pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
-def test_extended_phase2_table_hit_pulls_at_most_half_the_baby_walk(kind, p, ds, monkeypatch):
-    group = make_group(kind, p)
-    oracle = OracleHandle(group)
-    keys = count_keys(monkeypatch)
-    rng = random.Random(f"half2:{kind}:{p}")
-    for d in ds or all_divisors(p):
-        s2 = isqrt(d)
-        for seed in (0, 1):
-            for _ in range(2):  # build, then the half-stride layer
-                run_quietly(group, oracle, rng.randrange(1, p), d, seed)
-            giants = group._giant_tables[2, d]
-            # phase 2's table never grows past its half-stride layer
-            offsets, pulls = ([0, s2 // 2], -(-s2 // 2) + 1) if s2 > 1 else ([0], 2)
-            for x in {1, p - 1, *rng.sample(range(1, p), 4)}:
-                tr = run_quietly(group, oracle, x, d, seed)
-                Q = group.scalar_mul(x, group.generator)
-                before = keys[group]
-                t, _, _ = phase2_find_t(group, Q, tr.j, tr.params)
-                assert (giants.offsets, giants.pulls) == (offsets, pulls)
-                assert keys[group] - before == baby_pulls(giants, t, d) <= pulls - 1
-                assert t == tr.t
-            assert group._giant_tables[2, d] is giants
-            assert_giant_keys(group, giants, tr.params, 2, len(offsets))
+                before, state = keys[group], table_states(group, d)[phase - 1]
+                if phase == 1:
+                    r, _, _ = phase1_find_j(group, phase1_inputs(group, x, d, seed)[0], params)
+                    assert pow(params.zeta, r, p) == pow(x, d, p)
+                else:
+                    Q, j, _ = phase2_inputs(group, x, d, seed)
+                    r, _, _ = phase2_find_t(group, Q, j, params)
+                    assert pow(params.zeta0, (p - 1) // d * r + j, p) == x
+                added = layers_added(state, giants) * giant_points(p, params, phase)
+                assert keys[group] - before - added == baby_pulls(giants, r, order) <= giants.pulls - 1
+                assert giants.pulls - 1 <= -(-step // 2)
+            assert group._giant_tables[phase, d] is giants
+            # no table here reaches the key budget: one more layer per search, up to step layers
+            assert_giant_keys(group, giants, params, phase, min(2 + len(xs), step))
 
 
 def test_giant_key_cache_is_bounded_by_the_group():
@@ -1290,12 +1279,13 @@ def test_giant_key_cache_is_bounded_by_the_group():
                 params = run_params(p, d, seed)
                 m = (p - 1) // d
                 # this seed's keys, not the other seed's, and no key past the giant walk; after
-                # 25 runs phase 1 holds all d1 offsets, which cover the whole subgroup of order m
-                # in fewer than the budget's keys, and phase 2 its build and half-stride layer
-                for phase, layers in zip(PHASES, (params.d1, 2)):
-                    assert_giant_keys(group, group._giant_tables[phase, d], params, phase, layers)
-                assert len(group._giant_tables[1, d].table) == m < KEPT_TABLE_KEYS
-                assert group._giant_tables[1, d].pulls == 2
+                # 25 runs each phase holds all its offsets, d1 or s2, which cover the whole
+                # subgroup it searches, of order m or d, in fewer than the budget's keys
+                for phase, layers, order in zip(PHASES, (params.d1, params.s2), (m, d)):
+                    giants = group._giant_tables[phase, d]
+                    assert_giant_keys(group, giants, params, phase, layers)
+                    assert len(giants.table) == order < KEPT_TABLE_KEYS
+                    assert giants.pulls == 2
                 assert giant_points(p, params, 1) == len(_bills(p, *plan(p, d, params.zeta0, 0)[1]))
             kept.append(dict(group._giant_tables))
         # more runs of the same (d, seed) keep the same tables
@@ -1303,8 +1293,9 @@ def test_giant_key_cache_is_bounded_by_the_group():
     # the second seed replaced every table with one on another generator; at d = 4 both of
     # phase 2's generators of order 4 give the giant stride zm^2 = -1, so compare generators
     assert all(kept[2][key].g != kept[3][key].g for key in keys)
-    # phase 1's full tables hold the same keys, each mapped to its exponent under another zeta
-    assert all(kept[2][1, d].table != kept[3][1, d].table for d in ds)
+    # full tables hold the same keys, each mapped to its exponent under another generator
+    assert all(kept[2][key].table.keys() == kept[3][key].table.keys() for key in keys)
+    assert all(kept[2][key].table != kept[3][key].table for key in keys)
     # tables are held per group instance
     other = make_group("mult", p)
     run_quietly(other, OracleHandle(other), xs[0], ds[0], 1)
@@ -1343,6 +1334,28 @@ def test_kept_table_holds_its_first_k_plus_1_layers_up_to_the_key_budget(d, laye
         # and the baby walk runs at w = 4, where a built or half-stride table's runs at w = 5
         windows = [_pulled_window(p, params.zeta, params.d1 + 1, bound) for bound in (128, 65, pulls)]
         assert [w_of(window) for window in windows] == [5, 5, 4]
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_a_first_layer_past_the_key_budget_still_gets_its_half_stride_layer(phase):
+    # large-order's phase-1 table (p = 4294967291, d = 190: d1 = 4754, G = 4756) and phase 2's at
+    # d = p - 1 on p = 1299709 (s2 = 1140, G = 1143) hold KEPT_TABLE_KEYS keys or more once built:
+    # the first reuse adds the half-stride layer all the same, and later reuses add none
+    p, d = (4294967291, 190) if phase == 1 else (1299709, 1299708)
+    group = make_zp_additive(p)
+    params = run_params(p, d, 0)
+    assert giant_points(p, params, phase) >= KEPT_TABLE_KEYS
+    rng = random.Random(f"past-budget:{phase}")
+    for run in range(3):
+        if phase == 1:
+            x = rng.randrange(1, p)
+            j, _, _ = phase1_find_j(group, phase1_inputs(group, x, d, 0)[0], params)
+            assert pow(params.zeta, j, p) == pow(x, d, p)
+        else:
+            t = rng.randrange(d)  # m = 1, so j = 1 and x = zeta0^(t + 1)
+            Q = group.scalar_mul(pow(params.zeta0, t + 1, p), group.generator)
+            assert phase2_find_t(group, Q, 1, params) == (t, -(-t // params.s2), -(-t // params.s2) * params.s2 - t)
+        assert_giant_keys(group, group._giant_tables[phase, d], params, phase, min(run + 1, 2))
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)

@@ -1,0 +1,147 @@
+"""Run the kill list: each mutant in a copy of the tree, against the tests expected to kill it.
+
+Usage, from anywhere:
+
+    python3 tools/mutants.py
+
+A mutant is a file, an exact old text that occurs once in it, the new
+text that replaces it, and the test files expected to kill it. The script
+copies the repository (without .git and caches) to a temporary directory
+once, then for each mutant in turn writes the mutated file, runs
+`python -m pytest -x` on its test files there with src/ on PYTHONPATH,
+one subprocess at a time with a TIMEOUT_S timeout, and restores the file.
+It prints one line per mutant:
+
+    killed    the tests failed, or ran past the timeout
+    survived  the tests passed on the mutated code
+    stale     the old text is not in its file exactly once, or a test file is missing
+
+then a count of each. The exit code is 0 when every mutant was killed, 1
+otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench", ".benchmarks", ".hypothesis")
+TIMEOUT_S = 600  # per mutant's test run; the slowest killed mutant takes about 11 s
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+REDUCTION, COST, GROUPS = "src/dhpbound/reduction.py", "src/dhpbound/cost.py", "src/dhpbound/groups.py"
+
+MUTANTS = (
+    # the kept giant tables (reduction.py): one growth rule for both phases
+    Mutant("phase-2-stops-at-its-half-stride-layer", REDUCTION,
+           "len(kept.table) < KEPT_TABLE_KEYS)", "len(kept.table) < (KEPT_TABLE_KEYS if key[0] == 1 else 0))",
+           ("tests/test_reduction.py",)),
+    Mutant("no-first-reuse-layer", REDUCTION,
+           "(len(kept.offsets) == 1 or len(kept.table) < KEPT_TABLE_KEYS)", "len(kept.table) < KEPT_TABLE_KEYS",
+           ("tests/test_reduction.py",)),
+    Mutant("key-budget-loosened", REDUCTION,
+           "KEPT_TABLE_KEYS = 1 << 10", "KEPT_TABLE_KEYS = 1 << 11", ("tests/test_reduction.py",)),
+    Mutant("midpoint-rounded-up", REDUCTION,
+           "offset = start + width // 2", "offset = start + (width + 1) // 2", ("tests/test_reduction.py",)),
+    Mutant("pull-bound-one-high", REDUCTION,
+           "self.pulls = self._widest()[0] + 1", "self.pulls = self._widest()[0] + 2", ("tests/test_reduction.py",)),
+    Mutant("last-widest-gap-on-ties", REDUCTION,
+           ", key=lambda gap: gap[0])", ")", ("tests/test_reduction.py",)),
+    Mutant("pulled-window-ignores-the-pull-bound", COST,
+           "Walk(1, stride, min(pulls, -(-points // 2) + 1))", "Walk(1, stride, -(-points // 2) + 1)",
+           ("tests/test_reduction.py",)),
+    # signed-digit fixed-base tables (cost.py, groups.py)
+    Mutant("signed-layout-bias-off-by-one", COST,
+           "* ((1 << (w - 1)) - 1)\n", "* (1 << (w - 1))\n", ("tests/test_cost.py", "tests/test_groups.py")),
+    Mutant("signed-layout-offset-on-the-top-digit", COST,
+           "offset = ((1 << shift) - 1) // ((1 << w) - 1)", "offset = ((1 << shift + w) - 1) // ((1 << w) - 1)",
+           ("tests/test_cost.py", "tests/test_groups.py")),
+    Mutant("digits-ignore-the-top-carry", COST,
+           "(u >> window.shift != 0)", "(k >> window.shift != 0)", ("tests/test_cost.py",)),
+    Mutant("reader-bias-off-by-one", GROUPS,
+           "(1 << w) - 1, (1 << (w - 1)) - 1\n", "(1 << w) - 1, 1 << (w - 1)\n", ("tests/test_groups.py",)),
+    Mutant("top-row-trimmed", GROUPS,
+           "_, offset, top = signed_layout(self.order - 1, w)",
+           "cols, offset, top = signed_layout(self.order - 1, w)\n        top = (self.order - 1) >> w * (cols - 1)",
+           ("tests/test_groups.py",)),
+    # the one BSGS dlog solver (groups.py)
+    Mutant("solver-giant-count-short", GROUPS,
+           "self.steps += hit[0] + 1", "self.steps += hit[0]", ("tests/test_oracle.py",)),
+    Mutant("solver-table-count-long", GROUPS,
+           "self.steps += m - 1", "self.steps += m", ("tests/test_oracle.py",)),
+    Mutant("solver-baby-table-short", GROUPS,
+           "for r in range(1, m):", "for r in range(1, m - 1):", ("tests/test_oracle.py",)),
+    Mutant("brute-force-dlog-never-raises", GROUPS,
+           "if x is None:\n        raise RuntimeError", "if x is None and False:\n        raise RuntimeError",
+           ("tests/test_groups.py",)),
+    # the database and the divisors (bounds.py, modmath.py)
+    Mutant("load-database-catches-only-value-error", "src/dhpbound/bounds.py",
+           "except (ValueError, RecursionError) as exc:", "except ValueError as exc:", ("tests/test_cli.py",)),
+    Mutant("load-database-catches-only-json-errors", "src/dhpbound/bounds.py",
+           "except (ValueError, RecursionError) as exc:", "except json.JSONDecodeError as exc:",
+           ("tests/test_cli.py",)),
+    Mutant("paper-fallback-suggests-1", "src/dhpbound/bounds.py",
+           "below if below >= 2 else None", "below if below >= 1 else None", ("tests/test_bounds.py",)),
+    Mutant("paper-fallback-second-largest", "src/dhpbound/bounds.py",
+           "p - 1, cap=1)[0]", "p - 1, cap=2)[-1]", ("tests/test_bounds.py",)),
+    Mutant("count-past-its-cap", "src/dhpbound/modmath.py",
+           "return min(count, cap)", "return count", ("tests/test_modmath.py",)),
+)
+
+
+def stale(tree: Path, mutant: Mutant) -> bool:
+    """True when the mutant no longer applies: its old text is not in its file exactly once, or a test file is gone."""
+    return (tree / mutant.path).read_text().count(mutant.old) != 1 \
+        or not all((tree / test).is_file() for test in mutant.tests)
+
+
+def run(tree: Path, mutant: Mutant) -> str:
+    """Apply mutant in tree, run its tests there, restore the file; "killed", "survived" or "stale"."""
+    if stale(tree, mutant):
+        return "stale"
+    path = tree / mutant.path
+    source = path.read_text()
+    path.write_text(source.replace(mutant.old, mutant.new))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+        return "survived" if done.returncode == 0 else "killed"
+    except subprocess.TimeoutExpired:
+        return "killed"
+    finally:
+        path.write_text(source)
+
+
+def main() -> int:
+    counts = {"killed": 0, "survived": 0, "stale": 0}
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        for mutant in MUTANTS:
+            start = time.monotonic()
+            status = run(tree, mutant)
+            counts[status] += 1
+            print(f"{status:<9} {mutant.name}  {mutant.path}  {' '.join(mutant.tests)}"
+                  f"  {time.monotonic() - start:.1f} s", flush=True)
+    print(", ".join(f"{count} {status}" for status, count in counts.items()))
+    return 0 if counts["killed"] == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
