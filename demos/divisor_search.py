@@ -13,17 +13,9 @@ divisor for SECP112R1 against the fallback rule.
 Run: python demos/divisor_search.py
 """
 
-from math import isqrt
-
-from dhpbound.bounds import load_database, suggest_divisor
+from dhpbound.bounds import load_database, paper_band, suggest_divisor
 from dhpbound.cost import oracle_calls_exact, reduction_ops_bound
-from dhpbound.modmath import (
-    divisors_in_range,
-    factorize,
-    icbrt,
-    is_prime,
-    log2_approx,
-)
+from dhpbound.modmath import divisors_in_range, factorize, is_prime, log2_approx
 
 
 def banner(title):
@@ -33,17 +25,9 @@ def banner(title):
     print("=" * 70)
 
 
-def band(p):
-    """Integer endpoints of [cbrt(p), sqrt(p)] as the policy sees them."""
-    lo = icbrt(p)
-    if lo**3 < p:
-        lo += 1
-    return lo, isqrt(p)
-
-
 def show_band_choice(p):
     f = factorize(p - 1)
-    lo, hi = band(p)
+    lo, hi = paper_band(p)
     divs = divisors_in_range(f, 2, p - 1)
     in_band = [d for d in divs if lo <= d <= hi]
     pick = suggest_divisor(p, f, policy="paper")
@@ -120,7 +104,7 @@ def main():
         f"{q}^{e}" if e > 1 else f"{q}" for q, e in f.factors
     )
     print(f"p has {len(str(rec.p))} digits; p - 1 = {parts}")
-    lo, hi = band(rec.p)
+    lo, hi = paper_band(rec.p)
     print(f"  band endpoints near 2^{log2_approx(lo):.1f} and 2^{log2_approx(hi):.1f}")
     print(f"  small prime factors multiply to at most 2^{log2_approx(4 * 41 * 859):.1f} "
           f"and the remaining factor alone is 2^{log2_approx(f.factors[-1][0]):.1f}")

@@ -15,7 +15,7 @@ Run: python demos/reduction_walkthrough.py
 
 import random
 
-from dhpbound.cost import WALK_NAMES
+from dhpbound.cost import WALK_NAMES, oracle_calls_exact
 from dhpbound.groups import make_group, make_zp_additive
 from dhpbound.modmath import divisors_in_range, factorize
 from dhpbound.oracle import OracleHandle
@@ -112,7 +112,7 @@ def main():
         g = make_zp_additive(P)
         o = OracleHandle(g)
         tr = reduce_dlog(g, o, g.scalar_mul(x, g.generator), d, seed=d)
-        formula = 0 if d == 1 else d.bit_length() - 1 + d.bit_count()
+        formula = oracle_calls_exact(d)
         hit = tr.x == x and tr.ledger.oracle_calls == formula
         ok_all = ok_all and hit
         print(f"  {d:4d} {(P - 1) // d:4d} {tr.ledger.oracle_calls:6d} "

@@ -67,19 +67,23 @@ class CurveRecord:
 
 @dataclass(frozen=True)
 class BoundRow:
-    """Computed table row plus its grading against the reference cells."""
+    """Computed table row plus its grading against the reference cells.
+
+    A record without a divisor keeps the defaults: nothing computed, no
+    deltas, verdict VERDICT_NO_DATA.
+    """
 
     name: str
     field_kind: str
-    available: bool
-    log2_sqrt_p: float | None
-    log2_M: float | None
-    log2_n: float | None
-    log2_TDH: float | None
-    n: int | None
-    deltas: tuple[float | None, float | None, float | None, float | None] | None
-    verdict: str
-    flags: tuple[str, ...]
+    available: bool = False
+    log2_sqrt_p: float | None = None
+    log2_M: float | None = None
+    log2_n: float | None = None
+    log2_TDH: float | None = None
+    n: int | None = None
+    deltas: tuple[float | None, float | None, float | None, float | None] | None = None
+    verdict: str = VERDICT_NO_DATA
+    flags: tuple[str, ...] = ()
     annotations: tuple[str, ...] = ()
 
 
@@ -96,23 +100,25 @@ def t_dh(p: int, n: int) -> float:
     return 0.5 * log2_approx(p) - log2_approx(n)
 
 
-def _row_flags(rec: CurveRecord, log2_sqrt_p: float, log2_M: float) -> tuple[str, ...]:
+def _row_flags(rec: CurveRecord, log2_sqrt_p: float | None, log2_M: float | None) -> tuple[str, ...]:
+    """The row's flags: "no-d" without a divisor, else "m-large" and "policy-mismatch" where they hold."""
     flags = []
-    # M ~ sqrt(p) would make the bound vacuous; warn when within 8 bits
-    if log2_M > log2_sqrt_p - 8:
-        flags.append("m-large")
-    lo, hi = paper_band(rec.p)
-    if not lo <= rec.d <= hi:
-        flags.append("policy-mismatch")
+    if rec.d is None:
+        flags.append("no-d")
+    else:
+        # M ~ sqrt(p) would make the bound vacuous; warn when within 8 bits
+        if log2_M > log2_sqrt_p - 8:
+            flags.append("m-large")
+        lo, hi = paper_band(rec.p)
+        if not lo <= rec.d <= hi:
+            flags.append("policy-mismatch")
     if rec.annotations:
         flags.append("annotated")
     return tuple(flags)
 
 
 def _verdict(deltas: tuple[float | None, ...], annotated: bool) -> str:
-    worst = max(abs(dl) for dl in deltas if dl is not None) if any(
-        dl is not None for dl in deltas
-    ) else 0.0
+    worst = max((abs(dl) for dl in deltas if dl is not None), default=0.0)
     if worst <= MATCH_TOL:
         return VERDICT_OK
     if worst <= DISCREPANCY_TOL:
@@ -124,53 +130,19 @@ def table_rows(db: list[CurveRecord]) -> list[BoundRow]:
     """One graded row per record, in database order; no-divisor records become markers."""
     rows = []
     for rec in db:
-        if rec.d is None:
-            rows.append(
-                BoundRow(
-                    name=rec.name,
-                    field_kind=rec.field_kind,
-                    available=False,
-                    log2_sqrt_p=None,
-                    log2_M=None,
-                    log2_n=None,
-                    log2_TDH=None,
-                    n=None,
-                    deltas=None,
-                    verdict=VERDICT_NO_DATA,
-                    flags=("no-d",) + (("annotated",) if rec.annotations else ()),
-                    annotations=rec.annotations,
-                )
+        cells, graded = (None, None), {}
+        if rec.d is not None:
+            n = oracle_calls_exact(rec.d)
+            m_ops = reduction_ops_bound(rec.p, rec.d)
+            cells = (0.5 * log2_approx(rec.p), log2_approx(m_ops), log2_approx(n), t_dh(rec.p, n))
+            deltas = tuple(
+                None if (ref := getattr(rec, name)) is None else cell - ref for cell, name in zip(cells, LOG2_CELLS)
             )
-            continue
-        n = oracle_calls_exact(rec.d)
-        log2_sqrt_p = 0.5 * log2_approx(rec.p)
-        log2_M = log2_approx(reduction_ops_bound(rec.p, rec.d))
-        log2_n = log2_approx(n)
-        log2_TDH = t_dh(rec.p, n)
-        deltas = tuple(
-            (computed - expected) if expected is not None else None
-            for computed, expected in (
-                (log2_sqrt_p, rec.expected_log2_sqrt_p),
-                (log2_M, rec.expected_log2_M),
-                (log2_n, rec.expected_log2_n),
-                (log2_TDH, rec.expected_log2_TDH),
-            )
-        )
+            # BoundRow names each computed cell as LOG2_CELLS names its reference, less "expected_"
+            graded = {name.removeprefix("expected_"): cell for cell, name in zip(cells, LOG2_CELLS)}
+            graded.update(available=True, n=n, deltas=deltas, verdict=_verdict(deltas, bool(rec.annotations)))
         rows.append(
-            BoundRow(
-                name=rec.name,
-                field_kind=rec.field_kind,
-                available=True,
-                log2_sqrt_p=log2_sqrt_p,
-                log2_M=log2_M,
-                log2_n=log2_n,
-                log2_TDH=log2_TDH,
-                n=n,
-                deltas=deltas,
-                verdict=_verdict(deltas, bool(rec.annotations)),
-                flags=_row_flags(rec, log2_sqrt_p, log2_M),
-                annotations=rec.annotations,
-            )
+            BoundRow(rec.name, rec.field_kind, **graded, flags=_row_flags(rec, *cells[:2]), annotations=rec.annotations)
         )
     return rows
 
@@ -264,10 +236,11 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
 
     Every record is validated here: each field present and of the type
     _RECORD_FIELDS names (annotations may be left out), p and d plain ASCII
-    decimals when given as strings, p >= 3, and d None or a divisor of p-1.
-    A file that cannot be opened raises OSError. A file that does not decode
-    (not UTF-8, not JSON, nested past the recursion limit, an integer past
-    Python's digit limit), a bad shape or a bad record raises DatabaseError.
+    decimals when given as strings, p >= 3, and d None or a divisor of p-1
+    of at least 2. A file that cannot be opened raises OSError. A file that
+    does not decode (not UTF-8, not JSON, nested past the recursion limit, an
+    integer past Python's digit limit), a bad shape or a bad record raises
+    DatabaseError.
     """
     if path is None:
         path = os.environ.get("DHP_DB") or None
@@ -293,6 +266,8 @@ def load_database(path: str | None = None) -> list[CurveRecord]:
                 raise ValueError(f"p={p} is below 3")
             if d is not None:
                 divisor_split(p, d)  # raises InvalidDivisorError unless d divides p-1
+                if d < 2:  # n = 0 oracle calls: sqrt(p)/n bounds nothing
+                    raise ValueError(f"d={d} is below 2")
             records.append(
                 CurveRecord(
                     name=raw["name"],

@@ -160,31 +160,24 @@ def cmd_reduce(args) -> int:
         return 1
     notes = [str(w.message) for w in caught if issubclass(w.category, PowCallBoundWarning)]
     recovered = tr.x == x
+    doc = {
+        "transcript": tr.to_dict(),
+        "cost_report": report,
+        "simulator": {"solver_steps": oracle.solver_steps},
+        "requested_x": x,
+        "recovered": recovered,
+        "warnings": notes,
+    }
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "transcript": tr.to_dict(),
-                    "cost_report": report,
-                    "simulator": {"solver_steps": oracle.solver_steps},
-                    "requested_x": x,
-                    "recovered": recovered,
-                    "warnings": notes,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(doc, indent=2))
     elif args.format == "csv":
-        print("key,value")
-        for k, v in {**tr.to_dict(), "requested_x": x, "recovered": recovered}.items():
-            if isinstance(v, dict):
-                for kk, vv in v.items():
-                    print(f"{k}.{kk},{vv}")
-            else:
-                print(f"{k},{v}")
-        for k, v in report.items():
-            print(f"cost_report.{k},{v}")
-        print(f"simulator.solver_steps,{oracle.solver_steps}")
+        # one level flattened: the transcript's own keys, the outcome, then each report's keys
+        # dotted; the warnings stay out
+        fields = {**doc["transcript"], **{k: doc[k] for k in ("requested_x", "recovered", "cost_report", "simulator")}}
+        flat = {}
+        for k, v in fields.items():
+            flat.update({f"{k}.{kk}": vv for kk, vv in v.items()} if isinstance(v, dict) else {k: v})
+        print("\n".join(["key,value", *(f"{k},{v}" for k, v in flat.items())]))
     else:
         print(f"# dlog recovery: p={p}, d={d}, backend={tr.backend}, seed={args.seed}")
         print(f"generator of F_p^x: zeta0={tr.params.zeta0}  (zeta=zeta0^d={tr.params.zeta})")

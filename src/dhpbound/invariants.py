@@ -138,7 +138,7 @@ def check_reduction(
     returns its first match (u1 = ceil(j/d1), v1 = u1*d1 - j, and
     u2 = ceil(t/s2), v2 = u2*s2 - t: the smallest u of any pair that
     reassembles the value, which phase 1 finds by streaming its baby points
-    into the giant table), oracle calls equal floor(log2 d) + popcount(d),
+    into the giant table), oracle calls equal cost.oracle_calls_exact(d),
     group ops stay under the walk ceiling and the walk ceiling under the
     sweep ceiling, and the reported M bound is 2*(d1 + s2) of the run's own
     split.
@@ -160,11 +160,7 @@ def check_reduction(
         f"i0={tr.i0} does not reassemble x={x} {where}",
     )
     rep = cost_report(tr, p, d)
-    calls = 0 if d == 1 else (d.bit_length() - 1) + d.bit_count()
-    _check(
-        tr.ledger.oracle_calls == calls and rep["oracle_calls_match_formula"],
-        f"oracle calls != exact formula {where}",
-    )
+    _check(rep["oracle_calls_match_formula"], f"oracle calls != exact formula {where}")
     _check(rep["within_walk_ceiling"], f"group ops above walk ceiling {where}")
     _check(
         rep["walk_group_op_ceiling"] <= rep["sweep_group_op_ceiling"],

@@ -131,6 +131,7 @@ def _one_record_db(tmp_path, **fields):
         ({"p": " 1_01 "}, "p=' 1_01 ' is not a string of ASCII decimal digits"),
         ({"d": "+4"}, "d='+4' is not a string of ASCII decimal digits"),
         ({"d": "\u0664"}, "d='\u0664' is not a string of ASCII decimal digits"),
+        ({"d": 1}, "d=1 is below 2"),
     ],
 )
 def test_tables_invalid_db_record(tmp_path, capsys, fields, message):
@@ -170,6 +171,21 @@ def test_tables_db_without_records_list(tmp_path, capsys):
     code, _, err = run(capsys, "tables", "--db", str(path))
     assert code == 1
     assert "'records' list" in err and err.count("\n") == 1
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every format, without and with --diff, in order
+TABLES_OUTPUT_DIGEST = "f9376bc0f9e9026739afd3c97632b172fea8a96d729fd458270519913f2c65aa"
+
+
+def test_tables_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for fmt in ("markdown", "json", "csv"):
+        for diff in ((), ("--diff",)):
+            argv = ("tables", "--format", fmt, *diff)
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == TABLES_OUTPUT_DIGEST
 
 
 # ---------------------------------------------------------------- reduce

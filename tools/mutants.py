@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 
 REDUCTION, COST, GROUPS = "src/dhpbound/reduction.py", "src/dhpbound/cost.py", "src/dhpbound/groups.py"
+BOUNDS, CLI = "src/dhpbound/bounds.py", "src/dhpbound/cli.py"
 
 MUTANTS = (
     # the kept giant tables (reduction.py): one growth rule for both phases
@@ -90,17 +91,32 @@ MUTANTS = (
            "if x is None:\n        raise RuntimeError", "if x is None and False:\n        raise RuntimeError",
            ("tests/test_groups.py",)),
     # the database and the divisors (bounds.py, modmath.py)
-    Mutant("load-database-catches-only-value-error", "src/dhpbound/bounds.py",
+    Mutant("load-database-catches-only-value-error", BOUNDS,
            "except (ValueError, RecursionError) as exc:", "except ValueError as exc:", ("tests/test_cli.py",)),
-    Mutant("load-database-catches-only-json-errors", "src/dhpbound/bounds.py",
+    Mutant("load-database-catches-only-json-errors", BOUNDS,
            "except (ValueError, RecursionError) as exc:", "except json.JSONDecodeError as exc:",
            ("tests/test_cli.py",)),
-    Mutant("paper-fallback-suggests-1", "src/dhpbound/bounds.py",
+    Mutant("paper-fallback-suggests-1", BOUNDS,
            "below if below >= 2 else None", "below if below >= 1 else None", ("tests/test_bounds.py",)),
-    Mutant("paper-fallback-second-largest", "src/dhpbound/bounds.py",
+    Mutant("paper-fallback-second-largest", BOUNDS,
            "p - 1, cap=1)[0]", "p - 1, cap=2)[-1]", ("tests/test_bounds.py",)),
     Mutant("count-past-its-cap", "src/dhpbound/modmath.py",
            "return min(count, cap)", "return count", ("tests/test_modmath.py",)),
+    Mutant("d-1-accepted", BOUNDS, "if d < 2:", "if d < 1:", ("tests/test_cli.py",)),
+    # the oracle-call formula, read by cost_report, the table and check_reduction alike (cost.py)
+    Mutant("oracle-calls-one-short", COST,
+           "return (d.bit_length() - 1) + d.bit_count()", "return (d.bit_length() - 1) + d.bit_count() - 1",
+           ("tests/test_acceptance.py",)),
+    # the reported results: one BoundRow per table row, one document per reduce (bounds.py, cli.py)
+    Mutant("no-d-row-not-annotated", BOUNDS,
+           "if rec.annotations:", "if rec.annotations and rec.d is not None:",
+           ("tests/test_bounds.py", "tests/test_cli.py")),
+    Mutant("deltas-swap-m-and-n", BOUNDS,
+           "cell - ref for cell, name in zip(cells, LOG2_CELLS)",
+           "cell - ref for cell, name in zip(cells, LOG2_CELLS[:1] + LOG2_CELLS[2:0:-1] + LOG2_CELLS[3:])",
+           ("tests/test_cli.py", "tests/test_bounds.py")),
+    Mutant("reduce-csv-drops-the-simulator", CLI,
+           '"cost_report", "simulator")}', '"cost_report")}', ("tests/test_cli.py",)),
 )
 
 
