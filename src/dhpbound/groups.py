@@ -14,9 +14,12 @@ DlogSolver's baby table takes up to 65,535 sums through it; every other
 place that makes a point calls GroupPoint(group, data).
 
 No group charges a cost: cost.py prices every operation, reads of the
-fixed-base hook _raw_fixed_base included (see its cost convention).
-_generator_table keeps one fixed-base table per w on the generator for
-the group's lifetime.
+fixed-base hook _raw_fixed_base included (see its cost convention). The
+hook is the one place that turns a base into its multiples k*base: handed
+a base's raw data and a window w, it builds its own columns and rows (Z_p
+none, since k*base is one product), and the reduction's walks and the
+simulated oracle read it. _generator_table keeps the hook's table per w
+on the generator for the group's lifetime.
 
 Every baby-step giant-step search keys a point by its canonical data (an
 int residue, an (x, y) tuple, or None at infinity), the value eq compares.
@@ -201,40 +204,46 @@ class CyclicGroup:
                 acc = self._raw_add(acc, a)
         return acc
 
-    def _signed_rows(self, columns: list, w: int) -> tuple[int, list, list]:
-        """(offset, lower, top_row) of cost.signed_layout's table on columns, built by _raw_add.
+    def _signed_rows(self, base, w: int) -> tuple[int, list, list]:
+        """(offset, lower, top_row) of cost.signed_layout's table on raw base, built by _raw_add.
 
-        lower[j][i] = i*columns[j] for 0 <= i <= 2^(w-1), 2^(w-1) - 1
-        additions per lower column; top_row goes up to the top digit of
-        every k < p, at top - 1 additions.
+        The columns are 2^(wj)*base for j < cols, each past the first w raw
+        doublings of the one before. lower[j][i] = i*(column j) for 0 <= i
+        <= 2^(w-1), 2^(w-1) - 1 additions per lower column; top_row goes up
+        to the top digit of every k < p, at top - 1 additions.
         """
         add, identity = self._raw_add, self._raw_identity()
-        _, offset, top = signed_layout(self.order - 1, w)
-        rows = []
-        for col, size in zip(columns, [1 << (w - 1)] * (len(columns) - 1) + [top]):
+        cols, offset, top = signed_layout(self.order - 1, w)
+        rows, col = [], base
+        for size in [1 << (w - 1)] * (cols - 1) + [top]:
+            if rows:  # the next column: w doublings of the last
+                for _ in range(w):
+                    col = add(col, col)
             row = [identity, col]
             for _ in range(size - 1):
                 row.append(add(row[-1], col))
             rows.append(row)
         return offset, rows[:-1], rows[-1]
 
-    def _raw_fixed_base(self, columns: list, w: int):
-        """Function k -> raw k*base for 0 <= k < p, given columns[j] = raw 2^(wj)*base covering p - 1.
+    def _raw_fixed_base(self, base, w: int):
+        """Function k -> raw k*base for 0 <= k < p, off a w-bit fixed-base table on raw base.
 
-        The table is on k's signed digits (cost.signed_layout): lower row
-        j is indexed by the raw w-bit digit r of k + offset and holds
-        (r - bias)*columns[j], bias = 2^(w-1) - 1, so a reader does no
-        arithmetic on a digit. The generic path builds the multiples up to
-        2^(w-1) with _signed_rows and their negatives with _raw_negate,
-        which is not a group operation; the top column's row stops at the
-        top digit. It sums one entry per nonzero signed digit of k. F_q^x
-        reads the same rows with the group law inlined and builds their
-        negative half from one inversion per column; Z_p, whose scalar
-        multiplication is one machine operation, returns that product
+        The hook is the one place that turns a base into its multiples: it
+        builds the table it reads. The table is on k's signed digits
+        (cost.signed_layout), over the columns 2^(wj)*base that _signed_rows
+        doubles up from base: lower row j is indexed by the raw w-bit digit
+        r of k + offset and holds (r - bias)*(column j), bias = 2^(w-1) - 1,
+        so a reader does no arithmetic on a digit. The generic path builds
+        the multiples up to 2^(w-1) with _signed_rows and their negatives
+        with _raw_negate, which is not a group operation; the top column's
+        row stops at the top digit. It sums one entry per nonzero signed
+        digit of k. F_q^x reads the same rows with the group law inlined and
+        builds their negative half from one inversion per column; Z_p, whose
+        scalar multiplication is one machine operation, returns that product
         instead and builds nothing.
         """
         add, identity, mask, bias = self._raw_add, self._raw_identity(), (1 << w) - 1, (1 << (w - 1)) - 1
-        offset, lower, top = self._signed_rows(columns, w)
+        offset, lower, top = self._signed_rows(base, w)
         rows = [[self._raw_negate(entry) for entry in row[-2:0:-1]] + row for row in lower]
 
         def times(k):
@@ -250,20 +259,14 @@ class CyclicGroup:
         return times
 
     def _generator_table(self, w: int):
-        """Function k -> raw k*generator for 0 <= k < p off a w-bit fixed-base table, kept per w.
+        """Function k -> raw k*generator for 0 <= k < p: _raw_fixed_base on the generator, kept per w.
 
-        The first call for a w builds the columns 2^(wj)*generator by raw
-        doubling, ceil(bits(p - 1)/w) of them, and _raw_fixed_base's rows on
-        them; later calls return the same function.
+        The first call for a w builds the hook's table on the generator's
+        data; later calls return the same function.
         """
         times = self._generator_tables.get(w)
         if times is None:
-            column, columns = self.generator.data, [self.generator.data]
-            for _ in range(-(-(self.order - 1).bit_length() // w) - 1):
-                for _ in range(w):
-                    column = self._raw_add(column, column)
-                columns.append(column)
-            times = self._generator_tables[w] = self._raw_fixed_base(columns, w)
+            times = self._generator_tables[w] = self._raw_fixed_base(self.generator.data, w)
         return times
 
     def _raw_probe(self, table: dict, start, stride, steps: int):
@@ -310,8 +313,8 @@ class ZpAdditiveGroup(CyclicGroup):
             raise ValueError(f"negative scalar {k}")
         return GroupPoint(self, k * a.data % self.order)
 
-    def _raw_fixed_base(self, columns: list, w: int):
-        base, p = columns[0], self.order
+    def _raw_fixed_base(self, base, w: int):
+        p = self.order
         return lambda k: k * base % p
 
 
@@ -340,15 +343,15 @@ class MultSubgroup(CyclicGroup):
             raise ValueError(f"negative scalar {k}")
         return GroupPoint(self, pow(a.data, k, self.q))
 
-    def _raw_fixed_base(self, columns: list, w: int):
+    def _raw_fixed_base(self, base, w: int):
         # the billed table read with the group law inlined, because the
         # generic path's per-digit _raw_add calls slow the short walks at
         # p ~ 1009: _signed_rows' rows, each lower one's negative half from
         # one inversion of its last entry, and entry bias is 1, so no digit
         # branches
         q, mask = self.q, (1 << w) - 1
-        offset, lower, top = self._signed_rows(columns, w)
-        inverses = [pow(row[-1], -1, q) for row in lower]  # columns[j]^-(2^(w-1))
+        offset, lower, top = self._signed_rows(base, w)
+        inverses = [pow(row[-1], -1, q) for row in lower]  # (column j)^-(2^(w-1))
         rows = [[inv * entry % q for entry in row[1:-1]] + row for row, inv in zip(lower, inverses)]
 
         def times(k):

@@ -85,9 +85,9 @@ def check_encode(group: CyclicGroup, rng: random.Random, pairs: int) -> None:
 def check_dh(group: CyclicGroup, oracle: OracleHandle, rng: random.Random, samples: int) -> None:
     """dh(aP, bP) has discrete log ab mod p, as brute_force_dlog finds it, and dh(abP, aP) a^2 b.
 
-    Feeding the answer back as dh(abP, aP) takes the oracle's other branch:
-    dh(aP, bP) solved aP, so both exponents are known and the product is
-    read off the oracle's table on the generator instead of scalar_mul.
+    Feeding the answer back as dh(abP, aP) checks the oracle's memo:
+    dh(aP, bP) recorded aP and its answer, so a backend that probes takes
+    both exponents from the memo, which must give the right ones.
     """
     p = group.order
     for _ in range(samples):

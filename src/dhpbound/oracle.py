@@ -16,23 +16,23 @@ handle's solver_steps, the solver's step count, shows it: m - 1 for the baby
 table, u + 1 per probe.
 
 Within one run (from one attach_ledger to the next) the handle remembers what
-it has already solved: the exponent of every point it probed, and the exponent
-ab of every answer abP whose b it knew. It is keyed only on points the calls
-carried in or out, never on the caller's own secrets, so it uses nothing a
-black box lacks: a point's exponent is unique, a memo hit returns exactly what
-a fresh probe would, and answers, transcripts and ledgers are the same with or
-without it. In a reduction the first squaring dh(Q, Q) solves Q, after which
-every point implicit_pow hands in is a hit: at most two probes per run, the
-generator and Q. attach_ledger forgets the memo, so it never outlives a run
-and holds at most two entries per call since the last attach.
+it has already solved: the exponent of every point it probed and of every
+answer it gave. It is keyed only on points the calls carried in or out, never
+on the caller's own secrets, so it uses nothing a black box lacks: a point's
+exponent is unique, a memo hit returns exactly what a fresh probe would, and
+answers, transcripts and ledgers are the same with or without it. In a
+reduction the first squaring dh(Q, Q) solves Q, after which every point
+implicit_pow hands in is a hit: at most two probes per run, the generator and
+Q. attach_ledger forgets the memo, so it never outlives a run and holds at
+most three entries per call since the last attach: A, B and the answer.
 
-The answer is scalar_mul(a, B) when b is unknown. When the memo knows b, as
-on every call of a reduction after its first, both exponents are known and
-the answer is (ab mod p)*P, read off the group's fixed-base table on the
-generator (_generator_table(4), built on first use and kept with the group,
-which the reduction's w = 4 walks on P share): at most one addition per
-nonzero signed 4-bit digit of ab, where a double-and-add by a costs about
-1.5 log2 p. Both give the same point, and neither reaches the ledger.
+Every call answers one way: a and b come from the memo or a probe (on Z_p,
+the residues), and the answer is (ab mod p)*P, read off the group's
+fixed-base table on the generator (_generator_table(4), built on first use
+and kept with the group, which the reduction's w = 4 walks on P share): at
+most one addition per nonzero signed 4-bit digit of ab, where a double-and-add
+by a costs about 1.5 log2 p, and on Z_p the product itself. It never reaches
+the ledger.
 """
 
 from __future__ import annotations
@@ -116,14 +116,9 @@ class OracleHandle:
         g = self.group
         g._member(A)
         g._member(B)
-        a = self._private_dlog(A)
-        b = self._known.get(B.data)  # never set on Z_p, where _private_dlog does not store
-        if b is None:
-            result = g.scalar_mul(a, B)
-        else:
-            ab = a * b % g.order
-            result = GroupPoint(g, g._generator_table(4)(ab))  # at 2^32: 7 signed rows of 16, a top row of 17
-            self._known[result.data] = ab
+        ab = self._private_dlog(A) * self._private_dlog(B) % g.order
+        result = GroupPoint(g, g._generator_table(4)(ab))  # at 2^32: 7 signed rows of 16, a top row of 17
+        self._known[result.data] = ab
         self.call_count += 1
         if self.ledger is not None:
             self.ledger.oracle_calls += 1

@@ -26,7 +26,7 @@ lazily, so _search evaluates only the points it pulls: group.encode checks
 the walk's base once, and every later key is raw data. A walk runs on a
 fixed-base table in the manner of Kozaki-Kutsuma-Matsuo's refinement of
 Cheon's algorithm: columns 2^(wj) * base (on P the group's kept generator
-table, otherwise built with implicit_scalar), a row of signed multiples
+table, otherwise one the group's hook builds), a row of signed multiples
 per column, 2^(w-1) - 1 additions but the top one's, which stops at the top
 digit of p - 1 (cost.signed_layout), then one addition per nonzero signed
 digit of k past the first. w = 0 keeps the plain double-and-add walk. A
@@ -193,9 +193,9 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
     the group and gives its data, and every later key is raw data computed
     from it. On the plain walk (None) each point is an implicit_scalar by
     the stride of the last (the first by k0 of base). Otherwise k*base is
-    read off the group's fixed-base hook: a walk on the generator reads the
-    group's kept table for its w, any other walk builds its columns with
-    implicit_scalar at the first pull.
+    read off the group's fixed-base hook, which builds its own table: a
+    walk on the generator reads the group's kept table for its w, any other
+    walk has the hook build one on its base at the first pull.
 
     Execution and billing are separate. A key does not depend on the window
     it was computed on, so _search runs each baby walk on the window that
@@ -209,15 +209,7 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
         while True:
             yield point.image.data
             point = implicit_scalar(walk.stride, point)
-    w = window.w
-    if data == group.generator.data:
-        times = group._generator_table(w)
-    else:
-        column, columns = base, [data]
-        for _ in range(window.cols - 1):
-            column = implicit_scalar(1 << w, column)
-            columns.append(column.image.data)
-        times = group._raw_fixed_base(columns, w)
+    times = group._generator_table(window.w) if data == group.generator.data else group._raw_fixed_base(data, window.w)
     k, stride = walk.k0, walk.stride
     while True:
         yield times(k)

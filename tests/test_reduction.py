@@ -558,8 +558,9 @@ def test_baby_side_never_billed_above_plain_walk(p):
 
 @pytest.mark.parametrize("p", [17, 29, 101, 257, 1009, 16381])
 def test_table_is_built_at_its_billed_size(p):
-    # the generic path's row additions plus (cols - 1)*w column doublings equal table_bill,
-    # which the planner charges: the top row is built and billed up to the top digit of p - 1
+    # the generic path's column doublings and row additions, all made inside the hook, equal
+    # table_bill, which the planner charges: the top row is built and billed up to the top
+    # digit of p - 1
     group = make_zp_additive(p)  # run through the generic path, as EC builds it
     adds, add = [0], group._raw_add
 
@@ -570,10 +571,26 @@ def test_table_is_built_at_its_billed_size(p):
     group._raw_add = counted
     billed = {window.w: window.table for window in _windows(p - 1, 0)}
     for w in range(1, (p - 1).bit_length()):
-        cols = -(-(p - 1).bit_length() // w)
         before = adds[0]
-        CyclicGroup._raw_fixed_base(group, [2 ** (w * j) % p for j in range(cols)], w)
-        assert adds[0] - before + (cols - 1) * w == table_bill(p, w) == billed[w], w
+        CyclicGroup._raw_fixed_base(group, group.generator.data, w)
+        assert adds[0] - before == table_bill(p, w) == billed[w], w
+
+
+@pytest.mark.parametrize("p", [101, 1009, 16381])
+def test_zp_windowed_walk_off_p_does_no_group_arithmetic(p, monkeypatch):
+    # Z_p's hook is k*base % p and builds nothing: a windowed walk on a base other than P makes
+    # no column and no row, so neither _raw_add nor scalar_mul runs, for any w
+    group = make_zp_additive(p)
+    base, walk = walk_base(group, 3), Walk(5, 7, 12)
+
+    def boom(*args):
+        raise AssertionError("group arithmetic on a Z_p windowed walk")
+
+    monkeypatch.setattr(group, "_raw_add", boom)
+    monkeypatch.setattr(group, "scalar_mul", boom)
+    for window in _windows(p - 1, 0):
+        keys = list(islice(_walk(group, base, walk, window), walk.points))
+        assert keys == [3 * 5 * pow(7, i, p) % p for i in range(walk.points)], window.w
 
 
 @pytest.mark.parametrize("p", [29, 101, 1009, 16381, EC_2_32])

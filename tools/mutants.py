@@ -45,7 +45,7 @@ class Mutant(NamedTuple):
 
 
 REDUCTION, COST, GROUPS = "src/dhpbound/reduction.py", "src/dhpbound/cost.py", "src/dhpbound/groups.py"
-BOUNDS, CLI = "src/dhpbound/bounds.py", "src/dhpbound/cli.py"
+BOUNDS, CLI, ORACLE = "src/dhpbound/bounds.py", "src/dhpbound/cli.py", "src/dhpbound/oracle.py"
 
 MUTANTS = (
     # the kept giant tables (reduction.py): one growth rule for both phases
@@ -77,9 +77,21 @@ MUTANTS = (
     Mutant("reader-bias-off-by-one", GROUPS,
            "(1 << w) - 1, (1 << (w - 1)) - 1\n", "(1 << w) - 1, 1 << (w - 1)\n", ("tests/test_groups.py",)),
     Mutant("top-row-trimmed", GROUPS,
-           "_, offset, top = signed_layout(self.order - 1, w)",
-           "cols, offset, top = signed_layout(self.order - 1, w)\n        top = (self.order - 1) >> w * (cols - 1)",
+           "cols, offset, top = signed_layout(self.order - 1, w)\n",
+           "cols, offset, top = signed_layout(self.order - 1, w)\n        top = (self.order - 1) >> w * (cols - 1)\n",
            ("tests/test_groups.py",)),
+    # the one column builder: every fixed-base hook builds its own table on the base it is handed (groups.py)
+    Mutant("zp-hook-ignores-its-base", GROUPS,
+           "return lambda k: k * base % p", "return lambda k: k % p", ("tests/test_groups.py",)),
+    Mutant("columns-one-doubling-short", GROUPS,
+           "for _ in range(w):\n                    col = add(col, col)",
+           "for _ in range(w - 1):\n                    col = add(col, col)", ("tests/test_groups.py",)),
+    # the oracle's one answer path (oracle.py)
+    Mutant("oracle-squares-a", ORACLE,
+           "self._private_dlog(A) * self._private_dlog(B)", "self._private_dlog(A) * self._private_dlog(A)",
+           ("tests/test_oracle.py",)),
+    Mutant("oracle-forgets-its-answers", ORACLE,
+           "        self._known[result.data] = ab\n", "", ("tests/test_oracle.py",)),
     # the one BSGS dlog solver (groups.py)
     Mutant("solver-giant-count-short", GROUPS,
            "self.steps += hit[0] + 1", "self.steps += hit[0]", ("tests/test_oracle.py",)),
