@@ -171,9 +171,10 @@ def cmd_reduce(args) -> int:
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
-        # one level flattened: the transcript's own keys, the outcome, then each report's keys
-        # dotted; the warnings stay out
+        # the whole document, one level flattened: the transcript's own keys, the outcome, each
+        # report's keys dotted, and last the warnings as one row, their notes joined by "; "
         fields = {**doc["transcript"], **{k: doc[k] for k in ("requested_x", "recovered", "cost_report", "simulator")}}
+        fields["warnings"] = "; ".join(notes)
         flat = {}
         for k, v in fields.items():
             flat.update({f"{k}.{kk}": vv for kk, vv in v.items()} if isinstance(v, dict) else {k: v})
@@ -263,9 +264,8 @@ def cmd_divisors(args) -> int:
         print(f"warning: database {source}: {exc}; cross-reference skipped", file=sys.stderr)
         db = []
     for rec in db:
-        if rec.p == p and rec.d is not None:
-            divides = (p - 1) % rec.d == 0
-            print(f"database {rec.name}: stored d={rec.d} divides p-1: {divides}")
+        if rec.p == p and rec.d is not None:  # load_database admits only a d dividing p - 1
+            print(f"database {rec.name}: stored d={rec.d}")
     return 0
 
 

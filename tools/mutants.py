@@ -129,6 +129,8 @@ MUTANTS = (
            ("tests/test_cli.py", "tests/test_bounds.py")),
     Mutant("reduce-csv-drops-the-simulator", CLI,
            '"cost_report", "simulator")}', '"cost_report")}', ("tests/test_cli.py",)),
+    Mutant("reduce-csv-drops-the-warnings", CLI,
+           '        fields["warnings"] = "; ".join(notes)\n', "", ("tests/test_cli.py",)),
 )
 
 
