@@ -46,6 +46,10 @@ import itertools
 import math
 from typing import NamedTuple
 
+# the most keys a kept off-book table grows to: reduction._search's giant tables add layers past
+# their second while they hold fewer, and groups.DlogSolver's baby table while its span is below it
+KEPT_TABLE_KEYS = 1 << 10
+
 
 class InvalidDivisorError(ValueError):
     """The requested d does not divide p-1."""

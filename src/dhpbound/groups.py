@@ -30,8 +30,11 @@ The reduction's, which the ledger bills, is reduction._search. The other
 is DlogSolver, the one private dlog solver, which nobody bills: it backs
 both brute_force_dlog, with a fresh solver per call, and the simulated
 oracle, whose handle owns one solver and so one baby table. The solver
-builds that table on its first solve with add, and runs its giant side on
-the raw hook _raw_probe: one loop over raw data that stops at the first
+builds that table on its first solve with add, m - 1 steps for m =
+isqrt(p - 1) + 1 entries; the handle grows it by one layer of m more per
+run, by _raw_add, until it spans KEPT_TABLE_KEYS or p, and a probe runs
+u + 1 of at most ceil(p/span) + 1 giant steps. The giant side runs on the
+raw hook _raw_probe: one loop over raw data that stops at the first
 stored point, generic on _raw_add and inlined on F_q^x. The table belongs
 to the solver, never to the group, so it is freed with its owner.
 
@@ -52,7 +55,7 @@ import json
 from importlib import resources
 from math import isqrt
 
-from .cost import signed_layout
+from .cost import KEPT_TABLE_KEYS, signed_layout
 from .modmath import is_prime
 
 ORDER_GUARD = 2**32  # largest group order for brute-force dlog, the oracle and reductions
@@ -482,23 +485,40 @@ def make_ec_group(q: int, a: int, b: int, gx: int, gy: int, p: int) -> EcGroup:
 class DlogSolver:
     """Baby-step giant-step dlog to the base of the group's generator P: the one private solver.
 
-    table maps (r*P).data to r for r < m = isqrt(p - 1) + 1; the first
-    solve builds it with m - 1 calls of the public add, bound once before
-    the loop, and stores each multiple by plain assignment, since r*P for
-    r < m <= p are distinct. stride is the raw data of -m*P. A solve then
-    runs the group's _raw_probe from the point for at most m + 1 steps,
-    and the first stored point u*m + r gives its dlog. steps counts the
-    work: m - 1 for the table, then u + 1 per solve that finds its point.
+    table maps (r*P).data to r for r < span. The first solve builds it for
+    span = m = isqrt(p - 1) + 1 with m - 1 calls of the public add, bound
+    once before the loop. Each grow adds one layer, the next m multiples
+    r*P by _raw_add, capped at r < p, while span is below KEPT_TABLE_KEYS
+    and below p; since r*P for r < p are distinct, each is stored by plain
+    assignment. stride is the raw data of -span*P. A solve runs the
+    group's _raw_probe from the point for at most ceil(p/span) + 1 steps,
+    and the first stored point u*span + r gives its dlog. steps counts the
+    work: m - 1 for the build, one per multiple a layer adds, then u + 1
+    per solve that finds its point.
     """
 
     def __init__(self, group: CyclicGroup):
-        self.group, self.span = group, isqrt(group.order - 1) + 1  # span is m
+        self.group, self.layer = group, isqrt(group.order - 1) + 1  # layer is m
         self.table: dict[object, int] | None = None
-        self.stride, self.steps = None, 0
+        self.span, self.stride, self.steps = self.layer, None, 0
+
+    def grow(self) -> None:
+        """Add one layer to a built table, unless span has reached KEPT_TABLE_KEYS or p."""
+        g, span = self.group, self.span
+        if self.table is None or span >= KEPT_TABLE_KEYS or span >= g.order:
+            return
+        end = min(span + self.layer, g.order)
+        add, generator, table = g._raw_add, g.generator.data, self.table
+        point = g._raw_negate(self.stride)  # span*P
+        for r in range(span, end):
+            table[point] = r
+            point = add(point, generator)
+        self.span, self.stride = end, g._raw_negate(point)
+        self.steps += end - span
 
     def solve(self, raw) -> int | None:
         """x in [0, p-1] with x*P of data raw, or None when no giant step meets the table."""
-        g, m = self.group, self.span
+        g, m = self.group, self.layer
         if self.table is None:
             add, generator, point = g.add, g.generator, g.identity
             self.table = table = {point.data: 0}
@@ -507,11 +527,12 @@ class DlogSolver:
                 table[point.data] = r
             self.stride = g.negate(g.scalar_mul(m, generator)).data
             self.steps += m - 1
-        hit = g._raw_probe(self.table, raw, self.stride, m + 1)
+        span = self.span
+        hit = g._raw_probe(self.table, raw, self.stride, -(-g.order // span) + 1)
         if hit is None:
             return None
         self.steps += hit[0] + 1
-        return (hit[0] * m + hit[1]) % g.order
+        return (hit[0] * span + hit[1]) % g.order
 
 
 def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:

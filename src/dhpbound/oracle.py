@@ -6,14 +6,17 @@ included) without tracking any exponent bookkeeping that a real black box
 would not have. On Z_p the generator is 1, so a is the residue itself; on the
 other backends the handle's own groups.DlogSolver, the package's one private
 dlog solver, recovers it on the raw coordinates. The handle owns that solver,
-and so its baby table (r*P -> r for r < m = isqrt(p - 1) + 1): the table is
-built on the handle's first probe, by m - 1 calls of the public add, and
-every later probe of the handle reuses it. A probe runs the group's raw hook
-_raw_probe from aP with stride -m*P for at most m + 1 steps. That private
-solver work is deliberately invisible to the caller: the attached ledger
-moves by exactly one oracle call per invocation and nothing else. The
-handle's solver_steps, the solver's step count, shows it: m - 1 for the baby
-table, u + 1 per probe.
+and so its baby table (r*P -> r for r < span): the table is built on the
+handle's first probe for span m = isqrt(p - 1) + 1, by m - 1 calls of the
+public add, and every later probe of the handle reuses it. Each later run
+(attach_ledger) grows it by one layer, the next m multiples, until span
+reaches KEPT_TABLE_KEYS or p, in the manner of Bernstein-Lange's tables that
+grow with the number of dlogs they serve. A probe runs the group's raw hook
+_raw_probe from aP with stride -span*P for at most ceil(p/span) + 1 steps.
+That private solver work is deliberately invisible to the caller: the
+attached ledger moves by exactly one oracle call per invocation and nothing
+else. The handle's solver_steps, the solver's step count, shows it: m - 1
+for the baby table, one per multiple a layer adds, u + 1 per probe.
 
 Within one run (from one attach_ledger to the next) the handle remembers what
 it has already solved: the exponent of every point it probed and of every
@@ -24,7 +27,8 @@ answers, transcripts and ledgers are the same with or without it. In a
 reduction the first squaring dh(Q, Q) solves Q, after which every point
 implicit_pow hands in is a hit: at most two probes per run, the generator and
 Q. attach_ledger forgets the memo, so it never outlives a run and holds at
-most three entries per call since the last attach: A, B and the answer.
+most three entries per call since the last attach: A, B and the answer. On
+Z_p, where the residue is the dlog, the memo stays empty.
 
 Every call answers one way: a and b come from the memo or a probe (on Z_p,
 the residues), and the answer is (ab mod p)*P, read off the group's
@@ -82,23 +86,25 @@ class OracleHandle:
         self.group = group
         self.call_count = 0
         self.ledger: CostLedger | None = None
+        self._residues = isinstance(group, ZpAdditiveGroup)  # generator 1: the residue is the dlog
         self._solver = DlogSolver(group)  # its table is built on the first memo miss
         self._known: dict[object, int] = {}  # point data -> dlog, for the current run only
 
     def attach_ledger(self, ledger: CostLedger | None) -> None:
-        """Start a new run: charge later calls to this ledger (None detaches), forget the memo."""
+        """Start a new run: charge later calls to ledger (None detaches), forget the memo, grow the table."""
         self.ledger = ledger
         self._known.clear()
+        self._solver.grow()
 
     @property
     def solver_steps(self) -> int:
-        """Private solver work: baby steps, then giant probes per memo miss."""
+        """Private solver work: baby steps and layers, then giant probes per memo miss."""
         return self._solver.steps
 
     def _private_dlog(self, A: GroupPoint) -> int:
         """Exponent of A, off the caller's ledger: the Z_p residue, else the memo or a solver probe."""
         g = self.group
-        if isinstance(g, ZpAdditiveGroup):  # generator 1: the residue is the dlog
+        if self._residues:
             return A.data
         known = self._known.get(A.data)
         if known is not None:
@@ -118,7 +124,8 @@ class OracleHandle:
         g._member(B)
         ab = self._private_dlog(A) * self._private_dlog(B) % g.order
         result = GroupPoint(g, g._generator_table(4)(ab))  # at 2^32: 7 signed rows of 16, a top row of 17
-        self._known[result.data] = ab
+        if not self._residues:
+            self._known[result.data] = ab
         self.call_count += 1
         if self.ledger is not None:
             self.ledger.oracle_calls += 1

@@ -62,7 +62,9 @@ v1 = u1*d1 - j and u2 = ceil(t/s2), v2 = u2*s2 - t. So the ledger does not
 see the layers: it prices the classic search, not the table a run probes.
 Phase 2's giant walk from zeta0^j is billed, never run.
 The final verification is a self-check, not part of the algorithm, and is
-left off the books.
+left off the books: x*P is read off the group's kept w = 4 generator table,
+the one the simulated oracle answers from, and compared with Q's data. Q
+comes from the caller, not from that table, so the check stays independent.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from .cost import (
-    WALK_NAMES, Planned, Walk, Window, _pulled_window, _worst, bill, divisor_split, oracle_calls_exact, plan,
-    reduction_ops_bound,
+    KEPT_TABLE_KEYS, WALK_NAMES, Planned, Walk, Window, _pulled_window, _worst, bill, divisor_split,
+    oracle_calls_exact, plan, reduction_ops_bound,
 )
 from .groups import CyclicGroup, GroupPoint
 from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar
@@ -214,9 +216,6 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
     while True:
         yield times(k)
         k = k * stride % p
-
-
-KEPT_TABLE_KEYS = 1 << 10  # a kept table adds layers past its second while it holds fewer keys
 
 
 @dataclass
@@ -409,8 +408,8 @@ def reduce_dlog(
     ledger.charge_table_entries(table_entries)
     i0 = m * t + j
     x = pow(zeta0, i0, p)
-    # self-check, off the books: the algorithm's answer must reproduce Q
-    if not group.eq(group.scalar_mul(x, group.generator), Q):
+    # self-check, off the books: x*P off the kept w = 4 generator table must reproduce the caller's Q
+    if group._generator_table(4)(x) != Q.data:
         raise InternalInconsistencyError(f"recovered x={x} fails x*P = Q at p={p}, d={d}")
     return ReductionTranscript(
         p=p, backend=group.backend,

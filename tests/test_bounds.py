@@ -389,6 +389,20 @@ def test_load_database_reads_json_ints_and_strings_alike(tmp_path):
     assert (first.p, first.d, first.annotations) == (101, 4, ("a note",))
 
 
+def test_load_database_accepts_the_smallest_valid_p_and_d(tmp_path):
+    # p = 3 and d = 2 are the boundaries of the p >= 3 and d >= 2 rules: both load
+    smallest = {
+        "name": "SMALLEST", "field_kind": "prime", "p": "3", "d": "2",
+        "expected_log2_sqrt_p": 0.79, "expected_log2_M": 2.0,
+        "expected_log2_n": 1.0, "expected_log2_TDH": 1.0,
+    }
+    alt = tmp_path / "alt.json"
+    alt.write_text(json.dumps({"version": 1, "records": [
+        smallest, {**smallest, "name": "D2", "p": "101"}, {**smallest, "name": "P3", "d": None}]}))
+    assert [(rec.name, rec.p, rec.d) for rec in load_database(str(alt))] == [
+        ("SMALLEST", 3, 2), ("D2", 101, 2), ("P3", 3, None)]
+
+
 @pytest.mark.parametrize("doc", [[], {"version": 1}, {"records": 5}])
 def test_load_database_rejects_bad_shape(tmp_path, doc):
     alt = tmp_path / "alt.json"

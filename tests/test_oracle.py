@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 
 from test_bsgs_reference import bsgs_probe, bsgs_table, orbit
+from dhpbound.cost import KEPT_TABLE_KEYS
 from dhpbound.groups import (
     CyclicGroup,
     DlogSolver,
@@ -202,35 +203,103 @@ PROBE_GROUPS += [("ec", 16381, 20), ("mult", 4294967291, 20)]
 
 @pytest.mark.parametrize("kind, p, sampled", PROBE_GROUPS)
 def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled):
-    # the reference bsgs_table is the handle's baby table; _raw_probe finds what the reference
-    # bsgs_probe finds on orbit over the same steps; a fresh DlogSolver and brute_force_dlog
-    # answer what the reference answers, the solver's first solve counting (m - 1) + (u + 1)
-    # steps, and the oracle's solver_steps move by u + 1; every point, or `sampled` seeded ones
+    # after k runs the handle's baby table is the reference bsgs_table over its span, m on the
+    # first probe and one layer of m more per run (attach_ledger), capped at p and stopped at
+    # KEPT_TABLE_KEYS, and the stride is -span*P; _raw_probe finds what the reference bsgs_probe
+    # finds on orbit over the same ceil(p/span) + 1 steps, the handle's solver_steps move by
+    # u + 1 per probe and by the layer's size per run; a fresh DlogSolver and brute_force_dlog
+    # answer what the reference answers, the first solve counting (m - 1) + (u + 1) steps;
+    # every point, or `sampled` seeded ones, on every span until the table stops growing
     g = make_group(kind, p)
     m = isqrt(p - 1) + 1
-    table = bsgs_table(orbit(g._raw_add, g.identity.data, g.generator.data), m)
-    step = g.negate(g.scalar_mul(m, g.generator)).data
     oracle = OracleHandle(g)
     oracle.dh(g.generator, g.generator)  # builds the handle's baby table
-    assert (oracle._solver.table, oracle._solver.stride, oracle._solver.span) == (table, step, m)
     if sampled is None:
         xs = range(p)
     else:
         rng = random.Random(39000 + len(kind))
         xs = [rng.randrange(p) for _ in range(sampled)]
-    for x in xs:
-        A = g.scalar_mul(x, g.generator)
-        want = bsgs_probe(table, orbit(g._raw_add, A.data, step), range(m + 1))
-        assert g._raw_probe(table, A.data, step, m + 1) == want
-        assert want is not None and (want[0] * m + want[1]) % p == x
-        assert g._raw_probe(table, A.data, step, want[0]) is None  # one step short of the first hit
-        solver = DlogSolver(g)
-        assert solver.solve(A.data) == brute_force_dlog(g, A) == x
-        assert solver.steps == (m - 1) + (want[0] + 1)
-        oracle.attach_ledger(None)  # forget the memo, so the point is probed again
+    points = [(x, g.scalar_mul(x, g.generator)) for x in xs]
+    span, runs = m, 0
+    while True:
+        table = bsgs_table(orbit(g._raw_add, g.identity.data, g.generator.data), span)
+        stride = g.negate(g.scalar_mul(span, g.generator)).data
+        assert (oracle._solver.table, oracle._solver.stride, oracle._solver.span) == (table, stride, span)
+        steps = -(-p // span) + 1
+        for x, A in points:
+            want = bsgs_probe(table, orbit(g._raw_add, A.data, stride), range(steps))
+            assert g._raw_probe(table, A.data, stride, steps) == want
+            assert want is not None and (want[0] * span + want[1]) % p == x
+            assert g._raw_probe(table, A.data, stride, want[0]) is None  # one step short of the first hit
+            if runs == 0:
+                solver = DlogSolver(g)
+                assert solver.solve(A.data) == brute_force_dlog(g, A) == x
+                assert solver.steps == (m - 1) + (want[0] + 1)
+            oracle._known.clear()  # forget the memo within the run, so the point is probed again
+            before = oracle.solver_steps
+            assert oracle._private_dlog(A) == x
+            assert oracle.solver_steps - before == want[0] + 1
         before = oracle.solver_steps
-        assert oracle._private_dlog(A) == x
-        assert oracle.solver_steps - before == want[0] + 1
+        oracle.attach_ledger(None)  # a new run: one more layer
+        grown = span if span >= KEPT_TABLE_KEYS else min(span + m, p)
+        assert oracle.solver_steps - before == grown - span
+        if grown == span:
+            break
+        span, runs = grown, runs + 1
+    assert runs == {101: 9, 1009: 31, 16381: 7, 4294967291: 0}[p]
+
+
+@pytest.mark.parametrize("kind", ("mult", "ec"))
+@pytest.mark.parametrize("p", (101, 1009))
+def test_baby_table_ends_full_with_distinct_entries(kind, p):
+    # the last layer is capped at p, so a small group's table ends as every r*P -> r, r < p
+    g = make_group(kind, p)
+    oracle = OracleHandle(g)
+    oracle.dh(g.scalar_mul(3, g.generator), g.generator)
+    for _ in range(2 * p):
+        oracle.attach_ledger(CostLedger())
+    assert oracle._solver.span == p and len(oracle._solver.table) == p
+    assert oracle._solver.table == {g.scalar_mul(r, g.generator).data: r for r in range(p)}
+    assert oracle.solver_steps == (p - 1) + 2  # every multiple once; 3*P and P probed in one step each
+
+
+@pytest.mark.parametrize("kind", ("mult", "ec"))
+def test_one_run_reduce_never_grows_the_table(kind):
+    # a run attaches its ledger before its first probe, so a handle's first run keeps span m
+    p = 16381 if kind == "ec" else 1009
+    g = make_group(kind, p)
+    m = isqrt(p - 1) + 1
+    for d in (2, 12, p - 1):
+        oracle = OracleHandle(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PowCallBoundWarning)
+            assert reduce_dlog(g, oracle, g.scalar_mul(4321 % p, g.generator), d).x == 4321 % p
+        assert oracle._solver.span == len(oracle._solver.table) == m
+
+
+@pytest.mark.parametrize("kind", ("mult", "ec"))
+def test_brute_force_dlog_never_grows(kind, monkeypatch):
+    # each call solves on a fresh solver over span m: no layer is added, no probe runs past m
+    g = make_group(kind, 1009)
+    m = isqrt(1009 - 1) + 1
+    probes, real = [], g._raw_probe
+    monkeypatch.setattr(g, "_raw_probe", lambda table, *a: probes.append((len(table), a[-1])) or real(table, *a))
+    for x in range(0, 1009, 37):
+        assert brute_force_dlog(g, g.scalar_mul(x, g.generator)) == x
+    assert probes == [(m, -(-1009 // m) + 1)] * len(range(0, 1009, 37))
+
+
+def test_order_2_32_handle_never_grows():
+    # m = 65,536 already reaches KEPT_TABLE_KEYS: later runs add nothing to table, stride or steps
+    g = make_group("mult", 4294967291)
+    oracle = OracleHandle(g)
+    oracle.dh(g.scalar_mul(123456789, g.generator), g.generator)
+    solver = oracle._solver
+    state = (solver.span, len(solver.table), solver.stride, solver.steps)
+    assert solver.span == 65536 >= KEPT_TABLE_KEYS
+    for _ in range(3):
+        oracle.attach_ledger(CostLedger())
+    assert (solver.span, len(solver.table), solver.stride, solver.steps) == state
 
 
 @pytest.mark.parametrize("p", (101, 4294967291))
@@ -344,3 +413,23 @@ def test_zp_handle_never_probes():
     A = g.scalar_mul(5, g.generator)
     assert oracle.dh(A, A).data == 25
     assert oracle.solver_steps == 0 and oracle._solver.table is None
+
+
+@pytest.mark.parametrize("p", (101, 1009))
+def test_zp_handle_keeps_no_memo(p):
+    # on Z_p the residue is the dlog, so neither a reduction nor a direct dh stores an answer
+    g = make_group("zp", p)
+    oracle = OracleHandle(g)
+    rng = random.Random(42000 + p)
+    for d in divisors_in_range(factorize(p - 1), 1, p - 1):
+        x = rng.randrange(1, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PowCallBoundWarning)
+            assert reduce_dlog(g, oracle, g.scalar_mul(x, g.generator), d).x == x
+        assert oracle._known == {}
+    points = [g.generator, g.scalar_mul(rng.randrange(p), g.generator)]
+    for _ in range(50):
+        A, B = rng.choice(points), rng.choice(points)
+        points.append(oracle.dh(A, B))
+        assert points[-1].data == A.data * B.data % p
+    assert oracle._known == {}

@@ -19,6 +19,7 @@ from test_bsgs_reference import bsgs_probe, bsgs_table
 from dhpbound import reduction
 from dhpbound.bounds import paper_band
 from dhpbound.cost import (
+    KEPT_TABLE_KEYS,
     WALK_NAMES,
     InvalidDivisorError,
     Walk,
@@ -45,7 +46,6 @@ from dhpbound.modmath import (
 )
 from dhpbound.oracle import CostLedger, OracleHandle
 from dhpbound.reduction import (
-    KEPT_TABLE_KEYS,
     ImprobableFailureError,
     InternalInconsistencyError,
     ReductionParams,
@@ -328,6 +328,20 @@ def test_phase2_inconsistency_detected(kind):
             with pytest.raises(InternalInconsistencyError, match="phase 2 found no t"):
                 phase2_find_t(group, Q, j, tr.params)
         assert phase2_find_t(group, Q, tr.j, tr.params) == (tr.t, tr.u2, tr.v2)
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_self_check_refuses_a_wrong_x(kind, monkeypatch):
+    # a phase 2 that answers t + 1 recombines an x off by m = 25 in the exponent of zeta0: its
+    # x*P, read off the kept w = 4 generator table, misses the caller's Q, and the run fails by name
+    group = make_group(kind, 101)
+    Q = group.scalar_mul(37, group.generator)
+    assert reduce_dlog(group, OracleHandle(group), Q, 4, seed=3).x == 37
+    real = reduction.phase2_find_t
+    monkeypatch.setattr(reduction, "phase2_find_t", lambda *a: ((real(*a)[0] + 1) % 4, *real(*a)[1:]))
+    with pytest.raises(InternalInconsistencyError, match="fails x\\*P = Q"):
+        reduce_dlog(group, OracleHandle(group), Q, 4, seed=3)
+    assert 4 in group._generator_tables
 
 
 # --------------------------------------------------------- cost accounting

@@ -55,7 +55,7 @@ MUTANTS = (
     Mutant("no-first-reuse-layer", REDUCTION,
            "(len(kept.offsets) == 1 or len(kept.table) < KEPT_TABLE_KEYS)", "len(kept.table) < KEPT_TABLE_KEYS",
            ("tests/test_reduction.py",)),
-    Mutant("key-budget-loosened", REDUCTION,
+    Mutant("key-budget-loosened", COST,
            "KEPT_TABLE_KEYS = 1 << 10", "KEPT_TABLE_KEYS = 1 << 11", ("tests/test_reduction.py",)),
     Mutant("midpoint-rounded-up", REDUCTION,
            "offset = start + width // 2", "offset = start + (width + 1) // 2", ("tests/test_reduction.py",)),
@@ -91,7 +91,13 @@ MUTANTS = (
            "self._private_dlog(A) * self._private_dlog(B)", "self._private_dlog(A) * self._private_dlog(A)",
            ("tests/test_oracle.py",)),
     Mutant("oracle-forgets-its-answers", ORACLE,
-           "        self._known[result.data] = ab\n", "", ("tests/test_oracle.py",)),
+           "        if not self._residues:\n            self._known[result.data] = ab\n", "", ("tests/test_oracle.py",)),
+    Mutant("zp-oracle-stores-its-answers", ORACLE,
+           "if not self._residues:\n            self._known", "if True:\n            self._known",
+           ("tests/test_oracle.py",)),
+    # the self-check reads x*P off the kept generator table (reduction.py)
+    Mutant("self-check-always-passes", REDUCTION,
+           "if group._generator_table(4)(x) != Q.data:", "if False:", ("tests/test_reduction.py",)),
     # the one BSGS dlog solver (groups.py)
     Mutant("solver-giant-count-short", GROUPS,
            "self.steps += hit[0] + 1", "self.steps += hit[0]", ("tests/test_oracle.py",)),
@@ -102,6 +108,15 @@ MUTANTS = (
     Mutant("brute-force-dlog-never-raises", GROUPS,
            "if x is None:\n        raise RuntimeError", "if x is None and False:\n        raise RuntimeError",
            ("tests/test_groups.py",)),
+    # the solver's baby table grows one layer per run (groups.py, oracle.py)
+    Mutant("solver-never-grows", ORACLE,
+           "        self._solver.grow()\n", "", ("tests/test_oracle.py",)),
+    Mutant("solver-grows-past-the-key-budget", GROUPS,
+           "span >= KEPT_TABLE_KEYS or", "span > KEPT_TABLE_KEYS or", ("tests/test_oracle.py",)),
+    Mutant("solver-last-layer-uncapped", GROUPS,
+           "end = min(span + self.layer, g.order)", "end = span + self.layer", ("tests/test_oracle.py",)),
+    Mutant("solver-stride-not-updated", GROUPS,
+           "self.span, self.stride = end, g._raw_negate(point)", "self.span = end", ("tests/test_oracle.py",)),
     # the database and the divisors (bounds.py, modmath.py)
     Mutant("load-database-catches-only-value-error", BOUNDS,
            "except (ValueError, RecursionError) as exc:", "except ValueError as exc:", ("tests/test_cli.py",)),
@@ -115,6 +130,8 @@ MUTANTS = (
     Mutant("count-past-its-cap", "src/dhpbound/modmath.py",
            "return min(count, cap)", "return count", ("tests/test_modmath.py",)),
     Mutant("d-1-accepted", BOUNDS, "if d < 2:", "if d < 1:", ("tests/test_cli.py",)),
+    Mutant("d-2-refused", BOUNDS, "if d < 2:", "if d < 3:", ("tests/test_bounds.py",)),
+    Mutant("p-3-refused", BOUNDS, "if p < 3:", "if p <= 3:", ("tests/test_bounds.py",)),
     # the oracle-call formula, read by cost_report, the table and check_reduction alike (cost.py)
     Mutant("oracle-calls-one-short", COST,
            "return (d.bit_length() - 1) + d.bit_count()", "return (d.bit_length() - 1) + d.bit_count() - 1",
