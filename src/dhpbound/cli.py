@@ -385,7 +385,10 @@ def build_parser() -> _Parser:
     p_div = sub.add_parser("divisors", help="factor p-1 and suggest a divisor")
     p_div.add_argument("--p", type=int, required=True, help="prime")
     p_div.add_argument("--policy", choices=("paper", "min-n"), default="paper")
-    p_div.add_argument("--budget", type=non_negative_int, default=10**8, help="factoring effort budget")
+    p_div.add_argument("--budget", type=non_negative_int, default=10**6,
+                       help="factoring effort budget: modular multiplications of Brent's method "
+                            "(default 10^6, seconds on every database record; raise it to split "
+                            "a p-1 whose cofactor stays composite)")
     p_div.add_argument("--db", default=None, help="database path for cross-reference")
     p_div.set_defaults(func=cmd_divisors)
 

@@ -36,7 +36,10 @@ walk, one table entry per baby point, and its giant walk through the
 match; _charges prices each point, each table in full with the first point
 of the walk that owns it, whatever the backend does underneath.
 reduction.reduce_dlog charges it once, after both matches. Oracle calls
-are charged as implicit_pow makes them.
+are charged as implicit_pow makes them. Two prices pick how a run executes,
+never what it is billed: _pulled_window, the window a baby walk runs on,
+and phase2_scans, whether phase 2 reads its d candidates off the kept
+generator table instead of walking on Q.
 """
 
 from __future__ import annotations
@@ -259,12 +262,28 @@ def _pulled_window(p: int, stride: int, points: int, pulls: int) -> Window | Non
     1, since a baby walk meets a stored key within that gap. It is step +
     1, the whole baby walk, on a table just built, ceil(step/2) + 1 once
     the half-stride layer is in, and about step/2^k + 1 once the table,
-    of either phase, holds 2^k layers. On a table just built the first hit
-    falls on average about halfway, so the walk runs on the window that
-    suits the fewer of pulls and ceil(points/2) + 1 points. The bill, and the plan,
-    keep the window planned for the whole walk.
+    of either phase, holds 2^k layers. The first hit falls on average about
+    halfway through the bound, so the walk runs on the window that suits
+    ceil(min(pulls, points)/2) + 1 points. The bill, and the plan, keep the
+    window planned for the whole walk.
     """
-    return _plan(p, Walk(1, stride, min(pulls, -(-points // 2) + 1)))
+    return _plan(p, Walk(1, stride, -(-min(pulls, points) // 2) + 1))
+
+
+@functools.lru_cache(maxsize=1024)
+def phase2_scans(p: int, d: int) -> bool:
+    """Whether phase 2 finds t by reading k*P off the kept w = 4 generator table, one candidate t at a time.
+
+    The other way is a baby walk on Q, a fresh base, whose first point
+    costs at least the cheapest table any window builds on Q: bits(p - 1)
+    - 1 doublings at w = 1, no more than the plain walk's double-and-add by
+    a k0 of p's length. A read of the kept table adds one row entry per
+    nonzero digit, the first onto the identity, so at most cols additions,
+    and the scan, at most d reads, is taken when d * cols costs no more
+    than that first point: d <= 3 at p = 16381 and at p = 4294967291, where
+    d = 190 walks. Neither way is billed: the bill prices the classic search.
+    """
+    return d * signed_layout(p - 1, 4)[0] <= _windows(p - 1, 0)[0].table
 
 
 def plan(p: int, d: int, zeta0: int, j: int) -> tuple[Planned, ...]:

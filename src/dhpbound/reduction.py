@@ -23,7 +23,10 @@ Both phases are one collision search. Each side visits k * base for a base
 fixed per walk (x^d P, Q or P) and a multiplier k the walk knows, k <- k *
 stride mod p per step. _walk yields its points' keys, their canonical data,
 lazily, so _search evaluates only the points it pulls: group.encode checks
-the walk's base once, and every later key is raw data. A walk runs on a
+the walk's base once, and every later key is raw data. A walk from k0 = 1
+yields the base's own data as its first key, and a windowed one has the
+hook build a table on a fresh base only when it pulls a second key, so a
+run whose first baby key hits builds none. A walk runs on a
 fixed-base table in the manner of Kozaki-Kutsuma-Matsuo's refinement of
 Cheon's algorithm: columns 2^(wj) * base (on P the group's kept generator
 table, otherwise one the group's hook builds), a row of signed multiples
@@ -33,7 +36,8 @@ digit of k past the first. w = 0 keeps the plain double-and-add walk. A
 key does not depend on the window it was computed on, so execution and
 billing are separate: a giant walk runs on its planned window, whose table
 on P the group keeps, and a baby walk on the window _pulled_window picks
-for the points it can pull before its first hit on the kept table (below).
+for half the points it can pull before its first hit on the kept table
+(below), where that hit falls on average.
 
 Every price comes from cost.py: plan gives the walks and their windows,
 and reduce_dlog charges bill's price of both matches once, after them.
@@ -60,7 +64,12 @@ zm^v * zeta0^-j Q gives t = (e - v) mod d, whichever stored e was hit, since
 g has order m or d. The classic search's matches follow: u1 = ceil(j/d1),
 v1 = u1*d1 - j and u2 = ceil(t/s2), v2 = u2*s2 - t. So the ledger does not
 see the layers: it prices the classic search, not the table a run probes.
-Phase 2's giant walk from zeta0^j is billed, never run.
+Phase 2's giant walk from zeta0^j is billed, never run. For a small d,
+where cost.phase2_scans finds d reads of the group's kept w = 4 generator
+table no dearer than the first point of a baby walk on Q, phase 2 keeps no
+table and walks nothing: it reads (zeta0^j * zm^t) * P for t = 0, 1, ...
+until it meets Q's data, the one t with x = zeta0^(m*t + j), and the
+classic search's match follows from t as above.
 The final verification is a self-check, not part of the algorithm, and is
 left off the books: x*P is read off the group's kept w = 4 generator table,
 the one the simulated oracle answers from, and compared with Q's data. Q
@@ -78,7 +87,7 @@ from dataclasses import asdict, dataclass, field
 
 from .cost import (
     KEPT_TABLE_KEYS, WALK_NAMES, Planned, Walk, Window, _pulled_window, _worst, bill, divisor_split,
-    oracle_calls_exact, plan, reduction_ops_bound,
+    oracle_calls_exact, phase2_scans, plan, reduction_ops_bound,
 )
 from .groups import CyclicGroup, GroupPoint
 from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar
@@ -194,15 +203,19 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
     base is the one point handed in: group.encode checks that it belongs to
     the group and gives its data, and every later key is raw data computed
     from it. On the plain walk (None) each point is an implicit_scalar by
-    the stride of the last (the first by k0 of base). Otherwise k*base is
-    read off the group's fixed-base hook, which builds its own table: a
-    walk on the generator reads the group's kept table for its w, any other
-    walk has the hook build one on its base at the first pull.
+    the stride of the last (the first by k0 of base, none for k0 = 1).
+    Otherwise k*base is read off the group's fixed-base hook, which builds
+    its own table: a walk on the generator reads the group's kept table for
+    its w, any other walk has the hook build one on its base at the first
+    pull that needs it. A walk from k0 = 1 yields base's data first, so its
+    table waits for the second pull, and a search that hits on that first
+    key builds none.
 
     Execution and billing are separate. A key does not depend on the window
     it was computed on, so _search runs each baby walk on the window that
     suits the points it can pull, while the ledger prices the paper's
-    classic search on the planned windows.
+    classic search on the planned windows, each table with its walk's first
+    point.
     """
     p = group.order
     data = group.encode(base.image)
@@ -211,8 +224,11 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
         while True:
             yield point.image.data
             point = implicit_scalar(walk.stride, point)
-    times = group._generator_table(window.w) if data == group.generator.data else group._raw_fixed_base(data, window.w)
     k, stride = walk.k0, walk.stride
+    if k == 1:  # 1*base is the base's own data: no table until a second key is pulled
+        yield data
+        k = stride
+    times = group._generator_table(window.w) if data == group.generator.data else group._raw_fixed_base(data, window.w)
     while True:
         yield times(k)
         k = k * stride % p
@@ -304,6 +320,19 @@ def _search(
     return None
 
 
+def _scan(group: CyclicGroup, target, k: int, zm: int, d: int) -> int | None:
+    """First t < d whose (k * zm^t) * P, read off the kept w = 4 generator table, has data target; or None.
+
+    The multiplier steps by one multiplication by zm per candidate.
+    """
+    times, p = group._generator_table(4), group.order
+    for t in range(d):
+        if times(k) == target:
+            return t
+        k = k * zm % p
+    return None
+
+
 def phase1_find_j(
     group: CyclicGroup, q_pow_d: ImplicitFieldElement, params: ReductionParams
 ) -> tuple[int, int, int]:
@@ -336,18 +365,24 @@ def phase1_find_j(
 def phase2_find_t(
     group: CyclicGroup, Q: GroupPoint, j: int, params: ReductionParams
 ) -> tuple[int, int, int]:
-    """Find t in [0, d) with x = zeta0^(m*t + j), by a second, oracle-free BSGS.
+    """Find t in [0, d) with x = zeta0^(m*t + j), by a scan or a second, oracle-free BSGS.
 
-    zm = zeta0^m has order d and Q = zeta0^(m*t + j) * P, so
+    zm = zeta0^m has order d and Q = zeta0^(m*t + j) * P. When
+    cost.phase2_scans(p, d) holds, t is found by reading (zeta0^j * zm^t) *
+    P off the group's kept w = 4 generator table for t = 0, 1, ..., the
+    multiplier stepping by one multiplication by zm, until one has Q's
+    data; zeta0^j * zm^t runs through d distinct values, so that t is the
+    one, and no candidate matching raises as the search does. Otherwise,
     zm^v * zeta0^(-j) * Q = zm^(t + v) * P. The giant side is the group's
     kept table of zm^e * P for e = s2*u, u = 0..G2 - 1, G2 = ceil(d/s2) + 2
     the billed giant walk's length; like phase 1's it depends on p, d and zm,
-    never on Q or j, and grows by the same rule (_search). The baby side is the planned baby walk on Q, started at
-    k0 = zeta0^(-j): it visits zm^(t + v) * P for v = 0..s2 and stops at the
-    first hit (v, e), where t + v = e (mod d), so t = (e - v) mod d whatever
-    stored e it met. One exists: v = s2*ceil(t/s2) - t < s2 meets
-    e = s2*ceil(t/s2), whose u is at most G2 - 1, and the probe pulls at
-    most the widest gap between the table's layer offsets, as in phase 1.
+    never on Q or j, and grows by the same rule (_search). The baby side is
+    the planned baby walk on Q, started at k0 = zeta0^(-j): it visits
+    zm^(t + v) * P for v = 0..s2 and stops at the first hit (v, e), where
+    t + v = e (mod d), so t = (e - v) mod d whatever stored e it met. One
+    exists: v = s2*ceil(t/s2) - t < s2 meets e = s2*ceil(t/s2), whose u is
+    at most G2 - 1, and the probe pulls at most the widest gap between the
+    table's layer offsets, as in phase 1.
 
     This is the classic search's first accepted match: a table of
     zm^v * Q, v = 0..s2, probed by zeta0^j * zm^(s2*u) * P for u = 0, 1, ...,
@@ -358,21 +393,22 @@ def phase2_find_t(
     and such a v in [0, s2] exists only when t <= u*s2 <= t + s2. The first
     such u is u2 = ceil(t/s2), with v2 = u2*s2 - t. For d = 1 every key is
     P's, t = 0, and the classic search accepts (0, 0) at once, which the
-    same formulas give.
+    same formulas give. The scan's t gives the same match.
 
     Every scaling constant is an explicit field element, so no oracle calls
     occur. Returns (t, u2, v2).
     """
     p = group.order
-    d, s2 = params.d, params.s2
-    k0 = pow(params.zeta0, -j, p)
-    hit = _search(group, plan(p, d, params.zeta0, 0)[2:], (2, d), 0, s2, ImplicitFieldElement(Q), k0)
-    if hit is None:
+    d, s2, zeta0 = params.d, params.s2, params.zeta0
+    if phase2_scans(p, d):
+        t = _scan(group, group.encode(Q), pow(zeta0, j, p), pow(zeta0, (p - 1) // d, p), d)
+    else:
+        hit = _search(group, plan(p, d, zeta0, 0)[2:], (2, d), 0, s2, ImplicitFieldElement(Q), pow(zeta0, -j, p))
+        t = None if hit is None else (hit[1] - hit[0]) % d
+    if t is None:
         raise InternalInconsistencyError(
             f"phase 2 found no t in [0, {d}) at j={j}: phase 1 result inconsistent"
         )
-    v, e = hit
-    t = (e - v) % d
     u2 = -(-t // s2)
     return t, u2, u2 * s2 - t
 

@@ -13,7 +13,7 @@ import pytest
 
 from dhpbound import invariants
 from dhpbound.bounds import load_database, log2_approx, paper_band, t_dh
-from dhpbound.cli import main
+from dhpbound.cli import build_parser, main
 from dhpbound.cost import WALK_NAMES, oracle_calls_exact, reduction_ops_bound
 from dhpbound.modmath import divisors_in_range, factorize
 
@@ -413,6 +413,17 @@ def test_divisors_p101(capsys):
     assert "complete" in out
     assert "divisors in [5, 10]: 5, 10" in out
     assert "policy suggestion (paper): d=5" in out
+
+
+def test_divisors_default_budget_is_the_analytic_budget(capsys):
+    # 10^6 modular multiplications of Brent's method, the budget the analytic benchmark passes;
+    # the help says so
+    parser = build_parser()
+    assert parser.parse_args(["divisors", "--p", "101"]).budget == 10**6
+    assert parser.parse_args(["divisors", "--p", "101", "--budget", "7"]).budget == 7
+    with pytest.raises(SystemExit):
+        main(["divisors", "--help"])
+    assert "(default 10^6," in " ".join(capsys.readouterr().out.split())
 
 
 def test_divisors_listing_says_at_least_when_the_cap_is_reached(capsys):

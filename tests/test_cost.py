@@ -26,6 +26,7 @@ from dhpbound.cost import (
     _windows,
     _worst,
     divisor_split,
+    phase2_scans,
     plan,
     reduction_ops_bound,
     scalar_mul_cost,
@@ -157,3 +158,22 @@ def test_plan_takes_the_first_cheapest_window():
             if costs.count(min(costs)) > 1:
                 ties.add(best is None)
     assert ties == {True, False}
+
+
+@pytest.mark.parametrize("p,scanned", [(101, [1, 2]), (1009, [1, 2, 3]), (16381, [1, 2, 3])])
+def test_phase2_scan_or_walk_is_pinned_per_divisor(p, scanned):
+    # d reads of the kept w = 4 generator table, at most cols additions each, against the
+    # cheapest table a walk on Q builds, bits(p - 1) - 1 doublings at w = 1: cols = 2, 3, 4 and
+    # 6, 9, 13 doublings here
+    cols = cost.signed_layout(p - 1, 4)[0]
+    assert _windows(p - 1, 0)[0].table == (p - 1).bit_length() - 1 == {101: 6, 1009: 9, 16381: 13}[p]
+    assert [d for d in all_divisors(p) if phase2_scans(p, d)] == scanned
+    assert all(phase2_scans(p, d) == (d * cols <= (p - 1).bit_length() - 1) for d in all_divisors(p))
+
+
+def test_phase2_walks_at_2_32():
+    # large-order's d = 190: 190 reads of an 8-column table against 31 doublings
+    assert not phase2_scans(4294967291, 190)
+    divisors = (1, 2, 5, 10, 19, 38, 95, 190)
+    assert all((4294967291 - 1) % d == 0 for d in divisors)
+    assert [d for d in divisors if phase2_scans(4294967291, d)] == [1, 2]

@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 
 from test_bsgs_reference import bsgs_probe, bsgs_table, orbit
+from dhpbound import groups
 from dhpbound.cost import KEPT_TABLE_KEYS
 from dhpbound.groups import (
     CyclicGroup,
@@ -202,18 +203,21 @@ PROBE_GROUPS += [("ec", 16381, 20), ("mult", 4294967291, 20)]
 
 
 @pytest.mark.parametrize("kind, p, sampled", PROBE_GROUPS)
-def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled):
+def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled, monkeypatch):
     # after k runs the handle's baby table is the reference bsgs_table over its span, m on the
     # first probe and one layer of m more per run (attach_ledger), capped at p and stopped at
     # KEPT_TABLE_KEYS, and the stride is -span*P; _raw_probe finds what the reference bsgs_probe
     # finds on orbit over the same ceil(p/span) + 1 steps, the handle's solver_steps move by
     # u + 1 per probe and by the layer's size per run; a fresh DlogSolver and brute_force_dlog
-    # answer what the reference answers, the first solve counting (m - 1) + (u + 1) steps;
-    # every point, or `sampled` seeded ones, on every span until the table stops growing
+    # answer what the reference answers, the first solve counting (m - 1) + (u + 1) steps and
+    # every later one u + 1 on the table it built; every point, or `sampled` seeded ones, on
+    # every span until the table stops growing
     g = make_group(kind, p)
     m = isqrt(p - 1) + 1
     oracle = OracleHandle(g)
     oracle.dh(g.generator, g.generator)  # builds the handle's baby table
+    fresh = DlogSolver(g)  # one baby table of m entries: brute_force_dlog solves on this solver too
+    monkeypatch.setattr(groups, "DlogSolver", lambda group: fresh)
     if sampled is None:
         xs = range(p)
     else:
@@ -232,9 +236,10 @@ def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled):
             assert want is not None and (want[0] * span + want[1]) % p == x
             assert g._raw_probe(table, A.data, stride, want[0]) is None  # one step short of the first hit
             if runs == 0:
-                solver = DlogSolver(g)
-                assert solver.solve(A.data) == brute_force_dlog(g, A) == x
-                assert solver.steps == (m - 1) + (want[0] + 1)
+                built = fresh.table is not None
+                before = fresh.steps
+                assert fresh.solve(A.data) == brute_force_dlog(g, A) == x
+                assert fresh.steps - before == (0 if built else m - 1) + 2 * (want[0] + 1)
             oracle._known.clear()  # forget the memo within the run, so the point is probed again
             before = oracle.solver_steps
             assert oracle._private_dlog(A) == x

@@ -30,6 +30,7 @@ from dhpbound.cost import (
     _windows,
     _worst,
     bill,
+    phase2_scans,
     plan,
     scalar_mul_cost,
     walks,
@@ -538,6 +539,57 @@ def test_walk_keys_do_not_depend_on_the_window(kind, p):
             assert list(keys) == plain, (walk, window.w)
 
 
+def counted_fresh_bases(group, monkeypatch) -> list:
+    """Wrap group's _raw_fixed_base; the returned list records each base other than the
+    generator that the hook is asked to build a table on."""
+    built, hook = [], group._raw_fixed_base
+
+    def counted(base, w):
+        if base != group.generator.data:
+            built.append(base)
+        return hook(base, w)
+
+    monkeypatch.setattr(group, "_raw_fixed_base", counted)
+    return built
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_a_walk_from_1_builds_its_table_at_its_second_key(kind, monkeypatch):
+    # the first key of a windowed walk from k0 = 1 is its base's own data, so the hook builds the
+    # base's table only when a second key is pulled; a walk from another k0 builds it at once
+    group = make_group(kind, 1009)
+    built = counted_fresh_bases(group, monkeypatch)
+    base, window = walk_base(group, 3), _windows(1008, 0)[2]
+    keys = _walk(group, base, Walk(1, 7, 5), window)
+    assert next(keys) == base.image.data and built == []
+    assert next(keys) == group.scalar_mul(21, group.generator).data and built == [base.image.data]
+    assert next(_walk(group, base, Walk(2, 7, 5), window)) == group.scalar_mul(6, group.generator).data
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+def test_phase1_first_key_hit_builds_no_table_on_its_base(kind, monkeypatch):
+    # once phase 1's table is kept, a run whose x^d * P is a stored key, zeta^e * P, hits on its
+    # first key and has the hook build no table on x^d * P; a run whose first key misses builds
+    # one, on x^d * P, as it pulls its second key
+    p, d = 16381, 1
+    group = make_group(kind, p)
+    params = run_params(p, d, 0)
+    built = counted_fresh_bases(group, monkeypatch)
+    phase1_find_j(group, phase1_inputs(group, 5, d, 0)[0], params)
+    stored = sorted(set(group._giant_tables[1, d].table.values()))
+    for e in stored[:6]:
+        giants = group._giant_tables[1, d]
+        assert _pulled_window(p, params.zeta, params.d1 + 1, giants.pulls) is not None
+        for miss in (False, True):
+            x = pow(params.zeta0, e - miss, p)  # x^d = zeta^(e - miss)
+            built.clear()
+            q_pow_d = phase1_inputs(group, x, d, 0)[0]
+            j, _, _ = phase1_find_j(group, q_pow_d, params)
+            assert pow(params.zeta, j, p) == pow(x, d, p)
+            assert built == ([q_pow_d.image.data] if miss else []), (e, miss)
+
+
 def test_baby_walk_executes_on_a_smaller_window_than_it_is_billed_for(monkeypatch):
     # at 2^32 the plan gives phase 1's baby walk w = 11 for its d1 + 1 points; a run pulls far
     # fewer, so it runs on the window those favour, while the bill and the report keep w = 11
@@ -729,8 +781,8 @@ def test_cost_report_reads_the_plan_the_run_carries(kind):
 def executed(group, base, walk: Walk, window, ledger: CostLedger, fresh: bool = True):
     """The keys of walk on window, each point's group ops charged to ledger as it is pulled.
 
-    With fresh, a walk on the generator builds its window's table again at the first pull,
-    as the ledger bills it, even where the group kept one; otherwise it reads the kept one.
+    With fresh, a walk on the generator builds its window's table again, as the ledger bills
+    it, even where the group kept one; otherwise it reads the kept one.
     A walk on any other base builds its own columns either way.
     """
     if fresh and window is not None and base.image.data == group.generator.data:
@@ -947,34 +999,40 @@ def test_phase2_matches_reference_on_every_x_and_divisor(kind, p):
 
 
 PHASE2_SPLITS = {
-    # d = 1: zm = 1, so every point of either walk is P's key; t = 0 at (u2, v2) = (0, 0)
-    "d-is-1": 1,
-    # d = 2: s2 = 1, so the one offset leaves no gap above 1, and the G2 = 4 keys are zm^0 and zm^1
-    "d-is-2": 2,
+    # d = 1: zm = 1, so t = 0 at (u2, v2) = (0, 0); phase 2 scans its one candidate and keeps no table
+    "d-is-1": (101, 1),
+    # d = 2: zm = -1, two candidates, scanned; no table is kept
+    "d-is-2": (101, 2),
+    # d = 3 at p = 7 walks: s2 = 1, so the one offset leaves no gap above 1, and the G2 = 5 keys
+    # are zm^0, zm^1 and zm^2
+    "s2-is-1": (7, 3),
     # d = p - 1: m = 1 and j = 1; s2 = 10 and G2 = 12, so e = 100 and 110 repeat e = 0 and 10:
     # 10 keys per layer, each reuse a layer below them, the half stride (5) first, until the ten
     # offsets below s2 hold the whole subgroup of order 100
-    "d-is-p-1": 100,
+    "d-is-p-1": (101, 100),
 }
 
 
 @pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
 @pytest.mark.parametrize("split", PHASE2_SPLITS)
 def test_phase2_matches_reference_on_named_divisors(kind, split):
-    p, d = 101, PHASE2_SPLITS[split]
+    p, d = PHASE2_SPLITS[split]
     group = make_group(kind, p)
     assert layer_offsets(10, 10) == [0, 5, 2, 7, 3, 8, 1, 4, 6, 9]
+    assert phase2_scans(p, d) == (split in ("d-is-1", "d-is-2"))
     for seed in range(4):
         for runs, x in enumerate(range(1, p), start=1):
             kept = group._giant_tables.get((2, d))
             t, u2, v2 = assert_phase2_matches_reference(group, x, d, seed)
-            giants = group._giant_tables[2, d]
             assert giant_points(p, run_params(p, d, seed), 2) == -(-d // isqrt(d)) + 2
-            if split == "d-is-1":
-                assert (t, u2, v2) == (0, 0, 0) and len(giants.table) == 1
-                assert (giants.offsets, giants.pulls) == ([0], 2)
-            elif split == "d-is-2":
-                assert len(giants.table) == 2
+            if phase2_scans(p, d):
+                assert (2, d) not in group._giant_tables
+                if split == "d-is-1":
+                    assert (t, u2, v2) == (0, 0, 0)
+                continue
+            giants = group._giant_tables[2, d]
+            if split == "s2-is-1":
+                assert len(giants.table) == 3
                 assert (giants.offsets, giants.pulls) == ([0], 2)
             else:
                 # run r on a seed's table leaves its first min(r, 10) layers: each reuse adds one,
@@ -985,6 +1043,26 @@ def test_phase2_matches_reference_on_named_divisors(kind, split):
                 assert giants.pulls == [11, 6, 6, 4, 4, 3, 3, 3, 3, 2][min(runs, 10) - 1]
                 assert len(giants.table) == 10 * len(offsets)
                 assert phase2_inputs(group, x, d, seed)[1] == 1
+
+
+@pytest.mark.parametrize("kind", ["zp", "mult", "ec"])
+@pytest.mark.parametrize("p,sampled", [(101, None), (1009, 6)], ids=["101-every-x", "1009-sampled"])
+def test_phase2_scan_and_search_agree_on_every_divisor(kind, p, sampled, monkeypatch):
+    # on every divisor, scanned or walked by the rule, the scan and the kept-table search give the
+    # same (t, u2, v2) for the same inputs, and the scan keeps no table
+    rng = random.Random(f"scan:{kind}:{p}")
+    walked, scanned = make_group(kind, p), make_group(kind, p)
+    for d in all_divisors(p):
+        for x in range(1, p) if sampled is None else rng.sample(range(1, p), sampled):
+            seed = x % 5
+            Q, j, params = phase2_inputs(walked, x, d, seed)
+            monkeypatch.setattr(reduction, "phase2_scans", lambda p, d: False)
+            t, u2, v2 = phase2_find_t(walked, Q, j, params)
+            monkeypatch.setattr(reduction, "phase2_scans", lambda p, d: True)
+            Q = scanned.scalar_mul(x, scanned.generator)
+            assert phase2_find_t(scanned, Q, j, params) == (t, u2, v2), (d, x)
+            assert pow(params.zeta0, (p - 1) // d * t + j, p) == x
+    assert (2, p - 1) in walked._giant_tables and not scanned._giant_tables
 
 
 # ------------------------------------------------- the bill, counted
@@ -1053,6 +1131,11 @@ def run_quietly(group, handle, x: int, d: int, seed: int):
 PHASES = (1, 2)
 
 
+def kept_phases(p: int, d: int) -> tuple[int, ...]:
+    """The phases whose search keeps a giant table for d: phase 2 only when it walks, not scans."""
+    return PHASES[:1] if phase2_scans(p, d) else PHASES
+
+
 def baby_pulls(giants, r: int, n: int) -> int:
     """Baby keys a search pulls on giants: v = 0, 1, ... up to the first v = (e - r) mod n of a
     stored e. Phase 1's baby points are zeta^(j + v) (r = j, n = m), phase 2's zm^(t + v) (r = t, n = d)."""
@@ -1060,10 +1143,11 @@ def baby_pulls(giants, r: int, n: int) -> int:
 
 
 def hit_keys(tr, group) -> int:
-    """Keys a run pulls once its kept tables are in place: each phase's baby keys up to its first hit."""
+    """Keys a run pulls once its kept tables are in place: each searching phase's baby keys up to
+    its first hit; a scanning phase 2 pulls none."""
     d = tr.params.d
-    giants1, giants2 = (group._giant_tables[phase, d] for phase in PHASES)
-    return baby_pulls(giants1, tr.j, (tr.p - 1) // d) + baby_pulls(giants2, tr.t, d)
+    matches = {1: (tr.j, (tr.p - 1) // d), 2: (tr.t, d)}
+    return sum(baby_pulls(group._giant_tables[phase, d], *matches[phase]) for phase in kept_phases(tr.p, d))
 
 
 def layer_offsets(step: int, layers: int) -> list[int]:
@@ -1086,10 +1170,10 @@ def pull_bound(step: int, offsets) -> int:
 
 
 def table_states(group, d: int) -> list:
-    """Per phase, (the group's kept table for d or None, its layers, keys and pull bound), taken
-    before a run."""
+    """Per phase that keeps a table for d, (the group's kept table for d or None, its layers, keys
+    and pull bound), taken before a run."""
     states = []
-    for phase in PHASES:
+    for phase in kept_phases(group.order, d):
         kept = group._giant_tables.get((phase, d))
         if kept is None:
             states.append((None, 0, 0, 0))
@@ -1115,8 +1199,8 @@ def layers_after(state, giants) -> int:
 
 
 def run_keys(states, group, tr) -> int:
-    """Keys a run pulls from the table states before it: per phase, G giant keys for each layer it
-    added, then its hits."""
+    """Keys a run pulls from the table states before it: per phase that keeps a table, G giant keys
+    for each layer it added, then its hits."""
     pulled = hit_keys(tr, group)
     for phase, state in zip(PHASES, states):
         giants = group._giant_tables[phase, tr.params.d]
@@ -1168,6 +1252,7 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind, monkeypatch):
     rng = random.Random(1009)
     first_runs_hit = [0, 0]
     for d in (1, 4, 12, 63, 336, 1008):
+        phases = kept_phases(1009, d)  # phase 2 scans at d = 1 and keeps no table
         for x in rng.sample(range(1, 1009), 3):
             fresh = make_group(kind, 1009)
             runs, builds = [], []
@@ -1176,17 +1261,22 @@ def test_cached_generator_tables_bill_like_a_fresh_group(kind, monkeypatch):
                 before, states = keys[group], table_states(group, d)
                 runs.append(run_quietly(group, handle, x, d, seed=x))
                 assert keys[group] - before == run_keys(states, group, runs[-1])
-                tables = [group._giant_tables[phase, d] for phase in PHASES]
+                tables = [group._giant_tables[phase, d] for phase in phases]
+                assert ((2, d) in group._giant_tables) == (phases == PHASES)
                 builds.append(tuple(giants is not state[0] for giants, state in zip(tables, states)))
                 # a build holds one layer, and every reuse adds the layer the rule gives
-                for phase, giants, state in zip(PHASES, tables, states):
+                for phase, giants, state in zip(phases, tables, states):
                     assert_giant_keys(group, giants, runs[-1].params, phase, layers_after(state, giants))
             assert runs[0].to_dict() == runs[1].to_dict() == runs[2].to_dict()
-            assert builds[1:] == [(True, True), (False, False)]  # a fresh group builds, a repeat hits
-            first_runs_hit = [n + (not b) for n, b in zip(first_runs_hit, builds[0])]
+            # a fresh group builds, a repeat hits
+            assert builds[1:] == [(True,) * len(phases), (False,) * len(phases)]
+            for phase, built in zip(phases, builds[0]):
+                first_runs_hit[phase - 1] += not built
     assert reused._generator_tables  # the giant walks took their fixed-base tables from the cache
-    # every seed gives phase 1 the same walks at d = p - 1 (zeta = 1), and phase 2 at d = 1 (zm = 1)
-    assert min(first_runs_hit) >= 3
+    assert (2, 1) not in reused._giant_tables
+    # every seed gives phase 1 the same walks at d = p - 1 (zeta = 1); phase 2's first runs hit a
+    # table another seed built when both drew the same generator of order d
+    assert first_runs_hit[0] >= 3 and first_runs_hit[1] >= 2
 
 
 @pytest.mark.parametrize("kind,p,ds", SAMPLED_CASES, ids=SAMPLED_IDS)
@@ -1203,21 +1293,22 @@ def test_giant_key_cache_fills_extends_and_hits_like_a_fresh_group(kind, p, ds, 
             before, states = keys[reused], table_states(reused, d)
             tr = run_quietly(reused, oracle, x, d, seed=0)
             assert tr.to_dict() == fresh.to_dict()
-            # one more table per phase for each new d
-            assert list(reused._giant_tables) == [(ph, e) for e in divisors[:n + 1] for ph in PHASES]
-            tables = [reused._giant_tables[phase, d] for phase in PHASES]
+            # one more table per phase that searches for each new d
+            phases = kept_phases(p, d)
+            assert list(reused._giant_tables) == [(ph, e) for e in divisors[:n + 1] for ph in kept_phases(p, e)]
+            tables = [reused._giant_tables[phase, d] for phase in phases]
             # run r leaves each phase's table r + 1 layers, until every offset below its step (d1
             # or s2) is stored; four layers stay under the key budget here
-            layers = [min(run + 1, tr.params.d1), min(run + 1, tr.params.s2)]
+            layers = [min(run + 1, tr.params.d1), min(run + 1, tr.params.s2)][:len(phases)]
             was = [state[1] for state in states]
             assert [len(giants.offsets) for giants in tables] == layers
             # per phase, a build pulls every giant key and each added layer as many again
-            sizes = [giant_points(p, tr.params, phase) for phase in PHASES]
+            sizes = [giant_points(p, tr.params, phase) for phase in phases]
             pulled = keys[reused] - before - hit_keys(tr, reused)
             assert pulled == sum(G * (new - old) for G, new, old in zip(sizes, layers, was))
             if run > 0:
                 assert all(giants is state[0] for giants, state in zip(tables, states))
-            for phase, giants, count in zip(PHASES, tables, layers):
+            for phase, giants, count in zip(phases, tables, layers):
                 assert_giant_keys(reused, giants, tr.params, phase, count)
             if run > 1:
                 continue
@@ -1240,19 +1331,24 @@ def test_one_shot_runs_never_extend_the_giant_table(kind, p, ds, monkeypatch):
         x, seed = rng.randrange(1, p), rng.randrange(4)
         group = make_group(kind, p)
         tr = run_quietly(group, OracleHandle(group), x, d, seed)
-        tables = [group._giant_tables[phase, d] for phase in PHASES]
+        phases = kept_phases(p, d)
+        assert list(group._giant_tables) == [(phase, d) for phase in phases]
+        tables = [group._giant_tables[phase, d] for phase in phases]
         # one layer each, so the pull bound is the whole baby walk, d1 + 1 or s2 + 1 points
         assert [(giants.offsets, giants.pulls) for giants in tables] == [
             ([0], tr.params.d1 + 1), ([0], tr.params.s2 + 1)
-        ]
-        builds = sum(giant_points(p, tr.params, phase) for phase in PHASES)
+        ][:len(phases)]
+        builds = sum(giant_points(p, tr.params, phase) for phase in phases)
         assert keys[group] == builds + hit_keys(tr, group)
-        for phase, giants in zip(PHASES, tables):
+        for phase, giants in zip(phases, tables):
             assert_giant_keys(group, giants, tr.params, phase, 1)
 
 
-# phase 1's cases keep their ids; phase 2's are prefixed
-PHASE_CASES = [(1, *case) for case in SAMPLED_CASES] + [(2, *case) for case in SAMPLED_CASES]
+# phase 1's cases keep their ids; phase 2's are prefixed, and at p = 16381, where phase 2 scans
+# d = 1..3, take the four smallest divisors it walks
+PHASE_CASES = [(1, *case) for case in SAMPLED_CASES] + [
+    (2, kind, p, ds and (4, 5, 6, 7)) for kind, p, ds in SAMPLED_CASES
+]
 PHASE_IDS = SAMPLED_IDS + [f"phase2-{case}" for case in SAMPLED_IDS]
 
 
@@ -1266,6 +1362,8 @@ def test_extended_table_hit_pulls_at_most_half_the_baby_walk(phase, kind, p, ds,
     keys = count_keys(monkeypatch)
     rng = random.Random(f"half{phase}:{kind}:{p}")
     for d in ds or all_divisors(p):
+        if phase not in kept_phases(p, d):
+            continue  # phase 2 scans its d candidates: no table
         order = (p - 1) // d if phase == 1 else d  # of the subgroup the phase searches
         for seed in (0, 1):
             for _ in range(2):  # build, then the half-stride layer
@@ -1362,9 +1460,11 @@ def test_kept_table_holds_its_first_k_plus_1_layers_up_to_the_key_budget(d, laye
     assert (len(giants.table), giants.pulls) == (size, pulls)
     if d == 1:  # d1 = 127: the odd eighths, so a hit pulls at most 16 keys of the 128 the walk has
         assert giants.offsets == [0, 15, 31, 47, 63, 79, 95, 111]
-        # and the baby walk runs at w = 4, where a built or half-stride table's runs at w = 5
+        # and the baby walk runs at w = 3, sized for ceil(17/2) + 1 = 10 points, where a built
+        # table's (sized for 65) and a half-stride table's (34) run at w = 5
         windows = [_pulled_window(p, params.zeta, params.d1 + 1, bound) for bound in (128, 65, pulls)]
-        assert [w_of(window) for window in windows] == [5, 5, 4]
+        assert [w_of(window) for window in windows] == [5, 5, 3]
+        assert windows == [_plan(p, Walk(1, params.zeta, n)) for n in (65, 34, 10)]
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -1426,7 +1526,8 @@ def test_every_hit_falls_within_the_pull_bound(kind, monkeypatch):
         baby_walk, window = ran[-1]
         assert baby_walk.stride == giants.g
         assert window == _pulled_window(p, giants.g, baby_walk.points, giants.pulls)
-        assert window == _plan(p, Walk(1, giants.g, min(giants.pulls, -(-baby_walk.points // 2) + 1)))
+        # sized for half the pull bound, where the first hit falls on average, plus 1
+        assert window == _plan(p, Walk(1, giants.g, -(-min(giants.pulls, baby_walk.points) // 2) + 1))
         assert v + 1 <= giants.pulls - 1, (key, v, giants.offsets)
         tight[key[0]] += v + 1 == giants.pulls - 1
         pulled.append(v + 1)
@@ -1440,7 +1541,8 @@ def test_every_hit_falls_within_the_pull_bound(kind, monkeypatch):
         for seed in (0, 1, 0):  # builds, reuses, a replacement and a rebuild
             for _ in range(8):
                 run_quietly(group, oracle, rng.randrange(1, p), d, seed)
-    assert len(pulled) == 2 * len(divisors) * 24
+    searched = sum(len(kept_phases(p, d)) for d in divisors)  # phase 2 scans d = 1..3
+    assert len(pulled) == searched * 24 and searched == 2 * len(divisors) - 3
     assert min(tight.values()) >= 10  # the bound is met exactly in both phases
 
 

@@ -64,8 +64,19 @@ MUTANTS = (
     Mutant("last-widest-gap-on-ties", REDUCTION,
            ", key=lambda gap: gap[0])", ")", ("tests/test_reduction.py",)),
     Mutant("pulled-window-ignores-the-pull-bound", COST,
-           "Walk(1, stride, min(pulls, -(-points // 2) + 1))", "Walk(1, stride, -(-points // 2) + 1)",
+           "Walk(1, stride, -(-min(pulls, points) // 2) + 1)", "Walk(1, stride, -(-points // 2) + 1)",
            ("tests/test_reduction.py",)),
+    Mutant("window-for-the-whole-pull-bound", COST,
+           "-(-min(pulls, points) // 2) + 1", "min(pulls, points)", ("tests/test_reduction.py",)),
+    # a walk from k0 = 1 yields its base's data before the hook builds a table (reduction.py)
+    Mutant("first-key-not-yielded", REDUCTION,
+           "        yield data\n        k = stride\n", "        k = stride\n", ("tests/test_reduction.py",)),
+    # small-d phase 2 scans the kept generator table (cost.py, reduction.py)
+    Mutant("scan-skips-its-last-candidate", REDUCTION,
+           "for t in range(d):", "for t in range(d - 1):", ("tests/test_reduction.py",)),
+    Mutant("scan-rule-always-walks", COST,
+           "return d * signed_layout(p - 1, 4)[0] <=", "return False and d * signed_layout(p - 1, 4)[0] <=",
+           ("tests/test_cost.py", "tests/test_reduction.py")),
     # signed-digit fixed-base tables (cost.py, groups.py)
     Mutant("signed-layout-bias-off-by-one", COST,
            "* ((1 << (w - 1)) - 1)\n", "* (1 << (w - 1))\n", ("tests/test_cost.py", "tests/test_groups.py")),
