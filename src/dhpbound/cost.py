@@ -52,6 +52,9 @@ from typing import NamedTuple
 # the most keys a kept off-book table grows to: reduction._search's giant tables add layers past
 # their second while they hold fewer, and groups.DlogSolver's baby table while its span is below it
 KEPT_TABLE_KEYS = 1 << 10
+# the window of the kept generator table that no walk plans: the oracle's answers, phase 2's scan
+# and the run's self-check read k*P off groups' _generator_table(ANSWER_WINDOW)
+ANSWER_WINDOW = 4
 
 
 class InvalidDivisorError(ValueError):
@@ -283,7 +286,7 @@ def phase2_scans(p: int, d: int) -> bool:
     than that first point: d <= 3 at p = 16381 and at p = 4294967291, where
     d = 190 walks. Neither way is billed: the bill prices the classic search.
     """
-    return d * signed_layout(p - 1, 4)[0] <= _windows(p - 1, 0)[0].table
+    return d * signed_layout(p - 1, ANSWER_WINDOW)[0] <= _windows(p - 1, 0)[0].table
 
 
 def plan(p: int, d: int, zeta0: int, j: int) -> tuple[Planned, ...]:

@@ -10,7 +10,7 @@ A GroupPoint is immutable: two slots, group and data, and no __dict__;
 equality and hashing are by identity, and eq compares data. add makes one
 identity test of both operands' group, calling _member only to raise
 GroupMismatchError, and builds its result without running __init__, because
-DlogSolver's baby table takes up to 65,535 sums through it; every other
+DlogSolver's baby table takes up to 65,536 sums through it; every other
 place that makes a point calls GroupPoint(group, data).
 
 No group charges a cost: cost.py prices every operation, reads of the
@@ -30,9 +30,10 @@ The reduction's, which the ledger bills, is reduction._search. The other
 is DlogSolver, the one private dlog solver, which nobody bills: it backs
 both brute_force_dlog, with a fresh solver per call, and the simulated
 oracle, whose handle owns one solver and so one baby table. The solver
-builds that table on its first solve with add, m - 1 steps for m =
-isqrt(p - 1) + 1 entries; the handle grows it by one layer of m more per
-run, by _raw_add, until it spans KEPT_TABLE_KEYS or p, and a probe runs
+fills that table in one loop on add: its first solve builds m =
+isqrt(p - 1) + 1 entries from the identity, m - 1 steps, and the handle
+grows it by one layer of m more per run, from the stride, until it spans
+KEPT_TABLE_KEYS or p; the loop's last sum gives the new stride. A probe runs
 u + 1 of at most ceil(p/span) + 1 giant steps. The giant side runs on the
 raw hook _raw_probe: one loop over raw data that stops at the first
 stored point, generic on _raw_add and inlined on F_q^x. The table belongs
@@ -173,7 +174,7 @@ class CyclicGroup:
         if a.group is not self or b.group is not self:
             self._member(a)
             self._member(b)
-        # built without an __init__ frame: DlogSolver's baby table makes up to 65,535 sums
+        # built without an __init__ frame: DlogSolver's baby table makes up to 65,536 sums
         point = _allocate(GroupPoint)
         _set_group(point, self)
         _set_data(point, self._raw_add(a.data, b.data))
@@ -485,48 +486,46 @@ def make_ec_group(q: int, a: int, b: int, gx: int, gy: int, p: int) -> EcGroup:
 class DlogSolver:
     """Baby-step giant-step dlog to the base of the group's generator P: the one private solver.
 
-    table maps (r*P).data to r for r < span. The first solve builds it for
-    span = m = isqrt(p - 1) + 1 with m - 1 calls of the public add, bound
-    once before the loop. Each grow adds one layer, the next m multiples
-    r*P by _raw_add, capped at r < p, while span is below KEPT_TABLE_KEYS
-    and below p; since r*P for r < p are distinct, each is stored by plain
-    assignment. stride is the raw data of -span*P. A solve runs the
-    group's _raw_probe from the point for at most ceil(p/span) + 1 steps,
-    and the first stored point u*span + r gives its dlog. steps counts the
-    work: m - 1 for the build, one per multiple a layer adds, then u + 1
-    per solve that finds its point.
+    table maps (r*P).data to r for r < span; stride is the raw data of
+    -span*P. One loop, _extend, adds the multiples r*P for span <= r < end
+    by the public add, bound once before the loop, and takes the new stride
+    from its last sum: the first solve builds span = m = isqrt(p - 1) + 1
+    from the identity, and each grow adds one layer, the next m multiples,
+    capped at r < p, while span is below KEPT_TABLE_KEYS and below p; since
+    r*P for r < p are distinct, each is stored by plain assignment. A solve
+    runs the group's _raw_probe from the point for at most ceil(p/span) + 1
+    steps, and the first stored point u*span + r gives its dlog. steps
+    counts the work: m - 1 for the build, one per multiple a layer adds,
+    then u + 1 per solve that finds its point.
     """
 
     def __init__(self, group: CyclicGroup):
         self.group, self.layer = group, isqrt(group.order - 1) + 1  # layer is m
         self.table: dict[object, int] | None = None
-        self.span, self.stride, self.steps = self.layer, None, 0
+        self.span, self.stride, self.steps = 0, group._raw_identity(), 0
+
+    def _extend(self, end: int) -> None:
+        """Store r*P for span <= r < end, stepping by the public add from -stride = span*P."""
+        g, span, table = self.group, self.span, self.table
+        add, generator, point = g.add, g.generator, GroupPoint(g, g._raw_negate(self.stride))
+        for r in range(span, end):
+            table[point.data] = r
+            point = add(point, generator)
+        self.span, self.stride = end, g._raw_negate(point.data)
+        self.steps += end - max(span, 1)  # the multiples past the identity
 
     def grow(self) -> None:
         """Add one layer to a built table, unless span has reached KEPT_TABLE_KEYS or p."""
-        g, span = self.group, self.span
-        if self.table is None or span >= KEPT_TABLE_KEYS or span >= g.order:
-            return
-        end = min(span + self.layer, g.order)
-        add, generator, table = g._raw_add, g.generator.data, self.table
-        point = g._raw_negate(self.stride)  # span*P
-        for r in range(span, end):
-            table[point] = r
-            point = add(point, generator)
-        self.span, self.stride = end, g._raw_negate(point)
-        self.steps += end - span
+        span, order = self.span, self.group.order
+        if self.table is not None and span < KEPT_TABLE_KEYS and span < order:
+            self._extend(min(span + self.layer, order))
 
     def solve(self, raw) -> int | None:
         """x in [0, p-1] with x*P of data raw, or None when no giant step meets the table."""
-        g, m = self.group, self.layer
+        g = self.group
         if self.table is None:
-            add, generator, point = g.add, g.generator, g.identity
-            self.table = table = {point.data: 0}
-            for r in range(1, m):
-                point = add(point, generator)
-                table[point.data] = r
-            self.stride = g.negate(g.scalar_mul(m, generator)).data
-            self.steps += m - 1
+            self.table = {}
+            self._extend(self.layer)
         span = self.span
         hit = g._raw_probe(self.table, raw, self.stride, -(-g.order // span) + 1)
         if hit is None:

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witness set, valid for every n below this bound: the
@@ -221,13 +222,12 @@ def log2_approx(n: int) -> float:
     return (k - 64) + math.log2(n >> (k - 64))
 
 
-def divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = DIVISOR_CAP) -> list[int]:
-    """The cap smallest divisors of the factored integer lying in [lo, hi], ascending.
+def _walk_divisors(f: Factorization, lo: int, hi: int, visit: Callable[[int, int], int]) -> None:
+    """Visit each divisor d of the factored integer in [lo, bound]: bound = visit(d, bound), hi at first.
 
-    Depth-first over exponent vectors, pruning any branch whose partial
-    product already exceeds the bound, hi at first. Once 2*cap hits are
-    held, only the cap smallest are kept and the bound drops to the largest
-    of them, so smooth inputs cannot blow up the enumeration.
+    Depth-first over exponent vectors, dropping any branch whose partial
+    product already exceeds the bound or whose largest completion falls
+    short of lo; a visitor that returns 0 stops the walk.
     """
     if not f.complete:
         raise IncompleteFactorizationError(
@@ -235,68 +235,60 @@ def divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = DIVISOR_CAP
         )
     if lo > hi:
         raise ValueError(f"empty range: lo {lo} > hi {hi}")
-    out: list[int] = []
     entries, bound = f.factors, hi
+    # reach[i]: the largest product of entries[i:]
+    reach = [math.prod(prime**exp for prime, exp in entries[i:]) for i in range(len(entries) + 1)]
 
     def walk(idx: int, acc: int) -> None:
         nonlocal bound
         if idx == len(entries):
-            if lo <= acc <= bound:
-                out.append(acc)
-                if len(out) == 2 * cap:
-                    out[:] = sorted(out)[:cap]
-                    bound = out[-1]
+            bound = visit(acc, bound)
             return
         prime, exp = entries[idx]
         for _ in range(exp + 1):
             if acc > bound:
                 break
-            walk(idx + 1, acc)
+            if acc * reach[idx + 1] >= lo:
+                walk(idx + 1, acc)
             acc *= prime
 
-    walk(0, 1)
+    if lo <= reach[0] and 1 <= hi:  # the empty factorization has no branch to drop
+        walk(0, 1)
+
+
+def divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = DIVISOR_CAP) -> list[int]:
+    """The cap smallest divisors of the factored integer lying in [lo, hi], ascending.
+
+    Once 2*cap hits are held, only the cap smallest are kept and the walk's
+    bound drops to the largest of them, so smooth inputs cannot blow up the
+    enumeration.
+    """
+    out: list[int] = []
+
+    def keep(d: int, bound: int) -> int:
+        out.append(d)
+        if len(out) != 2 * cap:
+            return bound
+        out[:] = sorted(out)[:cap]
+        return out[-1]
+
+    _walk_divisors(f, lo, hi, keep)
     return sorted(out)[:cap]
 
 
 def count_divisors_in_range(f: Factorization, lo: int, hi: int, cap: int = DIVISOR_CAP) -> int:
-    """How many divisors of the factored integer lie in [lo, hi], counted up to cap; none is kept.
+    """How many divisors of the factored integer lie in [lo, hi], counted up to cap >= 1; none is kept.
 
-    Depth-first over exponent vectors like divisors_in_range, pruning any
-    branch whose partial product already exceeds hi or can no longer reach
-    lo, and stopping once cap divisors are counted. So the count is
+    The walk of divisors_in_range, stopped once cap divisors are counted:
     min(cap, len(divisors_in_range(f, lo, hi, cap))) in memory that grows
     only with the number of distinct primes.
     """
-    if not f.complete:
-        raise IncompleteFactorizationError(
-            "divisor enumeration requires a complete factorization"
-        )
-    if lo > hi:
-        raise ValueError(f"empty range: lo {lo} > hi {hi}")
-    entries = f.factors
-    reach = [1] * (len(entries) + 1)  # reach[i]: the largest product of entries[i:]
-    for i in range(len(entries) - 1, -1, -1):
-        prime, exp = entries[i]
-        reach[i] = reach[i + 1] * prime**exp
-    count, last = 0, len(entries) - 1
+    count = 0
 
-    def walk(idx: int, acc: int) -> bool:
-        """Count the divisors acc * (a divisor of entries[idx:]) in range; True once cap are counted."""
+    def tally(d: int, bound: int) -> int:
         nonlocal count
-        prime, exp = entries[idx]
-        rest = reach[idx + 1]
-        for _ in range(exp + 1):
-            if acc > hi:
-                break
-            if acc * rest >= lo:
-                if idx == last:
-                    count += 1
-                elif walk(idx + 1, acc):
-                    return True
-            acc *= prime
-        return count >= cap
+        count += 1
+        return bound if count < cap else 0
 
-    if not entries:
-        return min(int(lo <= 1 <= hi), cap)
-    walk(0, 1)
-    return min(count, cap)
+    _walk_divisors(f, lo, hi, tally)
+    return count

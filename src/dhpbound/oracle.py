@@ -7,12 +7,13 @@ would not have. On Z_p the generator is 1, so a is the residue itself; on the
 other backends the handle's own groups.DlogSolver, the package's one private
 dlog solver, recovers it on the raw coordinates. The handle owns that solver,
 and so its baby table (r*P -> r for r < span): the table is built on the
-handle's first probe for span m = isqrt(p - 1) + 1, by m - 1 calls of the
-public add, and every later probe of the handle reuses it. Each later run
-(attach_ledger) grows it by one layer, the next m multiples, until span
-reaches KEPT_TABLE_KEYS or p, in the manner of Bernstein-Lange's tables that
-grow with the number of dlogs they serve. A probe runs the group's raw hook
-_raw_probe from aP with stride -span*P for at most ceil(p/span) + 1 steps.
+handle's first probe for span m = isqrt(p - 1) + 1, by the solver's one
+loop on the public add, and every later probe of the handle reuses it.
+Each later run (attach_ledger) grows it by the same loop, one layer of the
+next m multiples, until span reaches KEPT_TABLE_KEYS or p, in the manner of
+Bernstein-Lange's tables that grow with the number of dlogs they serve. A
+probe runs the group's raw hook _raw_probe from aP with stride -span*P for
+at most ceil(p/span) + 1 steps.
 That private solver work is deliberately invisible to the caller: the
 attached ledger moves by exactly one oracle call per invocation and nothing
 else. The handle's solver_steps, the solver's step count, shows it: m - 1
@@ -32,17 +33,18 @@ Z_p, where the residue is the dlog, the memo stays empty.
 
 Every call answers one way: a and b come from the memo or a probe (on Z_p,
 the residues), and the answer is (ab mod p)*P, read off the group's
-fixed-base table on the generator (_generator_table(4), built on first use
-and kept with the group, which the reduction's w = 4 walks on P share): at
-most one addition per nonzero signed 4-bit digit of ab, where a double-and-add
-by a costs about 1.5 log2 p, and on Z_p the product itself. It never reaches
-the ledger.
+fixed-base table on the generator (_generator_table(ANSWER_WINDOW), w = 4,
+built on first use and kept with the group, which the reduction's w = 4
+walks on P share): at most one addition per nonzero signed 4-bit digit of
+ab, where a double-and-add by a costs about 1.5 log2 p, and on Z_p the
+product itself. It never reaches the ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from .cost import ANSWER_WINDOW
 from .groups import (
     ORDER_GUARD,
     CyclicGroup,
@@ -123,7 +125,8 @@ class OracleHandle:
         g._member(A)
         g._member(B)
         ab = self._private_dlog(A) * self._private_dlog(B) % g.order
-        result = GroupPoint(g, g._generator_table(4)(ab))  # at 2^32: 7 signed rows of 16, a top row of 17
+        # at 2^32 the table has 7 signed rows of 16 and a top row of 17
+        result = GroupPoint(g, g._generator_table(ANSWER_WINDOW)(ab))
         if not self._residues:
             self._known[result.data] = ab
         self.call_count += 1

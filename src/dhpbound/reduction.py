@@ -86,8 +86,8 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from .cost import (
-    KEPT_TABLE_KEYS, WALK_NAMES, Planned, Walk, Window, _pulled_window, _worst, bill, divisor_split,
-    oracle_calls_exact, phase2_scans, plan, reduction_ops_bound,
+    ANSWER_WINDOW, KEPT_TABLE_KEYS, WALK_NAMES, Planned, Walk, Window, _pulled_window, _worst, bill,
+    divisor_split, oracle_calls_exact, phase2_scans, plan, reduction_ops_bound,
 )
 from .groups import CyclicGroup, GroupPoint
 from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar
@@ -325,7 +325,7 @@ def _scan(group: CyclicGroup, target, k: int, zm: int, d: int) -> int | None:
 
     The multiplier steps by one multiplication by zm per candidate.
     """
-    times, p = group._generator_table(4), group.order
+    times, p = group._generator_table(ANSWER_WINDOW), group.order
     for t in range(d):
         if times(k) == target:
             return t
@@ -445,20 +445,13 @@ def reduce_dlog(
     i0 = m * t + j
     x = pow(zeta0, i0, p)
     # self-check, off the books: x*P off the kept w = 4 generator table must reproduce the caller's Q
-    if group._generator_table(4)(x) != Q.data:
+    if group._generator_table(ANSWER_WINDOW)(x) != Q.data:
         raise InternalInconsistencyError(f"recovered x={x} fails x*P = Q at p={p}, d={d}")
     return ReductionTranscript(
         p=p, backend=group.backend,
         j=j, u1=u1, v1=v1, t=t, u2=u2, v2=v2,
         i0=i0, x=x, ledger=ledger, params=params, plan=planned,
     )
-
-
-def ceil_log2(n: int) -> int:
-    """Smallest k with 2^k >= n, for n >= 1."""
-    if n < 1:
-        raise ValueError(f"ceil_log2 of {n} undefined")
-    return (n - 1).bit_length()
 
 
 def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
@@ -490,7 +483,7 @@ def cost_report(tr: ReductionTranscript, p: int, d: int) -> dict:
     lemma_call_bound = 0 if d == 1 else 2 * (d.bit_length() - 1)
     sweep_steps = (-(-m // d1) + 1) + (-(-d // s2) + 1) + d1 + s2
     # implied by the walk ceiling, kept for perfbench workloads.check_reduction (within_sweep_ceiling)
-    sweep_ceiling = 2 * ceil_log2(p) * sweep_steps
+    sweep_ceiling = 2 * (p - 1).bit_length() * sweep_steps  # 2*ceil(log2 p) per step
     walk_ceiling = sum(_worst(walk, window, walk.points) for walk, window in tr.plan)
     return {
         "p": p,

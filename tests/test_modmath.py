@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dhpbound import modmath
 from dhpbound.modmath import (
     Factorization,
     IncompleteFactorizationError,
@@ -138,6 +139,7 @@ def test_divisors_in_range_small():
     assert divisors_in_range(f28, 2, 7) == [2, 4, 7]
     assert divisors_in_range(f28, 29, 100) == []
     assert divisors_in_range(f28, 1, 28) == [1, 2, 4, 7, 14, 28]
+    assert divisors_in_range(Factorization((), True), 1, 1) == [1]  # the empty product, 1
     with pytest.raises(ValueError):
         divisors_in_range(f28, 10, 9)
 
@@ -153,13 +155,24 @@ def test_divisors_in_range_cap():
     assert divisors_in_range(f, 1, 2**20, cap=5) == [1, 2, 4, 8, 16]
 
 
-def test_divisors_in_range_cap_keeps_the_smallest():
+def test_divisors_in_range_cap_keeps_the_smallest(monkeypatch):
     # 54 = 2 * 3^3: the first three hits depth first are 1, 3 and 9
     assert divisors_in_range(factorize(54), 1, 54, cap=3) == [1, 2, 3]
     f = factorize(2**4 * 3**3 * 5**2 * 7 * 11)
     band = [k for k in range(10, 5001) if f.value % k == 0]
     for cap in (1, 2, 3, 7, 50, len(band) - 1, len(band), len(band) + 1):
         assert divisors_in_range(f, 10, 5000, cap=cap) == band[:cap], cap
+    # from the 2*cap-th hit on, the walk's bound is the largest hit kept: below hi, never raised,
+    # never below the cap-th smallest in range
+    bounds, walk = [], modmath._walk_divisors
+
+    def spied(f, lo, hi, visit):
+        walk(f, lo, hi, lambda d, bound: bounds.append(visit(d, bound)) or bounds[-1])
+
+    monkeypatch.setattr(modmath, "_walk_divisors", spied)
+    assert divisors_in_range(f, 10, 5000, cap=3) == band[:3]
+    assert len(bounds) > 5 and all(band[2] <= bound < 5000 for bound in bounds[5:])
+    assert bounds == sorted(bounds, reverse=True)
 
 
 def test_divisors_in_range_against_brute_force_40bit():
@@ -181,10 +194,12 @@ def test_count_divisors_in_range_counts_up_to_the_cap():
         for _ in range(8):
             lo = rng.randrange(0, n + 2)
             hi = rng.randrange(lo, n + 3)
-            inside = sum(lo <= k <= hi for k in divisors)
+            band = [k for k in divisors if lo <= k <= hi]
+            inside = len(band)
             for cap in (1, 2, 7, inside, inside + 1, 10**6):
                 if cap >= 1:
                     assert count_divisors_in_range(f, lo, hi, cap) == min(inside, cap), (n, lo, hi, cap)
+                    assert divisors_in_range(f, lo, hi, cap) == band[:cap], (n, lo, hi, cap)
     assert count_divisors_in_range(Factorization((), True), 1, 1) == 1  # the empty product, 1
     with pytest.raises(IncompleteFactorizationError):
         count_divisors_in_range(Factorization(((2, 1),), False, cofactor=91), 1, 10)

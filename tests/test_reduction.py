@@ -53,7 +53,6 @@ from dhpbound.reduction import (
     ZeroDlogError,
     _sample_generator,
     _walk,
-    ceil_log2,
     cost_report,
     find_generator,
     generator_try_budget,
@@ -413,16 +412,6 @@ def test_cost_report_shapes_and_values():
     assert [rep[f"window_{name}"] for name in WALK_NAMES] == [4, 2, 2, 2]
     assert rep["walk_group_op_ceiling"] == 21 + 26 + 15 + 11
     assert rep["within_walk_ceiling"] is True
-
-
-def test_ceil_log2():
-    assert ceil_log2(1) == 0
-    assert ceil_log2(2) == 1
-    assert ceil_log2(101) == 7
-    assert ceil_log2(128) == 7
-    assert ceil_log2(129) == 8
-    with pytest.raises(ValueError):
-        ceil_log2(0)
 
 
 # ------------------------------------------------------- fixed-base walks

@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 REDUCTION, COST, GROUPS = "src/dhpbound/reduction.py", "src/dhpbound/cost.py", "src/dhpbound/groups.py"
 BOUNDS, CLI, ORACLE = "src/dhpbound/bounds.py", "src/dhpbound/cli.py", "src/dhpbound/oracle.py"
+MODMATH = "src/dhpbound/modmath.py"
 
 MUTANTS = (
     # the kept giant tables (reduction.py): one growth rule for both phases
@@ -75,8 +76,11 @@ MUTANTS = (
     Mutant("scan-skips-its-last-candidate", REDUCTION,
            "for t in range(d):", "for t in range(d - 1):", ("tests/test_reduction.py",)),
     Mutant("scan-rule-always-walks", COST,
-           "return d * signed_layout(p - 1, 4)[0] <=", "return False and d * signed_layout(p - 1, 4)[0] <=",
+           "return d * signed_layout(p - 1, ANSWER_WINDOW)[0] <=",
+           "return False and d * signed_layout(p - 1, ANSWER_WINDOW)[0] <=",
            ("tests/test_cost.py", "tests/test_reduction.py")),
+    # the kept generator table's window, named once and read by the oracle, the scan and the self-check
+    Mutant("answer-window-moved", COST, "ANSWER_WINDOW = 4", "ANSWER_WINDOW = 5", ("tests/test_cost.py",)),
     # signed-digit fixed-base tables (cost.py, groups.py)
     Mutant("signed-layout-bias-off-by-one", COST,
            "* ((1 << (w - 1)) - 1)\n", "* (1 << (w - 1))\n", ("tests/test_cost.py", "tests/test_groups.py")),
@@ -108,26 +112,27 @@ MUTANTS = (
            ("tests/test_oracle.py",)),
     # the self-check reads x*P off the kept generator table (reduction.py)
     Mutant("self-check-always-passes", REDUCTION,
-           "if group._generator_table(4)(x) != Q.data:", "if False:", ("tests/test_reduction.py",)),
+           "if group._generator_table(ANSWER_WINDOW)(x) != Q.data:", "if False:", ("tests/test_reduction.py",)),
     # the one BSGS dlog solver (groups.py)
     Mutant("solver-giant-count-short", GROUPS,
            "self.steps += hit[0] + 1", "self.steps += hit[0]", ("tests/test_oracle.py",)),
     Mutant("solver-table-count-long", GROUPS,
-           "self.steps += m - 1", "self.steps += m", ("tests/test_oracle.py",)),
+           "self.steps += end - max(span, 1)", "self.steps += end - span", ("tests/test_oracle.py",)),
     Mutant("solver-baby-table-short", GROUPS,
-           "for r in range(1, m):", "for r in range(1, m - 1):", ("tests/test_oracle.py",)),
+           "for r in range(span, end):", "for r in range(span, end - 1):", ("tests/test_oracle.py",)),
     Mutant("brute-force-dlog-never-raises", GROUPS,
            "if x is None:\n        raise RuntimeError", "if x is None and False:\n        raise RuntimeError",
            ("tests/test_groups.py",)),
-    # the solver's baby table grows one layer per run (groups.py, oracle.py)
+    # the solver's baby table grows one layer per run, by the loop that built it (groups.py, oracle.py)
     Mutant("solver-never-grows", ORACLE,
            "        self._solver.grow()\n", "", ("tests/test_oracle.py",)),
     Mutant("solver-grows-past-the-key-budget", GROUPS,
-           "span >= KEPT_TABLE_KEYS or", "span > KEPT_TABLE_KEYS or", ("tests/test_oracle.py",)),
+           "span < KEPT_TABLE_KEYS and", "span <= KEPT_TABLE_KEYS and", ("tests/test_oracle.py",)),
     Mutant("solver-last-layer-uncapped", GROUPS,
-           "end = min(span + self.layer, g.order)", "end = span + self.layer", ("tests/test_oracle.py",)),
+           "self._extend(min(span + self.layer, order))", "self._extend(span + self.layer)",
+           ("tests/test_oracle.py",)),
     Mutant("solver-stride-not-updated", GROUPS,
-           "self.span, self.stride = end, g._raw_negate(point)", "self.span = end", ("tests/test_oracle.py",)),
+           "self.span, self.stride = end, g._raw_negate(point.data)", "self.span = end", ("tests/test_oracle.py",)),
     # the database and the divisors (bounds.py, modmath.py)
     Mutant("load-database-catches-only-value-error", BOUNDS,
            "except (ValueError, RecursionError) as exc:", "except ValueError as exc:", ("tests/test_cli.py",)),
@@ -138,8 +143,15 @@ MUTANTS = (
            "below if below >= 2 else None", "below if below >= 1 else None", ("tests/test_bounds.py",)),
     Mutant("paper-fallback-second-largest", BOUNDS,
            "p - 1, cap=1)[0]", "p - 1, cap=2)[-1]", ("tests/test_bounds.py",)),
-    Mutant("count-past-its-cap", "src/dhpbound/modmath.py",
-           "return min(count, cap)", "return count", ("tests/test_modmath.py",)),
+    # one pruned walk lists and counts the divisors in a range (modmath.py)
+    Mutant("count-past-its-cap", MODMATH,
+           "if count < cap else 0", "if count <= cap else 0", ("tests/test_modmath.py",)),
+    Mutant("count-never-stops", MODMATH,
+           "return bound if count < cap else 0", "return bound", ("tests/test_modmath.py",)),
+    Mutant("walk-loses-its-lo-prune", MODMATH,
+           "if acc * reach[idx + 1] >= lo:", "if True:", ("tests/test_modmath.py",)),
+    Mutant("list-bound-reset-to-hi", MODMATH,
+           "        return out[-1]\n", "        return hi\n", ("tests/test_modmath.py",)),
     Mutant("d-1-accepted", BOUNDS, "if d < 2:", "if d < 1:", ("tests/test_cli.py",)),
     Mutant("d-2-refused", BOUNDS, "if d < 2:", "if d < 3:", ("tests/test_bounds.py",)),
     Mutant("p-3-refused", BOUNDS, "if p < 3:", "if p <= 3:", ("tests/test_bounds.py",)),
