@@ -50,7 +50,7 @@ import math
 from typing import NamedTuple
 
 # the most keys a kept off-book table grows to: reduction._search's giant tables add layers past
-# their second while they hold fewer, and groups.DlogSolver's baby table while its span is below it
+# their second, and groups.DlogSolver's strided table layers past its first, while they hold fewer
 KEPT_TABLE_KEYS = 1 << 10
 # the window of the kept generator table that no walk plans: the oracle's answers, phase 2's scan
 # and the run's self-check read k*P off groups' _generator_table(ANSWER_WINDOW)

@@ -10,7 +10,7 @@ A GroupPoint is immutable: two slots, group and data, and no __dict__;
 equality and hashing are by identity, and eq compares data. add makes one
 identity test of both operands' group, calling _member only to raise
 GroupMismatchError, and builds its result without running __init__, because
-DlogSolver's baby table takes up to 65,536 sums through it; every other
+DlogSolver's table takes up to 65,536 sums through it; every other
 place that makes a point calls GroupPoint(group, data).
 
 No group charges a cost: cost.py prices every operation, reads of the
@@ -25,19 +25,25 @@ Every baby-step giant-step search keys a point by its canonical data (an
 int residue, an (x, y) tuple, or None at infinity), the value eq compares.
 encode checks that a GroupPoint belongs to the group and returns that
 data: the reduction's walks call it once, on the base each walk is handed,
-and key every point they compute by its raw data. There are two searches.
-The reduction's, which the ledger bills, is reduction._search. The other
-is DlogSolver, the one private dlog solver, which nobody bills: it backs
-both brute_force_dlog, with a fresh solver per call, and the simulated
-oracle, whose handle owns one solver and so one baby table. The solver
-fills that table in one loop on add: its first solve builds m =
-isqrt(p - 1) + 1 entries from the identity, m - 1 steps, and the handle
-grows it by one layer of m more per run, from the stride, until it spans
-KEPT_TABLE_KEYS or p; the loop's last sum gives the new stride. A probe runs
-u + 1 of at most ceil(p/span) + 1 giant steps. The giant side runs on the
-raw hook _raw_probe: one loop over raw data that stops at the first
-stored point, generic on _raw_add and inlined on F_q^x. The table belongs
-to the solver, never to the group, so it is freed with its owner.
+and key every point they compute by its raw data. There are two searches,
+and each keeps its strided side in a GiantTable, which holds no group: a
+layer of exponents e0 + step*i, then layers of the same exponents less the
+offset that halves the widest gap, so a walk that adds one to the exponent
+per step meets a key within that gap plus 1 steps. The reduction's search,
+which the ledger bills, is reduction._search. The other is DlogSolver, the
+one private dlog solver, which nobody bills: it backs both
+brute_force_dlog, with a fresh solver per call, and the simulated oracle,
+whose handle owns one solver and so one table. Its step is m = isqrt(p -
+1) + 1: the first solve stores (1 + m*i)*P -> 1 + m*i for i <= ceil(p/m),
+so P itself is a key, by ceil(p/m) public adds of m*P, and the handle adds
+one layer per run while the table holds fewer than KEPT_TABLE_KEYS keys
+and its widest gap exceeds 1. A probe steps +P from the point on the raw
+hook _raw_probe, for at most the widest gap plus 1 steps, and the first
+key e it meets, after v steps, gives the dlog (e - v) mod p. _raw_probe is
+one loop over raw data that stops at the first stored point, generic on
+_raw_add and inlined on F_q^x, where a step multiplies by the generator's
+residue (4 at p = 4294967291). The table belongs to the solver, never to
+the group, so it is freed with its owner.
 
 make_group(backend, p) is the one place that picks a group for (backend,
 p). Its ec groups come from the packaged registry data/curves.json, one
@@ -52,7 +58,9 @@ name with GuardRailError; the guard stays at 2^14 because its refusals at
 
 from __future__ import annotations
 
+import bisect
 import json
+from dataclasses import dataclass, field
 from importlib import resources
 from math import isqrt
 
@@ -174,7 +182,7 @@ class CyclicGroup:
         if a.group is not self or b.group is not self:
             self._member(a)
             self._member(b)
-        # built without an __init__ frame: DlogSolver's baby table makes up to 65,536 sums
+        # built without an __init__ frame: DlogSolver's table makes up to 65,536 sums
         point = _allocate(GroupPoint)
         _set_group(point, self)
         _set_data(point, self._raw_add(a.data, b.data))
@@ -483,55 +491,98 @@ def make_ec_group(q: int, a: int, b: int, gx: int, gy: int, p: int) -> EcGroup:
     return group
 
 
+@dataclass
+class GiantTable:
+    """A kept baby-step giant-step side, stored in layers; it holds no group and no bill.
+
+    table maps a point's key, its canonical data, to its exponent e. Each
+    layer holds the exponents e0 + step*i of its owner's walk less one
+    offset o in [0, step): the first layer o = 0, and each later one the o
+    that halves the widest gap between the stored offsets, taken cyclically
+    mod step, the first widest on ties: so floor(step/2), then the quarters,
+    then the odd eighths and so on, and no offset twice. A walk that adds
+    one to the exponent per step meets a stored key within the widest gap's
+    width of steps, so pulls, that width plus 1, is step + 1 on one layer
+    and about step/2^k + 1 once 2^k layers are stored. Each owner fills
+    table a layer at a time from its own key source and keeps its own
+    growth rule: reduction._search, for the reduction's two phases, with g
+    the subgroup generator the table was built for, and DlogSolver, with g
+    = 1, the +P step of its probe.
+    """
+
+    g: int
+    step: int
+    table: dict = field(default_factory=dict)
+    offsets: list = field(default_factory=lambda: [0])  # sorted; layer o stores the exponents e - o
+    pulls: int = field(init=False)  # the widest gap between offsets plus 1
+
+    def __post_init__(self):
+        self.pulls = self.step + 1
+
+    def _widest(self) -> tuple[int, int]:
+        """(width, start) of the widest gap between stored offsets, cyclic mod step; the first on ties."""
+        ends = self.offsets[1:] + [self.step]
+        return max(((end - start, start) for start, end in zip(self.offsets, ends)), key=lambda gap: gap[0])
+
+    def grow(self) -> int:
+        """Store the offset that halves the widest gap and update pulls; returns the offset."""
+        width, start = self._widest()
+        offset = start + width // 2
+        bisect.insort(self.offsets, offset)
+        self.pulls = self._widest()[0] + 1
+        return offset
+
+
 class DlogSolver:
     """Baby-step giant-step dlog to the base of the group's generator P: the one private solver.
 
-    table maps (r*P).data to r for r < span; stride is the raw data of
-    -span*P. One loop, _extend, adds the multiples r*P for span <= r < end
-    by the public add, bound once before the loop, and takes the new stride
-    from its last sum: the first solve builds span = m = isqrt(p - 1) + 1
-    from the identity, and each grow adds one layer, the next m multiples,
-    capped at r < p, while span is below KEPT_TABLE_KEYS and below p; since
-    r*P for r < p are distinct, each is stored by plain assignment. A solve
-    runs the group's _raw_probe from the point for at most ceil(p/span) + 1
-    steps, and the first stored point u*span + r gives its dlog. steps
-    counts the work: m - 1 for the build, one per multiple a layer adds,
-    then u + 1 per solve that finds its point.
+    layers is a GiantTable of step span = m = isqrt(p - 1) + 1; table is
+    its dict once the first solve has stored a layer, None before. _fill
+    stores one layer, the exponents 1 + m*i for i <= ceil(p/m) less its
+    offset o: ceil(p/m) public adds of m*P from (1 - o)*P, the two points
+    taken by raw double-and-add, so the first layer holds P itself. The
+    first solve stores the first layer, and each grow one more while the
+    table holds fewer than KEPT_TABLE_KEYS keys and its widest gap exceeds
+    1. A solve runs the group's _raw_probe from the point by +P (stride is
+    P's data) for the table's pulls, and the first stored e it meets, after
+    v steps, gives the dlog (e - v) mod p. steps counts the points the
+    solver evaluates: ceil(p/m) + 1 per layer, then v + 1 per solve that
+    finds its point.
     """
 
     def __init__(self, group: CyclicGroup):
-        self.group, self.layer = group, isqrt(group.order - 1) + 1  # layer is m
-        self.table: dict[object, int] | None = None
-        self.span, self.stride, self.steps = 0, group._raw_identity(), 0
+        self.group, self.span, self.stride = group, isqrt(group.order - 1) + 1, group.generator.data
+        self.layers, self.table, self.steps = GiantTable(1, self.span), None, 0
 
-    def _extend(self, end: int) -> None:
-        """Store r*P for span <= r < end, stepping by the public add from -stride = span*P."""
-        g, span, table = self.group, self.span, self.table
-        add, generator, point = g.add, g.generator, GroupPoint(g, g._raw_negate(self.stride))
-        for r in range(span, end):
-            table[point.data] = r
-            point = add(point, generator)
-        self.span, self.stride = end, g._raw_negate(point.data)
-        self.steps += end - max(span, 1)  # the multiples past the identity
+    def _fill(self, offset: int) -> None:
+        """Store the layer (1 + span*i - offset)*P -> 1 + span*i - offset, i <= ceil(p/span), by the public add."""
+        g, span, first = self.group, self.span, 1 - offset
+        add, table, adds = g.add, self.table, -(-g.order // span)
+        # first*P as (p + first)*P, so that no multiplier is 0 or negative
+        point, giant = (GroupPoint(g, g._raw_times(k, g.generator.data)) for k in (g.order + first, span))
+        # a plain loop: a generator fed to dict.update made 2^32's first layer of 65,536 adds 15% slower
+        for e in range(first, first + span * adds, span):
+            table[point.data] = e
+            point = add(point, giant)
+        table[point.data] = first + span * adds
+        self.steps += adds + 1
 
     def grow(self) -> None:
-        """Add one layer to a built table, unless span has reached KEPT_TABLE_KEYS or p."""
-        span, order = self.span, self.group.order
-        if self.table is not None and span < KEPT_TABLE_KEYS and span < order:
-            self._extend(min(span + self.layer, order))
+        """Add a layer to a built table holding fewer than KEPT_TABLE_KEYS keys, while its widest gap exceeds 1."""
+        layers = self.layers
+        if self.table is not None and layers.pulls > 2 and len(layers.table) < KEPT_TABLE_KEYS:
+            self._fill(layers.grow())
 
     def solve(self, raw) -> int | None:
-        """x in [0, p-1] with x*P of data raw, or None when no giant step meets the table."""
-        g = self.group
+        """x in [0, p-1] with x*P of data raw, or None when no step meets the table."""
         if self.table is None:
-            self.table = {}
-            self._extend(self.layer)
-        span = self.span
-        hit = g._raw_probe(self.table, raw, self.stride, -(-g.order // span) + 1)
+            self.table = self.layers.table
+            self._fill(0)
+        hit = self.group._raw_probe(self.table, raw, self.stride, self.layers.pulls)
         if hit is None:
             return None
         self.steps += hit[0] + 1
-        return (hit[0] * span + hit[1]) % g.order
+        return (hit[1] - hit[0]) % self.group.order
 
 
 def brute_force_dlog(g: CyclicGroup, Q: GroupPoint) -> int:

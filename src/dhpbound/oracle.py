@@ -6,18 +6,20 @@ included) without tracking any exponent bookkeeping that a real black box
 would not have. On Z_p the generator is 1, so a is the residue itself; on the
 other backends the handle's own groups.DlogSolver, the package's one private
 dlog solver, recovers it on the raw coordinates. The handle owns that solver,
-and so its baby table (r*P -> r for r < span): the table is built on the
-handle's first probe for span m = isqrt(p - 1) + 1, by the solver's one
-loop on the public add, and every later probe of the handle reuses it.
-Each later run (attach_ledger) grows it by the same loop, one layer of the
-next m multiples, until span reaches KEPT_TABLE_KEYS or p, in the manner of
-Bernstein-Lange's tables that grow with the number of dlogs they serve. A
-probe runs the group's raw hook _raw_probe from aP with stride -span*P for
-at most ceil(p/span) + 1 steps.
+and so its strided table, a groups.GiantTable: the handle's first probe
+stores (1 + m*i)*P -> 1 + m*i for i <= ceil(p/m), m = isqrt(p - 1) + 1, by
+ceil(p/m) public adds of m*P, so P itself is a key, and every later probe
+of the handle reuses it. Each later run (attach_ledger) adds one layer, the
+same exponents less the offset that halves the widest gap between the
+stored ones, while the table holds fewer than KEPT_TABLE_KEYS keys and that
+gap exceeds 1, in the manner of Bernstein-Lange's tables that grow with
+the number of dlogs they serve. A probe runs the group's raw hook
+_raw_probe from aP by +P for at most the widest gap plus 1 steps, and the
+first key e it meets, after v steps, gives a = (e - v) mod p.
 That private solver work is deliberately invisible to the caller: the
 attached ledger moves by exactly one oracle call per invocation and nothing
-else. The handle's solver_steps, the solver's step count, shows it: m - 1
-for the baby table, one per multiple a layer adds, u + 1 per probe.
+else. The handle's solver_steps, the solver's step count, shows it: the
+points the solver evaluates, ceil(p/m) + 1 per layer and v + 1 per probe.
 
 Within one run (from one attach_ledger to the next) the handle remembers what
 it has already solved: the exponent of every point it probed and of every
@@ -100,7 +102,7 @@ class OracleHandle:
 
     @property
     def solver_steps(self) -> int:
-        """Private solver work: baby steps and layers, then giant probes per memo miss."""
+        """Private solver work: the points of each layer of its table, then v + 1 per memo miss probed."""
         return self._solver.steps
 
     def _private_dlog(self, A: GroupPoint) -> int:

@@ -78,18 +78,17 @@ comes from the caller, not from that table, so the check stays independent.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .cost import (
     ANSWER_WINDOW, KEPT_TABLE_KEYS, WALK_NAMES, Planned, Walk, Window, _pulled_window, _worst, bill,
     divisor_split, oracle_calls_exact, phase2_scans, plan, reduction_ops_bound,
 )
-from .groups import CyclicGroup, GroupPoint
+from .groups import CyclicGroup, GiantTable, GroupPoint
 from .implicit import ImplicitFieldElement, implicit_pow, implicit_scalar
 from .modmath import Factorization, IncompleteFactorizationError, factorize
 from .oracle import CostLedger, OracleHandle
@@ -232,48 +231,6 @@ def _walk(group: CyclicGroup, base: ImplicitFieldElement, walk: Walk, window: Wi
     while True:
         yield times(k)
         k = k * stride % p
-
-
-@dataclass
-class GiantTable:
-    """One search's kept giant side for one (group, d, g), shared by every Q; it holds no bill.
-
-    g generates the subgroup the search runs in: zeta for phase 1, zm =
-    zeta0^m for phase 2. table maps the key of g^e * P, its canonical data,
-    to e. It is stored in layers, each the giant walk's exponents e = e0 +
-    step*i, i < G, G its points (e0 = step = d1 in phase 1; e0 = 0, step =
-    s2 in phase 2), less one offset o in [0, step). A build stores o = 0,
-    and each later layer the o that halves the widest gap between the
-    stored offsets, taken cyclically mod step, the first widest on ties: so
-    floor(step/2), then the quarters, then the odd eighths and so on, and
-    no offset twice. Both phases' tables grow by _search's one rule, up to
-    KEPT_TABLE_KEYS keys past the half-stride layer. A baby walk meets a
-    stored key within the widest gap's width of pulls, so pulls, that width
-    plus 1, is step + 1, the whole baby walk, on a build and about
-    step/2^k + 1 once 2^k layers are stored.
-    """
-
-    g: int
-    step: int
-    table: dict = field(default_factory=dict)
-    offsets: list = field(default_factory=lambda: [0])  # sorted; layer o stores the exponents e - o
-    pulls: int = field(init=False)  # the widest gap between offsets plus 1
-
-    def __post_init__(self):
-        self.pulls = self.step + 1
-
-    def _widest(self) -> tuple[int, int]:
-        """(width, start) of the widest gap between stored offsets, cyclic mod step; the first on ties."""
-        ends = self.offsets[1:] + [self.step]
-        return max(((end - start, start) for start, end in zip(self.offsets, ends)), key=lambda gap: gap[0])
-
-    def grow(self) -> int:
-        """Store the offset that halves the widest gap and update pulls; returns the offset."""
-        width, start = self._widest()
-        offset = start + width // 2
-        bisect.insort(self.offsets, offset)
-        self.pulls = self._widest()[0] + 1
-        return offset
 
 
 def _search(

@@ -2,11 +2,13 @@
 
 The package runs two searches as plain loops: the reduction's billed
 reduction._search, and groups.DlogSolver, the one private dlog solver
-behind both the simulated oracle and brute_force_dlog, whose baby table
-lives on the solver and whose giant side is the group's _raw_probe. These
-helpers are the same searches written on lazy key iterators, one key per
-point a side visits; the tests below pin how many keys each one pulls, and
-test_reduction.py and test_oracle.py check the package's loops against them.
+behind both the simulated oracle and brute_force_dlog, whose strided table
+lives on the solver and whose probe by +P is the group's _raw_probe. Both
+keep their strided side in a groups.GiantTable. These helpers are the same
+searches written on lazy key iterators, one key per point a side visits,
+and the layered tables' offsets and pull bounds computed from scratch; the
+tests below pin how many keys each one pulls, and test_reduction.py and
+test_oracle.py check the package's loops and tables against them.
 """
 
 import random
@@ -40,6 +42,25 @@ def bsgs_probe(table, keys, us, accept=lambda u, v: True):
         if v is not None and accept(u, v):
             return u, v
     return None
+
+
+def layer_offsets(step: int, layers: int) -> list[int]:
+    """A kept table's first layers offsets, in the order they are added: 0, then each one halving
+    the widest gap between those before it, taken cyclically mod step, the first widest on ties."""
+    offsets = [0]
+    while len(offsets) < layers:
+        ordered = sorted(offsets) + [step]
+        gaps = [(ordered[i + 1] - ordered[i], ordered[i]) for i in range(len(offsets))]
+        width = max(gap for gap, _ in gaps)
+        start = next(start for gap, start in gaps if gap == width)
+        offsets.append(start + width // 2)
+    return offsets
+
+
+def pull_bound(step: int, offsets) -> int:
+    """The widest gap between offsets, cyclically mod step, plus 1."""
+    ordered = sorted(offsets) + [step]
+    return 1 + max(b - a for a, b in zip(ordered, ordered[1:]))
 
 
 class Counted:

@@ -271,8 +271,8 @@ def test_reduce_reports_simulator_steps_off_the_books(capsys, backend):
     steps = doc["simulator"]["solver_steps"]
     if backend == "zp":  # the residue is the dlog: the simulator does no work
         assert steps == 0
-    else:  # at least the m - 1 baby steps of its table, m = isqrt(p - 1) + 1
-        assert steps >= math.isqrt(100)
+    else:  # at least the ceil(p/m) + 1 keys of its table's first layer, m = isqrt(p - 1) + 1
+        assert steps >= -(-101 // (math.isqrt(100) + 1)) + 1
     assert list(doc["transcript"]) == [
         "p", "backend", "j", "u1", "v1", "t", "u2", "v2", "i0", "x", "ledger", "params",
     ]
@@ -371,7 +371,7 @@ REDUCE_OUTPUT_CASES = (
     ("--p", "29", "--d", "28", "--x", "3", "--backend", "ec", "--seed", "5"),
 )
 # sha256 over (argv, exit code, stdout, stderr) of every case and format, in order
-REDUCE_OUTPUT_DIGEST = "6743b41d3f51c511b6274e0396db46dd6708779feead4bfb89b06090ccd31070"
+REDUCE_OUTPUT_DIGEST = "453e374bbcc08e1d5e02ef52f4d0e19ee3abfbc557162e4c470ccc34e9ae25da"
 
 
 def test_reduce_output_is_pinned(capsys):

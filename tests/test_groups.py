@@ -278,6 +278,18 @@ def test_find_ec_group_params_matches_the_exhaustive_search():
             assert find_ec_group_params(p, cofactors) == exhaustive_ec_search(p, cofactors), (p, cofactors)
 
 
+def test_find_ec_group_params_passes_over_a_point_of_order_2():
+    # cofactor 4 at p = 5 picks y^2 = x^3 + 7x + 5 over F_13, whose first rational point in x order
+    # is (1, 0), of order 2: 4*(1, 0) is the identity, so the search moves on and scales (2, 12)
+    # instead; a y = 0 point written with any other y is off the curve and would be taken
+    squares = {y * y % 13 for y in range(13)}
+    assert [x for x in range(13) if (x**3 + 7 * x + 5) % 13 in squares][:2] == [1, 2]
+    assert (1 + 7 + 5) % 13 == 0  # so the first point is (1, 0)
+    params = find_ec_group_params(5, (4,))
+    assert params == (13, 7, 5, 2, 12, 5) == exhaustive_ec_search(5, (4,))
+    assert make_ec_group(*params)._raw_times(4, (1, 0)) is None
+
+
 def test_find_ec_group_params_with_a_cofactor_at_least_p():
     # h*P with h >= p: reduced mod p it would be the wrong multiple, and the group would fail
     # make_ec_group's order check with WrongOrderError

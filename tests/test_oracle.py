@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from test_bsgs_reference import bsgs_probe, bsgs_table, orbit
+from test_bsgs_reference import bsgs_probe, bsgs_table, layer_offsets, orbit, pull_bound
 from dhpbound import groups
 from dhpbound.cost import KEPT_TABLE_KEYS
 from dhpbound.groups import (
@@ -123,6 +123,25 @@ def test_ledger_swap_between_runs():
 SOLVER_GROUPS = [(kind, p) for kind in BACKENDS for p in (101, 1009)] + [("ec", 16381)]
 
 
+def layer_keys(p: int) -> int:
+    """Keys a layer of the solver's table evaluates: 1 + m*i - o for i <= ceil(p/m)."""
+    return -(-p // (isqrt(p - 1) + 1)) + 1
+
+
+def strided_table(g, offsets) -> dict:
+    """The solver's table after its layers at offsets, in the order they were added, rebuilt on the
+    reference: each layer is bsgs_table over the orbit of (1 - o)*P by m*P, index i relabelled as
+    the exponent 1 + m*i - o, a later layer's exponent kept where two share a key."""
+    p = g.order
+    m = isqrt(p - 1) + 1
+    stride, table = g.scalar_mul(m, g.generator).data, {}
+    for offset in offsets:
+        start = g.scalar_mul((1 - offset) % p, g.generator).data
+        layer = bsgs_table(orbit(g._raw_add, start, stride), layer_keys(p))
+        table.update({key: 1 + m * i - offset for key, i in layer.items()})
+    return table
+
+
 @pytest.mark.parametrize("kind, p", SOLVER_GROUPS)
 def test_private_solver_matches_brute_force(kind, p):
     # dh(A, P) = aP: the solver's answer, cross-checked against the independent BSGS
@@ -140,8 +159,8 @@ def test_private_solver_matches_brute_force(kind, p):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_solver_table_built_once_and_steps_counted(kind, monkeypatch):
-    # the baby table is built on the public add, m calls on the first dh (the m - 1 multiples past
-    # the identity, then m*P for the stride) and none after, with no scalar_mul
+    # the strided table is built on the public add, ceil(p/m) calls on the first dh (its
+    # ceil(p/m) + 1 keys from P by m*P) and none after, with no scalar_mul
     g = make_group(kind, 1009)
     rng = random.Random(34009)
     points = [g.scalar_mul(rng.randrange(1009), g.generator) for _ in range(40)]
@@ -158,9 +177,9 @@ def test_solver_table_built_once_and_steps_counted(kind, monkeypatch):
         steps = oracle.solver_steps - before
         if kind == "zp":  # the residue is the dlog: no table, no steps
             assert steps == 0 and not adds
-        else:  # m - 1 baby steps on the first call; then 0 on a point seen, 1..m + 1 on a new one
-            assert len(adds) == (m if k == 0 else 0)
-            steps -= (m - 1) if k == 0 else 0
+        else:  # ceil(p/m) + 1 keys on the first call; then 0 on a point seen, 1..m + 1 on a new one
+            assert len(adds) == (layer_keys(1009) - 1 if k == 0 else 0)
+            steps -= layer_keys(1009) if k == 0 else 0
             assert steps == 0 if A.data in seen else 1 <= steps <= m + 1
         seen.add(A.data)
     assert len(seen) == 38  # two repeats, so both branches run
@@ -169,12 +188,29 @@ def test_solver_table_built_once_and_steps_counted(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ("mult", "ec"))
 @pytest.mark.parametrize("p", (101, 1009))
 def test_solver_baby_table_holds_raw_multiples(kind, p):
-    # the solver's baby table, built on raw data, maps (r*P).data to r for every r < m
+    # the solver's first layer maps ((1 + m*i)*P).data to 1 + m*i for every i <= ceil(p/m): the
+    # reference strided table at offset 0, with P itself a key and the pull bound m + 1
     g = make_group(kind, p)
     oracle = OracleHandle(g)
     oracle.dh(g.scalar_mul(5, g.generator), g.generator)
     m = isqrt(p - 1) + 1
-    assert oracle._solver.table == {g.scalar_mul(r, g.generator).data: r for r in range(m)}
+    want = {g.scalar_mul(1 + m * i, g.generator).data: 1 + m * i for i in range(layer_keys(p))}
+    assert oracle._solver.table == want == strided_table(g, [0])
+    assert want[g.generator.data] == 1
+    assert (oracle._solver.layers.offsets, oracle._solver.layers.pulls) == ([0], m + 1)
+
+
+@pytest.mark.parametrize("kind, p", [(kind, p) for kind in BACKENDS for p in (101, 1009, 16381)]
+                         + [("mult", 4294967291)])
+def test_solver_finds_the_generator_in_one_look_up(kind, p, monkeypatch):
+    # the first layer stores P -> 1, so solving P itself reads the table once, at v = 0
+    g = make_group(kind, p)
+    solver = DlogSolver(g)
+    hits, probe = [], g._raw_probe
+    monkeypatch.setattr(g, "_raw_probe", lambda *a: hits.append(probe(*a)) or hits[-1])
+    assert solver.solve(g.generator.data) == 1
+    assert hits == [(0, 1)]
+    assert solver.steps == layer_keys(p) + 1
 
 
 MEMO_GROUPS = [(kind, p) for kind in ("mult", "ec") for p in (101, 1009)] + [("ec", 16381)]
@@ -201,24 +237,26 @@ def test_reduction_probes_at_most_twice_per_run(kind, p, monkeypatch):
 
 
 PROBE_GROUPS = [(kind, p, None) for kind in ("mult", "ec") for p in (101, 1009)]
-PROBE_GROUPS += [("ec", 16381, 20), ("mult", 4294967291, 20)]
+PROBE_GROUPS += [("ec", 16381, 20), ("mult", 16141, 20), ("mult", 4294967291, 20)]
 
 
 @pytest.mark.parametrize("kind, p, sampled", PROBE_GROUPS)
 def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled, monkeypatch):
-    # after k runs the handle's baby table is the reference bsgs_table over its span, m on the
-    # first probe and one layer of m more per run (attach_ledger), capped at p and stopped at
-    # KEPT_TABLE_KEYS, and the stride is -span*P; _raw_probe finds what the reference bsgs_probe
-    # finds on orbit over the same ceil(p/span) + 1 steps, the handle's solver_steps move by
-    # u + 1 per probe and by the layer's size per run; a fresh DlogSolver and brute_force_dlog
-    # answer what the reference answers, the first solve counting (m - 1) + (u + 1) steps and
-    # every later one u + 1 on the table it built; every point, or `sampled` seeded ones, on
-    # every span until the table stops growing
+    # after each run the handle's table is the reference strided table over its layers' offsets,
+    # the first layer (o = 0) on the first probe, then one per run (attach_ledger) at the
+    # reference's next offset while it holds fewer than KEPT_TABLE_KEYS keys and its widest gap
+    # exceeds 1; the stride is P and the pull bound the widest gap plus 1. _raw_probe finds what
+    # the reference bsgs_probe finds on the orbit by +P over that bound, and (e - v) mod p is x;
+    # the handle's solver_steps move by v + 1 per probe and by ceil(p/m) + 1 per layer; a fresh
+    # DlogSolver and brute_force_dlog answer what the reference answers, the first solve counting
+    # (ceil(p/m) + 1) + (v + 1) steps and every later one v + 1 on the table it built; every
+    # point, or `sampled` seeded ones, on every table until it stops growing. At p = 16141 eight
+    # layers of 128 keys hold exactly KEPT_TABLE_KEYS, so the budget's bound shows.
     g = make_group(kind, p)
-    m = isqrt(p - 1) + 1
+    m, P = isqrt(p - 1) + 1, g.generator.data
     oracle = OracleHandle(g)
-    oracle.dh(g.generator, g.generator)  # builds the handle's baby table
-    fresh = DlogSolver(g)  # one baby table of m entries: brute_force_dlog solves on this solver too
+    oracle.dh(g.generator, g.generator)  # builds the handle's first layer
+    fresh = DlogSolver(g)  # one layer: brute_force_dlog solves on this solver too
     monkeypatch.setattr(groups, "DlogSolver", lambda group: fresh)
     if sampled is None:
         xs = range(p)
@@ -226,53 +264,62 @@ def test_raw_probe_matches_the_key_iterator_probe(kind, p, sampled, monkeypatch)
         rng = random.Random(39000 + len(kind))
         xs = [rng.randrange(p) for _ in range(sampled)]
     points = [(x, g.scalar_mul(x, g.generator)) for x in xs]
-    span, runs = m, 0
+    layers = 1
     while True:
-        table = bsgs_table(orbit(g._raw_add, g.identity.data, g.generator.data), span)
-        stride = g.negate(g.scalar_mul(span, g.generator)).data
-        assert (oracle._solver.table, oracle._solver.stride, oracle._solver.span) == (table, stride, span)
-        steps = -(-p // span) + 1
+        offsets = layer_offsets(m, layers)
+        table, pulls = strided_table(g, offsets), pull_bound(m, offsets)
+        solver = oracle._solver
+        assert (solver.table, solver.stride, solver.span) == (table, P, m)
+        assert (solver.layers.offsets, solver.layers.pulls) == (sorted(offsets), pulls)
         for x, A in points:
-            want = bsgs_probe(table, orbit(g._raw_add, A.data, stride), range(steps))
-            assert g._raw_probe(table, A.data, stride, steps) == want
-            assert want is not None and (want[0] * span + want[1]) % p == x
-            assert g._raw_probe(table, A.data, stride, want[0]) is None  # one step short of the first hit
-            if runs == 0:
+            want = bsgs_probe(table, orbit(g._raw_add, A.data, P), range(pulls))
+            assert g._raw_probe(table, A.data, P, pulls) == want
+            assert want is not None and (want[1] - want[0]) % p == x
+            assert g._raw_probe(table, A.data, P, want[0]) is None  # one step short of the first hit
+            if layers == 1:
                 built = fresh.table is not None
                 before = fresh.steps
                 assert fresh.solve(A.data) == brute_force_dlog(g, A) == x
-                assert fresh.steps - before == (0 if built else m - 1) + 2 * (want[0] + 1)
+                assert fresh.steps - before == (0 if built else layer_keys(p)) + 2 * (want[0] + 1)
             oracle._known.clear()  # forget the memo within the run, so the point is probed again
             before = oracle.solver_steps
             assert oracle._private_dlog(A) == x
             assert oracle.solver_steps - before == want[0] + 1
         before = oracle.solver_steps
-        oracle.attach_ledger(None)  # a new run: one more layer
-        grown = span if span >= KEPT_TABLE_KEYS else min(span + m, p)
-        assert oracle.solver_steps - before == grown - span
-        if grown == span:
+        oracle.attach_ledger(None)  # a new run: one more layer, unless the table is done
+        grows = pulls > 2 and len(table) < KEPT_TABLE_KEYS
+        assert oracle.solver_steps - before == (layer_keys(p) if grows else 0)
+        if not grows:
             break
-        span, runs = grown, runs + 1
-    assert runs == {101: 9, 1009: 31, 16381: 7, 4294967291: 0}[p]
+        layers += 1
+    assert (layers, len(table)) == {
+        101: (11, 101), 1009: (32, 1009), 16381: (8, 1032), 16141: (8, 1024), 4294967291: (1, 65537),
+    }[p]
 
 
 @pytest.mark.parametrize("kind", ("mult", "ec"))
 @pytest.mark.parametrize("p", (101, 1009))
 def test_baby_table_ends_full_with_distinct_entries(kind, p):
-    # the last layer is capped at p, so a small group's table ends as every r*P -> r, r < p
+    # the table grows until its widest gap is 1, every offset below m stored, so a small group's
+    # table ends with p distinct keys, each mapped to an exponent of its point
     g = make_group(kind, p)
     oracle = OracleHandle(g)
-    oracle.dh(g.scalar_mul(3, g.generator), g.generator)
+    A = g.scalar_mul(3, g.generator)
+    oracle.dh(A, g.generator)
     for _ in range(2 * p):
         oracle.attach_ledger(CostLedger())
-    assert oracle._solver.span == p and len(oracle._solver.table) == p
-    assert oracle._solver.table == {g.scalar_mul(r, g.generator).data: r for r in range(p)}
-    assert oracle.solver_steps == (p - 1) + 2  # every multiple once; 3*P and P probed in one step each
+    m, solver = isqrt(p - 1) + 1, oracle._solver
+    assert (solver.layers.offsets, solver.layers.pulls) == (list(range(m)), 2)
+    assert len(solver.table) == p and solver.table == strided_table(g, layer_offsets(m, m))
+    assert all(key == g.scalar_mul(e % p, g.generator).data for key, e in solver.table.items())
+    # every layer once, then the two probes on the first layer: 3*P's, and P's one look-up
+    first = bsgs_probe(strided_table(g, [0]), orbit(g._raw_add, A.data, g.generator.data), range(m + 1))
+    assert oracle.solver_steps == m * layer_keys(p) + (first[0] + 1) + 1
 
 
 @pytest.mark.parametrize("kind", ("mult", "ec"))
 def test_one_run_reduce_never_grows_the_table(kind):
-    # a run attaches its ledger before its first probe, so a handle's first run keeps span m
+    # a run attaches its ledger before its first probe, so a handle's first run keeps one layer
     p = 16381 if kind == "ec" else 1009
     g = make_group(kind, p)
     m = isqrt(p - 1) + 1
@@ -281,19 +328,20 @@ def test_one_run_reduce_never_grows_the_table(kind):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PowCallBoundWarning)
             assert reduce_dlog(g, oracle, g.scalar_mul(4321 % p, g.generator), d).x == 4321 % p
-        assert oracle._solver.span == len(oracle._solver.table) == m
+        assert oracle._solver.layers.offsets == [0] and len(oracle._solver.table) == layer_keys(p)
+        assert oracle._solver.span == m
 
 
 @pytest.mark.parametrize("kind", ("mult", "ec"))
 def test_brute_force_dlog_never_grows(kind, monkeypatch):
-    # each call solves on a fresh solver over span m: no layer is added, no probe runs past m
+    # each call solves on a fresh solver's first layer: no layer is added, no probe runs past m + 1
     g = make_group(kind, 1009)
     m = isqrt(1009 - 1) + 1
     probes, real = [], g._raw_probe
     monkeypatch.setattr(g, "_raw_probe", lambda table, *a: probes.append((len(table), a[-1])) or real(table, *a))
     for x in range(0, 1009, 37):
         assert brute_force_dlog(g, g.scalar_mul(x, g.generator)) == x
-    assert probes == [(m, -(-1009 // m) + 1)] * len(range(0, 1009, 37))
+    assert probes == [(layer_keys(1009), m + 1)] * len(range(0, 1009, 37))
 
 
 def test_order_2_32_handle_never_grows():

@@ -15,7 +15,7 @@ from math import isqrt
 
 import pytest
 
-from test_bsgs_reference import bsgs_probe, bsgs_table
+from test_bsgs_reference import bsgs_probe, bsgs_table, layer_offsets, pull_bound
 from dhpbound import reduction
 from dhpbound.bounds import paper_band
 from dhpbound.cost import (
@@ -137,6 +137,28 @@ def test_find_generator_memo_matches_fresh_sampler(p):
             assert find_generator(p, f, seed, stats=stats) == zeta0
             assert stats == {"candidates": candidates}
             assert _sample_generator.cache_info().hits == seed + hits
+
+
+def test_find_generator_succeeds_on_its_last_allowed_candidate(monkeypatch):
+    # a seed whose first generator is its k-th candidate, k >= 3: a budget of exactly k finds it,
+    # k - 1 refuses; the budget is patched small and the memo cleared, so the sampler runs afresh
+    f = factorize(1008)
+    seed = next(s for s in range(100) if reference_generator(1009, s)[1] >= 3)
+    zeta0, k = reference_generator(1009, seed)
+    _sample_generator.cache_clear()
+    try:
+        monkeypatch.setattr(reduction, "generator_try_budget", lambda p: k)
+        stats = {}
+        assert find_generator(1009, f, seed, stats=stats) == zeta0
+        assert stats == {"candidates": k}
+        _sample_generator.cache_clear()
+        monkeypatch.setattr(reduction, "generator_try_budget", lambda p: k - 1)
+        stats = {}
+        with pytest.raises(ImprobableFailureError, match=f"in {k - 1} samples"):
+            find_generator(1009, f, seed, stats=stats)
+        assert stats == {"candidates": k - 1}
+    finally:
+        _sample_generator.cache_clear()
 
 
 def test_find_generator_failure_is_never_memoised():
@@ -1137,25 +1159,6 @@ def hit_keys(tr, group) -> int:
     d = tr.params.d
     matches = {1: (tr.j, (tr.p - 1) // d), 2: (tr.t, d)}
     return sum(baby_pulls(group._giant_tables[phase, d], *matches[phase]) for phase in kept_phases(tr.p, d))
-
-
-def layer_offsets(step: int, layers: int) -> list[int]:
-    """A kept table's first layers offsets, in the order they are added: 0, then each one halving
-    the widest gap between those before it, taken cyclically mod step, the first widest on ties."""
-    offsets = [0]
-    while len(offsets) < layers:
-        ordered = sorted(offsets) + [step]
-        gaps = [(ordered[i + 1] - ordered[i], ordered[i]) for i in range(len(offsets))]
-        width = max(gap for gap, _ in gaps)
-        start = next(start for gap, start in gaps if gap == width)
-        offsets.append(start + width // 2)
-    return offsets
-
-
-def pull_bound(step: int, offsets) -> int:
-    """The widest gap between offsets, cyclically mod step, plus 1."""
-    ordered = sorted(offsets) + [step]
-    return 1 + max(b - a for a, b in zip(ordered, ordered[1:]))
 
 
 def table_states(group, d: int) -> list:

@@ -58,12 +58,15 @@ MUTANTS = (
            ("tests/test_reduction.py",)),
     Mutant("key-budget-loosened", COST,
            "KEPT_TABLE_KEYS = 1 << 10", "KEPT_TABLE_KEYS = 1 << 11", ("tests/test_reduction.py",)),
-    Mutant("midpoint-rounded-up", REDUCTION,
-           "offset = start + width // 2", "offset = start + (width + 1) // 2", ("tests/test_reduction.py",)),
-    Mutant("pull-bound-one-high", REDUCTION,
-           "self.pulls = self._widest()[0] + 1", "self.pulls = self._widest()[0] + 2", ("tests/test_reduction.py",)),
-    Mutant("last-widest-gap-on-ties", REDUCTION,
-           ", key=lambda gap: gap[0])", ")", ("tests/test_reduction.py",)),
+    # the layered table both searches keep, groups.GiantTable: offset halving and the pull bound
+    Mutant("midpoint-rounded-up", GROUPS,
+           "offset = start + width // 2", "offset = start + (width + 1) // 2",
+           ("tests/test_reduction.py", "tests/test_oracle.py")),
+    Mutant("pull-bound-one-high", GROUPS,
+           "self.pulls = self._widest()[0] + 1", "self.pulls = self._widest()[0] + 2",
+           ("tests/test_reduction.py", "tests/test_oracle.py")),
+    Mutant("last-widest-gap-on-ties", GROUPS,
+           ", key=lambda gap: gap[0])", ")", ("tests/test_reduction.py", "tests/test_oracle.py")),
     Mutant("pulled-window-ignores-the-pull-bound", COST,
            "Walk(1, stride, -(-min(pulls, points) // 2) + 1)", "Walk(1, stride, -(-points // 2) + 1)",
            ("tests/test_reduction.py",)),
@@ -113,26 +116,41 @@ MUTANTS = (
     # the self-check reads x*P off the kept generator table (reduction.py)
     Mutant("self-check-always-passes", REDUCTION,
            "if group._generator_table(ANSWER_WINDOW)(x) != Q.data:", "if False:", ("tests/test_reduction.py",)),
-    # the one BSGS dlog solver (groups.py)
+    # the one BSGS dlog solver and its strided table, probed by +P (groups.py)
     Mutant("solver-giant-count-short", GROUPS,
            "self.steps += hit[0] + 1", "self.steps += hit[0]", ("tests/test_oracle.py",)),
     Mutant("solver-table-count-long", GROUPS,
-           "self.steps += end - max(span, 1)", "self.steps += end - span", ("tests/test_oracle.py",)),
+           "self.steps += adds + 1", "self.steps += adds + 2", ("tests/test_oracle.py",)),
     Mutant("solver-baby-table-short", GROUPS,
-           "for r in range(span, end):", "for r in range(span, end - 1):", ("tests/test_oracle.py",)),
+           "        table[point.data] = first + span * adds\n", "", ("tests/test_oracle.py",)),
+    Mutant("solver-probe-steps-by-2P", GROUPS,
+           "isqrt(group.order - 1) + 1, group.generator.data",
+           "isqrt(group.order - 1) + 1, group._raw_add(group.generator.data, group.generator.data)",
+           ("tests/test_oracle.py",)),
+    Mutant("solver-first-layer-at-m-i", GROUPS,
+           "self.group, self.span, 1 - offset", "self.group, self.span, -offset", ("tests/test_oracle.py",)),
     Mutant("brute-force-dlog-never-raises", GROUPS,
            "if x is None:\n        raise RuntimeError", "if x is None and False:\n        raise RuntimeError",
            ("tests/test_groups.py",)),
-    # the solver's baby table grows one layer per run, by the loop that built it (groups.py, oracle.py)
+    # the solver's table grows one layer per run, by the loop that built it (groups.py, oracle.py)
     Mutant("solver-never-grows", ORACLE,
            "        self._solver.grow()\n", "", ("tests/test_oracle.py",)),
     Mutant("solver-grows-past-the-key-budget", GROUPS,
-           "span < KEPT_TABLE_KEYS and", "span <= KEPT_TABLE_KEYS and", ("tests/test_oracle.py",)),
-    Mutant("solver-last-layer-uncapped", GROUPS,
-           "self._extend(min(span + self.layer, order))", "self._extend(span + self.layer)",
+           "len(layers.table) < KEPT_TABLE_KEYS:", "len(layers.table) <= KEPT_TABLE_KEYS:", ("tests/test_oracle.py",)),
+    Mutant("solver-first-reuse-layer-past-the-budget", GROUPS,
+           "layers.pulls > 2 and len(layers.table) < KEPT_TABLE_KEYS",
+           "layers.pulls > 2 and (len(layers.offsets) == 1 or len(layers.table) < KEPT_TABLE_KEYS)",
            ("tests/test_oracle.py",)),
+    Mutant("solver-last-layer-uncapped", GROUPS,
+           "layers.pulls > 2 and", "layers.pulls > 1 and", ("tests/test_oracle.py",)),
     Mutant("solver-stride-not-updated", GROUPS,
-           "self.span, self.stride = end, g._raw_negate(point.data)", "self.span = end", ("tests/test_oracle.py",)),
+           "for k in (g.order + first, span)", "for k in (g.order + 1, span)", ("tests/test_oracle.py",)),
+    # the curve search and the generator search at their boundaries (groups.py, reduction.py)
+    Mutant("curve-search-writes-x-1-at-y-0", GROUPS,
+           "(x, 0 if rhs == 0 else y)", "(x, 1 if rhs == 0 else y)", ("tests/test_groups.py",)),
+    Mutant("generator-search-skips-its-last-candidate", REDUCTION,
+           "for candidates in range(1, budget + 1):", "for candidates in range(1, budget):",
+           ("tests/test_reduction.py",)),
     # the database and the divisors (bounds.py, modmath.py)
     Mutant("load-database-catches-only-value-error", BOUNDS,
            "except (ValueError, RecursionError) as exc:", "except ValueError as exc:", ("tests/test_cli.py",)),
